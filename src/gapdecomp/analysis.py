@@ -79,11 +79,13 @@ class AnalysisSpec:
         are anchored. Defaults to the group-1 mean of X (parametric paths)
         or the stratum closest to it (plug-in path).
     options :
-        Free-form knobs: "max_levels" (plug-in, default 20),
-        "aggregation_weight" ("group1"/"group0"/"pooled", default "group1"),
-        "mean_model" ("cells"/"ols", plug-in cell-mean source),
-        "interactions" (bool, route P1-P4 through the group-stratified
-        decomposition instead of the pooled no-interaction formulas).
+        Estimator knobs; any key the estimator does not read is refused by
+        `validate_spec`. SUCCESSIVE and PRODUCT read "interactions" (bool,
+        route P1-P4 through the group-stratified decomposition instead of
+        the pooled no-interaction formulas; continuous outcomes only).
+        PLUGIN reads "max_levels" (default 20), "mean_model" ("cells"/"ols",
+        the cell-mean source) and "aggregation_weight"
+        ("group1"/"group0"/"pooled", default "group1").
     """
 
     proposition: Proposition
@@ -117,11 +119,31 @@ class AnalysisSpec:
         return bound
 
 
+#: The option keys each estimator reads.
+_OPTION_KEYS = {
+    Estimator.SUCCESSIVE: ("interactions",),
+    Estimator.PRODUCT: ("interactions",),
+    Estimator.PLUGIN: ("max_levels", "mean_model", "aggregation_weight"),
+}
+
+
 def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
     """Check the structural constraints a run must satisfy before any math.
 
     Raises InvalidSpec naming the violated constraint.
     """
+    unknown = sorted(set(spec.options) - set(_OPTION_KEYS[spec.estimator]))
+    if unknown:
+        raise InvalidSpec(f"unknown option(s) {unknown} for {spec.estimator.value}; "
+                          f"it reads {list(_OPTION_KEYS[spec.estimator])}")
+    if spec.outcome_family == OutcomeFamily.RARE_BINARY and spec.estimator != Estimator.PLUGIN:
+        if spec.option("interactions"):
+            raise InvalidSpec(
+                "the group-stratified (interactions) route has no ratio-scale form; "
+                "it would answer a RARE_BINARY request on the additive scale"
+            )
+        if len(d.role_columns(Role.EARLY)) > 1:
+            raise InvalidSpec("the ratio-scale decomposition expects a single early measure")
     for role in (Role.OUTCOME, Role.GROUP):
         if not d.role_columns(role):
             raise InvalidSpec(f"spec requires a bound {role.value} column")
@@ -167,10 +189,3 @@ class DecompositionEstimate:
     estimator: str
     coefficients: Mapping[str, Mapping[str, float]] | None = None
     notes: tuple[str, ...] = ()
-
-    def with_notes(self, *extra: str) -> "DecompositionEstimate":
-        return DecompositionEstimate(
-            self.proposition, self.scale, self.initial, self.residual,
-            self.reduction, self.proportion_reduced, self.estimator,
-            self.coefficients, self.notes + tuple(extra),
-        )

@@ -300,7 +300,8 @@ def execute(cfg: RunConfig) -> dict:
                         )
             except AnalysisError as exc:
                 entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        entry["warnings"] = [str(w.message) for w in caught] + entry["warnings"]
+        # the bootstrap re-runs the full-sample estimate: report each warning once
+        entry["warnings"] = list(dict.fromkeys(str(w.message) for w in caught)) + entry["warnings"]
         run_reports.append(entry)
 
     return {
@@ -310,11 +311,6 @@ def execute(cfg: RunConfig) -> dict:
         "bootstrap": cfg.bootstrap,
         "runs": run_reports,
     }
-
-
-def _format_cell(value, width: int) -> str:
-    text = "—" if value is None else f"{value:.3f}"
-    return text.rjust(width)
 
 
 def render_table(report: dict) -> str:

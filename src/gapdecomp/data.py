@@ -69,10 +69,14 @@ class Dataset:
     ----------
     columns : mapping of name -> 1-d float array (NaN marks missing)
     roles : mapping of Role -> ordered tuple of column names
+
+    `_factors` memoizes least-squares factors of its analysis samples (see
+    `parametric.sample_factor`); derived datasets start with an empty memo.
     """
 
     columns: Mapping[str, np.ndarray]
     roles: Mapping[Role, tuple[str, ...]] = field(default_factory=dict)
+    _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cols = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -126,7 +127,9 @@ def bootstrap_statistic(
     ``statistic`` may return a single float or a mapping of named floats
     (None values are allowed and simply excluded from that quantity's
     spread). Replicates raising package errors are recorded and excluded;
-    more than 10% failures aborts with TooManyFailures.
+    more than 10% failures aborts with TooManyFailures. A warning category
+    raised by replicates is re-issued once, with the number of replicates
+    that raised it and the first message.
     """
     if b < 2:
         raise InvalidB(f"bootstrap needs at least 2 replicates, got {b}")
@@ -137,19 +140,32 @@ def bootstrap_statistic(
 
     draws: dict[str, list[float]] = {name: [] for name in names}
     failures: list[str] = []
-    for index in range(b):
-        resampled = d.take(resample_indices(d, seed, index, stratify_by_group))
-        try:
-            value = statistic(resampled)
-        except AnalysisError as err:
-            failures.append(f"replicate {index}: {type(err).__name__}: {err}")
-            continue
-        if not isinstance(value, Mapping):
-            value = {"statistic": float(value)}
-        for name in names:
-            v = value.get(name)
-            if v is not None:
-                draws[name].append(float(v))
+    warned: dict[type[Warning], list] = {}  # category -> [replicates, first message]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for index in range(b):
+            resampled = d.take(resample_indices(d, seed, index, stratify_by_group))
+            try:
+                value = statistic(resampled)
+            except AnalysisError as err:
+                failures.append(f"replicate {index}: {type(err).__name__}: {err}")
+                value = None
+            for w in {w.category: w for w in reversed(caught)}.values():
+                warned.setdefault(w.category, [0, str(w.message)])[0] += 1
+            caught.clear()
+            if value is None:
+                continue
+            if not isinstance(value, Mapping):
+                value = {"statistic": float(value)}
+            for name in names:
+                v = value.get(name)
+                if v is not None:
+                    draws[name].append(float(v))
+    for category, (count, first) in warned.items():
+        warnings.warn(
+            f"{category.__name__} in {count} of {b} bootstrap replicates; first: {first}",
+            category, stacklevel=2,
+        )
     if len(failures) > _FAILURE_LIMIT * b:
         raise TooManyFailures(
             f"{len(failures)} of {b} bootstrap replicates failed "

@@ -1,19 +1,26 @@
 """Regression-coefficient decompositions for the four interventions.
 
-Two families are implemented on top of the shared regression engine:
-
-* SUCCESSIVE — a ladder of nested outcome regressions (group only; plus the
-  early measures; plus the target), with each intervention's residual and
-  reduction read off coefficient differences of the group term.
+* SUCCESSIVE — a ladder of nested outcome regressions (group; plus the early
+  measures one at a time in declared order; plus the target), with each
+  intervention's residual and reduction read off coefficient differences of
+  the group term.
 * PRODUCT — one outcome model plus auxiliary models for the target and the
   early measure, combined through coefficient products.
 
-On a common analysis sample the two families agree to floating-point
-precision — that is nested-least-squares algebra, not an asymptotic
-approximation — and the test suite enforces it.
+Every least-squares fit of both families regresses a column of
+[1, r, c…, x1…xk, m, y] (group, covariates, early measures, target, outcome)
+on a prefix of the columns before it, so all of them are read from one
+triangular factor R of that matrix (see regression.py), and the families
+agree to floating-point precision on the common analysis sample. For a rare
+binary outcome the same two splits are applied on the log scale to logistic
+outcome fits and exponentiated onto the ratio scale.
 
-For a rare binary outcome the same coefficient expressions are exponentiated
-and reported on the ratio scale.
+`sample_factor` memoizes R on the Dataset, keyed by the ordered column tuple
+(r, c…, x…, m, y), which also fixes the analysis rows (those complete in
+every listed column); the memo holds only the p×p R and the sample size.
+Every derived Dataset (`take`, `with_roles`, `with_columns`, a spec's
+bindings) starts with an empty memo and columns are read-only, so a factor
+cannot go stale, and all parametric runs on one Dataset share one factor.
 """
 
 from __future__ import annotations
@@ -33,9 +40,16 @@ from .analysis import (
     Scale,
 )
 from .data import Dataset, Role
-from .errors import InvalidSpec, NearZeroDenominator, PrevalenceWarning, UnknownColumn
+from .errors import InvalidSpec, NearZeroDenominator, PrevalenceWarning
 from .inference import proportion_with_note
-from .regression import CoefficientSet, DesignMatrix, fit_logistic, fit_ols
+from .regression import (
+    INTERCEPT,
+    CoefficientSet,
+    DesignMatrix,
+    TriangularFactor,
+    fit_logistic,
+    stacked_columns,
+)
 
 #: Outcome prevalence above which the rare-outcome ratio algebra is suspect.
 RARE_PREVALENCE_LIMIT = 0.10
@@ -53,10 +67,17 @@ def analysis_rows(d: Dataset, columns) -> np.ndarray:
     return mask
 
 
-def _fit(d, outcome, regressors, rows, logistic=False) -> CoefficientSet:
-    design = DesignMatrix.from_dataset(d, regressors, rows=rows)
-    y = d.column(outcome)[rows]
-    return fit_logistic(design, y) if logistic else fit_ols(design, y)
+def sample_factor(d: Dataset, columns) -> TriangularFactor:
+    """R of [1, columns…] over the rows complete in every column, memoized on `d`."""
+    key = tuple(columns)
+    factor = d._factors.get(key)
+    if factor is None:
+        if len(set(key)) != len(key):
+            raise InvalidSpec(f"a column is bound to more than one role: {key}")
+        rows = analysis_rows(d, key)
+        factor = TriangularFactor.of((INTERCEPT, *key), [1.0, *map(d.column, key)], rows)
+        d._factors[key] = factor
+    return factor
 
 
 def _model_name(outcome: str, regressors) -> str:
@@ -72,150 +93,70 @@ def _check_denominator(value: float, natural_scale: float, label: str) -> None:
         )
 
 
-def _slope_scale(d, outcome, column, rows, logistic=False) -> float:
-    """Natural magnitude of a slope: sd(y)/sd(x), or 1/sd(x) on the log-odds scale."""
-    x_sd = float(np.std(d.column(column)[rows]))
-    if x_sd == 0.0:
-        return 1.0
-    if logistic:
-        return 1.0 / x_sd
-    y_sd = float(np.std(d.column(outcome)[rows]))
-    return (y_sd if y_sd > 0 else 1.0) / x_sd
+def _slope_scale(factor: TriangularFactor, outcome, column, logistic=False) -> float:
+    """sd(y)/sd(x), or 1/sd(x) on the log-odds scale; sd = centred norm / sqrt(n)."""
+    x_norm = factor.centered_norm(column)
+    y_norm = 0.0 if logistic else factor.centered_norm(outcome)
+    return (y_norm or math.sqrt(factor.n_rows)) / x_norm if x_norm else 1.0
 
 
-def _build(spec, prop, scale, initial, residual, reduction, coefficients, notes=()):
-    proportion, extra = proportion_with_note(initial, residual, scale)
-    return DecompositionEstimate(
-        proposition=prop,
-        scale=scale,
-        initial=initial,
-        residual=residual,
-        reduction=reduction,
-        proportion_reduced=proportion,
-        estimator=spec.estimator.value,
-        coefficients=coefficients,
-        notes=tuple(notes) + extra,
-    )
+class _Run:
+    """The bound columns of one run, its shared factor, and its fitted models.
 
-
-# ---------------------------------------------------------------------------
-# SUCCESSIVE family, continuous outcome
-# ---------------------------------------------------------------------------
-
-
-def decompose_successive_linear(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
-    """Nested-regressions decomposition with a single early measure.
-
-    Fits outcome-on-group, +early, +target regressions on one common sample
-    and reads each proposition's residual/reduction from differences of the
-    group coefficient (and, for the marginal-target intervention, the ratio
-    of early-measure slopes between the two larger models).
+    Fits use the factor's column order (intercept, group, covariates, early
+    measures, target); `models` records each in report order (group, early
+    measures, target, covariates). `outcome_fit(q)` fits the outcome on the
+    factor's first q columns.
     """
-    d = spec.resolve(d)
-    if spec.outcome_family == OutcomeFamily.RARE_BINARY:
-        return decompose_logistic_rare(d, spec)
-    prop = spec.proposition
-    y = d.single_role_column(Role.OUTCOME)
-    r = d.single_role_column(Role.GROUP)
-    early = d.role_columns(Role.EARLY)
-    if len(early) != 1:
-        return decompose_successive_multiX(d, spec)
-    x = early[0]
-    c = list(d.covariate_names())
-    m = d.single_role_column(Role.TARGET) if d.role_columns(Role.TARGET) else None
 
-    need_target = prop != Proposition.P1
-    used = [y, r, x, *c] + ([m] if m is not None else [])
-    if need_target and m is None:
-        raise InvalidSpec(f"{prop.value} requires a target column")
-    rows = analysis_rows(d, used)
+    def __init__(self, d: Dataset):
+        self.y = d.single_role_column(Role.OUTCOME)
+        self.r = d.single_role_column(Role.GROUP)
+        self.xs = list(d.role_columns(Role.EARLY))
+        self.c = list(d.covariate_names())
+        self.m = d.single_role_column(Role.TARGET) if d.role_columns(Role.TARGET) else None
+        target = [] if self.m is None else [self.m]
+        self.columns = [self.r, *self.c, *self.xs, *target, self.y]
+        self.factor = sample_factor(d, self.columns)
+        self.models: dict[str, dict[str, float]] = {}
 
-    base = _fit(d, y, [r, *c], rows)
-    with_early = _fit(d, y, [r, x, *c], rows)
-    models = {
-        _model_name(y, [r, *c]): base.as_dict(),
-        _model_name(y, [r, x, *c]): with_early.as_dict(),
-    }
-    full = None
-    if m is not None:
-        full = _fit(d, y, [r, x, m, *c], rows)
-        models[_model_name(y, [r, x, m, *c])] = full.as_dict()
+    def _record(self, fit: CoefficientSet, outcome: str, regressors) -> CoefficientSet:
+        self.models[_model_name(outcome, regressors)] = {
+            label: fit[label] for label in (INTERCEPT, *regressors)
+        }
+        return fit
 
-    if prop == Proposition.P1:
-        initial, residual = base[r], with_early[r]
-        return _build(spec, prop, Scale.ADDITIVE, initial, residual,
-                      initial - residual, models)
-    if prop == Proposition.P2:
-        initial, residual = with_early[r], full[r]
-        return _build(spec, prop, Scale.ADDITIVE, initial, residual,
-                      initial - residual, models, notes=(P2_ANCHOR_NOTE,))
-    if prop == Proposition.P3:
-        initial, residual = base[r], full[r]
-        return _build(spec, prop, Scale.ADDITIVE, initial, residual,
-                      initial - residual, models)
-    if prop == Proposition.P4:
-        _check_denominator(with_early[x], _slope_scale(d, y, x, rows), x)
-        share = full[x] / with_early[x]
-        gap = base[r] - with_early[r]
-        residual = full[r] + share * gap
-        reduction = (with_early[r] - full[r]) + (1.0 - share) * gap
-        return _build(spec, prop, Scale.ADDITIVE, base[r], residual, reduction, models)
-    raise InvalidSpec(f"{prop.value} has no nested-regressions form")
+    def ladder_split(self, prop, outcome_fit, slope_scale):
+        """(initial, residual, reduction) from the nested-regression ladder.
 
-
-def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
-    """Nested-regressions decomposition with several early measures.
-
-    The ladder adds the early measures one at a time (in their declared
-    order) before the target enters. For the marginal-target intervention the
-    group gap in each early measure, within covariate strata and in-sample, is
-    recovered by forward substitution from the ladder's group and early-slope
-    coefficients; the residual then reweights those gaps by the full model's
-    early slopes.
-    """
-    d = spec.resolve(d)
-    prop = spec.proposition
-    y = d.single_role_column(Role.OUTCOME)
-    r = d.single_role_column(Role.GROUP)
-    xs = list(d.role_columns(Role.EARLY))
-    c = list(d.covariate_names())
-    m = d.single_role_column(Role.TARGET) if d.role_columns(Role.TARGET) else None
-    if spec.outcome_family != OutcomeFamily.CONTINUOUS:
-        raise InvalidSpec("multi-early ladders are implemented for continuous outcomes")
-    if prop != Proposition.P1 and m is None:
-        raise InvalidSpec(f"{prop.value} requires a target column")
-
-    used = [y, r, *xs, *c] + ([m] if m is not None else [])
-    rows = analysis_rows(d, used)
-
-    base = _fit(d, y, [r, *c], rows)
-    ladder = [_fit(d, y, [r, *xs[: j + 1], *c], rows) for j in range(len(xs))]
-    widest = ladder[-1]
-    models = {_model_name(y, [r, *c]): base.as_dict()}
-    for j, fit in enumerate(ladder):
-        models[_model_name(y, [r, *xs[: j + 1], *c])] = fit.as_dict()
-    full = None
-    if m is not None:
-        full = _fit(d, y, [r, *xs, m, *c], rows)
-        models[_model_name(y, [r, *xs, m, *c])] = full.as_dict()
-
-    if prop == Proposition.P1:
-        initial, residual = base[r], widest[r]
-        return _build(spec, prop, Scale.ADDITIVE, initial, residual,
-                      initial - residual, models)
-    if prop == Proposition.P2:
-        initial, residual = widest[r], full[r]
-        return _build(spec, prop, Scale.ADDITIVE, initial, residual,
-                      initial - residual, models, notes=(P2_ANCHOR_NOTE,))
-    if prop == Proposition.P3:
-        initial, residual = base[r], full[r]
-        return _build(spec, prop, Scale.ADDITIVE, initial, residual,
-                      initial - residual, models)
-    if prop == Proposition.P4:
-        # Forward-substitute the ladder for the per-measure group gaps.
+        For the marginal-target intervention the group gap in each early
+        measure, within covariate strata and in-sample, is recovered by
+        forward substitution from the ladder's group and early-slope
+        coefficients; the residual reweights those gaps by the full model's
+        early slopes.
+        """
+        r, xs, c, m, y = self.r, self.xs, self.c, self.m, self.y
+        head = 2 + len(c)
+        base = self._record(outcome_fit(head), y, [r, *c])
+        steps = [
+            self._record(outcome_fit(head + j + 1), y, [r, *xs[: j + 1], *c])
+            for j in range(len(xs))
+        ]
+        full = None if m is None else self._record(
+            outcome_fit(head + len(xs) + 1), y, [r, *xs, m, *c]
+        )
+        widest = steps[-1]
+        if prop == Proposition.P1:
+            return base[r], widest[r], base[r] - widest[r]
+        if prop == Proposition.P2:
+            return widest[r], full[r], widest[r] - full[r]
+        if prop == Proposition.P3:
+            return base[r], full[r], base[r] - full[r]
+        if prop != Proposition.P4:
+            raise InvalidSpec(f"{prop.value} has no nested-regressions form")
         gaps = []
-        for j, fit in enumerate(ladder):
-            _check_denominator(fit[xs[j]], _slope_scale(d, y, xs[j], rows), xs[j])
+        for j, fit in enumerate(steps):
+            _check_denominator(fit[xs[j]], slope_scale(xs[j]), xs[j])
             numerator = base[r] - fit[r]
             for i in range(j):
                 numerator -= fit[xs[i]] * gaps[i]
@@ -224,124 +165,23 @@ def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> Decomposition
         reduction = (widest[r] - full[r]) + sum(
             (widest[x] - full[x]) * g for x, g in zip(xs, gaps)
         )
-        return _build(spec, prop, Scale.ADDITIVE, base[r], residual, reduction, models)
-    raise InvalidSpec(f"{prop.value} has no nested-regressions form")
+        return base[r], residual, reduction
 
+    def product_split(self, prop, outcome_fit):
+        """(initial, residual, reduction) from coefficient products.
 
-# ---------------------------------------------------------------------------
-# PRODUCT family
-# ---------------------------------------------------------------------------
-
-
-def decompose_product_coefficients(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
-    """Decomposition from outcome, target, and early-measure models.
-
-    The group's indirect routes are coefficient products: the early model's
-    group slope times the outcome's early slope, the target model's group
-    slope times the outcome's target slope, and the chained product through
-    both. Agrees with the nested-regressions family identically in-sample.
-    """
-    d = spec.resolve(d)
-    if spec.outcome_family == OutcomeFamily.RARE_BINARY:
-        return decompose_logistic_rare(d, spec)
-    prop = spec.proposition
-    y = d.single_role_column(Role.OUTCOME)
-    r = d.single_role_column(Role.GROUP)
-    x = d.single_role_column(Role.EARLY)
-    m = d.single_role_column(Role.TARGET)
-    c = list(d.covariate_names())
-    rows = analysis_rows(d, [y, r, x, m, *c])
-
-    outcome = _fit(d, y, [r, x, m, *c], rows)
-    target = _fit(d, m, [r, x, *c], rows)
-    early = _fit(d, x, [r, *c], rows)
-    models = {
-        _model_name(y, [r, x, m, *c]): outcome.as_dict(),
-        _model_name(m, [r, x, *c]): target.as_dict(),
-        _model_name(x, [r, *c]): early.as_dict(),
-    }
-
-    through_target = target[r] * outcome[m]             # group -> target -> outcome
-    through_early = early[r] * outcome[x]               # group -> early -> outcome
-    chained = early[r] * target[x] * outcome[m]         # group -> early -> target -> outcome
-
-    if prop == Proposition.P1:
-        residual = outcome[r] + through_target
-        reduction = through_early + chained
-    elif prop == Proposition.P2:
-        residual = outcome[r]
-        reduction = through_target
-    elif prop == Proposition.P3:
-        residual = outcome[r]
-        reduction = through_early + through_target + chained
-    elif prop == Proposition.P4:
-        residual = outcome[r] + through_early
-        reduction = through_target + chained
-    else:
-        raise InvalidSpec(f"{prop.value} has no coefficient-product form")
-    notes = (P2_ANCHOR_NOTE,) if prop == Proposition.P2 else ()
-    return _build(spec, prop, Scale.ADDITIVE, residual + reduction,
-                  residual, reduction, models, notes=notes)
-
-
-# ---------------------------------------------------------------------------
-# Rare binary outcome (ratio scale)
-# ---------------------------------------------------------------------------
-
-
-def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
-    """Ratio-scale decomposition for a rare 0/1 outcome.
-
-    The continuous-outcome coefficient expressions are reused inside exp{},
-    valid because the logit and log links agree for rare outcomes. SUCCESSIVE
-    fits the nested ladder with logistic regressions; PRODUCT mixes a logistic
-    outcome model with least-squares target/early models. Emits
-    PrevalenceWarning (and a report note) when the outcome mean exceeds 10%.
-    """
-    d = spec.resolve(d)
-    prop = spec.proposition
-    y = d.single_role_column(Role.OUTCOME)
-    r = d.single_role_column(Role.GROUP)
-    xs = d.role_columns(Role.EARLY)
-    if len(xs) != 1:
-        raise InvalidSpec("the ratio-scale decomposition expects a single early measure")
-    x = xs[0]
-    m = d.single_role_column(Role.TARGET) if d.role_columns(Role.TARGET) else None
-    c = list(d.covariate_names())
-    need_target = prop != Proposition.P1 or spec.estimator == Estimator.PRODUCT
-    if need_target and m is None:
-        raise InvalidSpec(f"{prop.value} requires a target column")
-    used = [y, r, x, *c] + ([m] if m is not None else [])
-    rows = analysis_rows(d, used)
-
-    observed = np.unique(d.column(y)[rows])
-    if not np.all(np.isin(observed, (0.0, 1.0))):
-        raise InvalidSpec("rare-binary outcome column must be 0/1")
-    prevalence = float(d.column(y)[rows].mean())
-    notes = []
-    if prevalence > RARE_PREVALENCE_LIMIT:
-        message = (
-            f"outcome prevalence {prevalence:.3f} exceeds "
-            f"{RARE_PREVALENCE_LIMIT:.2f}; ratio-scale results rest on a "
-            "rare-outcome approximation and may be distorted"
-        )
-        warnings.warn(message, PrevalenceWarning, stacklevel=2)
-        notes.append(message)
-    if prop == Proposition.P2:
-        notes.append(P2_ANCHOR_NOTE)
-
-    if spec.estimator == Estimator.PRODUCT:
-        outcome = _fit(d, y, [r, x, m, *c], rows, logistic=True)
-        target = _fit(d, m, [r, x, *c], rows)
-        early = _fit(d, x, [r, *c], rows)
-        models = {
-            _model_name(y, [r, x, m, *c]): outcome.as_dict(),
-            _model_name(m, [r, x, *c]): target.as_dict(),
-            _model_name(x, [r, *c]): early.as_dict(),
-        }
-        through_target = target[r] * outcome[m]
-        through_early = early[r] * outcome[x]
-        chained = early[r] * target[x] * outcome[m]
+        The group's indirect routes are the early model's group slope times
+        the outcome's early slope, the target model's group slope times the
+        outcome's target slope, and the chained product through both.
+        """
+        r, (x,), c, m, y = self.r, self.xs, self.c, self.m, self.y
+        head = 2 + len(c)
+        outcome = self._record(outcome_fit(head + 2), y, [r, x, m, *c])
+        target = self._record(self.factor.fit(m, head + 1), m, [r, x, *c])
+        early = self._record(self.factor.fit(x, head), x, [r, *c])
+        through_target = target[r] * outcome[m]             # group -> target -> outcome
+        through_early = early[r] * outcome[x]               # group -> early -> outcome
+        chained = early[r] * target[x] * outcome[m]         # group -> early -> target -> outcome
         pairs = {
             Proposition.P1: (outcome[r] + through_target, through_early + chained),
             Proposition.P2: (outcome[r], through_target),
@@ -350,39 +190,91 @@ def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEsti
         }
         if prop not in pairs:
             raise InvalidSpec(f"{prop.value} has no coefficient-product form")
-        log_residual, log_reduction = pairs[prop]
-    else:
-        base = _fit(d, y, [r, *c], rows, logistic=True)
-        with_early = _fit(d, y, [r, x, *c], rows, logistic=True)
-        models = {
-            _model_name(y, [r, *c]): base.as_dict(),
-            _model_name(y, [r, x, *c]): with_early.as_dict(),
-        }
-        full = None
-        if m is not None:
-            full = _fit(d, y, [r, x, m, *c], rows, logistic=True)
-            models[_model_name(y, [r, x, m, *c])] = full.as_dict()
-        if prop == Proposition.P1:
-            log_residual = with_early[r]
-            log_reduction = base[r] - with_early[r]
-        elif prop == Proposition.P2:
-            log_residual = full[r]
-            log_reduction = with_early[r] - full[r]
-        elif prop == Proposition.P3:
-            log_residual = full[r]
-            log_reduction = base[r] - full[r]
-        elif prop == Proposition.P4:
-            _check_denominator(
-                with_early[x], _slope_scale(d, y, x, rows, logistic=True), x
-            )
-            share = full[x] / with_early[x]
-            gap = base[r] - with_early[r]
-            log_residual = full[r] + share * gap
-            log_reduction = (with_early[r] - full[r]) + (1.0 - share) * gap
-        else:
-            raise InvalidSpec(f"{prop.value} has no nested-regressions form")
+        residual, reduction = pairs[prop]
+        return residual + reduction, residual, reduction
 
-    residual = math.exp(log_residual)
-    reduction = math.exp(log_reduction)
-    return _build(spec, prop, Scale.RATIO, residual * reduction,
-                  residual, reduction, models, notes=notes)
+
+def _decompose(d: Dataset, spec: AnalysisSpec, product: bool, logistic: bool):
+    """One parametric estimate; `logistic` fits the outcome models by logistic
+    regression and reports ratios (the rare-binary route)."""
+    run, prop, notes = _Run(d), spec.proposition, []
+    factor = run.factor
+    if logistic:
+        rows = analysis_rows(d, run.columns)
+        outcome = d.column(run.y)[rows]
+        if np.any((outcome != 0.0) & (outcome != 1.0)):
+            raise InvalidSpec("rare-binary outcome column must be 0/1")
+        prevalence = float(outcome.mean())
+        if prevalence > RARE_PREVALENCE_LIMIT:
+            notes.append(
+                f"outcome prevalence {prevalence:.3f} exceeds "
+                f"{RARE_PREVALENCE_LIMIT:.2f}; ratio-scale results rest on a "
+                "rare-outcome approximation and may be distorted"
+            )
+            warnings.warn(notes[-1], PrevalenceWarning, stacklevel=3)
+        design = stacked_columns([1.0, *map(d.column, run.columns[:-1])], rows)
+
+        def outcome_fit(q):
+            return fit_logistic(DesignMatrix(factor.labels[:q], design[:, :q]), outcome)
+    else:
+        def outcome_fit(q):
+            return factor.fit(run.y, q)
+
+    if product:
+        initial, residual, reduction = run.product_split(prop, outcome_fit)
+    else:
+        initial, residual, reduction = run.ladder_split(
+            prop, outcome_fit, lambda x: _slope_scale(factor, run.y, x, logistic)
+        )
+    scale = Scale.ADDITIVE
+    if logistic:
+        residual, reduction = math.exp(residual), math.exp(reduction)
+        initial, scale = residual * reduction, Scale.RATIO
+    if prop == Proposition.P2:
+        notes.append(P2_ANCHOR_NOTE)
+    proportion, extra = proportion_with_note(initial, residual, scale)
+    return DecompositionEstimate(
+        prop, scale, initial, residual, reduction, proportion,
+        spec.estimator.value, run.models, tuple(notes) + extra,
+    )
+
+
+def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
+    """Nested-regressions decomposition with one or more early measures.
+
+    The ladder fits outcome-on-group, then adds the early measures one at a
+    time (in their declared order), then the target, all on one common
+    sample; each proposition's residual and reduction come from differences
+    of the group coefficient. Rare binary outcomes take the ratio scale.
+    """
+    rare = spec.outcome_family == OutcomeFamily.RARE_BINARY
+    return _decompose(spec.resolve(d), spec, product=False, logistic=rare)
+
+
+#: The single-early ladder is the one-step case of the general ladder.
+decompose_successive_linear = decompose_successive_multiX
+
+
+def decompose_product_coefficients(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
+    """Decomposition from outcome, target, and early-measure models.
+
+    Combines coefficients through products; agrees with the
+    nested-regressions family identically in-sample. Rare binary outcomes
+    take the ratio scale.
+    """
+    rare = spec.outcome_family == OutcomeFamily.RARE_BINARY
+    return _decompose(spec.resolve(d), spec, product=True, logistic=rare)
+
+
+def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
+    """Ratio-scale decomposition for a rare 0/1 outcome.
+
+    The ladder and product splits are applied to logistic outcome fits on
+    the log scale and exponentiated, valid because the logit and log links
+    agree for rare outcomes; PRODUCT's target and early models stay least
+    squares. Emits PrevalenceWarning (and a report note) when the outcome
+    mean exceeds 10%.
+    """
+    return _decompose(
+        spec.resolve(d), spec, product=spec.estimator == Estimator.PRODUCT, logistic=True
+    )

@@ -1,18 +1,28 @@
-"""Least-squares and logistic fitting on labeled design matrices.
+"""Least-squares and logistic fitting from one triangular factor.
 
-Both fitters are deliberately plain: pivoted QR for the linear algebra, an
-unregularized Newton (IRLS) loop for the logistic likelihood. Every
-downstream decomposition formula reads named coefficients off the returned
-CoefficientSet, so labels — not positions — are the contract.
+Every least-squares solve goes through one kernel: the regressors and the
+response column(s) are copied into one Fortran-ordered n×p array, and a
+left-looking, unpivoted Householder QR keeps only its p×p factor R. Column j
+receives the reflectors of columns 0..j-1 before yielding its own, so R[:, j]
+depends on columns 0..j alone and R holds every nested regression: column j
+on columns 0..q-1 (q <= j) solves R[:q, :q] b = R[:q, j] (nested QR, i.e.
+Frisch–Waugh–Lovell; Golub & Van Loan, *Matrix Computations* §5.3). A fit
+read from a wider factor thus equals `fit_ols` on its design alone, bit for
+bit (LAPACK's geqrf rounds differently as the trailing block widens). Rank is
+checked on the diagonal of each prefix used as a design, never on a
+response: a small |R[i, i]| against the norm of column i names column i as
+dependent on those declared before it. Downstream formulas read named
+coefficients off CoefficientSet: labels, not positions, are the contract.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import expit, logit
 
 from .data import Dataset
@@ -44,14 +54,6 @@ class DesignMatrix:
             raise UnknownColumn("duplicate design column labels")
         if self.labels[0] != INTERCEPT or not np.all(mat[:, 0] == 1.0):
             raise UnknownColumn("first design column must be an all-ones intercept")
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
 
     @classmethod
     def from_dataset(
@@ -105,35 +107,106 @@ class CoefficientSet:
         return {l: float(v) for l, v in zip(self.labels, self.values)}
 
 
-def _solve_full_rank(mat: np.ndarray, rhs: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-    """Least-squares solve via pivoted QR; raises RankDeficient with names."""
-    q, r, piv = qr(mat, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = _RANK_TOL * (diag.max() if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < mat.shape[1]:
-        raise RankDeficient([labels[j] for j in piv[rank:]])
-    solution = solve_triangular(r, q.T @ rhs)
-    out = np.empty_like(solution)
-    out[piv] = solution
+def stacked_columns(columns: Sequence, rows: np.ndarray | None = None) -> np.ndarray:
+    """Fortran-ordered matrix of ``columns[j][rows]``; a scalar fills its column.
+
+    `rows` is an optional boolean mask selecting the analysis rows.
+    """
+    if rows is None:
+        n = len(next(c for c in columns if np.ndim(c)))
+    else:
+        n = int(np.count_nonzero(rows))
+    out = np.empty((n, len(columns)), order="F")
+    for j, col in enumerate(columns):
+        if rows is None or not np.ndim(col):
+            out[:, j] = col
+        else:
+            np.compress(rows, col, out=out[:, j])
     return out
+
+
+def triangular_factor(a: np.ndarray) -> np.ndarray:
+    """R (p×p) of the left-looking Householder QR of a Fortran-ordered n×p ``a``.
+
+    ``a`` is overwritten with the reflectors; when n < p, rows of R past n are 0.
+    """
+    n, p = a.shape
+    r = np.zeros((p, p))
+    tau = np.zeros(p)
+    for j in range(p):
+        col = a[:, j]
+        top = min(j, n)
+        for i in range(top):
+            if tau[i]:
+                v, x = a[i:, i], col[i:]
+                x -= (tau[i] * np.dot(v, x)) * v
+        r[:top, j] = col[:top]
+        if j >= n:
+            continue
+        x = col[j:]
+        alpha, rest = float(x[0]), float(np.linalg.norm(x[1:]))
+        r[j, j] = alpha
+        if rest:
+            r[j, j] = beta = -math.copysign(math.hypot(alpha, rest), alpha)
+            tau[j] = (beta - alpha) / beta
+            x *= 1.0 / (alpha - beta)
+            x[0] = 1.0
+    if not np.isfinite(r).all():
+        raise ValueError("least-squares columns contain infinite values")
+    return r
+
+
+def least_squares(r, n: int, q: int, j: int, labels: Sequence[str]) -> tuple[np.ndarray, float]:
+    """Coefficients and residual sum of squares of column j on columns 0..q-1.
+
+    `r` factors an n-row matrix; `labels` names the q design columns, and
+    RankDeficient names each one that depends on those before it.
+    """
+    if n <= q:
+        raise RankDeficient(labels)
+    dependent = np.abs(np.diag(r)[:q]) <= _RANK_TOL * np.linalg.norm(r[:, :q], axis=0)
+    if dependent.any():
+        raise RankDeficient([labels[i] for i in np.flatnonzero(dependent)])
+    tail = r[q : j + 1, j]
+    return solve_triangular(r[:q, :q], r[:q, j]), float(tail @ tail)
+
+
+@dataclass(frozen=True)
+class TriangularFactor:
+    """R of the stacked columns `labels` over `n_rows` analysis rows."""
+
+    labels: tuple[str, ...]
+    r: np.ndarray
+    n_rows: int
+
+    @classmethod
+    def of(cls, labels: Sequence[str], columns: Sequence, rows=None) -> "TriangularFactor":
+        a = stacked_columns(columns, rows)
+        return cls(tuple(labels), triangular_factor(a), a.shape[0])
+
+    def fit(self, response: str, q: int) -> CoefficientSet:
+        """Least squares of the `response` column on the first q columns."""
+        beta, rss = least_squares(
+            self.r, self.n_rows, q, self.labels.index(response), self.labels[:q]
+        )
+        return CoefficientSet(self.labels[:q], beta, residual_variance=rss / (self.n_rows - q))
+
+    def centered_norm(self, label: str) -> float:
+        """||a - mean(a)||: with column 0 the intercept, R[0, j] = sqrt(n)·mean."""
+        j = self.labels.index(label)
+        return float(np.linalg.norm(self.r[1 : j + 1, j]))
 
 
 def fit_ols(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     """Ordinary least squares.
 
-    Raises RankDeficient when the design is singular (names the pivoted-out
-    columns). Residual variance uses the n - k denominator.
+    Raises RankDeficient when the design is singular (names the dependent
+    columns in declared order). Residual variance uses the n - k denominator.
     """
-    y = np.asarray(y, dtype=float)
     n, k = design.matrix.shape
-    if n <= k:
-        raise RankDeficient(design.labels)
-    beta = _solve_full_rank(design.matrix, y, design.labels)
-    resid = y - design.matrix @ beta
-    return CoefficientSet(
-        design.labels, beta, residual_variance=float(resid @ resid) / (n - k)
-    )
+    r = triangular_factor(stacked_columns([*design.matrix.T, np.asarray(y, dtype=float)]))
+    beta, rss = least_squares(r, n, k, k, design.labels)
+    return CoefficientSet(design.labels, beta, residual_variance=rss / (n - k))
 
 
 def _binomial_deviance(eta: np.ndarray, y: np.ndarray) -> float:
@@ -180,9 +253,10 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
         p = expit(eta)
         w = np.clip(p * (1.0 - p), 1e-12, None)
         root_w = np.sqrt(w)
-        delta = _solve_full_rank(
-            mat * root_w[:, None], (y - p) / root_w, design.labels
-        )
+        weighted = np.empty((n, k + 1), order="F")
+        np.multiply(mat, root_w[:, None], out=weighted[:, :k])
+        np.divide(y - p, root_w, out=weighted[:, k])
+        delta, _ = least_squares(triangular_factor(weighted), n, k, k, design.labels)
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
         new_deviance = _binomial_deviance(mat @ beta, y)

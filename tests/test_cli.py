@@ -295,3 +295,38 @@ def test_module_is_executable_as_a_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("run,named", [
+    ({"proposition": "P4", "estimator": "SUCCESSIVE", "outcome_family": "RARE_BINARY",
+      "options": {"interactions": True}}, "ratio-scale"),
+    ({"proposition": "P4", "estimator": "SUCCESSIVE", "options": {"interaction": True}},
+     "'interaction'"),
+])
+def test_unanswerable_requests_fail_before_any_estimate(tmp_path, capsys, run, named):
+    write_cohort(tmp_path)
+    cfg = write_config(tmp_path, runs=[{"proposition": "P1", "estimator": "SUCCESSIVE"}, run])
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "runs[1]" in err and named in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_bootstrap_reports_a_replicate_warning_once_with_its_count(tmp_path, capsys):
+    common = StructuralParams(
+        group_share=0.45, x_group_effect=-0.4, m_group_effect=-0.3, m_early_effect=0.4,
+        y_group_effect=0.3, y_early_effect=0.15, y_target_effect=0.25,
+        binary_outcome=True, outcome_prevalence=0.20,
+    )
+    write_cohort(tmp_path, params=common, n=3000, seed=5)
+    cfg = write_config(
+        tmp_path,
+        runs=[{"proposition": "P2", "estimator": "SUCCESSIVE", "outcome_family": "RARE_BINARY"}],
+        bootstrap={"replicates": 6, "seed": 1},
+    )
+    assert main(["run", str(cfg)]) == 0
+    run = read_report(tmp_path)["runs"][0]
+    assert run["bootstrap"]["failed_replicates"] == 0
+    full_sample, replicates = run["warnings"]
+    assert full_sample.startswith("outcome prevalence")
+    assert replicates.startswith("PrevalenceWarning in 6 of 6 bootstrap replicates; first: outcome prevalence")

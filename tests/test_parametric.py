@@ -348,3 +348,93 @@ def test_rare_binary_rejects_continuous_outcome():
     d = generate(random_continuous_params(np.random.default_rng(33)), 200, seed=34)
     with pytest.raises(InvalidSpec):
         estimate(d, AnalysisSpec("P2", "SUCCESSIVE", outcome_family="RARE_BINARY"))
+
+
+# -- one shared factor per analysis sample ------------------------------------
+
+
+def estimate_fields(e):
+    return (e.initial, e.residual, e.reduction, e.proportion_reduced, e.coefficients)
+
+
+def test_parametric_runs_on_one_dataset_share_one_factor_and_repeat_bitwise():
+    d = generate(random_continuous_params(np.random.default_rng(40)), 400, seed=41)
+    first = {
+        (prop, family): estimate_fields(estimate(d, AnalysisSpec(prop, family)))
+        for prop in ("P1", "P2", "P3", "P4") for family in ("SUCCESSIVE", "PRODUCT")
+    }
+    assert len(d._factors) == 1
+    for (prop, family), fields in first.items():
+        assert estimate_fields(estimate(d, AnalysisSpec(prop, family))) == fields
+
+
+def test_factor_memo_is_keyed_by_the_ordered_column_tuple():
+    from gapdecomp.parametric import sample_factor
+
+    d = generate(random_continuous_params(np.random.default_rng(39)), 200, seed=38)
+    d = d.with_columns({"target": np.where(np.arange(200) % 7 == 0, np.nan, d.column("target"))})
+    a = sample_factor(d, ["group", "early", "outcome"])
+    assert sample_factor(d, ["group", "early", "outcome"]) is a
+    swapped = sample_factor(d, ["early", "group", "outcome"])
+    assert swapped.labels[1:] == ("early", "group", "outcome") and swapped is not a
+    with_target = sample_factor(d, ["group", "early", "target"])
+    assert with_target.n_rows < a.n_rows == 200  # the key also fixes the analysis rows
+
+
+def test_derived_datasets_never_reuse_the_parent_factor():
+    d = generate(random_continuous_params(np.random.default_rng(42)), 300, seed=43)
+    spec = AnalysisSpec("P4", "SUCCESSIVE")
+    parent = estimate_fields(estimate(d, spec))
+
+    idx = np.random.default_rng(44).integers(0, d.n_rows, size=d.n_rows)
+    child = d.take(idx)
+    assert child._factors == {}
+    fresh = dataset_from({k: v[idx] for k, v in d.columns.items()}, dict(d.roles))
+    assert estimate_fields(estimate(child, spec)) == estimate_fields(estimate(fresh, spec))
+    assert estimate_fields(estimate(child, spec)) != parent
+
+    # a new role map with the same key columns still factors its own sample
+    rebound = d.with_roles(dict(d.roles))
+    assert rebound._factors == {}
+    assert estimate_fields(estimate(rebound, spec)) == parent
+
+    # replacing a column cannot serve the old column's factor
+    shifted = d.with_columns({"outcome": d.column("outcome") + 0.5 * d.column("early")})
+    moved = estimate(shifted, spec)
+    assert moved.residual != parent[1]
+    again = dataset_from(dict(shifted.columns), dict(shifted.roles))
+    assert estimate_fields(moved) == estimate_fields(estimate(again, spec))
+
+
+def test_dependent_target_is_named_by_rank_deficiency():
+    from gapdecomp.errors import RankDeficient
+
+    d = generate(random_continuous_params(np.random.default_rng(45)), 200, seed=46)
+    collinear = d.with_columns({"target": 2.0 * d.column("early") - d.column("group")})
+    with pytest.raises(RankDeficient) as err:
+        estimate(collinear, AnalysisSpec("P3", "SUCCESSIVE"))
+    assert err.value.columns == ("target",)
+
+
+def test_rare_binary_with_interactions_is_refused():
+    params = StructuralParams(
+        group_share=0.5, x_group_effect=-0.3, m_group_effect=-0.3,
+        m_early_effect=0.3, y_group_effect=0.4, y_early_effect=0.2,
+        y_target_effect=0.3, binary_outcome=True, outcome_prevalence=0.05,
+    )
+    d = generate(params, 5000, seed=47)
+    spec = AnalysisSpec("P4", "SUCCESSIVE", outcome_family="RARE_BINARY",
+                        options={"interactions": True})
+    with pytest.raises(InvalidSpec, match="ratio-scale"):
+        estimate(d, spec)
+    plain = estimate(d, AnalysisSpec("P4", "SUCCESSIVE", outcome_family="RARE_BINARY"))
+    assert plain.scale.value == "RATIO"
+
+
+@pytest.mark.parametrize("family,key", [
+    ("SUCCESSIVE", "interaction"), ("PRODUCT", "mean_model"), ("PLUGIN", "interactions"),
+])
+def test_unknown_option_keys_are_refused_by_name(family, key):
+    d = generate(random_continuous_params(np.random.default_rng(48)), 200, seed=49)
+    with pytest.raises(InvalidSpec, match=repr(key)):
+        estimate(d, AnalysisSpec("P1", family, options={key: True}))

@@ -241,3 +241,82 @@ def test_dropping_a_regressor_shifts_the_group_coefficient_by_the_product(seed, 
     aux = fit_ols(DesignMatrix.from_dataset(d, ["r"], rows), x)
     shift = wide["r"] + wide["x"] * aux["r"]
     assert abs(narrow["r"] - shift) <= 1e-9 * max(1.0, abs(narrow["r"]))
+
+
+# -- SUCCESSIVE / PRODUCT against models fitted one by one --------------------
+
+
+def lstsq_fit(columns, rows, response, regressors):
+    """One model on its own: no factor shared with any other model."""
+    X = np.column_stack([np.ones(int(rows.sum()))] + [columns[k][rows] for k in regressors])
+    coef, *_ = np.linalg.lstsq(X, columns[response][rows], rcond=None)
+    return dict(zip(["intercept", *regressors], coef))
+
+
+def oracle(columns, xs, covariates, prop, family):
+    """(initial, residual, reduction) from separately fitted models.
+
+    The marginal-target split uses each early measure's group gap from its
+    own regression on (group, covariates), rather than the ladder's forward
+    substitution.
+    """
+    r, m, y, c = "r", "m", "y", list(covariates)
+    rows = np.ones(columns[r].shape[0], dtype=bool)
+    for name in [r, *c, *xs, m, y]:
+        rows &= ~np.isnan(columns[name])
+    fit = lambda response, regressors: lstsq_fit(columns, rows, response, regressors)
+    if family == "PRODUCT":
+        (x,) = xs
+        outcome, target, early = fit(y, [r, x, m, *c]), fit(m, [r, x, *c]), fit(x, [r, *c])
+        via_m, via_x = target[r] * outcome[m], early[r] * outcome[x]
+        chained = early[r] * target[x] * outcome[m]
+        residual, reduction = {
+            "P1": (outcome[r] + via_m, via_x + chained),
+            "P2": (outcome[r], via_m),
+            "P3": (outcome[r], via_x + via_m + chained),
+            "P4": (outcome[r] + via_x, via_m + chained),
+        }[prop]
+        return residual + reduction, residual, reduction
+    base, widest, full = fit(y, [r, *c]), fit(y, [r, *xs, *c]), fit(y, [r, *xs, m, *c])
+    if prop == "P1":
+        return base[r], widest[r], base[r] - widest[r]
+    if prop == "P2":
+        return widest[r], full[r], widest[r] - full[r]
+    if prop == "P3":
+        return base[r], full[r], base[r] - full[r]
+    gaps = {x: fit(x, [r, *c])[r] for x in xs}
+    residual = full[r] + sum(full[x] * gaps[x] for x in xs)
+    reduction = widest[r] - full[r] + sum((widest[x] - full[x]) * gaps[x] for x in xs)
+    return base[r], residual, reduction
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=seeds,
+    n=st.integers(40, 160),
+    k=st.sampled_from([1, 2]),
+    with_covariate=st.booleans(),
+    missing=st.floats(0.0, 0.08),
+)
+def test_shared_factor_matches_models_fitted_one_by_one(seed, n, k, with_covariate, missing):
+    rng = np.random.default_rng(seed)
+    r = (rng.random(n) < 0.5).astype(float)
+    cov = rng.normal(size=n)
+    x1 = 0.5 * r + 0.3 * cov + rng.normal(size=n)
+    x2 = 0.3 * r + 0.4 * x1 + rng.normal(size=n)
+    m = 0.4 * r + 0.5 * x1 + 0.2 * x2 + rng.normal(size=n)
+    y = 0.3 * r + 0.4 * x1 - 0.3 * x2 + 0.6 * m + 0.2 * cov + rng.normal(size=n)
+    columns = {"r": r, "cov": cov, "x1": x1, "x2": x2, "m": m, "y": y}
+    for name in ("cov", "x1", "x2", "m", "y"):
+        columns[name] = np.where(rng.random(n) < missing, np.nan, columns[name])
+    xs = ["x1", "x2"][:k]
+    covariates = ["cov"] if with_covariate else []
+    roles = {"outcome": "y", "group": "r", "early": xs, "target": "m", "covariate": covariates}
+    d = dataset_from(columns, roles)
+    families = ("SUCCESSIVE", "PRODUCT") if k == 1 else ("SUCCESSIVE",)
+    for prop in PROPS:
+        for family in families:
+            e = estimate_or_skip(d, AnalysisSpec(prop, family))
+            expected = oracle(columns, xs, covariates, prop, family)
+            for got, want in zip((e.initial, e.residual, e.reduction), expected):
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (prop, family)

@@ -158,3 +158,37 @@ def test_logistic_matches_irls_rewrite_oracle():
         if np.abs(step).max() < 1e-12:
             break
     np.testing.assert_allclose(fit.values, beta, atol=1e-8)
+
+
+def test_rank_deficiency_names_the_first_dependent_column_in_declared_order():
+    x = np.arange(6.0)
+    with pytest.raises(RankDeficient) as err:
+        fit_ols(design({"x": x, "double_x": 2.0 * x, "z": x ** 2}), np.ones(6))
+    assert err.value.columns == ("double_x",)
+    # a constant column depends on the intercept, whatever its position
+    with pytest.raises(RankDeficient) as err:
+        fit_ols(design({"x": x, "flat": np.full(6, 3.0)}), x)
+    assert err.value.columns == ("flat",)
+
+
+def test_exactly_fitted_or_constant_response_is_not_rank_checked():
+    x = np.arange(6.0)
+    assert fit_ols(design({"x": x}), 3.0 - x)["x"] == pytest.approx(-1.0, abs=1e-12)
+    assert fit_ols(design({"x": x}), np.zeros(6))["x"] == 0.0
+
+
+def test_prefix_fits_of_one_factor_equal_separate_fits_bitwise():
+    from gapdecomp.regression import TriangularFactor
+
+    rng = np.random.default_rng(40)
+    cols = {name: rng.normal(size=120) for name in ("a", "b", "c", "y")}
+    factor = TriangularFactor.of((INTERCEPT, *cols), [1.0, *cols.values()])
+    for q, names in ((2, ["a"]), (3, ["a", "b"]), (4, ["a", "b", "c"])):
+        shared = factor.fit("y", q)
+        alone = fit_ols(design({k: cols[k] for k in names}), cols["y"])
+        assert np.array_equal(shared.values, alone.values)
+        # the residual norm also passes through the reflectors of later columns
+        assert shared.residual_variance == pytest.approx(alone.residual_variance, rel=1e-12)
+    # a later column regressed on an earlier prefix: b on (1, a)
+    aux = factor.fit("b", 2)
+    assert np.array_equal(aux.values, fit_ols(design({"a": cols["a"]}), cols["b"]).values)
