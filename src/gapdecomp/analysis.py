@@ -108,13 +108,15 @@ class AnalysisSpec:
 
         Bindings are merged over the dataset's own role map: a role named in
         the spec replaces that role's columns, all other roles carry over.
+        Bindings that only restate the role map return `d` itself, so its
+        factor memo is shared.
         """
+        bound = d
         if self.bindings:
-            merged = {role: names for role, names in d.roles.items()}
+            merged = dict(d.roles)
             merged.update(normalize_roles(self.bindings))
-            bound = d.with_roles(merged)
-        else:
-            bound = d
+            if merged != d.roles:
+                bound = d.with_roles(merged)
         validate_spec(self, bound)
         return bound
 

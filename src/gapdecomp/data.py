@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyFile,
+    InfiniteCell,
     MissingColumn,
     NonBinaryGroup,
     TooFewColumns,
@@ -70,6 +71,11 @@ class Dataset:
     columns : mapping of name -> 1-d float array (NaN marks missing)
     roles : mapping of Role -> ordered tuple of column names
 
+    Columns are stored read-only. A float array that owns its data and is
+    already read-only (a parent dataset's column, or a freshly indexed one
+    frozen by `take`) is kept as is; any other input is copied once.
+    Infinite cells are refused.
+
     `_factors` memoizes least-squares factors of its analysis samples (see
     `parametric.sample_factor`); derived datasets start with an empty memo.
     """
@@ -85,8 +91,15 @@ class Dataset:
             arr = np.asarray(values, dtype=float)
             if arr.ndim != 1:
                 raise UnknownColumn(f"column {name!r} is not 1-dimensional")
-            arr = arr.copy()
-            arr.flags.writeable = False
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = arr.copy()
+                arr.flags.writeable = False
+            infinite = np.isinf(arr)
+            if infinite.any():
+                raise InfiniteCell(
+                    f"column {name!r} holds an infinite value; first bad row: "
+                    f"{int(np.flatnonzero(infinite)[0])}"
+                )
             if n is None:
                 n = arr.shape[0]
             elif arr.shape[0] != n:
@@ -142,7 +155,10 @@ class Dataset:
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset/resample (used by the bootstrap)."""
         idx = np.asarray(indices)
-        return Dataset({k: v[idx] for k, v in self.columns.items()}, dict(self.roles))
+        cols = {k: v[idx] for k, v in self.columns.items()}
+        for arr in cols.values():
+            arr.flags.writeable = False  # fresh arrays, frozen rather than copied again
+        return Dataset(cols, dict(self.roles))
 
     def with_columns(self, new: Mapping[str, np.ndarray], roles: Mapping | None = None) -> "Dataset":
         """Copy with columns added/replaced and optional extra role bindings."""
@@ -178,11 +194,12 @@ def load_csv(path, role_declarations: Mapping | None = None) -> Dataset:
     """Read a UTF-8, comma-separated, headered CSV into a Dataset.
 
     Empty or unparseable cells become missing (NaN). The group column, if
-    bound, must be strictly 0/1 with no missing cells.
+    bound, must be strictly 0/1 with no missing cells, and no cell may be
+    infinite.
 
     Raises
     ------
-    EmptyFile, MissingColumn, NonBinaryGroup
+    EmptyFile, InfiniteCell, MissingColumn, NonBinaryGroup
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -20,6 +20,10 @@ class NonBinaryGroup(AnalysisError):
     """The group column contains values other than 0/1 (or missing cells)."""
 
 
+class InfiniteCell(AnalysisError):
+    """A column holds an infinite value, which no estimator can use."""
+
+
 class EmptyFile(AnalysisError):
     """The CSV has no header or no data rows."""
 

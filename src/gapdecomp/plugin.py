@@ -2,11 +2,14 @@
 
 Every proposition is a weighted sum of group-1 conditional outcome means,
 with weights taken from whichever group's distribution the intervention
-equalizes. The same loop drives the plain propositions (P1-P4) and their
-confounder-aware versions (P5-P7): when no confounder is in play the inner
-confounder sum runs over a single pseudo-level with probability exactly 1.0,
-so a dataset whose confounder is constant collapses to the plain answer
-bit-for-bit.
+equalizes. All of them are read from one table per analysis sample: each row
+gets one integer cell code over (group, early, target, confounder,
+covariate), and two ``np.bincount`` calls over it give every cell's count
+and outcome sum. A dimension with no bound column is a size-1 pseudo-level
+axis, so the plain propositions (P1-P4) and their confounder-aware versions
+(P5-P7) run the same loop over identically shaped tables; a constant
+confounder yields the same codes and sums as none, and collapses to the
+plain answer bit-for-bit.
 
 Continuous early/target columns must be discretized first (see
 ``data.quantile_bin``); strata are never dropped silently — a needed cell
@@ -15,7 +18,8 @@ with no observations raises EmptyStratum naming the cell.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,59 +42,72 @@ DEFAULT_MAX_LEVELS = 20
 
 _AGGREGATION_CHOICES = ("group1", "group0", "pooled")
 
+#: Table axes after the group axis, in the order cell codes are combined.
+_DIMENSIONS = ("early", "target", "confounder", "covariate")
+_AXIS = {dim: axis for axis, dim in enumerate(_DIMENSIONS, start=1)}
 
-def _joint_levels(arrays: Sequence[np.ndarray], n: int):
-    """Sorted observed value-tuples and a mask per tuple; [()] if no columns."""
-    if not arrays:
-        return [()], {(): np.ones(n, dtype=bool)}
-    rows = list(zip(*(a.tolist() for a in arrays)))
-    levels = sorted(set(rows))
-    masks = {}
-    for level in levels:
-        mask = np.ones(n, dtype=bool)
-        for array, value in zip(arrays, level):
-            mask &= array == value
-        masks[level] = mask
-    return levels, masks
+
+def _dimension_codes(arrays: Sequence[np.ndarray], names: Sequence[str], max_levels: int):
+    """Sorted observed level tuples of one dimension and each row's level index.
+
+    Each column is sorted once by ``np.unique``; several columns combine
+    mixed-radix (first column most significant, so code order is tuple
+    order) and are re-coded to the jointly observed tuples.
+    """
+    code = 0  # no columns: the single pseudo-level, broadcast over the rows
+    for name, array in zip(names, arrays):
+        distinct, inverse = np.unique(array, return_inverse=True)
+        if distinct.size > max_levels:
+            raise TooManyLevels(
+                f"column {name!r} has {distinct.size} levels, more than the "
+                f"allowed {max_levels}; discretize it first"
+            )
+        code = code * distinct.size + inverse
+    if len(arrays) < 2:
+        return ([(v,) for v in distinct.tolist()] if arrays else [()]), code
+    _, first, code = np.unique(code, return_index=True, return_inverse=True)
+    return list(zip(*(array[first].tolist() for array in arrays))), code
 
 
 class StratumTable:
-    """Counts and outcome means over the discrete strata of one analysis sample.
+    """Cell counts and outcome sums over the discrete strata of one analysis sample.
 
     Dimensions: "early" (joint tuple over the early columns), "target",
-    "confounder", "covariate" (joint tuple). A dimension with no bound
-    columns behaves as a single all-rows pseudo-level, which is what makes
-    the confounder-free and confounder-aware code paths literally the same
-    loop.
+    "confounder", "covariate" (joint tuple). A row's cell code combines its
+    group and its level index in each dimension; ``np.bincount`` of the code,
+    unweighted and weighted by the outcome, fills (2, X, M, L, C) arrays of
+    counts and sums. A dimension with no columns is a single all-rows
+    pseudo-level, a size-1 axis that is always present. `rows` selects the
+    analysis sample (index array or boolean mask); `columns` maps each
+    dimension to its column names (default: the dataset's role map).
     """
 
     def __init__(self, d: Dataset, rows: np.ndarray, max_levels: int = DEFAULT_MAX_LEVELS,
-                 outcome_values: np.ndarray | None = None):
-        y_col = d.single_role_column(Role.OUTCOME)
-        r_col = d.single_role_column(Role.GROUP)
-        self.outcome = (d.column(y_col) if outcome_values is None else outcome_values)[rows]
-        group = d.column(r_col)[rows]
-        n = self.outcome.shape[0]
-        self._group_masks = {0.0: group == 0.0, 1.0: group == 1.0}
-
-        self.columns: dict[str, tuple[str, ...]] = {
-            "early": d.role_columns(Role.EARLY),
-            "target": d.role_columns(Role.TARGET),
-            "confounder": d.role_columns(Role.CONFOUNDER_L),
-            "covariate": d.covariate_names(),
-        }
+                 outcome_values: np.ndarray | None = None,
+                 columns: Mapping[str, tuple[str, ...]] | None = None):
+        if columns is None:
+            columns = {
+                "early": d.role_columns(Role.EARLY),
+                "target": d.role_columns(Role.TARGET),
+                "confounder": d.role_columns(Role.CONFOUNDER_L),
+                "covariate": d.covariate_names(),
+            }
+        self.columns: dict[str, tuple[str, ...]] = {dim: tuple(columns[dim]) for dim in _DIMENSIONS}
+        outcome = (d.column(d.single_role_column(Role.OUTCOME))
+                   if outcome_values is None else outcome_values)[rows]
+        code = d.column(d.single_role_column(Role.GROUP))[rows].astype(np.intp)
         self.levels: dict[str, list] = {}
-        self._masks: dict[str, dict] = {}
+        self._position: dict[str, dict] = {}
         for dim, names in self.columns.items():
             arrays = [d.column(name)[rows] for name in names]
-            for name, array in zip(names, arrays):
-                distinct = np.unique(array).size
-                if distinct > max_levels:
-                    raise TooManyLevels(
-                        f"column {name!r} has {distinct} levels, more than the "
-                        f"allowed {max_levels}; discretize it first"
-                    )
-            self.levels[dim], self._masks[dim] = _joint_levels(arrays, n)
+            levels, inverse = _dimension_codes(arrays, names, max_levels)
+            self.levels[dim] = levels
+            self._position[dim] = {level: i for i, level in enumerate(levels)}
+            code = code * len(levels) + inverse
+        shape = (2,) + tuple(len(self.levels[dim]) for dim in _DIMENSIONS)
+        size = math.prod(shape)
+        self._counts = np.bincount(code, minlength=size).reshape(shape)
+        self._sums = np.bincount(code, weights=outcome, minlength=size).reshape(shape)
 
     def _describe(self, group, pairs) -> str:
         parts = [f"group={int(group)}" if group is not None else "group=any"]
@@ -99,42 +116,43 @@ class StratumTable:
                 parts.append(f"{dim} {self.columns[dim]}={level}")
         return ", ".join(parts)
 
-    def cell_mask(self, group, pairs=()) -> np.ndarray:
-        mask = np.ones(self.outcome.shape[0], dtype=bool) if group is None \
-            else self._group_masks[float(group)]
+    def _cells(self, group, pairs) -> tuple:
+        """Slices of the (2, X, M, L, C) arrays that make up one cell set."""
+        index = [slice(None)] * 5
+        if group is not None:
+            index[0] = slice(int(group), int(group) + 1)
         for dim, level in pairs:
-            mask = mask & self._masks[dim][level]
-        return mask
+            i = self._position[dim][level]
+            index[_AXIS[dim]] = slice(i, i + 1)
+        return tuple(index)
 
     def count(self, group, pairs=()) -> int:
-        return int(self.cell_mask(group, pairs).sum())
+        return int(self._counts[self._cells(group, pairs)].sum())
 
     def mean(self, group, pairs=()) -> float:
-        mask = self.cell_mask(group, pairs)
-        if not mask.any():
+        cells = self._cells(group, pairs)
+        n = int(self._counts[cells].sum())
+        if n == 0:
             raise EmptyStratum(self._describe(group, pairs))
-        return float(np.mean(self.outcome[mask]))
+        # fsum rounds once, so the order of the cells (hence of the levels)
+        # cannot move the result
+        return math.fsum(self._sums[cells].ravel().tolist()) / n
 
     def probability(self, dim: str, level, group, given=()) -> float:
         """P(dim = level | group, given cells), from raw counts."""
-        base = self.cell_mask(group, given)
-        denominator = int(base.sum())
+        denominator = self.count(group, given)
         if denominator == 0:
             raise EmptyStratum(self._describe(group, given))
-        return int((base & self._masks[dim][level]).sum()) / denominator
+        return self.count(group, tuple(given) + ((dim, level),)) / denominator
 
 
-def _saturated_fitted_values(d: Dataset, rows: np.ndarray) -> np.ndarray:
+def _saturated_fitted_values(d: Dataset, rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Per-row predictions of a fully saturated least-squares fit.
 
-    One indicator per observed (group, early, target, confounder, covariate)
-    cell; with that design the fitted values equal the cell means up to
-    solver precision, which is exactly what "saturated parametric" buys.
+    One indicator per observed cell of the named columns (group first);
+    with that design the fitted values equal the cell means up to solver
+    precision, which is exactly what "saturated parametric" buys.
     """
-    names = [d.single_role_column(Role.GROUP)]
-    for role in (Role.EARLY, Role.TARGET, Role.CONFOUNDER_L):
-        names.extend(d.role_columns(role))
-    names.extend(d.covariate_names())
     arrays = [d.column(name)[rows] for name in names]
     keys = list(zip(*(a.tolist() for a in arrays)))
     cells = sorted(set(keys))
@@ -150,16 +168,17 @@ def _saturated_fitted_values(d: Dataset, rows: np.ndarray) -> np.ndarray:
     return design @ beta.values
 
 
-def _strip_roles(d: Dataset, prop: Proposition) -> Dataset:
+def _dimension_columns(d: Dataset, prop: Proposition) -> dict[str, tuple[str, ...]]:
     # Hide the confounder from the plain propositions so their stratum table
     # runs the pseudo-level path, and drop the target for P1 (not needed, and
     # a continuous target must not trip the level limit there).
-    roles = {role.value: names for role, names in d.roles.items()}
-    if prop not in TIMEDEP_PROPOSITIONS:
-        roles.pop(Role.CONFOUNDER_L.value, None)
-    if prop == Proposition.P1:
-        roles.pop(Role.TARGET.value, None)
-    return d.with_roles(roles)
+    return {
+        "early": d.role_columns(Role.EARLY),
+        "target": () if prop == Proposition.P1 else d.role_columns(Role.TARGET),
+        "confounder": (d.role_columns(Role.CONFOUNDER_L)
+                       if prop in TIMEDEP_PROPOSITIONS else ()),
+        "covariate": d.covariate_names(),
+    }
 
 
 def _choose_x_star(table: StratumTable, spec: AnalysisSpec, d: Dataset, rows) -> tuple:
@@ -215,33 +234,20 @@ def _standardized_mean(table: StratumTable, prop: Proposition, c_level, x_star) 
             total += p_m * averaged_outcome(x_level, m_level)
         return total
 
-    if base == Proposition.P1:
-        total = 0.0
-        for x_level in table.levels["early"]:
-            p_x = table.probability("early", x_level, 0.0, (c,))
-            if p_x == 0.0:
-                continue
-            total += p_x * table.mean(1.0, (("early", x_level), c))
-        return total
     if base == Proposition.P2:
         return target_sum(x_star, (("early", x_star), c))
-    if base == Proposition.P3:
-        total = 0.0
-        for x_level in table.levels["early"]:
-            p_x = table.probability("early", x_level, 0.0, (c,))
-            if p_x == 0.0:
-                continue
-            total += p_x * target_sum(x_level, (("early", x_level), c))
-        return total
-    if base == Proposition.P4:
-        total = 0.0
-        for x_level in table.levels["early"]:
-            p_x = table.probability("early", x_level, 1.0, (c,))
-            if p_x == 0.0:
-                continue
-            total += p_x * target_sum(x_level, (c,))
-        return total
-    raise InvalidSpec(f"{prop.value} has no plug-in form")
+    # P1 is P3 over a table whose target is the single pseudo-level: its
+    # target probability is exactly 1.0. P4 draws early from group 1 and the
+    # target from group 0's marginal within the covariate stratum.
+    early_group = 1.0 if base == Proposition.P4 else 0.0
+    total = 0.0
+    for x_level in table.levels["early"]:
+        p_x = table.probability("early", x_level, early_group, (c,))
+        if p_x == 0.0:
+            continue
+        given = (c,) if base == Proposition.P4 else (("early", x_level), c)
+        total += p_x * target_sum(x_level, given)
+    return total
 
 
 def plugin_mu(
@@ -278,15 +284,14 @@ def _plugin_estimate(d: Dataset, spec: AnalysisSpec, prop: Proposition) -> Decom
     bound = spec.resolve(d)
     if prop in TIMEDEP_PROPOSITIONS and not bound.role_columns(Role.CONFOUNDER_L):
         raise InvalidSpec(f"{prop.value} requires a confounder binding")
-    stripped = _strip_roles(bound, prop)
+    columns = _dimension_columns(bound, prop)
 
-    used = [stripped.single_role_column(Role.OUTCOME), stripped.single_role_column(Role.GROUP)]
-    for role in (Role.EARLY, Role.TARGET, Role.CONFOUNDER_L):
-        used += list(stripped.role_columns(role))
-    used += list(stripped.covariate_names())
-    mask = np.ones(stripped.n_rows, dtype=bool)
-    for name in used:
-        mask &= ~np.isnan(stripped.column(name))
+    names = [bound.single_role_column(Role.GROUP)]
+    for dim_names in columns.values():
+        names += dim_names
+    mask = ~np.isnan(bound.column(bound.single_role_column(Role.OUTCOME)))
+    for name in names:
+        mask &= ~np.isnan(bound.column(name))
     rows = np.flatnonzero(mask)
 
     max_levels = int(spec.option("max_levels", DEFAULT_MAX_LEVELS))
@@ -294,20 +299,21 @@ def _plugin_estimate(d: Dataset, spec: AnalysisSpec, prop: Proposition) -> Decom
     notes = []
     outcome_values = None
     if mean_model == "ols":
-        fitted = np.full(stripped.n_rows, np.nan)
-        fitted[rows] = _saturated_fitted_values(stripped, rows)
+        fitted = np.full(bound.n_rows, np.nan)
+        fitted[rows] = _saturated_fitted_values(bound, rows, names)
         outcome_values = fitted
         notes.append("cell means taken from a saturated least-squares fit")
     elif mean_model != "cells":
         raise InvalidSpec(f"unknown mean_model {mean_model!r}")
 
-    table = StratumTable(stripped, rows, max_levels=max_levels, outcome_values=outcome_values)
+    table = StratumTable(bound, rows, max_levels=max_levels, outcome_values=outcome_values,
+                         columns=columns)
 
     base = TIMEDEP_BASE.get(prop, prop)
     x_star = None
     anchor = ()
     if base == Proposition.P2:
-        x_star = _choose_x_star(table, spec, stripped, rows)
+        x_star = _choose_x_star(table, spec, bound, rows)
         anchor = (("early", x_star),)
         notes.append(f"anchored at early-measure stratum {x_star}")
 
@@ -317,9 +323,7 @@ def _plugin_estimate(d: Dataset, spec: AnalysisSpec, prop: Proposition) -> Decom
     notes.append(f"covariate strata aggregated with {weight_mode} weights")
     weight_group = {"group1": 1.0, "group0": 0.0, "pooled": None}[weight_mode]
 
-    mu = 0.0
-    group0_mean = 0.0
-    group1_mean = 0.0
+    mu = group0_mean = group1_mean = 0.0
     for c_level in table.levels["covariate"]:
         weight = table.probability("covariate", c_level, weight_group)
         if weight == 0.0:
@@ -343,13 +347,7 @@ def _plugin_estimate(d: Dataset, spec: AnalysisSpec, prop: Proposition) -> Decom
     if base == Proposition.P2:
         notes.append(P2_ANCHOR_NOTE)
     return DecompositionEstimate(
-        proposition=prop,
-        scale=scale,
-        initial=initial,
-        residual=residual,
-        reduction=reduction,
-        proportion_reduced=proportion,
-        estimator=spec.estimator.value,
-        coefficients=None,
-        notes=tuple(notes) + extra,
+        proposition=prop, scale=scale, initial=initial, residual=residual,
+        reduction=reduction, proportion_reduced=proportion,
+        estimator=spec.estimator.value, coefficients=None, notes=tuple(notes) + extra,
     )

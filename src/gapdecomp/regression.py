@@ -243,13 +243,13 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     mat = design.matrix
     beta = np.zeros(k)
     beta[0] = logit(y.mean())
-    deviance = _binomial_deviance(mat @ beta, y)
+    eta = mat @ beta
+    deviance = _binomial_deviance(eta, y)
     previous_step = np.inf
     previous_norm = float(np.max(np.abs(beta)))
     divergence_run = 0
 
     for iteration in range(1, _MAX_ITER + 1):
-        eta = mat @ beta
         p = expit(eta)
         w = np.clip(p * (1.0 - p), 1e-12, None)
         root_w = np.sqrt(w)
@@ -259,7 +259,8 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
         delta, _ = least_squares(triangular_factor(weighted), n, k, k, design.labels)
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
-        new_deviance = _binomial_deviance(mat @ beta, y)
+        eta = mat @ beta  # carried into the next iteration
+        new_deviance = _binomial_deviance(eta, y)
         norm = float(np.max(np.abs(beta)))
         if norm > _DIVERGENCE_NORM and step >= previous_step:
             raise Separation(

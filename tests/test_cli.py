@@ -330,3 +330,19 @@ def test_bootstrap_reports_a_replicate_warning_once_with_its_count(tmp_path, cap
     full_sample, replicates = run["warnings"]
     assert full_sample.startswith("outcome prevalence")
     assert replicates.startswith("PrevalenceWarning in 6 of 6 bootstrap replicates; first: outcome prevalence")
+
+
+@pytest.mark.parametrize("estimator", ["SUCCESSIVE", "PLUGIN"])
+def test_an_infinite_cell_is_refused_before_any_estimate(tmp_path, capsys, estimator):
+    path = write_cohort(tmp_path, params=DISCRETE, n=300)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    cells = lines[5].split(",")
+    cells[header.index("early")] = "inf"
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, runs=[{"proposition": "P4", "estimator": estimator}])
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "InfiniteCell" in err and "'early'" in err and "first bad row: 4" in err
+    assert not (tmp_path / "report.json").exists()

@@ -13,6 +13,7 @@ from gapdecomp import (
 )
 from gapdecomp.errors import (
     EmptyFile,
+    InfiniteCell,
     MissingColumn,
     NonBinaryGroup,
     TooFewColumns,
@@ -93,6 +94,26 @@ def test_csv_round_trip(tmp_path):
 def test_group_must_be_binary_in_constructor():
     with pytest.raises(NonBinaryGroup):
         dataset_from({"y": [1.0, 2.0], "r": [0.0, 0.5]}, {"outcome": "y", "group": "r"})
+
+
+def test_infinite_cells_are_refused_with_column_and_row(tmp_path):
+    f = tmp_path / "inf.csv"
+    f.write_text("y,r,x\n1.0,0,2.0\n2.0,1,-inf\n3.0,0,inf\n")
+    with pytest.raises(InfiniteCell, match="column 'x' .*first bad row: 1"):
+        load_csv(f, {"outcome": "y", "group": "r", "early": ["x"]})
+    with pytest.raises(InfiniteCell, match="column 'y' .*first bad row: 2"):
+        dataset_from({"y": [1.0, 2.0, np.inf], "x": [0.0, 1.0, 2.0]}, {})
+
+
+def test_derived_datasets_reuse_frozen_columns_but_copy_caller_arrays():
+    values = np.array([1.0, 2.0, 3.0])
+    d = Dataset({"y": values, "r": np.array([0.0, 1.0, 0.0])}, {"outcome": "y", "group": "r"})
+    values[0] = 9.0
+    assert d.column("y")[0] == 1.0
+    assert d.with_roles({"outcome": "y"}).column("y") is d.column("y")
+    assert d.with_columns({"z": np.zeros(3)}).column("r") is d.column("r")
+    sub = d.take(np.array([2, 0]))
+    assert not sub.column("y").flags.writeable
 
 
 def test_columns_are_immutable():

@@ -406,6 +406,21 @@ def test_derived_datasets_never_reuse_the_parent_factor():
     assert estimate_fields(moved) == estimate_fields(estimate(again, spec))
 
 
+def test_bindings_that_restate_the_roles_share_the_datasets_factor():
+    d = generate(random_continuous_params(np.random.default_rng(47)), 300, seed=48)
+    spec = AnalysisSpec("P4", "SUCCESSIVE", bindings={"early": ["early"]})
+    assert spec.resolve(d) is d
+    first = estimate_fields(estimate(d, spec))
+    for _ in range(2):
+        assert estimate_fields(estimate(d, spec)) == first
+    assert len(d._factors) == 1
+    # a binding that does change the roles still gets its own dataset,
+    # over the parent's (read-only, uncopied) columns
+    rebound = AnalysisSpec("P4", "SUCCESSIVE", bindings={"covariate": []}).resolve(d)
+    assert rebound is not d and rebound._factors == {}
+    assert rebound.column("early") is d.column("early")
+
+
 def test_dependent_target_is_named_by_rank_deficiency():
     from gapdecomp.errors import RankDeficient
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -200,6 +201,39 @@ def test_too_many_levels():
     )
     with pytest.raises(TooManyLevels):
         plugin_mu(small, AnalysisSpec("P1", "PLUGIN", options={"max_levels": 2}))
+
+
+def test_too_many_levels_names_the_first_column_in_dimension_order():
+    rng = np.random.default_rng(28)
+    n = 200
+    columns = {
+        "y": rng.normal(size=n), "r": np.tile([0.0, 1.0], n // 2),
+        "c": np.arange(n) % 30.0, "x": np.arange(n) % 3.0, "x2": np.arange(n) % 25.0,
+        "m": np.arange(n) % 40.0,
+    }
+    roles = {"covariate": ["c"], "outcome": "y", "group": "r", "target": "m",
+             "early": ["x", "x2"]}
+    with pytest.raises(TooManyLevels, match="column 'x2' has 25 levels"):
+        plugin_mu(dataset_from(columns, roles), AnalysisSpec("P4", "PLUGIN"))
+    roles["early"] = ["x"]
+    with pytest.raises(TooManyLevels, match="column 'm' has 40 levels"):
+        plugin_mu(dataset_from(columns, roles), AnalysisSpec("P4", "PLUGIN"))
+
+
+def test_boolean_rows_give_the_same_table_as_their_indices():
+    d = covariate_dataset(seed=29)
+    keep = np.random.default_rng(30).random(d.n_rows) < 0.7
+    by_mask = StratumTable(d, keep)
+    by_index = StratumTable(d, np.flatnonzero(keep))
+    assert by_mask.levels == by_index.levels and by_mask.columns == by_index.columns
+    dims = list(by_mask.levels)
+    for group in (0.0, 1.0, None):
+        for cell in itertools.product(*([(dim, level) for level in by_mask.levels[dim]]
+                                        for dim in dims)):
+            assert by_mask.count(group, cell) == by_index.count(group, cell)
+            if by_mask.count(group, cell):
+                assert by_mask.mean(group, cell) == by_index.mean(group, cell)
+    assert by_mask.count(None) == int(keep.sum())
 
 
 def test_saturated_regression_mean_model_matches_cell_means():

@@ -9,6 +9,8 @@ replicate-keyed bootstrap streams.
 """
 
 import dataclasses
+import itertools
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -17,6 +19,8 @@ from conftest import dataset_from
 from gapdecomp import (
     AnalysisSpec,
     DesignMatrix,
+    Role,
+    StratumTable,
     StructuralParams,
     estimate,
     fit_ols,
@@ -30,6 +34,7 @@ from gapdecomp.errors import (
     NotConverged,
     Separation,
 )
+from gapdecomp import plugin
 
 PROPS = ("P1", "P2", "P3", "P4")
 
@@ -320,3 +325,109 @@ def test_shared_factor_matches_models_fitted_one_by_one(seed, n, k, with_covaria
             expected = oracle(columns, xs, covariates, prop, family)
             for got, want in zip((e.initial, e.residual, e.reduction), expected):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (prop, family)
+
+
+class MaskTable:
+    """Stratum table with one boolean row mask per level, as first written.
+
+    An independent oracle for `StratumTable`: same constructor and lookups,
+    every count and mean taken from the rows themselves.
+    """
+
+    def __init__(self, d, rows, max_levels=20, outcome_values=None, columns=None):
+        y = d.column(d.single_role_column(Role.OUTCOME)) if outcome_values is None else outcome_values
+        self.outcome = y[rows]
+        self.group = d.column(d.single_role_column(Role.GROUP))[rows]
+        self.columns = dict(columns)
+        self.levels, self.masks = {}, {}
+        for dim, names in self.columns.items():
+            arrays = [d.column(name)[rows] for name in names]
+            self.levels[dim] = sorted(set(zip(*(a.tolist() for a in arrays)))) if arrays else [()]
+            self.masks[dim] = {
+                level: np.logical_and.reduce([a == v for a, v in zip(arrays, level)])
+                if arrays else np.ones(self.group.shape[0], dtype=bool)
+                for level in self.levels[dim]
+            }
+
+    def cell_mask(self, group, pairs=()):
+        mask = np.ones(self.group.shape[0], dtype=bool) if group is None else self.group == group
+        for dim, level in pairs:
+            mask = mask & self.masks[dim][level]
+        return mask
+
+    def mean(self, group, pairs=()):
+        mask = self.cell_mask(group, pairs)
+        if not mask.any():
+            raise EmptyStratum(f"group={group}, {pairs}")
+        return float(np.mean(self.outcome[mask]))
+
+    def probability(self, dim, level, group, given=()):
+        base = self.cell_mask(group, given)
+        if not base.any():
+            raise EmptyStratum(f"group={group}, {given}")
+        return int((base & self.masks[dim][level]).sum()) / int(base.sum())
+
+
+def lookup(fn, *args):
+    try:
+        return fn(*args)
+    except EmptyStratum:
+        return "empty"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=seeds,
+    n=st.integers(20, 160),
+    k=st.sampled_from([1, 2]),
+    n_covariates=st.integers(0, 2),
+    with_confounder=st.booleans(),
+    missing=st.floats(0.0, 0.1),
+)
+def test_count_table_matches_a_mask_per_level(seed, n, k, n_covariates, with_confounder, missing):
+    rng = np.random.default_rng(seed)
+    early = ["x1", "x2"][:k]
+    covariates = ["c1", "c2"][:n_covariates]
+    columns = {"y": rng.normal(size=n), "r": (rng.random(n) < 0.5).astype(float)}
+    for name in early + covariates + ["m", "l"]:
+        columns[name] = rng.integers(0, int(rng.integers(1, 4)), size=n) * 1.5 - 1.0
+    for name in ["y", "m", "l"] + early + covariates:
+        columns[name] = np.where(rng.random(n) < missing, np.nan, columns[name])
+    roles = {"outcome": "y", "group": "r", "early": early, "target": "m",
+             "covariate": covariates}
+    if with_confounder:
+        roles["confounder"] = "l"
+    d = dataset_from(columns, roles)
+
+    dims = {"early": tuple(early), "target": ("m",),
+            "confounder": ("l",) if with_confounder else (), "covariate": tuple(covariates)}
+    used = ["y", "r"] + [name for names in dims.values() for name in names]
+    rows = np.flatnonzero(~np.isnan(np.column_stack([columns[c] for c in used])).any(axis=1))
+    table = StratumTable(d, rows, columns=dims)
+    oracle = MaskTable(d, rows, columns=dims)
+    assert table.levels == oracle.levels and table.columns == oracle.columns
+    for group in (0.0, 1.0, None):
+        for dim, other in itertools.permutations(dims, 2):
+            for given in [()] + [((other, level),) for level in oracle.levels[other]]:
+                for level in oracle.levels[dim]:
+                    want = lookup(oracle.probability, dim, level, group, given)
+                    assert lookup(table.probability, dim, level, group, given) == want
+        for cell in itertools.product(*([(dim, level) for level in oracle.levels[dim]]
+                                        for dim in dims)):
+            for pairs in (cell, cell[:1], cell[1:2]):
+                want = lookup(oracle.mean, group, pairs)
+                got = lookup(table.mean, group, pairs)
+                assert got == want if want == "empty" else abs(got - want) <= 1e-12
+
+    props = PROPS + (("P5", "P6", "P7") if with_confounder else ())
+    for prop in props:
+        spec = AnalysisSpec(prop, "PLUGIN")
+        with mock.patch.object(plugin, "StratumTable", MaskTable):
+            want = lookup(estimate, d, spec)
+        got = lookup(estimate, d, spec)
+        if want == "empty":
+            assert got == "empty", prop
+            continue
+        for a, b in zip((got.initial, got.residual, got.reduction),
+                        (want.initial, want.residual, want.reduction)):
+            assert abs(a - b) <= 1e-12, prop
