@@ -77,7 +77,8 @@ class AnalysisSpec:
     conditioning_value_x :
         The early-measure value at which the within-X propositions (P2/P5)
         are anchored. Defaults to the group-1 mean of X (parametric paths)
-        or the stratum closest to it (plug-in path).
+        or the stratum closest to it (plug-in path). A single number, so
+        `validate_spec` refuses it when several early columns are bound.
     options :
         Estimator knobs; any key the estimator does not read is refused by
         `validate_spec`. SUCCESSIVE and PRODUCT read "interactions" (bool,
@@ -151,6 +152,11 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
             raise InvalidSpec(f"spec requires a bound {role.value} column")
     if not d.role_columns(Role.EARLY):
         raise InvalidSpec("spec requires at least one early-measure column")
+    if spec.conditioning_value_x is not None and len(d.role_columns(Role.EARLY)) > 1:
+        raise InvalidSpec(
+            "conditioning_value_x is a single number; with several early "
+            "columns leave it unset (the group-1 means anchor them)"
+        )
     needs_target = not (
         spec.proposition == Proposition.P1 and spec.estimator != Estimator.PRODUCT
     )

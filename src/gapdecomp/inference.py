@@ -10,7 +10,7 @@ import numpy as np
 
 from .analysis import AnalysisSpec, Scale
 from .data import Dataset, Role
-from .errors import AnalysisError, DegenerateInitial, InvalidB, TooManyFailures
+from .errors import AnalysisError, DegenerateInitial, InvalidB, InvalidSpec, TooManyFailures
 
 DEFAULT_REPLICATES = 1000
 _FAILURE_LIMIT = 0.10
@@ -25,13 +25,20 @@ def proportion_reduced(initial: float, residual: float, scale=Scale.ADDITIVE) ->
     (initial - 1) is used, which treats a ratio of 1 as "no disparity".
     Values outside [0, 1] are legitimate (overshoot / sign flips).
 
+    `scale` is a Scale or its name in any case; "RELATIVE" names RATIO.
+
     Raises
     ------
     DegenerateInitial
         When the denominator is within 1e-12 of zero.
+    InvalidSpec
+        When `scale` names no scale.
     """
-    scale = Scale.RATIO if str(scale).upper().endswith(("RATIO", "RELATIVE")) else Scale.ADDITIVE
-    if scale == Scale.ADDITIVE:
+    name = scale.upper() if isinstance(scale, str) else None
+    resolved = Scale.RATIO if name == "RELATIVE" else Scale.__members__.get(name)
+    if resolved is None:
+        raise InvalidSpec(f"unknown scale {scale!r}; expected ADDITIVE or RATIO")
+    if resolved == Scale.ADDITIVE:
         if abs(initial) <= _DEGENERACY_TOL:
             raise DegenerateInitial(
                 f"initial disparity {initial!r} is null; proportion reduced is undefined"

@@ -3,13 +3,24 @@
 `oaxaca_decompose` splits a gap into an explained portion (covariate-mean
 gaps weighted by the reference group's coefficients) and an unexplained
 portion (intercept gap plus coefficient gaps weighted at fixed covariate
-values), marginally or within strata of conditioning variables.
+values), within strata of conditioning variables at a fixed profile. With no
+conditioning variables the split is marginal: the same algebra, with each
+auxiliary fit intercept-only.
+
+Each group's analysis rows are factored once: one triangular factor R of
+[1, conditioning…, explanatory…, y] (see regression.py). Every stratified
+quantity regresses a column on a prefix of the columns before it, so each is
+a prefix solve on that R: the outcome model takes every column before y, the
+model-based group mean of an explanatory variable at the profile takes
+[1, conditioning…], and a plain group mean (the default profile, the
+within-early anchor) takes [1].
 
 `proposition_via_oaxaca` maps the four interventions onto those pieces, and
 `interaction_model_estimates` computes the same quantities from a single
-pooled regression with group interactions. On samples where the conditioning
-set is empty (or fully group-interacted) the stratified and pooled routes are
-the same algebra, and the test suite runs both to confirm it.
+pooled regression with group interactions, fit on its own. On samples where
+the conditioning set is empty (or fully group-interacted) the stratified and
+pooled routes are the same algebra, and the test suite runs both to confirm
+it.
 """
 
 from __future__ import annotations
@@ -30,9 +41,7 @@ from .data import Dataset, Role
 from .errors import EmptyGroup, InvalidSpec
 from .inference import proportion_with_note
 from .parametric import analysis_rows, _model_name
-from .regression import CoefficientSet, DesignMatrix, fit_ols
-
-INTERCEPT_TERM = "intercept"
+from .regression import INTERCEPT, DesignMatrix, TriangularFactor, fit_ols
 
 
 @dataclass(frozen=True)
@@ -56,29 +65,99 @@ class OBResult:
     models: Mapping[str, Mapping[str, float]]
 
 
-def _group_fit(d, y, regressors, rows, label) -> CoefficientSet:
-    if not rows.any():
-        raise EmptyGroup(f"no usable rows in {label}")
-    design = DesignMatrix.from_dataset(d, regressors, rows=rows)
-    return fit_ols(design, d.column(y)[rows])
+class _GroupFactors:
+    """One triangular factor per group of [1, conditioning…, explanatory…, y].
 
-
-def _conditional_means(
-    d: Dataset, variables: Sequence[str], conditioning: Sequence[str],
-    rows: np.ndarray, profile_values: np.ndarray,
-) -> dict[str, float]:
-    """Model-based E[V | group, conditioning = profile] for each variable.
-
-    With an empty conditioning list this is the plain group mean (the
-    auxiliary regression is intercept-only).
+    Both factors cover the rows complete in the outcome, the group and every
+    listed column, split by group.
     """
-    out = {}
-    for name in variables:
-        fit = _group_fit(d, name, list(conditioning), rows, f"auxiliary fit for {name}")
-        out[name] = fit[INTERCEPT_TERM] + float(
-            np.dot(profile_values, [fit[c] for c in conditioning])
-        )
-    return out
+
+    def __init__(self, d: Dataset, explanatory: Sequence[str], conditioning: Sequence[str]):
+        self.y = d.single_role_column(Role.OUTCOME)
+        r = d.single_role_column(Role.GROUP)
+        self.explanatory = list(explanatory)
+        self.conditioning = list(conditioning)
+        columns = [*self.conditioning, *self.explanatory, self.y]
+        rows = analysis_rows(d, [self.y, r, *self.explanatory, *self.conditioning])
+        group = d.column(r)
+        self.factors = {}
+        for g in (1, 0):
+            in_group = rows & (group == g)
+            if not in_group.any():
+                raise EmptyGroup(f"no usable rows in group {g}")
+            self.factors[g] = TriangularFactor.of(
+                (INTERCEPT, *columns), [1.0, *map(d.column, columns)], in_group
+            )
+
+    def outcome_fit(self, g: int):
+        return self.factors[g].fit(self.y, 1 + len(self.conditioning) + len(self.explanatory))
+
+    def mean(self, g: int, name: str) -> float:
+        """Group mean of a listed column: its intercept-only fit."""
+        return self.factors[g].fit(name, 1)[INTERCEPT]
+
+    def conditional_means(self, g: int, variables, profile_values) -> dict[str, float]:
+        """Model-based E[V | group, conditioning = profile] for each variable."""
+        q = 1 + len(self.conditioning)
+        out = {}
+        for name in variables:
+            beta = self.factors[g].fit(name, q).values
+            out[name] = beta[0] + float(np.dot(profile_values, beta[1:]))
+        return out
+
+    def profile(self, anchored: Sequence[str] = (), explicit: float | None = None):
+        """Conditioning profile: each `anchored` column at `explicit` (when
+        given) or its group-1 mean, every other column at its group-0 mean."""
+        def value(name):
+            if name not in anchored:
+                return self.mean(0, name)
+            return self.mean(1, name) if explicit is None else float(explicit)
+
+        return {name: value(name) for name in self.conditioning}
+
+
+def _split(groups: _GroupFactors, reference: str, profile: Mapping[str, float]) -> OBResult:
+    """Explained/unexplained split of the model-implied gap at `profile`."""
+    explanatory, conditioning, y = groups.explanatory, groups.conditioning, groups.y
+    fit1, fit0 = groups.outcome_fit(1), groups.outcome_fit(0)
+    labels = (INTERCEPT, *explanatory, *conditioning)
+    models = {
+        f"group{g}: {_model_name(y, labels[1:])}": {label: fit[label] for label in labels}
+        for g, fit in ((1, fit1), (0, fit0))
+    }
+    profile = {name: float(profile[name]) for name in conditioning}
+    profile_values = np.array([profile[name] for name in conditioning])
+    means1 = groups.conditional_means(1, explanatory, profile_values)
+    means0 = groups.conditional_means(0, explanatory, profile_values)
+
+    def implied_mean(fit, means):
+        return fit[INTERCEPT] \
+            + sum(fit[v] * means[v] for v in explanatory) \
+            + float(np.dot(profile_values, [fit[name] for name in conditioning]))
+
+    reference_fit = fit1 if reference == "group1" else fit0
+    weight_means = means0 if reference == "group1" else means1
+
+    explained_terms = {
+        v: reference_fit[v] * (means1[v] - means0[v]) for v in explanatory
+    }
+    unexplained_terms = {INTERCEPT: fit1[INTERCEPT] - fit0[INTERCEPT]}
+    for v in explanatory:
+        unexplained_terms[v] = (fit1[v] - fit0[v]) * weight_means[v]
+    for c in conditioning:
+        unexplained_terms[c] = (fit1[c] - fit0[c]) * profile[c]
+
+    return OBResult(
+        mode="CONDITIONAL" if conditioning else "MARGINAL",
+        total_gap=implied_mean(fit1, means1) - implied_mean(fit0, means0),
+        unexplained=sum(unexplained_terms.values()),
+        explained=sum(explained_terms.values()),
+        unexplained_terms=unexplained_terms,
+        explained_terms=explained_terms,
+        profile=profile,
+        reference=reference,
+        models=models,
+    )
 
 
 def oaxaca_decompose(
@@ -90,103 +169,36 @@ def oaxaca_decompose(
 ) -> OBResult:
     """Explained/unexplained split of the group gap in the outcome.
 
-    Marginal mode (no conditioning variables) decomposes the raw gap in
-    means. Conditional mode decomposes the model-implied gap at a fixed
+    Marginal mode (no conditioning variables) decomposes the gap in means.
+    Conditional mode decomposes the model-implied gap at a fixed
     conditioning profile (default: group-0 means), with the conditioning
     coefficients' gaps entering the unexplained portion evaluated at that
     profile. Reference coefficients default to the group-1 fit.
     """
     if reference not in ("group1", "group0"):
         raise InvalidSpec("reference must be 'group1' or 'group0'")
-    y = d.single_role_column(Role.OUTCOME)
-    r = d.single_role_column(Role.GROUP)
-    explanatory = list(explanatory)
-    conditioning = list(conditioning)
-    rows = analysis_rows(d, [y, r, *explanatory, *conditioning])
-    group = d.column(r)
-    rows1 = rows & (group == 1.0)
-    rows0 = rows & (group == 0.0)
-
-    regressors = explanatory + conditioning
-    fit1 = _group_fit(d, y, regressors, rows1, "group 1")
-    fit0 = _group_fit(d, y, regressors, rows0, "group 0")
-    models = {
-        f"group1: {_model_name(y, regressors)}": fit1.as_dict(),
-        f"group0: {_model_name(y, regressors)}": fit0.as_dict(),
-    }
-
-    conditional = bool(conditioning)
-    if conditional:
-        if profile is None:
-            profile = {
-                name: float(np.mean(d.column(name)[rows0])) for name in conditioning
-            }
-        else:
-            profile = {name: float(profile[name]) for name in conditioning}
-        profile_values = np.array([profile[name] for name in conditioning])
-        means1 = _conditional_means(d, explanatory, conditioning, rows1, profile_values)
-        means0 = _conditional_means(d, explanatory, conditioning, rows0, profile_values)
-
-        def implied_mean(fit, means):
-            return fit[INTERCEPT_TERM] \
-                + sum(fit[v] * means[v] for v in explanatory) \
-                + float(np.dot(profile_values, [fit[name] for name in conditioning]))
-
-        total_gap = implied_mean(fit1, means1) - implied_mean(fit0, means0)
-    else:
-        profile = {}
-        profile_values = np.zeros(0)
-        means1 = {v: float(np.mean(d.column(v)[rows1])) for v in explanatory}
-        means0 = {v: float(np.mean(d.column(v)[rows0])) for v in explanatory}
-        total_gap = float(np.mean(d.column(y)[rows1])) - float(np.mean(d.column(y)[rows0]))
-
-    reference_fit = fit1 if reference == "group1" else fit0
-    weight_means = means0 if reference == "group1" else means1
-
-    explained_terms = {
-        v: reference_fit[v] * (means1[v] - means0[v]) for v in explanatory
-    }
-    unexplained_terms = {INTERCEPT_TERM: fit1[INTERCEPT_TERM] - fit0[INTERCEPT_TERM]}
-    for v in explanatory:
-        unexplained_terms[v] = (fit1[v] - fit0[v]) * weight_means[v]
-    for c in conditioning:
-        unexplained_terms[c] = (fit1[c] - fit0[c]) * profile[c]
-
-    return OBResult(
-        mode="CONDITIONAL" if conditional else "MARGINAL",
-        total_gap=total_gap,
-        unexplained=sum(unexplained_terms.values()),
-        explained=sum(explained_terms.values()),
-        unexplained_terms=unexplained_terms,
-        explained_terms=explained_terms,
-        profile=profile,
-        reference=reference,
-        models=models,
-    )
+    groups = _GroupFactors(d, explanatory, conditioning)
+    return _split(groups, reference, groups.profile() if profile is None else profile)
 
 
-def _reject_confounder(d: Dataset) -> None:
-    if d.role_columns(Role.CONFOUNDER_L):
+def _bind(d: Dataset, spec: AnalysisSpec, proposition: Proposition | None):
+    """(proposition, bound dataset, y, r, xs, c, m) of a stratified run."""
+    prop = Proposition(proposition) if proposition is not None else spec.proposition
+    bound = spec.resolve(d)
+    if bound.role_columns(Role.CONFOUNDER_L):
         raise InvalidSpec(
             "a post-early confounder of the target is declared; the "
             "stratified-regression decomposition cannot absorb it into either "
             "portion — use the confounder-aware plug-in propositions instead"
         )
-
-
-def _early_profile(d: Dataset, spec: AnalysisSpec, xs, rows) -> dict[str, float]:
-    """Early-measure values the within-X decomposition conditions on."""
-    explicit = spec.conditioning_value_x
-    if explicit is not None:
-        if len(xs) != 1:
-            raise InvalidSpec(
-                "conditioning_value_x is a single number; with several early "
-                "columns leave it unset (group-1 means are used)"
-            )
-        return {xs[0]: float(explicit)}
-    group = d.column(d.single_role_column(Role.GROUP))
-    rows1 = rows & (group == 1.0)
-    return {x: float(np.mean(d.column(x)[rows1])) for x in xs}
+    y = bound.single_role_column(Role.OUTCOME)
+    r = bound.single_role_column(Role.GROUP)
+    xs = list(bound.role_columns(Role.EARLY))
+    c = list(bound.covariate_names())
+    m = bound.single_role_column(Role.TARGET) if bound.role_columns(Role.TARGET) else None
+    if prop != Proposition.P1 and m is None:
+        raise InvalidSpec(f"{prop.value} requires a target column")
+    return prop, bound, y, r, xs, c, m
 
 
 def proposition_via_oaxaca(
@@ -200,29 +212,16 @@ def proposition_via_oaxaca(
     target's detailed explained term counts as reduction; the early
     measures' explained share stays in the residual.
     """
-    prop = Proposition(proposition) if proposition is not None else spec.proposition
-    bound = spec.resolve(d)
-    _reject_confounder(bound)
-    y = bound.single_role_column(Role.OUTCOME)
-    r = bound.single_role_column(Role.GROUP)
-    xs = list(bound.role_columns(Role.EARLY))
-    c = list(bound.covariate_names())
-    m = bound.single_role_column(Role.TARGET) if bound.role_columns(Role.TARGET) else None
-    if prop != Proposition.P1 and m is None:
-        raise InvalidSpec(f"{prop.value} requires a target column")
+    prop, bound, _, _, xs, c, m = _bind(d, spec, proposition)
     notes = []
 
     if prop == Proposition.P1:
         ob = oaxaca_decompose(bound, explanatory=xs, conditioning=c)
         residual, reduction = ob.unexplained, ob.explained
     elif prop == Proposition.P2:
-        rows = analysis_rows(bound, [y, r, *xs, *c, m])
-        profile = _early_profile(bound, spec, xs, rows)
-        profile.update({  # conditioning profile: early at anchor, covariates at group-0 means
-            name: float(np.mean(bound.column(name)[rows & (bound.column(r) == 0.0)]))
-            for name in c
-        })
-        ob = oaxaca_decompose(bound, explanatory=[m], conditioning=xs + c, profile=profile)
+        # early measures at the anchor, covariates at their group-0 means
+        groups = _GroupFactors(bound, [m], xs + c)
+        ob = _split(groups, "group1", groups.profile(xs, spec.conditioning_value_x))
         residual, reduction = ob.unexplained, ob.explained
         notes.append(f"anchored at early-measure profile {ob.profile}")
         notes.append(P2_ANCHOR_NOTE)
@@ -267,24 +266,10 @@ def interaction_model_estimates(
     group-specific explanatory means. Mirrors proposition_via_oaxaca exactly
     when no covariates are bound.
     """
-    prop = Proposition(proposition) if proposition is not None else spec.proposition
-    bound = spec.resolve(d)
-    _reject_confounder(bound)
-    y = bound.single_role_column(Role.OUTCOME)
-    r = bound.single_role_column(Role.GROUP)
-    xs = list(bound.role_columns(Role.EARLY))
-    c = list(bound.covariate_names())
-    m = bound.single_role_column(Role.TARGET) if bound.role_columns(Role.TARGET) else None
-    if prop != Proposition.P1 and m is None:
-        raise InvalidSpec(f"{prop.value} requires a target column")
+    prop, bound, y, r, xs, c, m = _bind(d, spec, proposition)
 
     explanatory = xs if prop == Proposition.P1 else xs + [m]
-    used = [y, r, *explanatory, *c]
-    rows = analysis_rows(bound, used)
-    group = bound.column(r)
-    rows1 = rows & (group == 1.0)
-    rows0 = rows & (group == 0.0)
-
+    rows = analysis_rows(bound, [y, r, *explanatory, *c])
     interactions = [(r, v) for v in explanatory]
     design = DesignMatrix.from_dataset(bound, [r, *explanatory, *c], rows=rows,
                                        interactions=interactions)
@@ -292,45 +277,42 @@ def interaction_model_estimates(
     models = {_model_name(y, [r, *explanatory, *c]
                           + [f"{r}:{v}" for v in explanatory]): fit.as_dict()}
 
-    if c:
-        profile_values = np.array([float(np.mean(bound.column(k)[rows0])) for k in c])
-        mean1 = _conditional_means(bound, explanatory, c, rows1, profile_values)
-        mean0 = _conditional_means(bound, explanatory, c, rows0, profile_values)
-    else:
-        mean1 = {v: float(np.mean(bound.column(v)[rows1])) for v in explanatory}
-        mean0 = {v: float(np.mean(bound.column(v)[rows0])) for v in explanatory}
-
     def slope(v):
         return fit[v] + fit[f"{r}:{v}"]
 
     notes = []
     if prop == Proposition.P2:
-        anchor = _early_profile(bound, spec, xs, rows)
         # target means conditional on the early anchor (and covariate profile)
-        cond = xs + c
-        values = np.array([anchor[x] for x in xs]
-                          + ([float(np.mean(bound.column(k)[rows0])) for k in c]))
-        m1 = _conditional_means(bound, [m], cond, rows1, values)[m]
-        m0 = _conditional_means(bound, [m], cond, rows0, values)[m]
+        groups = _GroupFactors(bound, [m], xs + c)
+        profile = groups.profile(xs, spec.conditioning_value_x)
+        anchor = {x: profile[x] for x in xs}
+        values = np.array(list(profile.values()))
+        m1 = groups.conditional_means(1, [m], values)[m]
+        m0 = groups.conditional_means(0, [m], values)[m]
         residual = fit[r] + sum(fit[f"{r}:{x}"] * anchor[x] for x in xs) \
             + fit[f"{r}:{m}"] * m0
         reduction = slope(m) * (m1 - m0)
         notes.append(f"anchored at early-measure profile {anchor}")
         notes.append(P2_ANCHOR_NOTE)
-    elif prop == Proposition.P1:
-        residual = fit[r] + sum(fit[f"{r}:{x}"] * mean0[x] for x in xs)
-        reduction = sum(slope(x) * (mean1[x] - mean0[x]) for x in xs)
-    elif prop == Proposition.P3:
-        residual = fit[r] + sum(fit[f"{r}:{v}"] * mean0[v] for v in explanatory)
-        reduction = sum(slope(v) * (mean1[v] - mean0[v]) for v in explanatory)
-    elif prop == Proposition.P4:
-        residual = fit[r] \
-            + sum(fit[x] * (mean1[x] - mean0[x]) for x in xs) \
-            + sum(fit[f"{r}:{x}"] * mean1[x] for x in xs) \
-            + fit[f"{r}:{m}"] * mean0[m]
-        reduction = slope(m) * (mean1[m] - mean0[m])
     else:
-        raise InvalidSpec(f"{prop.value} has no pooled-interaction form")
+        groups = _GroupFactors(bound, explanatory, c)
+        values = np.array(list(groups.profile().values()))
+        mean1 = groups.conditional_means(1, explanatory, values)
+        mean0 = groups.conditional_means(0, explanatory, values)
+        if prop == Proposition.P1:
+            residual = fit[r] + sum(fit[f"{r}:{x}"] * mean0[x] for x in xs)
+            reduction = sum(slope(x) * (mean1[x] - mean0[x]) for x in xs)
+        elif prop == Proposition.P3:
+            residual = fit[r] + sum(fit[f"{r}:{v}"] * mean0[v] for v in explanatory)
+            reduction = sum(slope(v) * (mean1[v] - mean0[v]) for v in explanatory)
+        elif prop == Proposition.P4:
+            residual = fit[r] \
+                + sum(fit[x] * (mean1[x] - mean0[x]) for x in xs) \
+                + sum(fit[f"{r}:{x}"] * mean1[x] for x in xs) \
+                + fit[f"{r}:{m}"] * mean0[m]
+            reduction = slope(m) * (mean1[m] - mean0[m])
+        else:
+            raise InvalidSpec(f"{prop.value} has no pooled-interaction form")
 
     initial = residual + reduction
     proportion, extra = proportion_with_note(initial, residual, Scale.ADDITIVE)

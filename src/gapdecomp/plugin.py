@@ -36,6 +36,7 @@ from .analysis import (
 from .data import Dataset, Role
 from .errors import EmptyStratum, InvalidSpec, TooManyLevels
 from .inference import proportion_with_note
+from .parametric import analysis_rows
 from .regression import DesignMatrix, fit_ols
 
 DEFAULT_MAX_LEVELS = 20
@@ -187,12 +188,6 @@ def _choose_x_star(table: StratumTable, spec: AnalysisSpec, d: Dataset, rows) ->
     early_names = table.columns["early"]
     explicit = spec.conditioning_value_x
     if explicit is not None:
-        if len(early_names) != 1:
-            raise InvalidSpec(
-                "conditioning_value_x is a single number; with several early "
-                "columns leave it unset and the stratum nearest the group-1 "
-                "mean is used"
-            )
         target = np.array([float(explicit)])
     else:
         group = d.column(d.single_role_column(Role.GROUP))[rows]
@@ -289,10 +284,7 @@ def _plugin_estimate(d: Dataset, spec: AnalysisSpec, prop: Proposition) -> Decom
     names = [bound.single_role_column(Role.GROUP)]
     for dim_names in columns.values():
         names += dim_names
-    mask = ~np.isnan(bound.column(bound.single_role_column(Role.OUTCOME)))
-    for name in names:
-        mask &= ~np.isnan(bound.column(name))
-    rows = np.flatnonzero(mask)
+    rows = np.flatnonzero(analysis_rows(bound, [bound.single_role_column(Role.OUTCOME), *names]))
 
     max_levels = int(spec.option("max_levels", DEFAULT_MAX_LEVELS))
     mean_model = spec.option("mean_model", "cells")

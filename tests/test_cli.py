@@ -312,6 +312,26 @@ def test_unanswerable_requests_fail_before_any_estimate(tmp_path, capsys, run, n
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("run", [
+    {"proposition": "P2", "estimator": "SUCCESSIVE"},
+    {"proposition": "P2", "estimator": "SUCCESSIVE", "options": {"interactions": True}},
+    {"proposition": "P2", "estimator": "PLUGIN"},
+])
+def test_one_anchor_for_several_early_columns_fails_before_any_estimate(tmp_path, capsys, run):
+    d = generate(CONTINUOUS, 300, seed=1)
+    write_csv(d.with_columns({"early2": d.column("early") ** 2}), tmp_path / "cohort.csv")
+    cfg = write_config(
+        tmp_path,
+        bindings={**BINDINGS, "early": ["early", "early2"]},
+        runs=[{"proposition": "P1", "estimator": "SUCCESSIVE"},
+              {**run, "conditioning_value_x": 0.5}],
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "runs[1]" in err and "conditioning_value_x" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_bootstrap_reports_a_replicate_warning_once_with_its_count(tmp_path, capsys):
     common = StructuralParams(
         group_share=0.45, x_group_effect=-0.4, m_group_effect=-0.3, m_early_effect=0.4,

@@ -18,6 +18,7 @@ from gapdecomp import (
 from gapdecomp.errors import (
     DegenerateInitial,
     InvalidB,
+    InvalidSpec,
     TooManyFailures,
 )
 from gapdecomp.inference import DEFAULT_REPLICATES
@@ -48,6 +49,15 @@ def test_proportion_reduced_ratio_scale():
     assert proportion_reduced(1.5, 1.2, "RELATIVE") == pytest.approx(0.6)
     assert proportion_reduced(2.0, 2.0, Scale.RATIO) == pytest.approx(0.0)
     assert proportion_reduced(2.0, 1.0, Scale.RATIO) == pytest.approx(1.0)
+
+
+def test_proportion_reduced_refuses_a_scale_it_does_not_know():
+    # a near-miss spelling must not fall back to the additive scale
+    assert proportion_reduced(1.5, 1.2, "ratio") == pytest.approx(0.6)
+    assert proportion_reduced(1.5, 1.2, "Additive") == pytest.approx(0.2)
+    for scale in ("ratios", "log", None):
+        with pytest.raises(InvalidSpec, match=repr(scale)):
+            proportion_reduced(1.5, 1.2, scale)
 
 
 def test_degenerate_initial_disparity():

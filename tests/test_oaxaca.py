@@ -11,6 +11,7 @@ from gapdecomp import (
     oaxaca_decompose,
     proposition_via_oaxaca,
 )
+from gapdecomp import oaxaca, regression
 from gapdecomp.errors import EmptyGroup, InvalidSpec
 
 
@@ -237,3 +238,32 @@ def test_target_required_beyond_first_intervention():
     proposition_via_oaxaca(d, AnalysisSpec("P1", "SUCCESSIVE"))  # fine without target
     with pytest.raises(InvalidSpec):
         proposition_via_oaxaca(d, AnalysisSpec("P4", "SUCCESSIVE"))
+
+
+def test_each_group_is_factored_once_per_call(monkeypatch):
+    d = two_group_dataset(seed=11)
+    d = d.with_columns({"c": np.random.default_rng(12).normal(size=d.n_rows)},
+                       roles={"covariate": ["c"]})
+    factored = []
+    triangular_factor = regression.triangular_factor
+
+    def counted(a):
+        factored.append(a.shape)
+        return triangular_factor(a)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("no separate design or fit expected")
+
+    monkeypatch.setattr(regression, "triangular_factor", counted)
+    monkeypatch.setattr(regression, "fit_ols", refused)
+    monkeypatch.setattr(oaxaca, "fit_ols", refused)
+    monkeypatch.setattr(regression.DesignMatrix, "from_dataset", refused)
+    for prop in ("P1", "P2", "P3", "P4"):
+        factored.clear()
+        proposition_via_oaxaca(d, AnalysisSpec(prop, "SUCCESSIVE"))
+        assert len(factored) == 2, prop
+    factored.clear()
+    oaxaca_decompose(d, explanatory=["m"], conditioning=["x", "c"])
+    # [1, x, c, m, y] over each group's rows
+    assert [p for _, p in factored] == [5, 5]
+    assert sum(n for n, _ in factored) == d.n_rows

@@ -11,6 +11,7 @@ from gapdecomp import (
     estimate,
     generate,
 )
+from gapdecomp.analysis import validate_spec
 from gapdecomp.errors import InvalidSpec, NearZeroDenominator, PrevalenceWarning
 
 
@@ -453,3 +454,17 @@ def test_unknown_option_keys_are_refused_by_name(family, key):
     d = generate(random_continuous_params(np.random.default_rng(48)), 200, seed=49)
     with pytest.raises(InvalidSpec, match=repr(key)):
         estimate(d, AnalysisSpec("P1", family, options={key: True}))
+
+
+@pytest.mark.parametrize("family,options", [
+    ("SUCCESSIVE", {}), ("SUCCESSIVE", {"interactions": True}), ("PLUGIN", {}),
+])
+def test_one_anchor_for_several_early_columns_is_refused(family, options):
+    d = generate(random_continuous_params(np.random.default_rng(50)), 300, seed=51)
+    two_early = d.with_columns({"early2": d.column("early") ** 2},
+                               roles={"early": ["early", "early2"]})
+    spec = AnalysisSpec("P2", family, conditioning_value_x=0.5, options=options)
+    with pytest.raises(InvalidSpec, match="conditioning_value_x"):
+        validate_spec(spec, two_early)
+    with pytest.raises(InvalidSpec, match="conditioning_value_x"):
+        estimate(two_early, spec)

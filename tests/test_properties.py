@@ -25,6 +25,8 @@ from gapdecomp import (
     estimate,
     fit_ols,
     generate,
+    oaxaca_decompose,
+    proposition_via_oaxaca,
     quantile_bin,
     resample_indices,
 )
@@ -431,3 +433,122 @@ def test_count_table_matches_a_mask_per_level(seed, n, k, n_covariates, with_con
         for a, b in zip((got.initial, got.residual, got.reduction),
                         (want.initial, want.residual, want.reduction)):
             assert abs(a - b) <= 1e-12, prop
+
+
+# -- group-stratified (interactions) route against per-group fits -------------
+
+
+def group_split(d, explanatory, conditioning, reference="group1", profile=None, anchored=()):
+    """(total gap, unexplained terms, explained terms), every model fitted on
+    its own by `fit_ols` and every plain mean taken by `np.mean`.
+
+    The conditioning profile takes the values in `profile`, the `anchored`
+    columns' group-1 means, and every other column's group-0 mean.
+    """
+    y, r = d.single_role_column(Role.OUTCOME), d.single_role_column(Role.GROUP)
+    used = [y, r, *explanatory, *conditioning]
+    rows = ~np.isnan(np.column_stack([d.column(k) for k in used])).any(axis=1)
+    in_group = {g: rows & (d.column(r) == g) for g in (1.0, 0.0)}
+
+    def fit(name, regressors, g):
+        design = DesignMatrix.from_dataset(d, regressors, rows=in_group[g])
+        return fit_ols(design, d.column(name)[in_group[g]])
+
+    def mean(name, g):
+        return float(np.mean(d.column(name)[in_group[g]]))
+
+    given = profile or {}
+    profile = {k: given[k] if k in given else mean(k, 1.0 if k in anchored else 0.0)
+               for k in conditioning}
+    outcome = {g: fit(y, [*explanatory, *conditioning], g) for g in in_group}
+    means = {g: {} for g in in_group}
+    for g in in_group:
+        for v in explanatory:
+            if conditioning:
+                aux = fit(v, conditioning, g)
+                means[g][v] = aux["intercept"] + sum(aux[k] * profile[k] for k in conditioning)
+            else:
+                means[g][v] = mean(v, g)
+    if conditioning:
+        implied = {g: outcome[g]["intercept"]
+                   + sum(outcome[g][v] * means[g][v] for v in explanatory)
+                   + sum(outcome[g][k] * profile[k] for k in conditioning) for g in in_group}
+        total = implied[1.0] - implied[0.0]
+    else:
+        total = mean(y, 1.0) - mean(y, 0.0)
+    ref, other = (1.0, 0.0) if reference == "group1" else (0.0, 1.0)
+    explained = {v: outcome[ref][v] * (means[1.0][v] - means[0.0][v]) for v in explanatory}
+    unexplained = {"intercept": outcome[1.0]["intercept"] - outcome[0.0]["intercept"]}
+    for v in explanatory:
+        unexplained[v] = (outcome[1.0][v] - outcome[0.0][v]) * means[other][v]
+    for k in conditioning:
+        unexplained[k] = (outcome[1.0][k] - outcome[0.0][k]) * profile[k]
+    return total, unexplained, explained
+
+
+def stratified_oracle(d, prop, xs, covariates, anchor):
+    """(residual, reduction) of one proposition from `group_split`."""
+    if prop == "P2":
+        given = {} if anchor is None else {xs[0]: anchor}
+        _, unexplained, explained = group_split(d, ["m"], xs + covariates,
+                                                profile=given, anchored=xs)
+        return sum(unexplained.values()), explained["m"]
+    explanatory = xs if prop == "P1" else xs + ["m"]
+    _, unexplained, explained = group_split(d, explanatory, covariates)
+    if prop == "P4":
+        return sum(unexplained.values()) + sum(explained[x] for x in xs), explained["m"]
+    return sum(unexplained.values()), sum(explained.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=seeds,
+    n=st.integers(60, 200),
+    k=st.sampled_from([1, 2]),
+    n_covariates=st.integers(0, 2),
+    missing=st.floats(0.0, 0.08),
+    given_profile=st.booleans(),
+)
+def test_stratified_route_matches_per_group_fits(seed, n, k, n_covariates, missing, given_profile):
+    rng = np.random.default_rng(seed)
+    r = (rng.random(n) < 0.5).astype(float)
+    columns = {"r": r}
+    for name in ("c1", "c2"):
+        columns[name] = 0.3 * r + rng.normal(size=n)
+    columns["x1"] = 0.5 * r + 0.3 * columns["c1"] + rng.normal(size=n)
+    columns["x2"] = 0.3 * r + 0.4 * columns["x1"] + rng.normal(size=n)
+    columns["m"] = 0.4 * r + 0.5 * columns["x1"] + 0.2 * columns["x2"] + rng.normal(size=n)
+    columns["y"] = (0.3 * r + 0.4 * columns["x1"] - 0.3 * columns["x2"] + 0.6 * columns["m"]
+                    + 0.2 * columns["c2"] + 0.5 * r * columns["m"] + rng.normal(size=n))
+    for name in ("c1", "c2", "x1", "x2", "m", "y"):
+        columns[name] = np.where(rng.random(n) < missing, np.nan, columns[name])
+    xs, covariates = ["x1", "x2"][:k], ["c1", "c2"][:n_covariates]
+    assume(min(np.sum(r == 1.0), np.sum(r == 0.0)) >= 15)
+    d = dataset_from(columns, {"outcome": "y", "group": "r", "early": xs, "target": "m",
+                               "covariate": covariates})
+
+    def close(got, want):
+        return abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    anchor = float(rng.normal()) if given_profile and k == 1 else None
+    for prop in PROPS:
+        e = proposition_via_oaxaca(d, AnalysisSpec(prop, "SUCCESSIVE", conditioning_value_x=anchor))
+        residual, reduction = stratified_oracle(d, prop, xs, covariates, anchor)
+        assert close(e.residual, residual) and close(e.reduction, reduction), prop
+
+    conditioning = xs + covariates
+    profile = {name: float(rng.normal()) for name in conditioning} if given_profile else None
+    for reference in ("group1", "group0"):
+        for explanatory, cond in ((xs + ["m"], []), (["m"], conditioning)):
+            ob = oaxaca_decompose(d, explanatory, cond, reference=reference,
+                                  profile=profile if cond else None)
+            total, unexplained, explained = group_split(d, explanatory, cond, reference,
+                                                        profile=profile if cond else None)
+            assert ob.mode == ("CONDITIONAL" if cond else "MARGINAL")
+            assert close(ob.total_gap, total)
+            assert list(ob.unexplained_terms) == list(unexplained)
+            assert list(ob.explained_terms) == list(explained)
+            for got, want in zip(ob.unexplained_terms.values(), unexplained.values()):
+                assert close(got, want), (reference, cond)
+            for got, want in zip(ob.explained_terms.values(), explained.values()):
+                assert close(got, want), (reference, cond)
