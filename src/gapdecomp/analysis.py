@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -77,16 +79,18 @@ class AnalysisSpec:
     conditioning_value_x :
         The early-measure value at which the within-X propositions (P2/P5)
         are anchored. Defaults to the group-1 mean of X (parametric paths)
-        or the stratum closest to it (plug-in path). A single number, so
-        `validate_spec` refuses it when several early columns are bound.
+        or the stratum closest to it (plug-in path). A single finite number
+        (not a bool or a string), so `validate_spec` also refuses it when
+        several early columns are bound.
     options :
-        Estimator knobs; any key the estimator does not read is refused by
-        `validate_spec`. SUCCESSIVE and PRODUCT read "interactions" (bool,
-        route P1-P4 through the group-stratified decomposition instead of
-        the pooled no-interaction formulas; continuous outcomes only).
-        PLUGIN reads "max_levels" (default 20), "mean_model" ("cells"/"ols",
-        the cell-mean source) and "aggregation_weight"
-        ("group1"/"group0"/"pooled", default "group1").
+        Estimator knobs; `validate_spec` refuses any key the estimator does
+        not read and any value outside the ones listed. SUCCESSIVE and
+        PRODUCT read "interactions" (True or False: route P1-P4 through the
+        group-stratified decomposition instead of the pooled no-interaction
+        formulas; continuous outcomes only). PLUGIN reads "max_levels" (an
+        integer >= 1, default 20), "mean_model" ("cells" or "ols", the
+        cell-mean source, default "cells") and "aggregation_weight"
+        ("group1", "group0" or "pooled", default "group1").
     """
 
     proposition: Proposition
@@ -122,23 +126,43 @@ class AnalysisSpec:
         return bound
 
 
-#: The option keys each estimator reads.
-_OPTION_KEYS = {
-    Estimator.SUCCESSIVE: ("interactions",),
-    Estimator.PRODUCT: ("interactions",),
-    Estimator.PLUGIN: ("max_levels", "mean_model", "aggregation_weight"),
+def is_integer(value) -> bool:
+    """An integer that is not a bool (JSON `true` loads as Python True)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_INTERACTIONS = ("True or False", lambda v: isinstance(v, bool))
+
+#: Each estimator's option keys, with the values each key accepts: a
+#: description for the refusal, and the test a value must pass.
+_OPTIONS = {
+    Estimator.SUCCESSIVE: {"interactions": _INTERACTIONS},
+    Estimator.PRODUCT: {"interactions": _INTERACTIONS},
+    Estimator.PLUGIN: {
+        "max_levels": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
+        "mean_model": ("'cells' or 'ols'", lambda v: v in ("cells", "ols")),
+        "aggregation_weight": ("'group1', 'group0' or 'pooled'",
+                               lambda v: v in ("group1", "group0", "pooled")),
+    },
 }
 
 
 def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
-    """Check the structural constraints a run must satisfy before any math.
+    """Check that `d` can answer `spec` as written, before any math.
 
-    Raises InvalidSpec naming the violated constraint.
+    This is the one place that decides it: the estimators assume a request
+    that passed here. Raises InvalidSpec naming the violated constraint.
     """
-    unknown = sorted(set(spec.options) - set(_OPTION_KEYS[spec.estimator]))
+    table = _OPTIONS[spec.estimator]
+    unknown = sorted(set(spec.options) - set(table))
     if unknown:
         raise InvalidSpec(f"unknown option(s) {unknown} for {spec.estimator.value}; "
-                          f"it reads {list(_OPTION_KEYS[spec.estimator])}")
+                          f"it reads {list(table)}")
+    for key, value in spec.options.items():
+        accepted, test = table[key]
+        if not test(value):
+            raise InvalidSpec(f"option {key!r} of {spec.estimator.value} must be "
+                              f"{accepted}, got {value!r}")
     if spec.outcome_family == OutcomeFamily.RARE_BINARY and spec.estimator != Estimator.PLUGIN:
         if spec.option("interactions"):
             raise InvalidSpec(
@@ -152,11 +176,15 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
             raise InvalidSpec(f"spec requires a bound {role.value} column")
     if not d.role_columns(Role.EARLY):
         raise InvalidSpec("spec requires at least one early-measure column")
-    if spec.conditioning_value_x is not None and len(d.role_columns(Role.EARLY)) > 1:
-        raise InvalidSpec(
-            "conditioning_value_x is a single number; with several early "
-            "columns leave it unset (the group-1 means anchor them)"
-        )
+    cvx = spec.conditioning_value_x
+    if cvx is not None:
+        if isinstance(cvx, bool) or not isinstance(cvx, numbers.Real) or not math.isfinite(cvx):
+            raise InvalidSpec(f"conditioning_value_x must be a finite number, got {cvx!r}")
+        if len(d.role_columns(Role.EARLY)) > 1:
+            raise InvalidSpec(
+                "conditioning_value_x is a single number; with several early "
+                "columns leave it unset (the group-1 means anchor them)"
+            )
     needs_target = not (
         spec.proposition == Proposition.P1 and spec.estimator != Estimator.PRODUCT
     )
@@ -175,6 +203,15 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
             raise InvalidSpec(
                 "PRODUCT estimator requires exactly one early column and one target column"
             )
+
+
+def resolve_for(spec: AnalysisSpec, d: Dataset, *estimators: Estimator) -> Dataset:
+    """`spec.resolve(d)` for an entry point that runs only `estimators`; a
+    spec naming another estimator is refused by name, not relabelled."""
+    if spec.estimator not in estimators:
+        raise InvalidSpec(f"this entry point runs {' or '.join(e.value for e in estimators)}, "
+                          f"not {spec.estimator.value}; estimate() routes a spec to its estimator")
+    return spec.resolve(d)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .analysis import AnalysisSpec, Estimator, Proposition
+from .analysis import AnalysisSpec, is_integer
 from .data import (
     Dataset,
     add_missing_indicators,
@@ -47,49 +47,80 @@ from .simulate import StructuralParams, generate
 
 
 @dataclasses.dataclass(frozen=True)
-class RunRequest:
-    """One (proposition, estimator) cell of the report."""
-
-    proposition: str
-    estimator: str
-    outcome_family: str = "CONTINUOUS"
-    conditioning_value_x: float | None = None
-    options: dict = dataclasses.field(default_factory=dict)
-
-
-@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Everything ``run`` needs: one dataset, many runs, two output files."""
 
     input: str
     bindings: dict
-    runs: tuple[RunRequest, ...]
-    missing_indicators: tuple[str, ...] = ()
-    principal_component: dict | None = None  # {"columns": [...], "name": str}
-    discretize: dict | None = None  # {"columns": [...], "bins": int}
+    runs: tuple[AnalysisSpec, ...]
+    preprocess: dict = dataclasses.field(default_factory=dict)  # as in _SCHEMA
     bootstrap: dict | None = None  # {"replicates": int, "seed": int, "stratify_by_group": bool}
-    options: dict = dataclasses.field(default_factory=dict)
     report_path: str = "report.json"
     table_path: str = "table.txt"
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+def _is_column_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
 
 
-def _only_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    extra = sorted(set(mapping) - allowed)
+# (test, description) of one config value
+_ANY = (lambda v: True, "")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_INTEGER = (is_integer, "an integer")
+_COLUMNS = (_is_column_list, "a list of column names")
+
+#: Every config key with the values it accepts; a dict is a nested object.
+_SCHEMA = {
+    "input": _STRING,
+    "bindings": (lambda v: isinstance(v, dict) and all(
+        isinstance(c, str) or _is_column_list(c) for c in v.values()),
+        "an object mapping roles to column names"),
+    "runs": (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list"),
+    "options": _OBJECT,
+    "preprocess": {
+        "missing_indicators": _COLUMNS,
+        "principal_component": {"columns": _COLUMNS, "name": _STRING},
+        "discretize": {"columns": _COLUMNS, "bins": _INTEGER},
+    },
+    "bootstrap": {"replicates": _INTEGER, "seed": _INTEGER,
+                  "stratify_by_group": (lambda v: isinstance(v, bool), "true or false")},
+    "output": {"report": _STRING, "table": _STRING},
+}
+_RUN = {"proposition": _ANY, "estimator": _ANY, "outcome_family": _ANY,
+        "conditioning_value_x": _ANY, "options": _OBJECT}
+#: The keys a nested object must hold, by its key.
+_REQUIRED = {"principal_component": ("columns", "name"), "discretize": ("columns",)}
+
+
+def _check(value, keys: dict, path, location: str = "", required=()) -> None:
+    """Refuse, naming the key, a config object with a key outside `keys`, a
+    `required` key missing, or a value its rule does not accept."""
+    where = f"{path}: {location}" if location else str(path)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    extra = sorted(set(value) - set(keys))
     if extra:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, extra))}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    for key, item in value.items():
+        rule = keys[key]
+        if isinstance(rule, dict):
+            if item is not None:
+                _check(item, rule, path, f"{location}.{key}".lstrip("."), _REQUIRED.get(key, ()))
+        elif not rule[0](item):
+            raise ConfigError(f"{where}: {key!r} must be {rule[1]}, got {item!r}")
 
 
 def load_config(path) -> RunConfig:
-    """Parse and structurally validate a run config.
+    """Parse and validate a run config into one AnalysisSpec per run.
 
-    Raises ConfigError with the offending key named; never touches the
-    dataset (I/O and per-run analysis validation happen in ``run``).
+    Raises ConfigError naming the offending key: for the config's shape, for
+    a value only the CLI reads, or for a run naming no known proposition,
+    estimator or outcome family. Never touches the dataset: ``execute``
+    checks each run against it with `validate_spec`.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -98,79 +129,31 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    _only_keys(raw, {"input", "bindings", "runs", "preprocess", "bootstrap", "options", "output"}, path)
+    _check(raw, _SCHEMA, path, required=("input", "bindings", "runs"))
 
-    input_path = _require(raw, "input", str(path))
-    bindings = _require(raw, "bindings", str(path))
-    if not isinstance(bindings, dict):
-        raise ConfigError(f"{path}: 'bindings' must map roles to column names")
-
-    runs_raw = _require(raw, "runs", str(path))
-    if not isinstance(runs_raw, list) or not runs_raw:
-        raise ConfigError(f"{path}: 'runs' must be a non-empty list")
-    global_options = raw.get("options", {})
-    if not isinstance(global_options, dict):
-        raise ConfigError(f"{path}: 'options' must be an object")
     runs = []
-    for i, entry in enumerate(runs_raw):
-        where = f"{path}: runs[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: each run must be an object")
-        _only_keys(
-            entry,
-            {"proposition", "estimator", "outcome_family", "conditioning_value_x", "options"},
-            where,
-        )
-        run_options = entry.get("options", {})
-        if not isinstance(run_options, dict):
-            raise ConfigError(f"{where}: 'options' must be an object")
-        cvx = entry.get("conditioning_value_x")
-        runs.append(
-            RunRequest(
-                proposition=str(_require(entry, "proposition", where)),
-                estimator=str(_require(entry, "estimator", where)),
-                outcome_family=str(entry.get("outcome_family", "CONTINUOUS")),
-                conditioning_value_x=None if cvx is None else float(cvx),
-                options={**global_options, **run_options},
-            )
-        )
+    for i, entry in enumerate(raw["runs"]):
+        _check(entry, _RUN, path, f"runs[{i}]", required=("proposition", "estimator"))
+        try:
+            runs.append(AnalysisSpec(
+                proposition=entry["proposition"],
+                estimator=entry["estimator"],
+                outcome_family=entry.get("outcome_family", "CONTINUOUS"),
+                conditioning_value_x=entry.get("conditioning_value_x"),
+                options={**raw.get("options", {}), **entry.get("options", {})},
+            ))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: runs[{i}]: {exc}") from exc
 
-    pre = raw.get("preprocess", {})
-    if not isinstance(pre, dict):
-        raise ConfigError(f"{path}: 'preprocess' must be an object")
-    _only_keys(pre, {"missing_indicators", "principal_component", "discretize"}, f"{path}: preprocess")
-    pca = pre.get("principal_component")
-    if pca is not None:
-        _only_keys(pca, {"columns", "name"}, f"{path}: preprocess.principal_component")
-        _require(pca, "columns", f"{path}: preprocess.principal_component")
-        _require(pca, "name", f"{path}: preprocess.principal_component")
-    disc = pre.get("discretize")
-    if disc is not None:
-        _only_keys(disc, {"columns", "bins"}, f"{path}: preprocess.discretize")
-        _require(disc, "columns", f"{path}: preprocess.discretize")
-
-    boot = raw.get("bootstrap")
-    if boot is not None:
-        _only_keys(boot, {"replicates", "seed", "stratify_by_group"}, f"{path}: bootstrap")
-
-    out = raw.get("output", {})
-    if not isinstance(out, dict):
-        raise ConfigError(f"{path}: 'output' must be an object")
-    _only_keys(out, {"report", "table"}, f"{path}: output")
-
+    output = raw.get("output") or {}
     return RunConfig(
-        input=str(input_path),
-        bindings=bindings,
+        input=raw["input"],
+        bindings=raw["bindings"],
         runs=tuple(runs),
-        missing_indicators=tuple(pre.get("missing_indicators", ())),
-        principal_component=pca,
-        discretize=disc,
-        bootstrap=boot,
-        options=global_options,
-        report_path=str(out.get("report", "report.json")),
-        table_path=str(out.get("table", "table.txt")),
+        preprocess=raw.get("preprocess") or {},
+        bootstrap=raw.get("bootstrap"),
+        report_path=output.get("report", "report.json"),
+        table_path=output.get("table", "table.txt"),
     )
 
 
@@ -180,32 +163,15 @@ def load_config(path) -> RunConfig:
 
 def _prepare_dataset(cfg: RunConfig) -> Dataset:
     d = load_csv(cfg.input, cfg.bindings)
-    if cfg.missing_indicators:
-        d = add_missing_indicators(d, cfg.missing_indicators)
-    if cfg.principal_component is not None:
-        scores = first_principal_component(d, cfg.principal_component["columns"])
-        d = d.with_columns({str(cfg.principal_component["name"]): scores})
-    if cfg.discretize is not None:
-        d = quantile_bin(d, cfg.discretize["columns"], bins=int(cfg.discretize.get("bins", 5)))
+    pre = cfg.preprocess
+    if pre.get("missing_indicators"):
+        d = add_missing_indicators(d, pre["missing_indicators"])
+    pca, disc = pre.get("principal_component"), pre.get("discretize")
+    if pca is not None:
+        d = d.with_columns({pca["name"]: first_principal_component(d, pca["columns"])})
+    if disc is not None:
+        d = quantile_bin(d, disc["columns"], bins=disc.get("bins", 5))
     return d
-
-
-def _specs_for(cfg: RunConfig) -> list[AnalysisSpec]:
-    specs = []
-    for i, req in enumerate(cfg.runs):
-        try:
-            specs.append(
-                AnalysisSpec(
-                    proposition=req.proposition,
-                    estimator=req.estimator,
-                    outcome_family=req.outcome_family,
-                    conditioning_value_x=req.conditioning_value_x,
-                    options=req.options,
-                )
-            )
-        except (ValueError, AnalysisError) as exc:
-            raise ConfigError(f"runs[{i}]: {exc}") from exc
-    return specs
 
 
 def _number_or_null(value):
@@ -258,8 +224,7 @@ def execute(cfg: RunConfig) -> dict:
     failure is recorded in that run's report entry.
     """
     d = _prepare_dataset(cfg)
-    specs = _specs_for(cfg)
-    for i, spec in enumerate(specs):
+    for i, spec in enumerate(cfg.runs):
         try:
             spec.resolve(d)
         except AnalysisError as exc:
@@ -267,7 +232,7 @@ def execute(cfg: RunConfig) -> dict:
 
     boot_cfg = cfg.bootstrap or {}
     run_reports = []
-    for spec in specs:
+    for spec in cfg.runs:
         entry: dict = {
             "proposition": spec.proposition.value,
             "estimator": spec.estimator.value,
@@ -289,9 +254,9 @@ def execute(cfg: RunConfig) -> dict:
                     summary = bootstrap(
                         d,
                         spec,
-                        b=int(boot_cfg.get("replicates", DEFAULT_REPLICATES)),
-                        seed=int(boot_cfg.get("seed", 0)),
-                        stratify_by_group=bool(boot_cfg.get("stratify_by_group", False)),
+                        b=boot_cfg.get("replicates", DEFAULT_REPLICATES),
+                        seed=boot_cfg.get("seed", 0),
+                        stratify_by_group=boot_cfg.get("stratify_by_group", False),
                     )
                     entry["bootstrap"] = _bootstrap_payload(summary)
                     if summary.n_failed:

@@ -8,6 +8,7 @@ freely across bootstrap replicates.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import (
     EmptyFile,
     InfiniteCell,
+    LongRow,
     MissingColumn,
     NonBinaryGroup,
     TooFewColumns,
@@ -190,16 +192,25 @@ def _parse_cell(text: str) -> float:
         return math.nan
 
 
+def _data_line(path, index: int) -> int:
+    """File line on which the `index`-th non-empty data row of a CSV ends."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return next(itertools.islice((reader.line_num for row in reader if row), index, None))
+
+
 def load_csv(path, role_declarations: Mapping | None = None) -> Dataset:
     """Read a UTF-8, comma-separated, headered CSV into a Dataset.
 
-    Empty or unparseable cells become missing (NaN). The group column, if
-    bound, must be strictly 0/1 with no missing cells, and no cell may be
-    infinite.
+    Empty or unparseable cells become missing (NaN), as do the cells a row
+    shorter than the header lacks; a row longer than the header is refused.
+    The group column, if bound, must be strictly 0/1 with no missing cells,
+    and no cell may be infinite.
 
     Raises
     ------
-    EmptyFile, InfiniteCell, MissingColumn, NonBinaryGroup
+    EmptyFile, InfiniteCell, LongRow, MissingColumn, NonBinaryGroup
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -214,7 +225,10 @@ def load_csv(path, role_declarations: Mapping | None = None) -> Dataset:
     width = len(header)
     data = np.full((len(rows), width), np.nan)
     for i, row in enumerate(rows):
-        data[i, : min(width, len(row))] = row[:width]
+        if len(row) > width:
+            raise LongRow(f"{path}: line {_data_line(path, i)} has {len(row)} cells, "
+                          f"more than the {width} columns of the header")
+        data[i, : len(row)] = row
     columns = {name: data[:, j] for j, name in enumerate(header)}
     return Dataset(columns, normalize_roles(role_declarations or {}))
 

@@ -28,6 +28,11 @@ class EmptyFile(AnalysisError):
     """The CSV has no header or no data rows."""
 
 
+class LongRow(AnalysisError):
+    """A CSV data row has more cells than its header names (a quoting or
+    delimiter mismatch); no cell of it can be trusted to its column."""
+
+
 class ZeroVariance(AnalysisError):
     """A column required to vary is constant."""
 

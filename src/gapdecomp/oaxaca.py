@@ -34,8 +34,10 @@ from .analysis import (
     P2_ANCHOR_NOTE,
     AnalysisSpec,
     DecompositionEstimate,
+    Estimator,
     Proposition,
     Scale,
+    resolve_for,
 )
 from .data import Dataset, Role
 from .errors import EmptyGroup, InvalidSpec
@@ -181,10 +183,9 @@ def oaxaca_decompose(
     return _split(groups, reference, groups.profile() if profile is None else profile)
 
 
-def _bind(d: Dataset, spec: AnalysisSpec, proposition: Proposition | None):
+def _bind(d: Dataset, spec: AnalysisSpec):
     """(proposition, bound dataset, y, r, xs, c, m) of a stratified run."""
-    prop = Proposition(proposition) if proposition is not None else spec.proposition
-    bound = spec.resolve(d)
+    bound = resolve_for(spec, d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
     if bound.role_columns(Role.CONFOUNDER_L):
         raise InvalidSpec(
             "a post-early confounder of the target is declared; the "
@@ -196,14 +197,10 @@ def _bind(d: Dataset, spec: AnalysisSpec, proposition: Proposition | None):
     xs = list(bound.role_columns(Role.EARLY))
     c = list(bound.covariate_names())
     m = bound.single_role_column(Role.TARGET) if bound.role_columns(Role.TARGET) else None
-    if prop != Proposition.P1 and m is None:
-        raise InvalidSpec(f"{prop.value} requires a target column")
-    return prop, bound, y, r, xs, c, m
+    return spec.proposition, bound, y, r, xs, c, m
 
 
-def proposition_via_oaxaca(
-    d: Dataset, spec: AnalysisSpec, proposition: Proposition | None = None
-) -> DecompositionEstimate:
+def proposition_via_oaxaca(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     """Each intervention's residual/reduction read off an explained/unexplained split.
 
     P1: early measures explain the gap within covariate strata. P2: the
@@ -212,7 +209,7 @@ def proposition_via_oaxaca(
     target's detailed explained term counts as reduction; the early
     measures' explained share stays in the residual.
     """
-    prop, bound, _, _, xs, c, m = _bind(d, spec, proposition)
+    prop, bound, _, _, xs, c, m = _bind(d, spec)
     notes = []
 
     if prop == Proposition.P1:
@@ -228,7 +225,7 @@ def proposition_via_oaxaca(
     elif prop == Proposition.P3:
         ob = oaxaca_decompose(bound, explanatory=xs + [m], conditioning=c)
         residual, reduction = ob.unexplained, ob.explained
-    elif prop == Proposition.P4:
+    else:  # P4: validate_spec leaves only P1-P4 to the parametric families
         ob = oaxaca_decompose(bound, explanatory=xs + [m], conditioning=c)
         reduction = ob.explained_terms[m]
         residual = ob.unexplained + sum(ob.explained_terms[x] for x in xs)
@@ -237,8 +234,6 @@ def proposition_via_oaxaca(
             "intervention equalizes the target marginally and leaves the "
             "early measures' group association intact"
         )
-    else:
-        raise InvalidSpec(f"{prop.value} has no stratified-regression form")
 
     initial = residual + reduction
     proportion, extra = proportion_with_note(initial, residual, Scale.ADDITIVE)
@@ -255,9 +250,7 @@ def proposition_via_oaxaca(
     )
 
 
-def interaction_model_estimates(
-    d: Dataset, spec: AnalysisSpec, proposition: Proposition | None = None
-) -> DecompositionEstimate:
+def interaction_model_estimates(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     """The same four decompositions from one pooled, group-interacted fit.
 
     The outcome is regressed on group, the explanatory variables, their
@@ -266,7 +259,7 @@ def interaction_model_estimates(
     group-specific explanatory means. Mirrors proposition_via_oaxaca exactly
     when no covariates are bound.
     """
-    prop, bound, y, r, xs, c, m = _bind(d, spec, proposition)
+    prop, bound, y, r, xs, c, m = _bind(d, spec)
 
     explanatory = xs if prop == Proposition.P1 else xs + [m]
     rows = analysis_rows(bound, [y, r, *explanatory, *c])
@@ -305,14 +298,12 @@ def interaction_model_estimates(
         elif prop == Proposition.P3:
             residual = fit[r] + sum(fit[f"{r}:{v}"] * mean0[v] for v in explanatory)
             reduction = sum(slope(v) * (mean1[v] - mean0[v]) for v in explanatory)
-        elif prop == Proposition.P4:
+        else:  # P4
             residual = fit[r] \
                 + sum(fit[x] * (mean1[x] - mean0[x]) for x in xs) \
                 + sum(fit[f"{r}:{x}"] * mean1[x] for x in xs) \
                 + fit[f"{r}:{m}"] * mean0[m]
             reduction = slope(m) * (mean1[m] - mean0[m])
-        else:
-            raise InvalidSpec(f"{prop.value} has no pooled-interaction form")
 
     initial = residual + reduction
     proportion, extra = proportion_with_note(initial, residual, Scale.ADDITIVE)

@@ -25,6 +25,7 @@ cannot go stale, and all parametric runs on one Dataset share one factor.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -38,6 +39,7 @@ from .analysis import (
     OutcomeFamily,
     Proposition,
     Scale,
+    resolve_for,
 )
 from .data import Dataset, Role
 from .errors import InvalidSpec, NearZeroDenominator, PrevalenceWarning
@@ -152,9 +154,7 @@ class _Run:
             return widest[r], full[r], widest[r] - full[r]
         if prop == Proposition.P3:
             return base[r], full[r], base[r] - full[r]
-        if prop != Proposition.P4:
-            raise InvalidSpec(f"{prop.value} has no nested-regressions form")
-        gaps = []
+        gaps = []  # P4: validate_spec leaves only P1-P4 to this family
         for j, fit in enumerate(steps):
             _check_denominator(fit[xs[j]], slope_scale(xs[j]), xs[j])
             numerator = base[r] - fit[r]
@@ -188,15 +188,16 @@ class _Run:
             Proposition.P3: (outcome[r], through_early + through_target + chained),
             Proposition.P4: (outcome[r] + through_early, through_target + chained),
         }
-        if prop not in pairs:
-            raise InvalidSpec(f"{prop.value} has no coefficient-product form")
         residual, reduction = pairs[prop]
         return residual + reduction, residual, reduction
 
 
-def _decompose(d: Dataset, spec: AnalysisSpec, product: bool, logistic: bool):
-    """One parametric estimate; `logistic` fits the outcome models by logistic
-    regression and reports ratios (the rare-binary route)."""
+def _decompose(d: Dataset, spec: AnalysisSpec, *estimators: Estimator):
+    """One parametric estimate of a spec for one of `estimators`. PRODUCT
+    combines coefficient products, SUCCESSIVE the nested ladder; a
+    RARE_BINARY outcome is fit by logistic regression and reported as ratios."""
+    d = resolve_for(spec, d, *estimators)
+    logistic = spec.outcome_family == OutcomeFamily.RARE_BINARY
     run, prop, notes = _Run(d), spec.proposition, []
     factor = run.factor
     if logistic:
@@ -220,7 +221,7 @@ def _decompose(d: Dataset, spec: AnalysisSpec, product: bool, logistic: bool):
         def outcome_fit(q):
             return factor.fit(run.y, q)
 
-    if product:
+    if spec.estimator == Estimator.PRODUCT:
         initial, residual, reduction = run.product_split(prop, outcome_fit)
     else:
         initial, residual, reduction = run.ladder_split(
@@ -247,8 +248,7 @@ def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> Decomposition
     sample; each proposition's residual and reduction come from differences
     of the group coefficient. Rare binary outcomes take the ratio scale.
     """
-    rare = spec.outcome_family == OutcomeFamily.RARE_BINARY
-    return _decompose(spec.resolve(d), spec, product=False, logistic=rare)
+    return _decompose(d, spec, Estimator.SUCCESSIVE)
 
 
 #: The single-early ladder is the one-step case of the general ladder.
@@ -262,8 +262,7 @@ def decompose_product_coefficients(d: Dataset, spec: AnalysisSpec) -> Decomposit
     nested-regressions family identically in-sample. Rare binary outcomes
     take the ratio scale.
     """
-    rare = spec.outcome_family == OutcomeFamily.RARE_BINARY
-    return _decompose(spec.resolve(d), spec, product=True, logistic=rare)
+    return _decompose(d, spec, Estimator.PRODUCT)
 
 
 def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
@@ -273,8 +272,8 @@ def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEsti
     the log scale and exponentiated, valid because the logit and log links
     agree for rare outcomes; PRODUCT's target and early models stay least
     squares. Emits PrevalenceWarning (and a report note) when the outcome
-    mean exceeds 10%.
+    mean exceeds 10%. The spec is validated as the RARE_BINARY request this
+    answers, whatever outcome family it names.
     """
-    return _decompose(
-        spec.resolve(d), spec, product=spec.estimator == Estimator.PRODUCT, logistic=True
-    )
+    rare = dataclasses.replace(spec, outcome_family=OutcomeFamily.RARE_BINARY)
+    return _decompose(d, rare, Estimator.SUCCESSIVE, Estimator.PRODUCT)

@@ -27,11 +27,13 @@ from .analysis import (
     P2_ANCHOR_NOTE,
     AnalysisSpec,
     DecompositionEstimate,
+    Estimator,
     OutcomeFamily,
     Proposition,
     Scale,
     TIMEDEP_BASE,
     TIMEDEP_PROPOSITIONS,
+    resolve_for,
 )
 from .data import Dataset, Role
 from .errors import EmptyStratum, InvalidSpec, TooManyLevels
@@ -40,8 +42,6 @@ from .parametric import analysis_rows
 from .regression import DesignMatrix, fit_ols
 
 DEFAULT_MAX_LEVELS = 20
-
-_AGGREGATION_CHOICES = ("group1", "group0", "pooled")
 
 #: Table axes after the group axis, in the order cell codes are combined.
 _DIMENSIONS = ("early", "target", "confounder", "covariate")
@@ -245,23 +245,7 @@ def _standardized_mean(table: StratumTable, prop: Proposition, c_level, x_star) 
     return total
 
 
-def plugin_mu(
-    d: Dataset, spec: AnalysisSpec, proposition: Proposition | None = None
-) -> DecompositionEstimate:
-    """Plug-in decomposition for the plain propositions (P1-P4).
-
-    Residual is (equalized mean) - (group-0 mean); reduction is (group-1
-    mean) - (equalized mean); covariate strata are averaged with the chosen
-    aggregation weight (group-1 distribution by default). With outcome
-    family RARE_BINARY the same three means are reported as ratios.
-    """
-    prop = Proposition(proposition) if proposition is not None else spec.proposition
-    return _plugin_estimate(d, spec, prop)
-
-
-def plugin_mu_timedep(
-    d: Dataset, spec: AnalysisSpec, proposition: Proposition | None = None
-) -> DecompositionEstimate:
+def plugin_mu_timedep(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     """Plug-in decomposition with a post-early confounder of the target (P5-P7).
 
     The confounder's distribution is always taken from group 1 within
@@ -269,16 +253,22 @@ def plugin_mu_timedep(
     the confounder — while target/early weights come from group 0 exactly as
     in the corresponding plain proposition.
     """
-    prop = Proposition(proposition) if proposition is not None else spec.proposition
-    if prop not in TIMEDEP_PROPOSITIONS:
-        raise InvalidSpec(f"{prop.value} is not a confounder-aware proposition")
-    return _plugin_estimate(d, spec, prop)
+    if spec.proposition not in TIMEDEP_PROPOSITIONS:
+        raise InvalidSpec(f"{spec.proposition.value} is not a confounder-aware proposition")
+    return plugin_mu(d, spec)
 
 
-def _plugin_estimate(d: Dataset, spec: AnalysisSpec, prop: Proposition) -> DecompositionEstimate:
-    bound = spec.resolve(d)
-    if prop in TIMEDEP_PROPOSITIONS and not bound.role_columns(Role.CONFOUNDER_L):
-        raise InvalidSpec(f"{prop.value} requires a confounder binding")
+def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
+    """Plug-in decomposition for the plain propositions (P1-P4), and for
+    P5-P7 as `plugin_mu_timedep` describes.
+
+    Residual is (equalized mean) - (group-0 mean); reduction is (group-1
+    mean) - (equalized mean); covariate strata are averaged with the chosen
+    aggregation weight (group-1 distribution by default). With outcome
+    family RARE_BINARY the same three means are reported as ratios.
+    """
+    bound = resolve_for(spec, d, Estimator.PLUGIN)
+    prop = spec.proposition
     columns = _dimension_columns(bound, prop)
 
     names = [bound.single_role_column(Role.GROUP)]
@@ -286,20 +276,15 @@ def _plugin_estimate(d: Dataset, spec: AnalysisSpec, prop: Proposition) -> Decom
         names += dim_names
     rows = np.flatnonzero(analysis_rows(bound, [bound.single_role_column(Role.OUTCOME), *names]))
 
-    max_levels = int(spec.option("max_levels", DEFAULT_MAX_LEVELS))
-    mean_model = spec.option("mean_model", "cells")
     notes = []
     outcome_values = None
-    if mean_model == "ols":
-        fitted = np.full(bound.n_rows, np.nan)
-        fitted[rows] = _saturated_fitted_values(bound, rows, names)
-        outcome_values = fitted
+    if spec.option("mean_model") == "ols":
+        outcome_values = np.full(bound.n_rows, np.nan)
+        outcome_values[rows] = _saturated_fitted_values(bound, rows, names)
         notes.append("cell means taken from a saturated least-squares fit")
-    elif mean_model != "cells":
-        raise InvalidSpec(f"unknown mean_model {mean_model!r}")
 
-    table = StratumTable(bound, rows, max_levels=max_levels, outcome_values=outcome_values,
-                         columns=columns)
+    table = StratumTable(bound, rows, max_levels=spec.option("max_levels", DEFAULT_MAX_LEVELS),
+                         outcome_values=outcome_values, columns=columns)
 
     base = TIMEDEP_BASE.get(prop, prop)
     x_star = None
@@ -310,8 +295,6 @@ def _plugin_estimate(d: Dataset, spec: AnalysisSpec, prop: Proposition) -> Decom
         notes.append(f"anchored at early-measure stratum {x_star}")
 
     weight_mode = spec.option("aggregation_weight", "group1")
-    if weight_mode not in _AGGREGATION_CHOICES:
-        raise InvalidSpec(f"aggregation_weight must be one of {_AGGREGATION_CHOICES}")
     notes.append(f"covariate strata aggregated with {weight_mode} weights")
     weight_group = {"group1": 1.0, "group0": 0.0, "pooled": None}[weight_mode]
 

@@ -66,9 +66,13 @@ class DesignMatrix:
         """Build [1, columns..., a·b interactions...] from dataset columns.
 
         Interaction columns are labeled "a:b". `rows` is an optional boolean
-        mask or index array selecting the analysis rows.
+        mask or index array selecting the analysis rows. A column listed twice
+        is refused by name rather than kept once.
         """
         cols = {name: d.column(name) for name in columns}
+        if len(cols) != len(columns):
+            repeated = next(name for i, name in enumerate(columns) if name in columns[:i])
+            raise InvalidSpec(f"column {repeated!r} is listed more than once in the design")
         if rows is not None:
             cols = {k: v[rows] for k, v in cols.items()}
         n = next(iter(cols.values())).shape[0] if cols else d.n_rows

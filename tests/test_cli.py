@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gapdecomp import StructuralParams, generate, load_csv, write_csv
-from gapdecomp.cli import main, selfcheck
+from gapdecomp import Dataset, StructuralParams, generate, load_csv, validate_spec, write_csv
+from gapdecomp.cli import _prepare_dataset, load_config, main, selfcheck
 
 CONTINUOUS = StructuralParams(
     group_share=0.4,
@@ -201,6 +203,19 @@ def test_config_schema_errors_name_the_problem(tmp_path, capsys):
         ({"preprocess": {"unknown_step": {}}}, "unknown_step"),
         ({"runs": [{"proposition": "P9", "estimator": "SUCCESSIVE"}]}, "P9"),
         ({"runs": [{"proposition": "P1", "estimator": "GUESS"}]}, "GUESS"),
+        ({"bindings": {**BINDINGS, "early": 5}}, "bindings"),
+        ({"bootstrap": {"replicates": 2.5}}, "'replicates' must be an integer"),
+        ({"bootstrap": {"replicates": "abc"}}, "'replicates' must be an integer"),
+        ({"bootstrap": {"replicates": 3, "seed": "1"}}, "'seed' must be an integer"),
+        ({"bootstrap": {"replicates": 3, "stratify_by_group": "false"}}, "'stratify_by_group'"),
+        ({"preprocess": {"discretize": {"columns": ["early"], "bins": "abc"}}},
+         "'bins' must be an integer"),
+        ({"preprocess": {"discretize": {"columns": ["early"], "bins": 2.7}}},
+         "'bins' must be an integer"),
+        ({"preprocess": {"discretize": {"columns": "early"}}}, "'columns' must be a list"),
+        ({"preprocess": {"missing_indicators": "target"}}, "'missing_indicators' must be a list"),
+        ({"preprocess": {"principal_component": {"columns": ["early", 3], "name": "pc"}}},
+         "'columns' must be a list"),
     ]
     for overrides, fragment in cases:
         cfg = write_config(tmp_path, **overrides)
@@ -302,6 +317,21 @@ def test_module_is_executable_as_a_script(tmp_path):
       "options": {"interactions": True}}, "ratio-scale"),
     ({"proposition": "P4", "estimator": "SUCCESSIVE", "options": {"interaction": True}},
      "'interaction'"),
+    ({"proposition": "P4", "estimator": "SUCCESSIVE", "options": {"interactions": "no"}},
+     "'interactions'"),
+    ({"proposition": "P1", "estimator": "PLUGIN", "options": {"max_levels": 2.7}}, "'max_levels'"),
+    ({"proposition": "P1", "estimator": "PLUGIN", "options": {"max_levels": "abc"}},
+     "'max_levels'"),
+    ({"proposition": "P4", "estimator": "PLUGIN", "options": {"mean_model": "kernel"}},
+     "'mean_model'"),
+    ({"proposition": "P4", "estimator": "PLUGIN", "options": {"aggregation_weight": "both"}},
+     "'aggregation_weight'"),
+    ({"proposition": "P2", "estimator": "SUCCESSIVE", "conditioning_value_x": True},
+     "conditioning_value_x"),
+    ({"proposition": "P2", "estimator": "SUCCESSIVE", "conditioning_value_x": "abc"},
+     "conditioning_value_x"),
+    ({"proposition": "P2", "estimator": "PLUGIN", "conditioning_value_x": float("nan")},
+     "conditioning_value_x"),
 ])
 def test_unanswerable_requests_fail_before_any_estimate(tmp_path, capsys, run, named):
     write_cohort(tmp_path)
@@ -366,3 +396,30 @@ def test_an_infinite_cell_is_refused_before_any_estimate(tmp_path, capsys, estim
     err = capsys.readouterr().err
     assert "InfiniteCell" in err and "'early'" in err and "first bad row: 4" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_a_row_longer_than_the_header_is_refused_before_any_estimate(tmp_path, capsys):
+    path = write_cohort(tmp_path, n=50)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[7] += ",99"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "LongRow" in err and "line 8" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_readme_config_is_accepted_and_every_run_validates(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1, "README should hold exactly one JSON config block"
+    (tmp_path / "config.json").write_text(blocks[0], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config("config.json")
+    names = {"outcome": "wage", "group": "grp", "early": "score", "target": "health"}
+    d = generate(CONTINUOUS, 400, seed=3)
+    write_csv(Dataset({names[k]: v for k, v in d.columns.items()}), cfg.input)
+    prepared = _prepare_dataset(cfg)
+    for spec in cfg.runs:
+        validate_spec(spec, prepared)

@@ -14,6 +14,7 @@ from gapdecomp import (
 from gapdecomp.errors import (
     EmptyFile,
     InfiniteCell,
+    LongRow,
     MissingColumn,
     NonBinaryGroup,
     TooFewColumns,
@@ -58,6 +59,21 @@ def test_load_csv_unparseable_cell_becomes_missing(tmp_path):
     f.write_text("y,r\n1.0,0\nN/A,1\n")
     d = load_csv(f, {"outcome": "y", "group": "r"})
     assert np.isnan(d.column("y")[1])
+
+
+def test_load_csv_refuses_a_row_longer_than_its_header(tmp_path):
+    f = tmp_path / "long.csv"
+    f.write_text("y,r,x\n1.0,0,2.0\n\n2.0,1,3.0,99\n")
+    with pytest.raises(LongRow, match="line 4 has 4 cells, more than the 3 columns"):
+        load_csv(f, {"outcome": "y", "group": "r"})
+
+
+def test_load_csv_pads_a_short_row_with_missing_cells(tmp_path):
+    f = tmp_path / "short.csv"
+    f.write_text("y,r,x\n1.0,0,2.0\n2.0,1\n")
+    d = load_csv(f, {"outcome": "y", "group": "r"})
+    np.testing.assert_array_equal(d.column("y"), [1.0, 2.0])
+    assert d.column("x")[0] == 2.0 and np.isnan(d.column("x")[1])
 
 
 def test_load_csv_empty_file(tmp_path):

@@ -85,6 +85,12 @@ def test_design_matrix_from_dataset_interactions():
     np.testing.assert_array_equal(dm.matrix[:, 3], [0.0, 2.0, 0.0, 4.0])
 
 
+def test_design_matrix_from_dataset_refuses_a_repeated_column():
+    d = dataset_from({"y": [1.0, 2.0, 3.0], "x": [1.0, 2.0, 4.0]}, {"outcome": "y"})
+    with pytest.raises(InvalidSpec, match="column 'x' is listed more than once"):
+        DesignMatrix.from_dataset(d, ["x", "x"])
+
+
 def test_design_matrix_requires_intercept_first():
     from gapdecomp.errors import UnknownColumn
 

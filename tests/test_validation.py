@@ -1,0 +1,88 @@
+"""validate_spec is the one gate: every entry point refuses, by name, a request
+it cannot answer as written, before any estimate is computed."""
+
+import math
+
+import pytest
+
+from gapdecomp import (
+    AnalysisSpec,
+    StructuralParams,
+    decompose_logistic_rare,
+    decompose_product_coefficients,
+    decompose_successive_linear,
+    estimate,
+    generate,
+    interaction_model_estimates,
+    plugin_mu,
+    plugin_mu_timedep,
+    proposition_via_oaxaca,
+)
+from gapdecomp.errors import InvalidSpec
+
+RARE = StructuralParams(
+    group_share=0.5, x_group_effect=-0.3, m_group_effect=-0.3,
+    m_early_effect=0.3, y_group_effect=0.4, y_early_effect=0.2,
+    y_target_effect=0.3, binary_outcome=True, outcome_prevalence=0.05,
+)
+
+
+def rare_cohort(early_columns=1):
+    d = generate(RARE, 2000, seed=61)
+    if early_columns == 1:
+        return d
+    return d.with_columns({"early2": d.column("early") ** 2},
+                          roles={"early": ["early", "early2"]})
+
+
+def bad_option(family, key, value):
+    return estimate, AnalysisSpec("P1", family, options={key: value}), 1, repr(key)
+
+
+def bad_anchor(value):
+    return estimate, AnalysisSpec("P2", "SUCCESSIVE", conditioning_value_x=value), 1, \
+        "conditioning_value_x"
+
+
+def other_estimator(entry, prop, family, runs):
+    return entry, AnalysisSpec(prop, family), 1, f"runs {runs}, not {family}"
+
+
+@pytest.mark.parametrize("entry,spec,early_columns,named", [
+    bad_option("SUCCESSIVE", "interactions", "no"),
+    bad_option("PRODUCT", "interactions", 1),
+    bad_option("PLUGIN", "max_levels", 2.7),
+    bad_option("PLUGIN", "max_levels", "abc"),
+    bad_option("PLUGIN", "max_levels", 0),
+    bad_option("PLUGIN", "max_levels", True),
+    bad_option("PLUGIN", "mean_model", "kernel"),
+    bad_option("PLUGIN", "aggregation_weight", "both"),
+    bad_anchor(True),
+    bad_anchor("abc"),
+    bad_anchor(math.nan),
+    bad_anchor(math.inf),
+    (decompose_logistic_rare, AnalysisSpec("P4", "SUCCESSIVE"), 2, "ratio-scale"),
+    (decompose_logistic_rare, AnalysisSpec("P4", "PRODUCT", options={"interactions": True}), 1,
+     "ratio-scale"),
+    other_estimator(plugin_mu, "P2", "SUCCESSIVE", "PLUGIN"),
+    other_estimator(plugin_mu_timedep, "P5", "SUCCESSIVE", "PLUGIN"),
+    other_estimator(decompose_successive_linear, "P3", "PLUGIN", "SUCCESSIVE"),
+    other_estimator(decompose_successive_linear, "P3", "PRODUCT", "SUCCESSIVE"),
+    other_estimator(decompose_product_coefficients, "P3", "SUCCESSIVE", "PRODUCT"),
+    other_estimator(decompose_logistic_rare, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
+    other_estimator(proposition_via_oaxaca, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
+    other_estimator(interaction_model_estimates, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
+])
+def test_an_unanswerable_request_is_refused_by_name_before_any_estimate(
+    monkeypatch, entry, spec, early_columns, named
+):
+    d = rare_cohort(early_columns)
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate was started for a refused request")
+
+    for module in ("parametric", "plugin", "oaxaca"):
+        monkeypatch.setattr(f"gapdecomp.{module}.analysis_rows", no_estimate)
+    with pytest.raises(InvalidSpec, match=named):
+        entry(d, spec)
+
