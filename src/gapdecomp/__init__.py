@@ -27,6 +27,7 @@ from .inference import (
     BootstrapSummary,
     QuantitySummary,
     bootstrap,
+    bootstrap_runs,
     bootstrap_statistic,
     proportion_reduced,
     proportion_with_note,
@@ -50,7 +51,7 @@ __all__ = [
     "DecompositionEstimate", "DesignMatrix", "Estimator", "OBResult",
     "OutcomeFamily", "Proposition", "QuantitySummary", "Role", "Scale",
     "StratumTable", "StructuralParams", "add_missing_indicators", "bootstrap",
-    "bootstrap_statistic", "decompose_logistic_rare",
+    "bootstrap_runs", "bootstrap_statistic", "decompose_logistic_rare",
     "decompose_product_coefficients", "decompose_successive_linear",
     "decompose_successive_multiX", "estimate", "first_principal_component",
     "fit_logistic", "fit_ols", "generate", "interaction_model_estimates",

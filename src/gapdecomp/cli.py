@@ -36,7 +36,7 @@ from .data import (
 from .data import write_csv as _write_csv
 from .engine import estimate
 from .errors import AnalysisError, ConfigError
-from .inference import DEFAULT_REPLICATES, bootstrap
+from .inference import DEFAULT_REPLICATES, bootstrap_runs
 from .oaxaca import interaction_model_estimates, proposition_via_oaxaca
 from .regression import DesignMatrix, fit_ols
 from .simulate import StructuralParams, generate
@@ -83,7 +83,8 @@ _SCHEMA = {
         "principal_component": {"columns": _COLUMNS, "name": _STRING},
         "discretize": {"columns": _COLUMNS, "bins": _INTEGER},
     },
-    "bootstrap": {"replicates": _INTEGER, "seed": _INTEGER,
+    "bootstrap": {"replicates": (lambda v: is_integer(v) and v >= 2, "an integer >= 2"),
+                  "seed": _INTEGER,
                   "stratify_by_group": (lambda v: isinstance(v, bool), "true or false")},
     "output": {"report": _STRING, "table": _STRING},
 }
@@ -91,6 +92,9 @@ _RUN = {"proposition": _ANY, "estimator": _ANY, "outcome_family": _ANY,
         "conditioning_value_x": _ANY, "options": _OBJECT}
 #: The keys a nested object must hold, by its key.
 _REQUIRED = {"principal_component": ("columns", "name"), "discretize": ("columns",)}
+#: The keys of a `generate` parameter file that are not structural fields.
+_GENERATE = {"n": (lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
+             "seed": (lambda v: is_integer(v) and v >= 0, "an integer >= 0")}
 
 
 def _check(value, keys: dict, path, location: str = "", required=()) -> None:
@@ -162,7 +166,10 @@ def load_config(path) -> RunConfig:
 
 
 def _prepare_dataset(cfg: RunConfig) -> Dataset:
-    d = load_csv(cfg.input, cfg.bindings)
+    try:
+        d = load_csv(cfg.input, cfg.bindings)
+    except OSError as exc:
+        raise ConfigError(f"cannot read input {cfg.input!r}: {exc}") from exc
     pre = cfg.preprocess
     if pre.get("missing_indicators"):
         d = add_missing_indicators(d, pre["missing_indicators"])
@@ -216,6 +223,22 @@ def _bootstrap_payload(summary) -> dict:
     return payload
 
 
+def _recorded(entry: dict, step):
+    """step(), with its warnings added to the run's entry once each; an
+    AnalysisError it raises or returns becomes the entry's error (None)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = step()
+        except AnalysisError as exc:
+            result = exc
+    entry["warnings"] = list(dict.fromkeys(entry["warnings"] + [str(w.message) for w in caught]))
+    if isinstance(result, AnalysisError):
+        entry["error"] = {"type": type(result).__name__, "message": str(result)}
+        return None
+    return result
+
+
 def execute(cfg: RunConfig) -> dict:
     """Run every request in the config and return the report object.
 
@@ -230,8 +253,7 @@ def execute(cfg: RunConfig) -> dict:
         except AnalysisError as exc:
             raise ConfigError(f"runs[{i}] ({spec.proposition.value}, {spec.estimator.value}): {exc}") from exc
 
-    boot_cfg = cfg.bootstrap or {}
-    run_reports = []
+    run_reports, ests = [], []
     for spec in cfg.runs:
         entry: dict = {
             "proposition": spec.proposition.value,
@@ -243,31 +265,31 @@ def execute(cfg: RunConfig) -> dict:
             "bootstrap": None,
             "error": None,
         }
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                est = estimate(d, spec)
-                entry["estimate"] = _estimate_payload(est)
-                entry["estimator"] = est.estimator
-                entry["notes"] = list(est.notes)
-                if boot_cfg:
-                    summary = bootstrap(
-                        d,
-                        spec,
-                        b=boot_cfg.get("replicates", DEFAULT_REPLICATES),
-                        seed=boot_cfg.get("seed", 0),
-                        stratify_by_group=boot_cfg.get("stratify_by_group", False),
-                    )
-                    entry["bootstrap"] = _bootstrap_payload(summary)
-                    if summary.n_failed:
-                        entry["warnings"].append(
-                            f"{summary.n_failed} bootstrap replicate(s) failed and were excluded"
-                        )
-            except AnalysisError as exc:
-                entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        # the bootstrap re-runs the full-sample estimate: report each warning once
-        entry["warnings"] = list(dict.fromkeys(str(w.message) for w in caught)) + entry["warnings"]
+        est = _recorded(entry, lambda: estimate(d, spec))
+        if est is not None:
+            entry.update(estimate=_estimate_payload(est), estimator=est.estimator,
+                         notes=list(est.notes))
         run_reports.append(entry)
+        ests.append(est)
+
+    # each replicate is drawn once, and every run with an estimate is read from it
+    boot_cfg = cfg.bootstrap or {}
+    live = [i for i, est in enumerate(ests) if boot_cfg and est is not None]
+    results = bootstrap_runs(
+        d, [cfg.runs[i] for i in live],
+        b=boot_cfg.get("replicates", DEFAULT_REPLICATES),
+        seed=boot_cfg.get("seed", 0),
+        stratify_by_group=boot_cfg.get("stratify_by_group", False),
+        full=[ests[i] for i in live],
+    )
+    for entry in (run_reports[i] for i in live):
+        summary = _recorded(entry, lambda: next(results))
+        if summary is not None:
+            entry["bootstrap"] = _bootstrap_payload(summary)
+            if summary.n_failed:
+                entry["warnings"].append(
+                    f"{summary.n_failed} bootstrap replicate(s) failed and were excluded"
+                )
 
     return {
         "input": cfg.input,
@@ -521,8 +543,8 @@ def generate_csv(params_path, out_path) -> int:
         raise ConfigError(f"{params_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{params_path}: top level must be an object")
-    n = int(raw.pop("n", 1000))
-    seed = int(raw.pop("seed", 0))
+    _check({key: raw[key] for key in ("n", "seed") if key in raw}, _GENERATE, params_path)
+    n, seed = raw.pop("n", 1000), raw.pop("seed", 0)
     unknown = sorted(set(raw) - set(StructuralParams.field_names()))
     if unknown:
         raise ConfigError(f"{params_path}: unknown parameter(s) {', '.join(map(repr, unknown))}")

@@ -80,11 +80,14 @@ class Dataset:
 
     `_factors` memoizes least-squares factors of its analysis samples (see
     `parametric.sample_factor`); derived datasets start with an empty memo.
+    `_codes` memoizes each column's sorted levels and row codes (see
+    `level_codes`); `take` hands them on, indexed by the rows it takes.
     """
 
     columns: Mapping[str, np.ndarray]
     roles: Mapping[Role, tuple[str, ...]] = field(default_factory=dict)
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _codes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cols = {}
@@ -152,6 +155,29 @@ class Dataset:
         """Covariates plus missing indicators, in declaration order."""
         return self.role_columns(Role.COVARIATE) + self.role_columns(Role.MISSING_INDICATOR)
 
+    def level_codes(self, name: str, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted levels of a column over `rows`, and each row's index into them.
+
+        Bitwise what ``np.unique(self.column(name)[rows], return_inverse=True)``
+        returns. The column is sorted once and memoized; a subset keeps the
+        levels it observes. A column whose equal cells differ in bits (0.0 and
+        -0.0, NaN payloads) is sorted per call instead, since which of them
+        ``np.unique`` keeps depends on the rows.
+        """
+        if name not in self._codes:
+            values = self.column(name)
+            levels, codes = np.unique(values, return_inverse=True)
+            same_bits = np.array_equal(levels.view(np.int64)[codes], values.view(np.int64))
+            # the smallest code type indexes like intp in less memory
+            self._codes[name] = (levels, codes.astype(np.min_scalar_type(levels.size))
+                                 if same_bits else None)
+        levels, codes = self._codes[name]
+        if codes is None:
+            return np.unique(self.column(name)[rows], return_inverse=True)
+        codes = codes[rows]
+        seen = np.bincount(codes, minlength=levels.size) > 0
+        return levels[seen], (np.cumsum(seen) - 1)[codes]
+
     # -- derivation ------------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Dataset":
@@ -160,7 +186,10 @@ class Dataset:
         cols = {k: v[idx] for k, v in self.columns.items()}
         for arr in cols.values():
             arr.flags.writeable = False  # fresh arrays, frozen rather than copied again
-        return Dataset(cols, dict(self.roles))
+        child = Dataset(cols, dict(self.roles))
+        child._codes.update((name, (levels, None if codes is None else codes[idx]))
+                            for name, (levels, codes) in self._codes.items())
+        return child
 
     def with_columns(self, new: Mapping[str, np.ndarray], roles: Mapping | None = None) -> "Dataset":
         """Copy with columns added/replaced and optional extra role bindings."""

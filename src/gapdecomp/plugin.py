@@ -48,26 +48,27 @@ _DIMENSIONS = ("early", "target", "confounder", "covariate")
 _AXIS = {dim: axis for axis, dim in enumerate(_DIMENSIONS, start=1)}
 
 
-def _dimension_codes(arrays: Sequence[np.ndarray], names: Sequence[str], max_levels: int):
+def _dimension_codes(d: Dataset, rows: np.ndarray, names: Sequence[str], max_levels: int):
     """Sorted observed level tuples of one dimension and each row's level index.
 
-    Each column is sorted once by ``np.unique``; several columns combine
-    mixed-radix (first column most significant, so code order is tuple
-    order) and are re-coded to the jointly observed tuples.
+    Each column's levels and codes over `rows` are read from the dataset's
+    memo (`Dataset.level_codes`), so a column is sorted once per dataset;
+    several columns combine mixed-radix (first column most significant, so
+    code order is tuple order) and are re-coded to the jointly observed tuples.
     """
     code = 0  # no columns: the single pseudo-level, broadcast over the rows
-    for name, array in zip(names, arrays):
-        distinct, inverse = np.unique(array, return_inverse=True)
+    for name in names:
+        distinct, inverse = d.level_codes(name, rows)
         if distinct.size > max_levels:
             raise TooManyLevels(
                 f"column {name!r} has {distinct.size} levels, more than the "
                 f"allowed {max_levels}; discretize it first"
             )
         code = code * distinct.size + inverse
-    if len(arrays) < 2:
-        return ([(v,) for v in distinct.tolist()] if arrays else [()]), code
+    if len(names) < 2:
+        return ([(v,) for v in distinct.tolist()] if names else [()]), code
     _, first, code = np.unique(code, return_index=True, return_inverse=True)
-    return list(zip(*(array[first].tolist() for array in arrays))), code
+    return list(zip(*(d.column(name)[rows][first].tolist() for name in names))), code
 
 
 class StratumTable:
@@ -100,8 +101,7 @@ class StratumTable:
         self.levels: dict[str, list] = {}
         self._position: dict[str, dict] = {}
         for dim, names in self.columns.items():
-            arrays = [d.column(name)[rows] for name in names]
-            levels, inverse = _dimension_codes(arrays, names, max_levels)
+            levels, inverse = _dimension_codes(d, rows, names, max_levels)
             self.levels[dim] = levels
             self._position[dim] = {level: i for i, level in enumerate(levels)}
             code = code * len(levels) + inverse

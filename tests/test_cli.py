@@ -3,13 +3,15 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gapdecomp import Dataset, StructuralParams, generate, load_csv, validate_spec, write_csv
-from gapdecomp.cli import _prepare_dataset, load_config, main, selfcheck
+from gapdecomp.cli import _prepare_dataset, generate_csv, load_config, main, selfcheck
+from gapdecomp.errors import ConfigError
 
 CONTINUOUS = StructuralParams(
     group_share=0.4,
@@ -423,3 +425,148 @@ def test_readme_config_is_accepted_and_every_run_validates(tmp_path, monkeypatch
     prepared = _prepare_dataset(cfg)
     for spec in cfg.runs:
         validate_spec(spec, prepared)
+
+
+# -- one replicate loop per config ------------------------------------------
+
+BOOTSTRAP_COHORT = StructuralParams(
+    group_share=0.45, covariate_share=0.3, discrete=True, confounder=True,
+    x_intercept=0.35, x_group_effect=0.2, l_intercept=0.3, l_group_effect=0.1,
+    l_early_effect=0.2, m_intercept=0.25, m_group_effect=0.1, m_early_effect=0.15,
+    m_confounder_effect=0.15, y_group_effect=0.3, y_early_effect=0.15,
+    y_target_effect=0.25, y_confounder_effect=0.2,
+    binary_outcome=True, outcome_prevalence=0.2,
+)
+BOOTSTRAP_RUNS = [
+    {"proposition": "P4", "estimator": "SUCCESSIVE"},
+    {"proposition": "P4", "estimator": "PRODUCT"},
+    # the ~60-row missing-covariate stratum empties in some resamples: a few
+    # EmptyStratum replicates for P3, more than 10% (TooManyFailures) for P7
+    {"proposition": "P3", "estimator": "PLUGIN"},
+    {"proposition": "P7", "estimator": "PLUGIN"},
+    # prevalence 0.2: a PrevalenceWarning on every replicate
+    {"proposition": "P2", "estimator": "SUCCESSIVE", "outcome_family": "RARE_BINARY"},
+    # fails on the full sample (TooManyLevels)
+    {"proposition": "P4", "estimator": "PLUGIN", "options": {"max_levels": 1}},
+]
+
+
+def write_bootstrap_config(tmp_path, stratify, replicates=40):
+    d = generate(BOOTSTRAP_COHORT, 1500, seed=3)
+    covariate = np.array(d.column("covariate"))
+    covariate[:60] = np.nan
+    write_csv(Dataset({**d.columns, "covariate": covariate}), tmp_path / "cohort.csv")
+    return write_config(
+        tmp_path,
+        bindings={**BINDINGS, "confounder": "confounder", "covariate": ["covariate"]},
+        preprocess={"missing_indicators": ["covariate"]},
+        runs=BOOTSTRAP_RUNS,
+        bootstrap={"replicates": replicates, "seed": 4, "stratify_by_group": stratify},
+    )
+
+
+@pytest.mark.parametrize("stratify", [False, True])
+def test_each_run_bootstraps_as_if_alone(tmp_path, capsys, stratify):
+    from gapdecomp.cli import _bootstrap_payload
+    from gapdecomp.errors import AnalysisError
+    from gapdecomp.inference import bootstrap
+
+    cfg_path = write_bootstrap_config(tmp_path, stratify)
+    assert main(["run", str(cfg_path)]) == 1
+    capsys.readouterr()
+    report = read_report(tmp_path)
+    cfg = load_config(cfg_path)
+    d = _prepare_dataset(cfg)
+    outcomes = []
+    for spec, run in zip(cfg.runs, report["runs"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                summary = bootstrap(d, spec, b=40, seed=4, stratify_by_group=stratify)
+                error = None
+            except AnalysisError as exc:
+                summary, error = None, {"type": type(exc).__name__, "message": str(exc)}
+        expected = list(dict.fromkeys(str(w.message) for w in caught))
+        if summary is not None and summary.n_failed:
+            expected.append(f"{summary.n_failed} bootstrap replicate(s) failed and were excluded")
+        assert run["error"] == error
+        assert run["warnings"] == expected
+        payload = None if summary is None else _bootstrap_payload(summary)
+        assert json.dumps(run["bootstrap"]) == json.dumps(payload)  # floats by repr: bitwise
+        outcomes.append(error["type"] if error else summary.n_failed)
+    assert outcomes[:2] == [0, 0] and outcomes[2] > 0
+    assert outcomes[3:] == ["TooManyFailures", 0, "TooManyLevels"]
+    assert report["runs"][4]["warnings"][1].startswith("PrevalenceWarning in 40 of 40")
+
+
+def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
+    import gapdecomp.cli as cli
+    import gapdecomp.engine as engine
+    import gapdecomp.inference as inference
+
+    calls = {"resample": 0, "take": 0, "estimate": 0, "unique": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inference, "resample_indices", counted("resample", inference.resample_indices))
+    monkeypatch.setattr(Dataset, "take", counted("take", Dataset.take))
+    monkeypatch.setattr(engine, "estimate", counted("estimate", engine.estimate))
+    monkeypatch.setattr(cli, "estimate", engine.estimate)
+    b, runs = 12, BOOTSTRAP_RUNS[:4]
+    cfg = write_bootstrap_config(tmp_path, stratify=False, replicates=b)
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    config.pop("preprocess")
+    cfg.write_text(json.dumps({**config, "runs": runs}), encoding="utf-8")
+    monkeypatch.setattr(np, "unique", counted("unique", np.unique))
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    # np.unique sorts each stratum column (early, target, confounder,
+    # covariate) once; np.percentile calls it once per reported quantity
+    assert calls == {"resample": b, "take": b, "estimate": len(runs) * (b + 1),
+                     "unique": 4 + 4 * len(runs)}
+
+
+def test_fewer_than_two_replicates_are_refused_at_config_load(tmp_path, capsys):
+    write_cohort(tmp_path, n=50)
+    for replicates in (0, 1, -3):
+        cfg = write_config(tmp_path, bootstrap={"replicates": replicates})
+        with pytest.raises(ConfigError, match="'replicates' must be an integer >= 2"):
+            load_config(cfg)
+        assert main(["run", str(cfg)]) == 2
+        assert "'replicates' must be an integer >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
+def test_an_unreadable_input_is_refused_by_name(tmp_path, capsys):
+    missing = str(tmp_path / "nope.csv")
+    cfg = write_config(tmp_path, input=missing)
+    with pytest.raises(ConfigError, match="cannot read input"):
+        _prepare_dataset(load_config(cfg))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read input" in err and repr(missing) in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"n": 2.7}, "'n' must be an integer >= 1"),
+    ({"n": "abc"}, "'n' must be an integer >= 1"),
+    ({"n": 0}, "'n' must be an integer >= 1"),
+    ({"n": True}, "'n' must be an integer >= 1"),
+    ({"n": 10, "seed": 1.9}, "'seed' must be an integer >= 0"),
+    ({"n": 10, "seed": "1"}, "'seed' must be an integer >= 0"),
+    ({"n": 10, "seed": -1}, "'seed' must be an integer >= 0"),
+])
+def test_generate_refuses_a_count_or_seed_that_is_not_an_integer(tmp_path, capsys, params, key):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        generate_csv(path, out)
+    assert main(["generate", str(path), str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()

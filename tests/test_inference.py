@@ -8,6 +8,7 @@ from gapdecomp import (
     AnalysisSpec,
     Scale,
     bootstrap,
+    bootstrap_runs,
     bootstrap_statistic,
     estimate,
     generate,
@@ -16,6 +17,7 @@ from gapdecomp import (
     resample_indices,
 )
 from gapdecomp.errors import (
+    AnalysisError,
     DegenerateInitial,
     InvalidB,
     InvalidSpec,
@@ -210,3 +212,37 @@ def test_decomposition_bootstrap_reports_all_four_quantities():
         assert q.se > 0.0
         assert q.lower < q.upper
     assert summary.b == 64 and summary.seed == 2 and summary.n_failed == 0
+
+
+def test_bootstrap_runs_refuses_b_below_two_before_any_estimate(monkeypatch):
+    import gapdecomp.engine as engine
+
+    d = generate(random_continuous_params(np.random.default_rng(11)), 200, seed=1)
+    specs = [AnalysisSpec("P4", "SUCCESSIVE"), AnalysisSpec("P4", "PRODUCT")]
+    estimates = []
+    monkeypatch.setattr(engine, "estimate", lambda *args: estimates.append(args))
+    for b in (0, 1):
+        with pytest.raises(InvalidB, match=f"got {b}"):
+            list(bootstrap_runs(d, specs, b=b))
+    assert estimates == []
+
+
+def test_bootstrap_runs_yields_what_bootstrap_returns_for_each_spec():
+    d = generate(random_continuous_params(np.random.default_rng(12)), 400, seed=2)
+    d = d.with_columns({"early2": d.column("early") + np.random.default_rng(0).normal(size=400)})
+    specs = [
+        AnalysisSpec("P4", "SUCCESSIVE"),
+        AnalysisSpec("P3", "PRODUCT", bindings={"early": "early2"}),
+        AnalysisSpec("P1", "SUCCESSIVE", bindings={"early": ["early", "early2"]}),
+        AnalysisSpec("P2", "PLUGIN"),  # continuous early: TooManyLevels on the full sample
+    ]
+    for stratify in (False, True):
+        results = list(bootstrap_runs(d, specs, b=16, seed=3, stratify_by_group=stratify))
+        for spec, result in zip(specs, results):
+            try:
+                alone = bootstrap(d, spec, b=16, seed=3, stratify_by_group=stratify)
+            except AnalysisError as err:
+                assert type(result) is type(err) and str(result) == str(err)
+                continue
+            assert repr(result) == repr(alone)  # floats by repr: bitwise
+        assert [type(r).__name__ for r in results][-1] == "TooManyLevels"

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import dataset_from
 from gapdecomp import (
     AnalysisSpec,
+    Dataset,
     DesignMatrix,
     Role,
     StratumTable,
@@ -215,6 +216,48 @@ def test_bootstrap_streams_are_keyed_and_in_range(n, seed, index):
     if 0.0 in r and 1.0 in r:
         strat = resample_indices(d, seed, index, stratify_by_group=True)
         assert int(r[strat].sum()) == int(r.sum())
+
+
+#: Cells that repeat, so levels are shared; 0.0 and -0.0 (equal, different
+#: bits) and NaN included.
+cells = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.nan]),
+                  st.floats(allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(cells, min_size=1, max_size=60), memo_first=st.booleans(), data=st.data())
+def test_memoized_level_codes_equal_sorting_each_subset(values, memo_first, data):
+    column = np.array(values)
+    n = column.size
+    d = Dataset({"v": column})
+
+    def check(dataset, rows, expected):
+        levels, codes = dataset.level_codes("v", rows)
+        want_levels, want_codes = np.unique(expected, return_inverse=True)
+        assert levels.dtype == want_levels.dtype and levels.tobytes() == want_levels.tobytes()
+        assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+
+    if memo_first:
+        check(d, slice(None), column)
+        # equal cells with identical bits are served from the memo, not re-sorted
+        exact = np.unique(column.view(np.int64)).size == np.unique(column).size
+        assert (d._codes["v"][1] is not None) == exact
+    rows = st.lists(st.integers(0, n - 1), max_size=2 * n).map(lambda r: np.array(r, dtype=np.intp))
+    subset = np.unique(data.draw(rows))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    check(d, subset, column[subset])
+    check(d, mask, column[mask])
+    first = data.draw(rows)
+    child = d.take(first)
+    check(child, slice(None), column[first])
+    second = data.draw(st.lists(st.integers(0, max(first.size - 1, 0)),
+                                max_size=2 * first.size if first.size else 0)
+                       .map(lambda r: np.array(r, dtype=np.intp)))
+    grandchild = child.take(second)
+    check(grandchild, slice(None), column[first][second])
+    within = np.unique(data.draw(st.lists(st.integers(0, max(second.size - 1, 0)),
+                                          max_size=second.size).map(lambda r: np.array(r, dtype=np.intp))))
+    check(grandchild, within, column[first][second][within])
 
 
 @settings(max_examples=30, deadline=None)
