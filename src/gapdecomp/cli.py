@@ -20,7 +20,9 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
+import typing
 import warnings
 
 import numpy as np
@@ -35,7 +37,7 @@ from .data import (
 )
 from .data import write_csv as _write_csv
 from .engine import estimate
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, ConfigError, UnreadCells
 from .inference import DEFAULT_REPLICATES, bootstrap_runs
 from .oaxaca import interaction_model_estimates, proposition_via_oaxaca
 from .regression import DesignMatrix, fit_ols
@@ -92,9 +94,30 @@ _RUN = {"proposition": _ANY, "estimator": _ANY, "outcome_family": _ANY,
         "conditioning_value_x": _ANY, "options": _OBJECT}
 #: The keys a nested object must hold, by its key.
 _REQUIRED = {"principal_component": ("columns", "name"), "discretize": ("columns",)}
-#: The keys of a `generate` parameter file that are not structural fields.
+
+
+def _is_finite_number(value) -> bool:
+    """A real number, not a bool, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+#: The rule of each StructuralParams field, by the field's type.
+_FIELD_RULES = {
+    float: (_is_finite_number, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    float | None: (lambda v: v is None or _is_finite_number(v), "a finite number or null"),
+}
+_FIELD_TYPES = typing.get_type_hints(StructuralParams)
+#: Every key of a `generate` parameter file: the row count, the seed, and
+#: each structural field.
 _GENERATE = {"n": (lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
-             "seed": (lambda v: is_integer(v) and v >= 0, "an integer >= 0")}
+             "seed": (lambda v: is_integer(v) and v >= 0, "an integer >= 0"),
+             **{f.name: _FIELD_RULES[_FIELD_TYPES[f.name]] for f in dataclasses.fields(StructuralParams)}}
 
 
 def _check(value, keys: dict, path, location: str = "", required=()) -> None:
@@ -246,7 +269,10 @@ def execute(cfg: RunConfig) -> dict:
     computed; after that, one run failing does not abort its siblings — the
     failure is recorded in that run's report entry.
     """
-    d = _prepare_dataset(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = _prepare_dataset(cfg)
+    unread = next((w.message for w in caught if isinstance(w.message, UnreadCells)), None)
     for i, spec in enumerate(cfg.runs):
         try:
             spec.resolve(d)
@@ -294,7 +320,13 @@ def execute(cfg: RunConfig) -> dict:
     return {
         "input": cfg.input,
         "bindings": {str(k): v for k, v in cfg.bindings.items()},
-        "dataset": {"rows": d.n_rows, "columns": sorted(d.columns)},
+        "dataset": {
+            "rows": d.n_rows,
+            "columns": sorted(d.columns),
+            "unparsed_cells": unread.unparsed if unread else {},
+            "short_rows": unread.short_rows if unread else 0,
+            "warnings": list(dict.fromkeys(str(w.message) for w in caught)),
+        },
         "bootstrap": cfg.bootstrap,
         "runs": run_reports,
     }
@@ -543,11 +575,11 @@ def generate_csv(params_path, out_path) -> int:
         raise ConfigError(f"{params_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{params_path}: top level must be an object")
-    _check({key: raw[key] for key in ("n", "seed") if key in raw}, _GENERATE, params_path)
-    n, seed = raw.pop("n", 1000), raw.pop("seed", 0)
-    unknown = sorted(set(raw) - set(StructuralParams.field_names()))
+    unknown = sorted(set(raw) - set(_GENERATE))
     if unknown:
         raise ConfigError(f"{params_path}: unknown parameter(s) {', '.join(map(repr, unknown))}")
+    _check(raw, _GENERATE, params_path)
+    n, seed = raw.pop("n", 1000), raw.pop("seed", 0)
     d = generate(StructuralParams(**raw), n, seed=seed)
     _write_csv(d, out_path)
     sys.stdout.write(f"wrote {d.n_rows} rows x {len(d.columns)} columns to {out_path}\n")

@@ -33,6 +33,27 @@ class LongRow(AnalysisError):
     delimiter mismatch); no cell of it can be trusted to its column."""
 
 
+class UnreadCells(UserWarning):
+    """A CSV held cells that are not numbers, or rows shorter than its header;
+    both were read as missing cells.
+
+    Carries the counts: ``unparsed`` maps each column with such cells to
+    their number, and ``short_rows`` counts the short rows.
+    """
+
+    def __init__(self, path, unparsed, short_rows):
+        self.unparsed = {name: count for name, count in unparsed.items() if count}
+        self.short_rows = short_rows
+        parts = []
+        if self.unparsed:
+            per_column = ", ".join(f"{name!r}: {count}" for name, count in self.unparsed.items())
+            parts.append(f"{sum(self.unparsed.values())} cell(s) that are not numbers "
+                         f"read as missing ({per_column})")
+        if short_rows:
+            parts.append(f"{short_rows} row(s) shorter than the header padded with missing cells")
+        super().__init__(f"{path}: " + "; ".join(parts))
+
+
 class ZeroVariance(AnalysisError):
     """A column required to vary is constant."""
 

@@ -570,3 +570,58 @@ def test_generate_refuses_a_count_or_seed_that_is_not_an_integer(tmp_path, capsy
     assert main(["generate", str(path), str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_counts_the_cells_it_could_not_read(tmp_path):
+    path = write_cohort(tmp_path, n=300)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    assert header[-1] != "group"
+    for row, column in ((3, "outcome"), (9, "outcome"), (12, "early")):
+        cells = lines[row].split(",")
+        cells[header.index(column)] = "N/A"
+        lines[row] = ",".join(cells)
+    lines[20] = lines[20].rsplit(",", 1)[0]  # a short row: its last cell is missing
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path)
+    assert main(["run", str(cfg)]) == 0
+    first = (tmp_path / "report.json").read_bytes()
+    dataset = read_report(tmp_path)["dataset"]
+    assert dataset["unparsed_cells"] == {"outcome": 2, "early": 1}
+    assert dataset["short_rows"] == 1
+    (warning,) = dataset["warnings"]
+    assert "3 cell(s) that are not numbers" in warning and "1 row(s) shorter" in warning
+    assert main(["run", str(cfg)]) == 0
+    assert (tmp_path / "report.json").read_bytes() == first
+
+
+def test_a_clean_file_reports_zero_counts_and_no_warning(tmp_path):
+    write_cohort(tmp_path, n=300)
+    assert main(["run", str(write_config(tmp_path))]) == 0
+    dataset = read_report(tmp_path)["dataset"]
+    assert (dataset["unparsed_cells"], dataset["short_rows"], dataset["warnings"]) == ({}, 0, [])
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"n": 10, "group_share": "abc"}, "'group_share' must be a finite number, got 'abc'"),
+    ({"n": 10, "discrete": "no"}, "'discrete' must be true or false, got 'no'"),
+    ({"n": 10, "x_group_effect": True}, "'x_group_effect' must be a finite number"),
+    ({"n": 10, "covariate_share": "half"}, "'covariate_share' must be a finite number or null"),
+])
+def test_generate_refuses_a_structural_field_of_the_wrong_type(tmp_path, capsys, params, key):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        generate_csv(path, out)
+    assert main(["generate", str(path), str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_accepts_a_null_prevalence(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"n": 20, "outcome_prevalence": None}), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["generate", str(path), str(out)]) == 0
+    assert load_csv(out).n_rows == 20
