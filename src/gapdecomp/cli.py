@@ -193,6 +193,13 @@ def _prepare_dataset(cfg: RunConfig) -> Dataset:
         d = load_csv(cfg.input, cfg.bindings)
     except OSError as exc:
         raise ConfigError(f"cannot read input {cfg.input!r}: {exc}") from exc
+    except UnicodeDecodeError:
+        with open(cfg.input, "rb") as fh:  # decoded whole, so offsets count from the file's start
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"cannot read input {cfg.input!r}: byte {exc.start} is not UTF-8") from None
+        raise
     pre = cfg.preprocess
     if pre.get("missing_indicators"):
         d = add_missing_indicators(d, pre["missing_indicators"])

@@ -24,6 +24,7 @@ from .errors import (
     LongRow,
     MissingColumn,
     NonBinaryGroup,
+    RepeatedColumn,
     TooFewColumns,
     UnknownColumn,
     UnreadCells,
@@ -326,7 +327,11 @@ def _read_csv(path) -> tuple[dict[str, np.ndarray], dict[str, int], int]:
             return _parse_blocks(_split_blocks(fh), path)
         except _Irregular:
             fh.seek(0)
-            return _parse_blocks(_csv_blocks(fh, path), path)
+            limit = csv.field_size_limit(2**31 - 1)  # a cell of any length, as str.split reads it
+            try:
+                return _parse_blocks(_csv_blocks(fh, path), path)
+            finally:
+                csv.field_size_limit(limit)
 
 
 def _parse_blocks(blocks, path):
@@ -335,6 +340,9 @@ def _parse_blocks(blocks, path):
         header = [h.strip() for h in next(blocks)]
     except StopIteration:
         raise EmptyFile(f"{path}: no header row") from None
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise RepeatedColumn(f"{path}: the header names column {repeated!r} more than once")
     parsed = [_Column() for _ in header]
     short = 0
     for cells, stride, block_short in blocks:
@@ -347,7 +355,7 @@ def _parse_blocks(blocks, path):
     for name, column in zip(header, parsed):
         columns[name] = values = np.concatenate(column.blocks)
         values.flags.writeable = False  # owned and frozen, so Dataset keeps it
-        unparsed[name] = column.unparsed  # a repeated name keeps its last column
+        unparsed[name] = column.unparsed
     return columns, unparsed, short
 
 
@@ -356,13 +364,13 @@ def load_csv(path, role_declarations: Mapping | None = None) -> Dataset:
 
     Blank cells become missing (NaN). So do cells that are not numbers and
     the cells a row shorter than the header lacks; if there are any, an
-    `UnreadCells` warning carries their counts. A row longer than the header
-    is refused. The group column, if bound, must be strictly 0/1 with no
-    missing cells, and no cell may be infinite.
+    `UnreadCells` warning carries their counts. A row longer than the header,
+    or a header naming a column twice, is refused. The group column, if bound,
+    must be strictly 0/1 with no missing cells, and no cell may be infinite.
 
     Raises
     ------
-    EmptyFile, InfiniteCell, LongRow, MissingColumn, NonBinaryGroup
+    EmptyFile, InfiniteCell, LongRow, MissingColumn, NonBinaryGroup, RepeatedColumn
     """
     columns, unparsed, short_rows = _read_csv(path)
     d = Dataset(columns, normalize_roles(role_declarations or {}))

@@ -24,6 +24,10 @@ class InfiniteCell(AnalysisError):
     """A column holds an infinite value, which no estimator can use."""
 
 
+class RepeatedColumn(AnalysisError):
+    """A CSV header names one column twice, so the name cannot pick a column."""
+
+
 class EmptyFile(AnalysisError):
     """The CSV has no header or no data rows."""
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import expit, logit
 
 from .data import Dataset
 from .errors import InvalidSpec, NotConverged, RankDeficient, Separation, UnknownColumn
@@ -160,6 +158,28 @@ def triangular_factor(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with ``r @ x = b`` for upper-triangular r, solved from the last row up."""
+    x = np.array(b, dtype=float)
+    for i in range(x.shape[0] - 1, -1, -1):
+        x[i] = (x[i] - r[i, i + 1 :] @ x[i + 1 :]) / r[i, i]
+    return x
+
+
+def expit(x) -> np.ndarray:
+    """The logistic function, 1/(1 + exp(-x)), accurate in both tails.
+
+    With e = exp(-|x|) and d = 1/(1 + e), it is d where x >= 0 and e·d where
+    x < 0, so exp never overflows and the lower tail keeps its subnormals.
+    """
+    x = np.asarray(x, dtype=float)
+    e, d = np.empty_like(x), np.empty_like(x)  # out= keeps a 0-d x an array
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    np.reciprocal(np.add(e, 1.0, out=d), out=d)
+    # e <= 1, so max(e, x >= 0) picks 1 or e with no per-element branch
+    return np.multiply(d, np.maximum(e, x >= 0, out=e), out=d)
+
+
 def least_squares(r, n: int, q: int, j: int, labels: Sequence[str]) -> tuple[np.ndarray, float]:
     """Coefficients and residual sum of squares of column j on columns 0..q-1.
 
@@ -172,7 +192,7 @@ def least_squares(r, n: int, q: int, j: int, labels: Sequence[str]) -> tuple[np.
     if dependent.any():
         raise RankDeficient([labels[i] for i in np.flatnonzero(dependent)])
     tail = r[q : j + 1, j]
-    return solve_triangular(r[:q, :q], r[:q, j]), float(tail @ tail)
+    return back_substitute(r[:q, :q], r[:q, j]), float(tail @ tail)
 
 
 @dataclass(frozen=True)
@@ -246,7 +266,8 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
 
     mat = design.matrix
     beta = np.zeros(k)
-    beta[0] = logit(y.mean())
+    m = float(y.mean())
+    beta[0] = math.log(m) - math.log1p(-m)
     eta = mat @ beta
     deviance = _binomial_deviance(eta, y)
     previous_step = np.inf

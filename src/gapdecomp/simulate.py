@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .analysis import (
     P2_ANCHOR_NOTE,
@@ -25,6 +24,7 @@ from .analysis import (
 from .data import Dataset, Role
 from .errors import InvalidSpec, UnsupportedMode
 from .inference import proportion_with_note
+from .regression import expit
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -550,6 +551,45 @@ def test_an_unreadable_input_is_refused_by_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: cannot read input" in err and repr(missing) in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_an_input_that_is_not_utf8_is_refused_with_its_byte_offset(tmp_path, capsys):
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(b"outcome,group,early,target\n1.0,0,1,2\n2.0,1,caf\xe9,3\n0.5,0,1,1\n")
+    cfg = write_config(tmp_path, input=str(path))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot read input {str(path)!r}: byte 46 is not UTF-8" in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "table.txt").exists()
+
+
+def test_a_repeated_header_name_is_refused_before_any_estimate(tmp_path, capsys):
+    path = write_cohort(tmp_path, n=50)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = [line + "," + line.split(",")[2] for line in lines]  # the third column, twice
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    name = lines[0].split(",")[2]
+    cfg = write_config(tmp_path)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "RepeatedColumn" in err and f"column {name!r} more than once" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+NO_SCIPY = "import sys; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def test_the_package_and_its_cli_run_without_importing_scipy(tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n": 30, "seed": 2}), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for code in ["import gapdecomp, gapdecomp.cli",
+                 f"from gapdecomp.cli import main; assert main(['generate', {str(params)!r}, "
+                 f"{str(tmp_path / 'out.csv')!r}]) == 0"]:
+        proc = subprocess.run([sys.executable, "-c", f"{code}; {NO_SCIPY}"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").stat().st_size > 0
 
 
 @pytest.mark.parametrize("params, key", [

@@ -7,6 +7,7 @@ counts of cells it could not read, and on the exception it raises; the
 vectorized writer must write the oracle's bytes.
 """
 
+import contextlib
 import csv
 import itertools
 import math
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from gapdecomp import Dataset, data, load_csv, write_csv
 from gapdecomp.data import normalize_roles
-from gapdecomp.errors import AnalysisError, EmptyFile, LongRow, UnreadCells
+from gapdecomp.errors import AnalysisError, EmptyFile, LongRow, RepeatedColumn, UnreadCells
 
 
 # -- oracles ---------------------------------------------------------------
@@ -38,9 +39,20 @@ def oracle_cell(text):
         return math.nan, True
 
 
+@contextlib.contextmanager
+def any_cell_length():
+    """csv.reader reads a cell of any length, as a cell too long for its
+    default limit (131072 characters) should read: as text, not an error."""
+    limit = csv.field_size_limit(2**31 - 1)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
+
+
 def oracle_data_line(path, index):
     """File line on which the `index`-th non-empty data row of a CSV ends."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, any_cell_length():
         reader = csv.reader(fh)
         next(reader)
         return next(itertools.islice((reader.line_num for row in reader if row), index, None))
@@ -48,13 +60,16 @@ def oracle_data_line(path, index):
 
 def oracle_load(path, role_declarations=None):
     """Row-wise reader: (Dataset, unparsed cells per column, short rows)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, any_cell_length():
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyFile(f"{path}: no header row") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise RepeatedColumn(f"{path}: the header names column {name!r} more than once")
         rows = [[oracle_cell(cell) for cell in row] for row in reader if row]
     if not rows:
         raise EmptyFile(f"{path}: header but no data rows")
@@ -176,11 +191,21 @@ NASTY = [
     "a,b\n1,2\r",                 # a lone CR ending the file
     "\n1,2\n",                    # a blank header line
     "a,b\n\n",
+    # cells longer than csv.reader's default limit, on the split and the csv.reader path
+    "a,b\n1," + "x" * 200_000 + "\n",
+    'a,b\n"1",' + "x" * 200_000 + "\n",
+    'a,b\n"1",0.' + "0" * 140_000 + "25\n",
+    "a,b\n1,0." + "0" * 140_000 + "25\n",
 ]
 
 
+def short_id(text):
+    """A long file's test id: its start and its length (None keeps pytest's own id)."""
+    return f"{text[:8]}...{len(text)}chars" if len(text) > 100 else None
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
-@pytest.mark.parametrize("text", NASTY)
+@pytest.mark.parametrize("text", NASTY, ids=short_id)
 def test_irregular_files_read_as_the_row_reader_reads_them(tmp_path, text, block_rows):
     path = tmp_path / "nasty.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -242,14 +267,25 @@ def test_counts_name_each_column_and_the_short_rows(tmp_path):
     assert np.isnan(d.column("x")[1:]).all() and np.isnan(d.column("y")[[1, 3]]).all()
 
 
-def test_a_repeated_header_name_counts_only_the_column_it_keeps(tmp_path):
+@pytest.mark.parametrize("text", ["y,r, y\nabc,0,1.0\nN/A,1,2.0\n",
+                                  'y,r,"y"\nabc,0,1.0\n"N/A",1,2.0\n'])
+def test_a_repeated_header_name_is_refused_by_name(tmp_path, text):
     f = tmp_path / "twice.csv"
-    f.write_text("y,r,y\nabc,0,1.0\nN/A,1,2.0\n", encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        d = load_csv(f)
-    assert list(d.columns) == ["y", "r"]
-    assert d.column("y").tolist() == [1.0, 2.0]
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(RepeatedColumn, match="column 'y' more than once"):
+        load_csv(f)
+
+
+@pytest.mark.parametrize("text", ['a,b\n"1",' + "x" * 200_000 + "\n", 'a,b\n"1",2,3\n', 'a,"a"\n'],
+                         ids=short_id)
+def test_reading_leaves_the_csv_cell_limit_as_it_found_it(tmp_path, text):
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    limit = csv.field_size_limit()
+    with contextlib.suppress(AnalysisError), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        load_csv(path)
+    assert csv.field_size_limit() == limit
 
 
 def test_blank_cells_are_missing_without_a_warning(tmp_path):
