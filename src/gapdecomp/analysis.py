@@ -88,9 +88,8 @@ class AnalysisSpec:
         PRODUCT read "interactions" (True or False: route P1-P4 through the
         group-stratified decomposition instead of the pooled no-interaction
         formulas; continuous outcomes only). PLUGIN reads "max_levels" (an
-        integer >= 1, default 20), "mean_model" ("cells" or "ols", the
-        cell-mean source, default "cells") and "aggregation_weight"
-        ("group1", "group0" or "pooled", default "group1").
+        integer >= 1, default 20) and "aggregation_weight" ("group1",
+        "group0" or "pooled", default "group1").
     """
 
     proposition: Proposition
@@ -131,6 +130,16 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_finite_number(value) -> bool:
+    """A real number, not a bool, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 _INTERACTIONS = ("True or False", lambda v: isinstance(v, bool))
 
 #: Each estimator's option keys, with the values each key accepts: a
@@ -140,7 +149,6 @@ _OPTIONS = {
     Estimator.PRODUCT: {"interactions": _INTERACTIONS},
     Estimator.PLUGIN: {
         "max_levels": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
-        "mean_model": ("'cells' or 'ols'", lambda v: v in ("cells", "ols")),
         "aggregation_weight": ("'group1', 'group0' or 'pooled'",
                                lambda v: v in ("group1", "group0", "pooled")),
     },
@@ -178,7 +186,7 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
         raise InvalidSpec("spec requires at least one early-measure column")
     cvx = spec.conditioning_value_x
     if cvx is not None:
-        if isinstance(cvx, bool) or not isinstance(cvx, numbers.Real) or not math.isfinite(cvx):
+        if not is_finite_number(cvx):
             raise InvalidSpec(f"conditioning_value_x must be a finite number, got {cvx!r}")
         if len(d.role_columns(Role.EARLY)) > 1:
             raise InvalidSpec(

@@ -322,7 +322,7 @@ def _read_csv(path) -> tuple[dict[str, np.ndarray], dict[str, int], int]:
     lone CR, a blank line or a row of another width, csv.reader tokenizes the
     whole file instead. Both feed the same column-wise parse.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             return _parse_blocks(_split_blocks(fh), path)
         except _Irregular:

@@ -39,7 +39,6 @@ from .data import Dataset, Role
 from .errors import EmptyStratum, InvalidSpec, TooManyLevels
 from .inference import proportion_with_note
 from .parametric import analysis_rows
-from .regression import DesignMatrix, fit_ols
 
 DEFAULT_MAX_LEVELS = 20
 
@@ -85,7 +84,6 @@ class StratumTable:
     """
 
     def __init__(self, d: Dataset, rows: np.ndarray, max_levels: int = DEFAULT_MAX_LEVELS,
-                 outcome_values: np.ndarray | None = None,
                  columns: Mapping[str, tuple[str, ...]] | None = None):
         if columns is None:
             columns = {
@@ -95,8 +93,7 @@ class StratumTable:
                 "covariate": d.covariate_names(),
             }
         self.columns: dict[str, tuple[str, ...]] = {dim: tuple(columns[dim]) for dim in _DIMENSIONS}
-        outcome = (d.column(d.single_role_column(Role.OUTCOME))
-                   if outcome_values is None else outcome_values)[rows]
+        outcome = d.column(d.single_role_column(Role.OUTCOME))[rows]
         code = d.column(d.single_role_column(Role.GROUP))[rows].astype(np.intp)
         self.levels: dict[str, list] = {}
         self._position: dict[str, dict] = {}
@@ -145,28 +142,6 @@ class StratumTable:
         if denominator == 0:
             raise EmptyStratum(self._describe(group, given))
         return self.count(group, tuple(given) + ((dim, level),)) / denominator
-
-
-def _saturated_fitted_values(d: Dataset, rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Per-row predictions of a fully saturated least-squares fit.
-
-    One indicator per observed cell of the named columns (group first);
-    with that design the fitted values equal the cell means up to solver
-    precision, which is exactly what "saturated parametric" buys.
-    """
-    arrays = [d.column(name)[rows] for name in names]
-    keys = list(zip(*(a.tolist() for a in arrays)))
-    cells = sorted(set(keys))
-    index = {cell: j for j, cell in enumerate(cells)}
-    codes = np.fromiter((index[k] for k in keys), count=len(keys), dtype=int)
-    design = np.ones((len(keys), len(cells)))
-    for j in range(1, len(cells)):  # cell 0 is the reference level
-        design[:, j] = codes == j
-    labels = ("intercept",) + tuple(f"cell_{j}" for j in range(1, len(cells)))
-    matrix = DesignMatrix(labels, design)
-    y = d.column(d.single_role_column(Role.OUTCOME))[rows]
-    beta = fit_ols(matrix, y)
-    return design @ beta.values
 
 
 def _dimension_columns(d: Dataset, prop: Proposition) -> dict[str, tuple[str, ...]]:
@@ -271,22 +246,16 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     prop = spec.proposition
     columns = _dimension_columns(bound, prop)
 
-    names = [bound.single_role_column(Role.GROUP)]
+    names = [bound.single_role_column(Role.OUTCOME), bound.single_role_column(Role.GROUP)]
     for dim_names in columns.values():
         names += dim_names
-    rows = np.flatnonzero(analysis_rows(bound, [bound.single_role_column(Role.OUTCOME), *names]))
-
-    notes = []
-    outcome_values = None
-    if spec.option("mean_model") == "ols":
-        outcome_values = np.full(bound.n_rows, np.nan)
-        outcome_values[rows] = _saturated_fitted_values(bound, rows, names)
-        notes.append("cell means taken from a saturated least-squares fit")
+    rows = np.flatnonzero(analysis_rows(bound, names))
 
     table = StratumTable(bound, rows, max_levels=spec.option("max_levels", DEFAULT_MAX_LEVELS),
-                         outcome_values=outcome_values, columns=columns)
+                         columns=columns)
 
     base = TIMEDEP_BASE.get(prop, prop)
+    notes = []
     x_star = None
     anchor = ()
     if base == Proposition.P2:

@@ -2,11 +2,24 @@
 
 import numpy as np
 
-from gapdecomp import Dataset, StructuralParams
+from gapdecomp import Dataset, Role, StructuralParams
 
 
 def dataset_from(columns, roles):
     return Dataset({k: np.asarray(v, dtype=float) for k, v in columns.items()}, roles)
+
+
+def saturated_fit(d):
+    """Outcome fitted by least squares on one indicator per observed
+    (group, early, target, covariate) cell: each cell's mean, up to solver
+    precision, computed without the stratum table."""
+    names = [d.single_role_column(Role.GROUP), *d.role_columns(Role.EARLY),
+             *d.role_columns(Role.TARGET), *d.covariate_names()]
+    cells = np.unique(np.column_stack([d.column(name) for name in names]),
+                      axis=0, return_inverse=True)[1].ravel()
+    design = (cells[:, None] == np.arange(cells.max() + 1)).astype(float)
+    y = d.column(d.single_role_column(Role.OUTCOME))
+    return design @ np.linalg.lstsq(design, y, rcond=None)[0]
 
 
 def signed(rng, lo, hi):

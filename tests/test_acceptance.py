@@ -24,6 +24,7 @@ from conftest import (
     random_continuous_params,
     random_discrete_params,
     random_rare_binary_params,
+    saturated_fit,
 )
 from gapdecomp import (
     AnalysisSpec,
@@ -230,13 +231,14 @@ def test_03_plugin_enumeration_and_saturated_fit(capsys):
             d = generate(discrete_covariate_params(np.random.default_rng(2000 + i)), 2500, seed=2100 + i)
             x1 = d.column("early")[d.column("group") == 1.0]
             x_star = min((0.0, 1.0), key=lambda level: (level - float(x1.mean())) ** 2)
+            fitted = d.with_columns({"outcome": saturated_fit(d)})
             for prop in ("P1", "P2", "P3"):
                 e = plugin_mu(d, AnalysisSpec(prop, "PLUGIN"))
                 initial, residual, reduction = _enumerated(d, prop, x_star)
                 assert abs(e.initial - initial) <= 1e-12
                 assert abs(e.residual - residual) <= 1e-12
                 assert abs(e.reduction - reduction) <= 1e-12
-                s = plugin_mu(d, AnalysisSpec(prop, "PLUGIN", options={"mean_model": "ols"}))
+                s = plugin_mu(fitted, AnalysisSpec(prop, "PLUGIN"))
                 assert abs(e.initial - s.initial) <= 1e-8
                 assert abs(e.residual - s.residual) <= 1e-8
                 assert abs(e.reduction - s.reduction) <= 1e-8

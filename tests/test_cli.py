@@ -325,7 +325,7 @@ def test_module_is_executable_as_a_script(tmp_path):
     ({"proposition": "P1", "estimator": "PLUGIN", "options": {"max_levels": 2.7}}, "'max_levels'"),
     ({"proposition": "P1", "estimator": "PLUGIN", "options": {"max_levels": "abc"}},
      "'max_levels'"),
-    ({"proposition": "P4", "estimator": "PLUGIN", "options": {"mean_model": "kernel"}},
+    ({"proposition": "P4", "estimator": "PLUGIN", "options": {"mean_model": "ols"}},
      "'mean_model'"),
     ({"proposition": "P4", "estimator": "PLUGIN", "options": {"aggregation_weight": "both"}},
      "'aggregation_weight'"),
@@ -334,6 +334,8 @@ def test_module_is_executable_as_a_script(tmp_path):
     ({"proposition": "P2", "estimator": "SUCCESSIVE", "conditioning_value_x": "abc"},
      "conditioning_value_x"),
     ({"proposition": "P2", "estimator": "PLUGIN", "conditioning_value_x": float("nan")},
+     "conditioning_value_x"),
+    ({"proposition": "P2", "estimator": "SUCCESSIVE", "conditioning_value_x": 10**400},
      "conditioning_value_x"),
 ])
 def test_unanswerable_requests_fail_before_any_estimate(tmp_path, capsys, run, named):
@@ -561,6 +563,17 @@ def test_an_input_that_is_not_utf8_is_refused_with_its_byte_offset(tmp_path, cap
     err = capsys.readouterr().err
     assert f"config error: cannot read input {str(path)!r}: byte 46 is not UTF-8" in err
     assert not (tmp_path / "report.json").exists() and not (tmp_path / "table.txt").exists()
+
+
+def test_an_input_saved_with_a_byte_order_mark_runs(tmp_path, capsys):
+    path = write_cohort(tmp_path, n=300)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    cfg = write_config(tmp_path)
+    assert main(["run", str(cfg)]) == 0
+    report = read_report(tmp_path)
+    assert report["runs"][0]["error"] is None
+    assert "outcome" in report["dataset"]["columns"]
+    assert not any(name.startswith("\ufeff") for name in report["dataset"]["columns"])
 
 
 def test_a_repeated_header_name_is_refused_before_any_estimate(tmp_path, capsys):

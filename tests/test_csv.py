@@ -52,7 +52,7 @@ def any_cell_length():
 
 def oracle_data_line(path, index):
     """File line on which the `index`-th non-empty data row of a CSV ends."""
-    with open(path, newline="", encoding="utf-8") as fh, any_cell_length():
+    with open(path, newline="", encoding="utf-8-sig") as fh, any_cell_length():
         reader = csv.reader(fh)
         next(reader)
         return next(itertools.islice((reader.line_num for row in reader if row), index, None))
@@ -60,7 +60,7 @@ def oracle_data_line(path, index):
 
 def oracle_load(path, role_declarations=None):
     """Row-wise reader: (Dataset, unparsed cells per column, short rows)."""
-    with open(path, newline="", encoding="utf-8") as fh, any_cell_length():
+    with open(path, newline="", encoding="utf-8-sig") as fh, any_cell_length():
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -286,6 +286,15 @@ def test_reading_leaves_the_csv_cell_limit_as_it_found_it(tmp_path, text):
         warnings.simplefilter("ignore")
         load_csv(path)
     assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize("body", ["1.0,0\n2.0,1\n", '"1.0",0\n2.0,1\n'], ids=["split", "csv.reader"])
+def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, body):
+    f = tmp_path / "bom.csv"
+    f.write_bytes(b"\xef\xbb\xbf" + ("outcome,group\n" + body).encode("utf-8"))
+    d = load_csv(f, {"outcome": "outcome", "group": "group"})
+    assert list(d.columns) == ["outcome", "group"]
+    assert d.column("outcome").tolist() == [1.0, 2.0]
 
 
 def test_blank_cells_are_missing_without_a_warning(tmp_path):

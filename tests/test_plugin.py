@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import dataset_from, random_discrete_params
+from conftest import dataset_from, random_discrete_params, saturated_fit
 from gapdecomp import (
     AnalysisSpec,
     StratumTable,
@@ -238,17 +238,18 @@ def test_boolean_rows_give_the_same_table_as_their_indices():
 
 def test_saturated_regression_mean_model_matches_cell_means():
     d = generate(random_discrete_params(np.random.default_rng(10)), 900, seed=11)
+    fitted = d.with_columns({"outcome": saturated_fit(d)})
     for prop in ("P1", "P2", "P3", "P4"):
         cells = plugin_mu(d, AnalysisSpec(prop, "PLUGIN"))
-        ols = plugin_mu(d, AnalysisSpec(prop, "PLUGIN", options={"mean_model": "ols"}))
-        assert ols.residual == pytest.approx(cells.residual, abs=1e-8), prop
-        assert ols.reduction == pytest.approx(cells.reduction, abs=1e-8), prop
+        saturated = plugin_mu(fitted, AnalysisSpec(prop, "PLUGIN"))
+        assert saturated.residual == pytest.approx(cells.residual, abs=1e-8), prop
+        assert saturated.reduction == pytest.approx(cells.reduction, abs=1e-8), prop
 
 
 def test_unknown_mean_model_rejected():
     d = crossed_binary_dataset(seed=12)
-    with pytest.raises(InvalidSpec):
-        plugin_mu(d, AnalysisSpec("P1", "PLUGIN", options={"mean_model": "kernel"}))
+    with pytest.raises(InvalidSpec, match="'mean_model'"):
+        plugin_mu(d, AnalysisSpec("P1", "PLUGIN", options={"mean_model": "ols"}))
 
 
 # -- covariate strata ---------------------------------------------------------

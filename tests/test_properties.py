@@ -379,9 +379,8 @@ class MaskTable:
     every count and mean taken from the rows themselves.
     """
 
-    def __init__(self, d, rows, max_levels=20, outcome_values=None, columns=None):
-        y = d.column(d.single_role_column(Role.OUTCOME)) if outcome_values is None else outcome_values
-        self.outcome = y[rows]
+    def __init__(self, d, rows, max_levels=20, columns=None):
+        self.outcome = d.column(d.single_role_column(Role.OUTCOME))[rows]
         self.group = d.column(d.single_role_column(Role.GROUP))[rows]
         self.columns = dict(columns)
         self.levels, self.masks = {}, {}

@@ -2,6 +2,8 @@
 it cannot answer as written, before any estimate is computed."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from gapdecomp import (
     plugin_mu_timedep,
     proposition_via_oaxaca,
 )
+from gapdecomp.analysis import _OPTIONS, Estimator
 from gapdecomp.errors import InvalidSpec
 
 RARE = StructuralParams(
@@ -55,7 +58,7 @@ def other_estimator(entry, prop, family, runs):
     bad_option("PLUGIN", "max_levels", "abc"),
     bad_option("PLUGIN", "max_levels", 0),
     bad_option("PLUGIN", "max_levels", True),
-    bad_option("PLUGIN", "mean_model", "kernel"),
+    bad_option("PLUGIN", "mean_model", "ols"),
     bad_option("PLUGIN", "aggregation_weight", "both"),
     bad_anchor(True),
     bad_anchor("abc"),
@@ -72,6 +75,7 @@ def other_estimator(entry, prop, family, runs):
     other_estimator(decompose_logistic_rare, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
     other_estimator(proposition_via_oaxaca, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
     other_estimator(interaction_model_estimates, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
+    bad_anchor(10**400),  # too large for a float
 ])
 def test_an_unanswerable_request_is_refused_by_name_before_any_estimate(
     monkeypatch, entry, spec, early_columns, named
@@ -86,3 +90,14 @@ def test_an_unanswerable_request_is_refused_by_name_before_any_estimate(
     with pytest.raises(InvalidSpec, match=named):
         entry(d, spec)
 
+
+def test_the_readme_option_table_lists_every_option_validate_spec_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| estimator "):].split("\n\n")[0].splitlines()
+    assert "accepted values" in table[0]
+    listed = set()
+    for row in table[2:]:
+        estimators, option = row.split("|")[1:3]
+        key = re.fullmatch(r"\s*`(\w+)`\s*", option).group(1)
+        listed |= {(Estimator(name.strip()), key) for name in estimators.split(",")}
+    assert listed == {(estimator, key) for estimator, keys in _OPTIONS.items() for key in keys}
