@@ -95,7 +95,8 @@ class NotConverged(AnalysisError):
 
 
 class NearZeroDenominator(AnalysisError):
-    """A coefficient ratio needed by the marginal-target formulas is undefined."""
+    """A ratio the estimate needs divides by (nearly) zero: a coefficient ratio
+    of the marginal-target formulas, or a plug-in risk ratio over a zero mean."""
 
 
 class EmptyStratum(AnalysisError):

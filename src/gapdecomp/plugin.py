@@ -5,9 +5,11 @@ with weights taken from whichever group's distribution the intervention
 equalizes. All of them are read from one table per analysis sample: each row
 gets one integer cell code over (group, early, target, confounder,
 covariate), and two ``np.bincount`` calls over it give every cell's count
-and outcome sum. A dimension with no bound column is a size-1 pseudo-level
+and outcome sum. A proposition is one contraction of that table: each
+probability is counts over their marginal along an axis, each cell mean is
+sums over counts. A dimension with no bound column is a size-1 pseudo-level
 axis, so the plain propositions (P1-P4) and their confounder-aware versions
-(P5-P7) run the same loop over identically shaped tables; a constant
+(P5-P7) run the same contraction over identically shaped tables; a constant
 confounder yields the same codes and sums as none, and collapses to the
 plain answer bit-for-bit.
 
@@ -36,7 +38,7 @@ from .analysis import (
     resolve_for,
 )
 from .data import Dataset, Role
-from .errors import EmptyStratum, InvalidSpec, TooManyLevels
+from .errors import EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
 from .inference import proportion_with_note
 from .parametric import analysis_rows
 
@@ -44,7 +46,6 @@ DEFAULT_MAX_LEVELS = 20
 
 #: Table axes after the group axis, in the order cell codes are combined.
 _DIMENSIONS = ("early", "target", "confounder", "covariate")
-_AXIS = {dim: axis for axis, dim in enumerate(_DIMENSIONS, start=1)}
 
 
 def _dimension_codes(d: Dataset, rows: np.ndarray, names: Sequence[str], max_levels: int):
@@ -76,8 +77,9 @@ class StratumTable:
     Dimensions: "early" (joint tuple over the early columns), "target",
     "confounder", "covariate" (joint tuple). A row's cell code combines its
     group and its level index in each dimension; ``np.bincount`` of the code,
-    unweighted and weighted by the outcome, fills (2, X, M, L, C) arrays of
-    counts and sums. A dimension with no columns is a single all-rows
+    unweighted and weighted by the outcome, fills the public (2, X, M, L, C)
+    arrays `counts` and `sums`, indexed by group and then by position in
+    `levels[dim]`. A dimension with no columns is a single all-rows
     pseudo-level, a size-1 axis that is always present. `rows` selects the
     analysis sample (index array or boolean mask); `columns` maps each
     dimension to its column names (default: the dataset's role map).
@@ -96,16 +98,14 @@ class StratumTable:
         outcome = d.column(d.single_role_column(Role.OUTCOME))[rows]
         code = d.column(d.single_role_column(Role.GROUP))[rows].astype(np.intp)
         self.levels: dict[str, list] = {}
-        self._position: dict[str, dict] = {}
         for dim, names in self.columns.items():
             levels, inverse = _dimension_codes(d, rows, names, max_levels)
             self.levels[dim] = levels
-            self._position[dim] = {level: i for i, level in enumerate(levels)}
             code = code * len(levels) + inverse
         shape = (2,) + tuple(len(self.levels[dim]) for dim in _DIMENSIONS)
         size = math.prod(shape)
-        self._counts = np.bincount(code, minlength=size).reshape(shape)
-        self._sums = np.bincount(code, weights=outcome, minlength=size).reshape(shape)
+        self.counts = np.bincount(code, minlength=size).reshape(shape)
+        self.sums = np.bincount(code, weights=outcome, minlength=size).reshape(shape)
 
     def _describe(self, group, pairs) -> str:
         parts = [f"group={int(group)}" if group is not None else "group=any"]
@@ -113,35 +113,6 @@ class StratumTable:
             if self.columns[dim]:
                 parts.append(f"{dim} {self.columns[dim]}={level}")
         return ", ".join(parts)
-
-    def _cells(self, group, pairs) -> tuple:
-        """Slices of the (2, X, M, L, C) arrays that make up one cell set."""
-        index = [slice(None)] * 5
-        if group is not None:
-            index[0] = slice(int(group), int(group) + 1)
-        for dim, level in pairs:
-            i = self._position[dim][level]
-            index[_AXIS[dim]] = slice(i, i + 1)
-        return tuple(index)
-
-    def count(self, group, pairs=()) -> int:
-        return int(self._counts[self._cells(group, pairs)].sum())
-
-    def mean(self, group, pairs=()) -> float:
-        cells = self._cells(group, pairs)
-        n = int(self._counts[cells].sum())
-        if n == 0:
-            raise EmptyStratum(self._describe(group, pairs))
-        # fsum rounds once, so the order of the cells (hence of the levels)
-        # cannot move the result
-        return math.fsum(self._sums[cells].ravel().tolist()) / n
-
-    def probability(self, dim: str, level, group, given=()) -> float:
-        """P(dim = level | group, given cells), from raw counts."""
-        denominator = self.count(group, given)
-        if denominator == 0:
-            raise EmptyStratum(self._describe(group, given))
-        return self.count(group, tuple(given) + ((dim, level),)) / denominator
 
 
 def _dimension_columns(d: Dataset, prop: Proposition) -> dict[str, tuple[str, ...]]:
@@ -157,9 +128,8 @@ def _dimension_columns(d: Dataset, prop: Proposition) -> dict[str, tuple[str, ..
     }
 
 
-def _choose_x_star(table: StratumTable, spec: AnalysisSpec, d: Dataset, rows) -> tuple:
-    """The early-measure stratum the within-X propositions condition on."""
-    levels = table.levels["early"]
+def _choose_x_star(table: StratumTable, spec: AnalysisSpec, d: Dataset, rows) -> int:
+    """Position of the early-measure stratum the within-X propositions condition on."""
     early_names = table.columns["early"]
     explicit = spec.conditioning_value_x
     if explicit is not None:
@@ -169,55 +139,74 @@ def _choose_x_star(table: StratumTable, spec: AnalysisSpec, d: Dataset, rows) ->
         target = np.array([
             float(np.mean(d.column(name)[rows][group == 1.0])) for name in early_names
         ])
-    distances = [float(np.sum((np.asarray(level) - target) ** 2)) for level in levels]
-    return levels[int(np.argmin(distances))]
+    distances = [float(np.sum((np.asarray(level) - target) ** 2)) for level in table.levels["early"]]
+    return int(np.argmin(distances))
 
 
-def _standardized_mean(table: StratumTable, prop: Proposition, c_level, x_star) -> float:
-    """One covariate-stratum's equalized mean, per the proposition's formula."""
-    c = ("covariate", c_level)
-    base = TIMEDEP_BASE.get(prop, prop)
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """numerator / denominator, and 0.0 where the denominator is 0 (a cell no weight reaches)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denominator > 0, numerator / denominator, 0.0)
 
-    def averaged_outcome(x_level, m_level):
-        # Group-1 outcome mean at (early, target, covariate), averaged over the
-        # group-1 confounder distribution within (early, covariate). Without a
-        # bound confounder this is a single pass with probability exactly 1.0.
-        value = 0.0
-        for l_level in table.levels["confounder"]:
-            p_l = table.probability("confounder", l_level, 1.0, (("early", x_level), c))
-            if p_l == 0.0:
-                continue
-            value += p_l * table.mean(
-                1.0,
-                (("early", x_level), ("target", m_level), ("confounder", l_level), c),
-            )
-        return value
 
-    def target_sum(x_level, target_given):
-        # Sum over target levels of P(target | group 0, target_given) times the
-        # confounder-averaged group-1 outcome mean at (x_level, target).
-        total = 0.0
-        for m_level in table.levels["target"]:
-            p_m = table.probability("target", m_level, 0.0, target_given)
-            if p_m == 0.0:
-                continue
-            total += p_m * averaged_outcome(x_level, m_level)
-        return total
+def _standardize(table: StratumTable, base: Proposition, x_index, needed: np.ndarray):
+    """Per covariate level: the equalized mean, and the group-0 and group-1 means.
 
+    Group-1 cell means are averaged over the confounder's group-1
+    distribution within (early, covariate), the target's group-0 distribution
+    within (early, covariate) (P4: within covariate), and the early measure's
+    group-0 (P4: group-1) distribution within covariate. P1 is P3 with a
+    size-1 target axis; P2 is P3 on the table cut to the anchor's early level.
+    The first empty cell that a `needed` covariate level reaches, in the
+    order the formula needs them, raises EmptyStratum.
+    """
+    counts, sums, early, anchor = table.counts, table.sums, table.levels["early"], ()
     if base == Proposition.P2:
-        return target_sum(x_star, (("early", x_star), c))
-    # P1 is P3 over a table whose target is the single pseudo-level: its
-    # target probability is exactly 1.0. P4 draws early from group 1 and the
-    # target from group 0's marginal within the covariate stratum.
-    early_group = 1.0 if base == Proposition.P4 else 0.0
-    total = 0.0
-    for x_level in table.levels["early"]:
-        p_x = table.probability("early", x_level, early_group, (c,))
-        if p_x == 0.0:
-            continue
-        given = (c,) if base == Proposition.P4 else (("early", x_level), c)
-        total += p_x * target_sum(x_level, given)
-    return total
+        cut = slice(x_index, x_index + 1)
+        counts, sums, early = counts[:, cut], sums[:, cut], early[cut]
+        anchor = (("early", early[0]),)
+    n_xlc = counts.sum(axis=2)      # (2, X, L, C)
+    n_xc = n_xlc.sum(axis=2)        # (2, X, C)
+    n_c = n_xc.sum(axis=1)          # (2, C)
+    p4 = base == Proposition.P4
+    early_group = 1 if p4 else 0
+    p_x = _ratio(n_xc[early_group], n_c[early_group])
+    p_m = (_ratio(counts[0].sum(axis=(0, 2)), n_c[0])[None] if p4
+           else _ratio(counts[0].sum(axis=2), n_xc[0][:, None]))
+    p_l = _ratio(n_xlc[1], n_xc[1][:, None])
+
+    empty_row = (p_x > 0) & (n_xc[1] == 0)
+    empty_cell = ((p_x[:, None, None] > 0) & (p_m[:, :, None] > 0) & (p_l[:, None] > 0)
+                  & (counts[1] == 0))
+    failing = needed & ((n_c == 0).any(axis=0) | empty_row.any(axis=0)
+                        | empty_cell.any(axis=(0, 1, 2)))
+    if failing.any():
+        # Name the first empty cell in the order the formula needs them.
+        k = int(np.argmax(failing))
+        c = (("covariate", table.levels["covariate"][k]),)
+        for group in (early_group, 0):
+            if n_c[group, k] == 0:
+                raise EmptyStratum(table._describe(group, anchor + c))
+        for x in np.flatnonzero(p_x[:, k] > 0):
+            at_x = (("early", early[x]),)
+            if empty_row[x, k]:
+                raise EmptyStratum(table._describe(1, at_x + c))
+            cells = np.argwhere(empty_cell[x, :, :, k])
+            if cells.size:
+                m, l = cells[0]
+                at_ml = (("target", table.levels["target"][m]),
+                         ("confounder", table.levels["confounder"][l]))
+                raise EmptyStratum(table._describe(1, at_x + at_ml + c))
+        # the group-1 mean cell; its row above is empty first whenever it is
+        raise EmptyStratum(table._describe(1, c + anchor))
+
+    cell_mean = _ratio(sums[1], counts[1])
+    equalized = (p_x * (p_m * (p_l[:, None] * cell_mean).sum(axis=2)).sum(axis=1)).sum(axis=0)
+    # fsum rounds once, so the order of the cells (hence of the levels)
+    # cannot move a group mean
+    by_level = sums.reshape(2, -1, sums.shape[-1]).swapaxes(1, 2).tolist()
+    group_sums = np.array([[math.fsum(cells) for cells in group] for group in by_level])
+    return equalized, _ratio(group_sums, n_c)
 
 
 def plugin_mu_timedep(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
@@ -239,8 +228,9 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
 
     Residual is (equalized mean) - (group-0 mean); reduction is (group-1
     mean) - (equalized mean); covariate strata are averaged with the chosen
-    aggregation weight (group-1 distribution by default). With outcome
-    family RARE_BINARY the same three means are reported as ratios.
+    aggregation weight (group-1 distribution by default), always read from
+    the whole table. With outcome family RARE_BINARY the same three means
+    are reported as ratios.
     """
     bound = resolve_for(spec, d, Estimator.PLUGIN)
     prop = spec.proposition
@@ -254,30 +244,31 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     table = StratumTable(bound, rows, max_levels=spec.option("max_levels", DEFAULT_MAX_LEVELS),
                          columns=columns)
 
+    weight_mode = spec.option("aggregation_weight", "group1")
+    weight_group = {"group1": 1, "group0": 0, "pooled": None}[weight_mode]
+    by_covariate = table.counts.sum(axis=(1, 2, 3))
+    weighted = by_covariate.sum(axis=0) if weight_group is None else by_covariate[weight_group]
+    if not weighted.sum():  # also an empty analysis sample, which has no levels at all
+        raise EmptyStratum(table._describe(weight_group, ()))
+    weights = _ratio(weighted, weighted.sum())
+
     base = TIMEDEP_BASE.get(prop, prop)
     notes = []
-    x_star = None
-    anchor = ()
+    x_index = None
     if base == Proposition.P2:
-        x_star = _choose_x_star(table, spec, bound, rows)
-        anchor = (("early", x_star),)
-        notes.append(f"anchored at early-measure stratum {x_star}")
-
-    weight_mode = spec.option("aggregation_weight", "group1")
+        x_index = _choose_x_star(table, spec, bound, rows)
+        notes.append(f"anchored at early-measure stratum {table.levels['early'][x_index]}")
     notes.append(f"covariate strata aggregated with {weight_mode} weights")
-    weight_group = {"group1": 1.0, "group0": 0.0, "pooled": None}[weight_mode]
 
-    mu = group0_mean = group1_mean = 0.0
-    for c_level in table.levels["covariate"]:
-        weight = table.probability("covariate", c_level, weight_group)
-        if weight == 0.0:
-            continue
-        pairs = (("covariate", c_level),) + anchor
-        mu += weight * _standardized_mean(table, prop, c_level, x_star)
-        group0_mean += weight * table.mean(0.0, pairs)
-        group1_mean += weight * table.mean(1.0, pairs)
+    equalized, group_means = _standardize(table, base, x_index, weights > 0)
+    mu = float((weights * equalized).sum())
+    group0_mean, group1_mean = ((weights * group_means).sum(axis=1)).tolist()
 
     if spec.outcome_family == OutcomeFamily.RARE_BINARY:
+        for label, mean in (("group-0", group0_mean), ("equalized", mu)):
+            if mean == 0.0:
+                raise NearZeroDenominator(f"the {label} outcome mean is 0; the risk ratios "
+                                          "divide by it and are undefined")
         scale = Scale.RATIO
         initial = group1_mean / group0_mean
         residual = mu / group0_mean

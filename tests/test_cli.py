@@ -154,6 +154,31 @@ def test_one_failing_run_does_not_abort_the_others(tmp_path, capsys):
     assert "P1/SUCCESSIVE" in table_lines[0] and "P1/PLUGIN" in table_lines[0]
 
 
+def test_a_zero_risk_ratio_denominator_fails_only_its_run(tmp_path, capsys):
+    # outcome events in group 1 only: the plug-in risk ratios would divide by
+    # a group-0 mean of 0
+    rng = np.random.default_rng(5)
+    group = np.tile([0.0, 1.0], 100)
+    columns = {"group": group, "early": (rng.random(200) < 0.5).astype(float),
+               "target": (rng.random(200) < 0.5).astype(float),
+               "outcome": ((group == 1.0) & (rng.random(200) < 0.1)).astype(float)}
+    write_csv(Dataset(columns), tmp_path / "cohort.csv")
+    cfg = write_config(tmp_path, runs=[
+        {"proposition": "P3", "estimator": "PLUGIN", "outcome_family": "RARE_BINARY"},
+        {"proposition": "P3", "estimator": "PLUGIN"},
+        {"proposition": "P3", "estimator": "SUCCESSIVE"},
+    ])
+    assert main(["run", str(cfg)]) == 1
+    assert "P3/PLUGIN failed" in capsys.readouterr().err
+    bad, *good = read_report(tmp_path)["runs"]
+    assert bad["estimate"] is None and bad["error"] == {
+        "type": "NearZeroDenominator",
+        "message": "the group-0 outcome mean is 0; the risk ratios divide by it and are undefined",
+    }
+    for run in good:
+        assert run["error"] is None and run["estimate"]["initial"] > 0.0
+
+
 def test_plugin_runs_with_discretization_and_anchor(tmp_path):
     write_cohort(tmp_path, n=4000)
     cfg = write_config(

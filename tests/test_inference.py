@@ -145,6 +145,24 @@ def test_failed_replicates_are_recorded_and_excluded():
     assert summary.quantities["statistic"].se == float(np.asarray(surviving).std(ddof=1))
 
 
+def test_a_replicate_with_a_zero_risk_ratio_denominator_is_counted_as_failed():
+    # group 0 has its only three outcome events in rows 0, 2 and 4: a replicate
+    # that draws none of them has a group-0 mean of 0 to divide the ratios by
+    rng = np.random.default_rng(32)
+    r = np.tile([0.0, 1.0], 150)
+    x = (rng.random(300) < 0.5).astype(float)
+    y = ((r == 1.0) & (rng.random(300) < 0.1)).astype(float)
+    y[[0, 2, 4]] = 1.0
+    d = dataset_from({"y": y, "r": r, "x": x}, {"outcome": "y", "group": "r", "early": ["x"]})
+    summary = bootstrap(d, AnalysisSpec("P1", "PLUGIN", outcome_family="RARE_BINARY"), b=40, seed=4)
+    missed = [i for i in range(40) if not {0, 2, 4} & set(resample_indices(d, 4, i).tolist())]
+    assert missed and summary.n_failed == len(missed)
+    assert summary.failure_reasons == tuple(
+        f"replicate {i}: NearZeroDenominator: the group-0 outcome mean is 0; "
+        "the risk ratios divide by it and are undefined" for i in missed
+    )
+
+
 def test_too_many_failures_aborts():
     d = plain_dataset(seed=5, n=60)
     calls = {"n": -1}

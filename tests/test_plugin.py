@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from gapdecomp import (
     plugin_mu,
     plugin_mu_timedep,
 )
-from gapdecomp.errors import EmptyStratum, InvalidSpec, TooManyLevels
+from gapdecomp.errors import EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
 
 
 def crossed_binary_dataset(seed=0, n_per_cell=2):
@@ -156,18 +155,6 @@ def test_relabeling_invariance():
         assert a.residual == b.residual and a.reduction == b.reduction, prop
 
 
-def test_probabilities_normalize_per_conditioning_cell():
-    d = crossed_binary_dataset(seed=8)
-    table = StratumTable(d, np.ones(d.n_rows, dtype=bool))
-    for group in (0.0, 1.0):
-        for x_level in table.levels["early"]:
-            total = sum(
-                table.probability("target", mv, group, given=(("early", x_level),))
-                for mv in table.levels["target"]
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-
 def test_empty_stratum_names_the_cell():
     # x=2 occurs only in group 0: group-1 mean at that level does not exist
     d = dataset_from(
@@ -182,6 +169,58 @@ def test_empty_stratum_names_the_cell():
         plugin_mu(d, AnalysisSpec("P1", "PLUGIN"))
     msg = str(err.value)
     assert "group=1" in msg and "2.0" in msg
+
+
+def crossed_with(extra, hide_group1_early=False):
+    """Every (r, x, m) cell once at l = c = 0, plus `extra` (r, x, m, l, c) rows."""
+    rows = [(r, x, m, 0.0, 0.0) for r in (0.0, 1.0) for x in (0.0, 1.0) for m in (0.0, 1.0)]
+    r, x, m, l, c = (np.array(col) for col in zip(*(rows + extra)))
+    if hide_group1_early:
+        x = np.where(r == 1.0, np.nan, x)
+    return dataset_from(
+        {"y": np.arange(r.size) % 5 * 0.5, "r": r, "x": x, "m": m, "l": l, "c": c},
+        {"outcome": "y", "group": "r", "early": ["x"], "target": "m", "confounder": "l",
+         "covariate": ["c"]},
+    )
+
+
+# One sample per place the formula first meets an empty cell, in the order
+# it needs them within a covariate level. The group-mean cells it reads last
+# are covered by the earlier sites: no sample reaches them empty.
+EMPTY_SITES = {
+    "covariate weight group": (crossed_with([], hide_group1_early=True), "P1", {}, "group=1"),
+    "P3 conditioning cell": (crossed_with([(1.0, 0.0, 0.0, 0.0, 1.0)]), "P3", {},
+                             "group=0, covariate ('c',)=(1.0,)"),
+    "P2 conditioning cell": (crossed_with([(1.0, 2.0, 0.0, 0.0, 0.0)]), "P2", {"x": 2.0},
+                             "group=0, early ('x',)=(2.0,), covariate ('c',)=(0.0,)"),
+    "P4 conditioning cell": (crossed_with([(0.0, 0.0, 0.0, 0.0, 1.0)]), "P4",
+                             {"weight": "group0"}, "group=1, covariate ('c',)=(1.0,)"),
+    "P4 target cell": (crossed_with([(1.0, 0.0, 0.0, 0.0, 1.0)]), "P4", {},
+                       "group=0, covariate ('c',)=(1.0,)"),
+    "group-1 early row": (crossed_with([(0.0, 2.0, 0.0, 0.0, 0.0)]), "P3", {},
+                          "group=1, early ('x',)=(2.0,), covariate ('c',)=(0.0,)"),
+    "group-1 outcome cell": (crossed_with([(1.0, 0.0, 0.0, 1.0, 0.0)]), "P6", {},
+                             "group=1, early ('x',)=(0.0,), target ('m',)=(1.0,), "
+                             "confounder ('l',)=(1.0,), covariate ('c',)=(0.0,)"),
+}
+
+
+@pytest.mark.parametrize("d, prop, how, cell", EMPTY_SITES.values(), ids=EMPTY_SITES)
+def test_empty_stratum_names_the_first_needed_cell(d, prop, how, cell):
+    spec = AnalysisSpec(prop, "PLUGIN", conditioning_value_x=how.get("x"),
+                        options={"aggregation_weight": how.get("weight", "group1")})
+    with pytest.raises(EmptyStratum) as err:
+        plugin_mu(d, spec)
+    assert str(err.value) == f"no observations in required stratum: {cell}"
+
+
+def test_an_empty_analysis_sample_is_refused_by_name():
+    # every early cell is blank, so no row enters the analysis sample
+    d = crossed_with([])
+    d = d.with_columns({"x": np.full(d.n_rows, np.nan)})
+    for prop in ("P1", "P2", "P3", "P4"):
+        with pytest.raises(EmptyStratum, match="stratum: group=1$"):
+            plugin_mu(d, AnalysisSpec(prop, "PLUGIN"))
 
 
 def test_too_many_levels():
@@ -226,14 +265,9 @@ def test_boolean_rows_give_the_same_table_as_their_indices():
     by_mask = StratumTable(d, keep)
     by_index = StratumTable(d, np.flatnonzero(keep))
     assert by_mask.levels == by_index.levels and by_mask.columns == by_index.columns
-    dims = list(by_mask.levels)
-    for group in (0.0, 1.0, None):
-        for cell in itertools.product(*([(dim, level) for level in by_mask.levels[dim]]
-                                        for dim in dims)):
-            assert by_mask.count(group, cell) == by_index.count(group, cell)
-            if by_mask.count(group, cell):
-                assert by_mask.mean(group, cell) == by_index.mean(group, cell)
-    assert by_mask.count(None) == int(keep.sum())
+    assert np.array_equal(by_mask.counts, by_index.counts)
+    assert np.array_equal(by_mask.sums, by_index.sums)
+    assert by_mask.counts.sum() == int(keep.sum())
 
 
 def test_saturated_regression_mean_model_matches_cell_means():
@@ -442,3 +476,16 @@ def test_standardized_risk_ratio_scale_for_rare_binary():
     )
     assert e.residual == pytest.approx(mu / cell_mean(d, 0), abs=1e-12)
     assert e.reduction == pytest.approx(cell_mean(d, 1) / mu, abs=1e-12)
+
+
+@pytest.mark.parametrize("events_in, label", [(1.0, "group-0"), (0.0, "equalized")])
+def test_a_zero_risk_ratio_denominator_is_refused_by_name(events_in, label):
+    # outcome events in one group only: the group-0 mean, or else the
+    # equalized mean (all group-1 means are 0), is 0
+    rng = np.random.default_rng(31)
+    r = np.tile([0.0, 1.0], 100)
+    x = (rng.random(200) < 0.5).astype(float)
+    y = ((r == events_in) & (rng.random(200) < 0.1)).astype(float)
+    d = dataset_from({"y": y, "r": r, "x": x}, {"outcome": "y", "group": "r", "early": ["x"]})
+    with pytest.raises(NearZeroDenominator, match=f"the {label} outcome mean is 0"):
+        plugin_mu(d, AnalysisSpec("P1", "PLUGIN", outcome_family="RARE_BINARY"))

@@ -10,7 +10,6 @@ replicate-keyed bootstrap streams.
 
 import dataclasses
 import itertools
-from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -37,7 +36,7 @@ from gapdecomp.errors import (
     NotConverged,
     Separation,
 )
-from gapdecomp import plugin
+from gapdecomp.analysis import TIMEDEP_BASE, Proposition
 
 PROPS = ("P1", "P2", "P3", "P4")
 
@@ -375,8 +374,8 @@ def test_shared_factor_matches_models_fitted_one_by_one(seed, n, k, with_covaria
 class MaskTable:
     """Stratum table with one boolean row mask per level, as first written.
 
-    An independent oracle for `StratumTable`: same constructor and lookups,
-    every count and mean taken from the rows themselves.
+    An independent oracle for `StratumTable`: same constructor, levels and
+    EmptyStratum messages, every count and mean taken from the rows themselves.
     """
 
     def __init__(self, d, rows, max_levels=20, columns=None):
@@ -393,6 +392,13 @@ class MaskTable:
                 for level in self.levels[dim]
             }
 
+    def _describe(self, group, pairs):
+        parts = [f"group={int(group)}" if group is not None else "group=any"]
+        for dim, level in pairs:
+            if self.columns[dim]:
+                parts.append(f"{dim} {self.columns[dim]}={level}")
+        return ", ".join(parts)
+
     def cell_mask(self, group, pairs=()):
         mask = np.ones(self.group.shape[0], dtype=bool) if group is None else self.group == group
         for dim, level in pairs:
@@ -402,21 +408,108 @@ class MaskTable:
     def mean(self, group, pairs=()):
         mask = self.cell_mask(group, pairs)
         if not mask.any():
-            raise EmptyStratum(f"group={group}, {pairs}")
+            raise EmptyStratum(self._describe(group, pairs))
         return float(np.mean(self.outcome[mask]))
 
     def probability(self, dim, level, group, given=()):
         base = self.cell_mask(group, given)
         if not base.any():
-            raise EmptyStratum(f"group={group}, {given}")
+            raise EmptyStratum(self._describe(group, given))
         return int((base & self.masks[dim][level]).sum()) / int(base.sum())
+
+
+def standardized_mean(table, prop, c_level, x_star):
+    """One covariate-stratum's equalized mean, per the proposition's formula."""
+    c = ("covariate", c_level)
+    base = TIMEDEP_BASE.get(prop, prop)
+
+    def averaged_outcome(x_level, m_level):
+        # Group-1 outcome mean at (early, target, covariate), averaged over the
+        # group-1 confounder distribution within (early, covariate). Without a
+        # bound confounder this is a single pass with probability exactly 1.0.
+        value = 0.0
+        for l_level in table.levels["confounder"]:
+            p_l = table.probability("confounder", l_level, 1.0, (("early", x_level), c))
+            if p_l == 0.0:
+                continue
+            value += p_l * table.mean(
+                1.0,
+                (("early", x_level), ("target", m_level), ("confounder", l_level), c),
+            )
+        return value
+
+    def target_sum(x_level, target_given):
+        # Sum over target levels of P(target | group 0, target_given) times the
+        # confounder-averaged group-1 outcome mean at (x_level, target).
+        total = 0.0
+        for m_level in table.levels["target"]:
+            p_m = table.probability("target", m_level, 0.0, target_given)
+            if p_m == 0.0:
+                continue
+            total += p_m * averaged_outcome(x_level, m_level)
+        return total
+
+    if base == Proposition.P2:
+        return target_sum(x_star, (("early", x_star), c))
+    # P1 is P3 over a table whose target is the single pseudo-level: its
+    # target probability is exactly 1.0. P4 draws early from group 1 and the
+    # target from group 0's marginal within the covariate stratum.
+    early_group = 1.0 if base == Proposition.P4 else 0.0
+    total = 0.0
+    for x_level in table.levels["early"]:
+        p_x = table.probability("early", x_level, early_group, (c,))
+        if p_x == 0.0:
+            continue
+        given = (c,) if base == Proposition.P4 else (("early", x_level), c)
+        total += p_x * target_sum(x_level, given)
+    return total
+
+
+def loop_estimate(d, spec):
+    """(initial, residual, reduction) of a continuous-outcome PLUGIN spec:
+    the proposition's formula as nested loops over `MaskTable` lookups."""
+    prop = spec.proposition
+    early = d.role_columns(Role.EARLY)
+    dims = {"early": early,
+            "target": () if prop == Proposition.P1 else d.role_columns(Role.TARGET),
+            "confounder": d.role_columns(Role.CONFOUNDER_L) if prop in TIMEDEP_BASE else (),
+            "covariate": d.covariate_names()}
+    used = [d.single_role_column(Role.OUTCOME), d.single_role_column(Role.GROUP)]
+    used += [name for names in dims.values() for name in names]
+    rows = np.flatnonzero(~np.isnan(np.column_stack([d.column(c) for c in used])).any(axis=1))
+    table = MaskTable(d, rows, columns=dims)
+
+    x_star, anchor = None, ()
+    if TIMEDEP_BASE.get(prop, prop) == Proposition.P2:
+        if spec.conditioning_value_x is not None:
+            target = np.array([float(spec.conditioning_value_x)])
+        else:
+            group = d.column(d.single_role_column(Role.GROUP))[rows]
+            target = np.array([float(np.mean(d.column(name)[rows][group == 1.0]))
+                               for name in early])
+        x_star = min(table.levels["early"],
+                     key=lambda level: float(np.sum((np.asarray(level) - target) ** 2)))
+        anchor = (("early", x_star),)
+
+    weight_mode = spec.option("aggregation_weight", "group1")
+    weight_group = {"group1": 1.0, "group0": 0.0, "pooled": None}[weight_mode]
+    mu = group0_mean = group1_mean = 0.0
+    for c_level in table.levels["covariate"]:
+        weight = table.probability("covariate", c_level, weight_group)
+        if weight == 0.0:
+            continue
+        pairs = (("covariate", c_level),) + anchor
+        mu += weight * standardized_mean(table, prop, c_level, x_star)
+        group0_mean += weight * table.mean(0.0, pairs)
+        group1_mean += weight * table.mean(1.0, pairs)
+    return group1_mean - group0_mean, mu - group0_mean, group1_mean - mu
 
 
 def lookup(fn, *args):
     try:
         return fn(*args)
-    except EmptyStratum:
-        return "empty"
+    except EmptyStratum as exc:
+        return "empty", str(exc)
 
 
 @settings(max_examples=30, deadline=None)
@@ -427,8 +520,11 @@ def lookup(fn, *args):
     n_covariates=st.integers(0, 2),
     with_confounder=st.booleans(),
     missing=st.floats(0.0, 0.1),
+    weight=st.sampled_from(["group1", "group0", "pooled"]),
+    x_value=st.one_of(st.none(), st.floats(-2.0, 3.0)),
 )
-def test_count_table_matches_a_mask_per_level(seed, n, k, n_covariates, with_confounder, missing):
+def test_count_table_matches_a_mask_per_level(seed, n, k, n_covariates, with_confounder, missing,
+                                              weight, x_value):
     rng = np.random.default_rng(seed)
     early = ["x1", "x2"][:k]
     covariates = ["c1", "c2"][:n_covariates]
@@ -450,30 +546,26 @@ def test_count_table_matches_a_mask_per_level(seed, n, k, n_covariates, with_con
     table = StratumTable(d, rows, columns=dims)
     oracle = MaskTable(d, rows, columns=dims)
     assert table.levels == oracle.levels and table.columns == oracle.columns
-    for group in (0.0, 1.0, None):
-        for dim, other in itertools.permutations(dims, 2):
-            for given in [()] + [((other, level),) for level in oracle.levels[other]]:
-                for level in oracle.levels[dim]:
-                    want = lookup(oracle.probability, dim, level, group, given)
-                    assert lookup(table.probability, dim, level, group, given) == want
-        for cell in itertools.product(*([(dim, level) for level in oracle.levels[dim]]
-                                        for dim in dims)):
-            for pairs in (cell, cell[:1], cell[1:2]):
-                want = lookup(oracle.mean, group, pairs)
-                got = lookup(table.mean, group, pairs)
-                assert got == want if want == "empty" else abs(got - want) <= 1e-12
+    for group in (0, 1):
+        for index in itertools.product(*(range(len(oracle.levels[dim])) for dim in dims)):
+            mask = oracle.cell_mask(group, [(dim, oracle.levels[dim][i])
+                                            for dim, i in zip(dims, index)])
+            count, total = table.counts[(group,) + index], table.sums[(group,) + index]
+            assert count == int(mask.sum())
+            if count:
+                assert abs(total / count - float(np.mean(oracle.outcome[mask]))) <= 1e-12
 
     props = PROPS + (("P5", "P6", "P7") if with_confounder else ())
     for prop in props:
-        spec = AnalysisSpec(prop, "PLUGIN")
-        with mock.patch.object(plugin, "StratumTable", MaskTable):
-            want = lookup(estimate, d, spec)
+        anchored = prop in ("P2", "P5") and k == 1
+        spec = AnalysisSpec(prop, "PLUGIN", conditioning_value_x=x_value if anchored else None,
+                            options={"aggregation_weight": weight})
+        want = lookup(loop_estimate, d, spec)
         got = lookup(estimate, d, spec)
-        if want == "empty":
-            assert got == "empty", prop
+        if want[0] == "empty":
+            assert got == want, prop
             continue
-        for a, b in zip((got.initial, got.residual, got.reduction),
-                        (want.initial, want.residual, want.reduction)):
+        for a, b in zip((got.initial, got.residual, got.reduction), want):
             assert abs(a - b) <= 1e-12, prop
 
 
