@@ -230,7 +230,8 @@ class DecompositionEstimate:
     initial = residual * reduction. `proportion_reduced` is None (with a note)
     when the initial disparity is too close to null for the ratio to mean
     anything. `coefficients` snapshots the fitted models the estimate was read
-    from (parametric families only).
+    from (parametric families only); `logistic_fits` holds each logistic
+    outcome model's `n_iter`, `converged` and `deviance` (RARE_BINARY only).
     """
 
     proposition: Proposition
@@ -242,3 +243,4 @@ class DecompositionEstimate:
     estimator: str
     coefficients: Mapping[str, Mapping[str, float]] | None = None
     notes: tuple[str, ...] = ()
+    logistic_fits: Mapping[str, Mapping] | None = None

@@ -40,7 +40,7 @@ from .engine import estimate
 from .errors import AnalysisError, ConfigError, UnreadCells
 from .inference import DEFAULT_REPLICATES, bootstrap_runs
 from .oaxaca import interaction_model_estimates, proposition_via_oaxaca
-from .regression import DesignMatrix, fit_ols
+from .regression import DesignMatrix, fit_logistic, fit_ols
 from .simulate import StructuralParams, generate
 
 
@@ -231,6 +231,8 @@ def _estimate_payload(est) -> dict:
             model: {label: _number_or_null(val) for label, val in fit.items()}
             for model, fit in est.coefficients.items()
         }
+    if est.logistic_fits:
+        payload["logistic_fits"] = {model: dict(fit) for model, fit in est.logistic_fits.items()}
     return payload
 
 
@@ -388,19 +390,16 @@ def run(config_path) -> int:
 
 
 def _selfcheck_data():
-    continuous = generate(
-        StructuralParams(
-            group_share=0.4,
-            x_group_effect=-0.6,
-            m_group_effect=-0.5,
-            m_early_effect=0.7,
-            y_group_effect=-0.3,
-            y_early_effect=0.4,
-            y_target_effect=0.5,
-        ),
-        4000,
-        seed=17,
+    linear = StructuralParams(
+        group_share=0.4,
+        x_group_effect=-0.6,
+        m_group_effect=-0.5,
+        m_early_effect=0.7,
+        y_group_effect=-0.3,
+        y_early_effect=0.4,
+        y_target_effect=0.5,
     )
+    continuous = generate(linear, 4000, seed=17)
     discrete = generate(
         StructuralParams(
             group_share=0.4,
@@ -439,7 +438,10 @@ def _selfcheck_data():
         4000,
         seed=29,
     )
-    return continuous, discrete, confounded
+    rare = generate(
+        dataclasses.replace(linear, binary_outcome=True, outcome_prevalence=0.05), 4000, seed=31
+    )
+    return continuous, discrete, confounded, rare
 
 
 def _check_additivity(continuous) -> float:
@@ -524,6 +526,17 @@ def _check_nested_shift_identity(continuous) -> float:
     return abs(narrow["group"] - (wide["group"] + wide["early"] * aux["group"]))
 
 
+def _check_logistic_score(rare) -> float:
+    """max|Aᵀ(y - 1/(1 + exp(-Aβ)))| / n at the logistic outcome fit: the
+    score vanishes at the maximum likelihood. The probabilities are computed
+    here with plain numpy, not with the solver's own `expit`."""
+    design = DesignMatrix.from_dataset(rare, ["group", "early", "target"])
+    y = rare.column("outcome")
+    beta = fit_logistic(design, y).values
+    mu = 1.0 / (1.0 + np.exp(-(design.matrix @ beta)))
+    return float(np.max(np.abs(design.matrix.T @ (y - mu)))) / rare.n_rows
+
+
 _SELFCHECK_IDENTITIES = (
     ("additivity (initial = residual + reduction)", _check_additivity, "continuous", 1e-10),
     ("nested-regression vs coefficient-product", _check_family_agreement, "continuous", 1e-8),
@@ -531,6 +544,7 @@ _SELFCHECK_IDENTITIES = (
     ("constant-confounder collapse (bitwise)", _check_constant_confounder_collapse, "discrete", 0.0),
     ("group-stratified vs pooled-interaction fit", _check_interaction_duality, "continuous", 1e-8),
     ("nested-fit coefficient-shift identity", _check_nested_shift_identity, "continuous", 1e-10),
+    ("logistic score at the fit", _check_logistic_score, "rare", 1e-8),
 )
 
 
@@ -540,8 +554,8 @@ def selfcheck() -> int:
     Prints one line per identity with its observed max deviation; returns 0
     only if every deviation is within tolerance.
     """
-    continuous, discrete, confounded = _selfcheck_data()
-    data = {"continuous": continuous, "discrete": discrete, "confounded": confounded}
+    continuous, discrete, confounded, rare = _selfcheck_data()
+    data = {"continuous": continuous, "discrete": discrete, "confounded": confounded, "rare": rare}
     failures = 0
     for name, check, which, tol in _SELFCHECK_IDENTITIES:
         try:

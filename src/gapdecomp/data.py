@@ -82,7 +82,8 @@ class Dataset:
     Infinite cells are refused.
 
     `_factors` memoizes least-squares factors of its analysis samples (see
-    `parametric.sample_factor`); derived datasets start with an empty memo.
+    `parametric.sample_factor`) and `_fits` its logistic outcome fits;
+    derived datasets start with empty memos.
     `_codes` memoizes each column's sorted levels and row codes (see
     `level_codes`); `take` hands them on, indexed by the rows it takes.
     """
@@ -90,6 +91,7 @@ class Dataset:
     columns: Mapping[str, np.ndarray]
     roles: Mapping[Role, tuple[str, ...]] = field(default_factory=dict)
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _codes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

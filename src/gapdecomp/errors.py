@@ -83,6 +83,10 @@ class RankDeficient(AnalysisError):
         )
 
 
+class NonFiniteCell(AnalysisError):
+    """A design or response cell handed to a fit is NaN or infinite."""
+
+
 class Separation(AnalysisError):
     """Logistic fit diverged (perfectly or quasi-separated data)."""
 

@@ -17,10 +17,11 @@ outcome fits and exponentiated onto the ratio scale.
 
 `sample_factor` memoizes R on the Dataset, keyed by the ordered column tuple
 (r, c…, x…, m, y), which also fixes the analysis rows (those complete in
-every listed column); the memo holds only the p×p R and the sample size.
-Every derived Dataset (`take`, `with_roles`, `with_columns`, a spec's
-bindings) starts with an empty memo and columns are read-only, so a factor
-cannot go stale, and all parametric runs on one Dataset share one factor.
+every listed column); the memo holds only the p×p R and the sample size, and
+`_fits` beside it the logistic outcome fits, keyed by (that tuple, q). Every
+derived Dataset (`take`, `with_roles`, `with_columns`, a spec's bindings)
+starts with empty memos and columns are read-only, so neither can go stale,
+and all parametric runs on one Dataset share one factor and its fits.
 """
 
 from __future__ import annotations
@@ -121,11 +122,13 @@ class _Run:
         self.columns = [self.r, *self.c, *self.xs, *target, self.y]
         self.factor = sample_factor(d, self.columns)
         self.models: dict[str, dict[str, float]] = {}
+        self.fits: dict[str, dict] = {}  # logistic models' diagnostics
 
     def _record(self, fit: CoefficientSet, outcome: str, regressors) -> CoefficientSet:
-        self.models[_model_name(outcome, regressors)] = {
-            label: fit[label] for label in (INTERCEPT, *regressors)
-        }
+        name = _model_name(outcome, regressors)
+        self.models[name] = {label: fit[label] for label in (INTERCEPT, *regressors)}
+        if fit.n_iter is not None:
+            self.fits[name] = {k: getattr(fit, k) for k in ("n_iter", "converged", "deviance")}
         return fit
 
     def ladder_split(self, prop, outcome_fit, slope_scale):
@@ -202,10 +205,10 @@ def _decompose(d: Dataset, spec: AnalysisSpec, *estimators: Estimator):
     factor = run.factor
     if logistic:
         rows = analysis_rows(d, run.columns)
-        outcome = d.column(run.y)[rows]
-        if np.any((outcome != 0.0) & (outcome != 1.0)):
+        y = d.column(run.y)[rows]
+        if np.any((y != 0.0) & (y != 1.0)):
             raise InvalidSpec("rare-binary outcome column must be 0/1")
-        prevalence = float(outcome.mean())
+        prevalence = float(y.mean())
         if prevalence > RARE_PREVALENCE_LIMIT:
             notes.append(
                 f"outcome prevalence {prevalence:.3f} exceeds "
@@ -216,7 +219,11 @@ def _decompose(d: Dataset, spec: AnalysisSpec, *estimators: Estimator):
         design = stacked_columns([1.0, *map(d.column, run.columns[:-1])], rows)
 
         def outcome_fit(q):
-            return fit_logistic(DesignMatrix(factor.labels[:q], design[:, :q]), outcome)
+            key = (tuple(run.columns), q)
+            if key not in d._fits:  # read-only, as SUCCESSIVE and PRODUCT share it
+                d._fits[key] = fit_logistic(DesignMatrix(factor.labels[:q], design[:, :q]), y)
+                d._fits[key].values.flags.writeable = False
+            return d._fits[key]
     else:
         def outcome_fit(q):
             return factor.fit(run.y, q)
@@ -236,7 +243,7 @@ def _decompose(d: Dataset, spec: AnalysisSpec, *estimators: Estimator):
     proportion, extra = proportion_with_note(initial, residual, scale)
     return DecompositionEstimate(
         prop, scale, initial, residual, reduction, proportion,
-        spec.estimator.value, run.models, tuple(notes) + extra,
+        spec.estimator.value, run.models, tuple(notes) + extra, run.fits or None,
     )
 
 

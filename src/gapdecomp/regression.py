@@ -24,7 +24,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidSpec, NotConverged, RankDeficient, Separation, UnknownColumn
+from .errors import (InvalidSpec, NonFiniteCell, NotConverged, RankDeficient, Separation,
+                     UnknownColumn)
 
 INTERCEPT = "intercept"
 
@@ -180,17 +181,18 @@ def expit(x) -> np.ndarray:
     return np.multiply(d, np.maximum(e, x >= 0, out=e), out=d)
 
 
-def least_squares(r, n: int, q: int, j: int, labels: Sequence[str]) -> tuple[np.ndarray, float]:
-    """Coefficients and residual sum of squares of column j on columns 0..q-1.
-
-    `r` factors an n-row matrix; `labels` names the q design columns, and
-    RankDeficient names each one that depends on those before it.
-    """
+def check_rank(r, n: int, q: int, labels: Sequence[str]) -> None:
+    """RankDeficient naming each of the q columns `labels` that depends on those before it."""
     if n <= q:
         raise RankDeficient(labels)
     dependent = np.abs(np.diag(r)[:q]) <= _RANK_TOL * np.linalg.norm(r[:, :q], axis=0)
     if dependent.any():
         raise RankDeficient([labels[i] for i in np.flatnonzero(dependent)])
+
+
+def least_squares(r, n: int, q: int, j: int, labels: Sequence[str]) -> tuple[np.ndarray, float]:
+    """Coefficients and residual sum of squares of column j on columns 0..q-1."""
+    check_rank(r, n, q, labels)
     tail = r[q : j + 1, j]
     return back_substitute(r[:q, :q], r[:q, j]), float(tail @ tail)
 
@@ -221,6 +223,15 @@ class TriangularFactor:
         return float(np.linalg.norm(self.r[1 : j + 1, j]))
 
 
+def refuse_non_finite(labels: Sequence[str], columns) -> None:
+    """NonFiniteCell naming the first of `columns` that holds a NaN or infinity."""
+    for label, col in zip(labels, columns):
+        if not math.isfinite(col.sum()):  # a NaN or infinity reaches the sum
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:  # otherwise finite cells overflowed the sum
+                raise NonFiniteCell(f"column {label!r} holds {col[bad[0]]} in row {bad[0]}")
+
+
 def fit_ols(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     """Ordinary least squares.
 
@@ -228,22 +239,27 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     columns in declared order). Residual variance uses the n - k denominator.
     """
     n, k = design.matrix.shape
-    r = triangular_factor(stacked_columns([*design.matrix.T, np.asarray(y, dtype=float)]))
-    beta, rss = least_squares(r, n, k, k, design.labels)
+    a = stacked_columns([*design.matrix.T, np.asarray(y, dtype=float)])
+    refuse_non_finite((*design.labels, "response"), a.T)
+    beta, rss = least_squares(triangular_factor(a), n, k, k, design.labels)
     return CoefficientSet(design.labels, beta, residual_variance=rss / (n - k))
 
 
-def _binomial_deviance(eta: np.ndarray, y: np.ndarray) -> float:
-    # -2 log-likelihood, written with logaddexp so extreme eta stays finite
-    return float(2.0 * np.sum(y * np.logaddexp(0.0, -eta) + (1.0 - y) * np.logaddexp(0.0, eta)))
+def _binomial_deviance(eta: np.ndarray, sign: np.ndarray) -> float:
+    # -2 log-likelihood with sign = 1 - 2y, written with logaddexp so extreme eta stays finite
+    return float(2.0 * np.sum(np.logaddexp(0.0, sign * eta)))
 
 
 def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     """Maximum-likelihood logistic regression by Newton/IRLS.
 
     Starts from the zero vector with intercept = logit of the outcome mean.
-    Converges when the max absolute coefficient change is < 1e-10 or the
-    deviance changes by < 1e-12; at most 100 iterations.
+    Each step solves Aᵀ(w·A)·delta = Aᵀ(y - p) by a Cholesky factor of the
+    k×k Gram matrix, or by the QR kernel when that factorization fails; rank
+    is checked once, on the unweighted design (weights are clipped to >=
+    1e-12, so every weighted design has its rank). Converges when the max
+    absolute coefficient change is < 1e-10 or the deviance stopped changing
+    (moved by < 1e-12); at most 100 iterations.
 
     Raises
     ------
@@ -254,60 +270,57 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
         so a fit with a finite optimum reaches it (and stops growing) in
         far fewer steps regardless of column scaling; only a likelihood
         increasing along a ray keeps the norm growing indefinitely.
-    NotConverged, RankDeficient
+    NonFiniteCell, NotConverged, RankDeficient
     """
     y = np.asarray(y, dtype=float)
-    n, k = design.matrix.shape
-    if n <= k:
-        raise RankDeficient(design.labels)
-    classes = np.unique(y)
-    if not np.array_equal(classes, [0.0, 1.0]):
+    mat, labels = design.matrix, design.labels
+    n, k = mat.shape
+    refuse_non_finite((*labels, "response"), [*mat.T, y])
+    weighted = np.array(mat, order="F")  # scratch of the rank check, then of every step
+    check_rank(triangular_factor(weighted), n, k, labels)
+    if not np.array_equal(np.unique(y), [0.0, 1.0]):
         raise InvalidSpec("logistic outcome must contain both 0s and 1s (only)")
 
-    mat = design.matrix
     beta = np.zeros(k)
     m = float(y.mean())
     beta[0] = math.log(m) - math.log1p(-m)
     eta = mat @ beta
-    deviance = _binomial_deviance(eta, y)
-    previous_step = np.inf
-    previous_norm = float(np.max(np.abs(beta)))
-    divergence_run = 0
+    sign = 1.0 - 2.0 * y
+    deviance = _binomial_deviance(eta, sign)
+    previous_step, previous_norm, divergence_run = np.inf, abs(float(beta[0])), 0
 
     for iteration in range(1, _MAX_ITER + 1):
         p = expit(eta)
         w = np.clip(p * (1.0 - p), 1e-12, None)
-        root_w = np.sqrt(w)
-        weighted = np.empty((n, k + 1), order="F")
-        np.multiply(mat, root_w[:, None], out=weighted[:, :k])
-        np.divide(y - p, root_w, out=weighted[:, k])
-        delta, _ = least_squares(triangular_factor(weighted), n, k, k, design.labels)
+        g = mat.T @ (y - p)
+        try:
+            chol = np.linalg.cholesky(mat.T @ np.multiply(mat, w[:, None], out=weighted))
+            # H = L·Lᵀ: L·z = g is the triangular solve with rows and columns reversed
+            delta = back_substitute(chol.T, back_substitute(chol[::-1, ::-1], g[::-1])[::-1])
+        except np.linalg.LinAlgError:
+            root_w = np.sqrt(w)
+            a = stacked_columns([*(mat * root_w[:, None]).T, (y - p) / root_w])
+            delta, _ = least_squares(triangular_factor(a), n, k, k, labels)
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
         eta = mat @ beta  # carried into the next iteration
-        new_deviance = _binomial_deviance(eta, y)
+        new_deviance = _binomial_deviance(eta, sign)
         norm = float(np.max(np.abs(beta)))
         if norm > _DIVERGENCE_NORM and step >= previous_step:
             raise Separation(
                 "logistic fit diverging (coefficient norm "
                 f"{norm:.3g} after {iteration} iterations)"
             )
-        if norm > previous_norm:
-            divergence_run += 1
-            if divergence_run >= 40:
-                raise Separation(
-                    "logistic fit diverging (coefficient norm grew for "
-                    f"{divergence_run} straight iterations, reaching "
-                    f"{norm:.3g}; the likelihood has no finite maximizer)"
-                )
-        else:
-            divergence_run = 0
+        divergence_run = divergence_run + 1 if norm > previous_norm else 0
+        if divergence_run >= 40:
+            raise Separation(
+                "logistic fit diverging (coefficient norm grew for "
+                f"{divergence_run} straight iterations, reaching "
+                f"{norm:.3g}; the likelihood has no finite maximizer)"
+            )
         previous_norm = norm
         if step < _COEF_TOL or abs(deviance - new_deviance) < _DEVIANCE_TOL:
-            return CoefficientSet(
-                design.labels, beta, deviance=new_deviance,
-                n_iter=iteration, converged=True,
-            )
+            return CoefficientSet(labels, beta, deviance=new_deviance, n_iter=iteration)
         deviance = new_deviance
         previous_step = step
 

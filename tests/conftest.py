@@ -76,3 +76,22 @@ def random_rare_binary_params(rng, prevalence=0.05):
         binary_outcome=True,
         outcome_prevalence=prevalence,
     )
+
+
+def two_by_two_crossed():
+    """The 2×2 closed-form sample (y = 1 in 10 of 50 rows with r = 1 and in
+    20 of 50 with r = 0) once for each (x, m) in {0, 1}²: every fitted slope
+    but the group's is exactly 0, and each logistic model's deviance is four
+    times the 2×2 sample's."""
+    rows = {"y": [], "r": [], "x": [], "m": []}
+    for x in (0.0, 1.0):
+        for m in (0.0, 1.0):
+            for r, positives in ((1.0, 10), (0.0, 20)):
+                rows["y"] += [1.0] * positives + [0.0] * (50 - positives)
+                rows["r"] += [r] * 50
+                rows["x"] += [x] * 50
+                rows["m"] += [m] * 50
+    return dataset_from(rows, {"outcome": "y", "group": "r", "early": ["x"], "target": "m"})
+
+
+TWO_BY_TWO_DEVIANCE = -8.0 * (10 * np.log(0.2) + 40 * np.log(0.8) + 20 * np.log(0.4) + 30 * np.log(0.6))

@@ -14,6 +14,8 @@ from gapdecomp import Dataset, StructuralParams, generate, load_csv, validate_sp
 from gapdecomp.cli import _prepare_dataset, generate_csv, load_config, main, selfcheck
 from gapdecomp.errors import ConfigError
 
+from conftest import TWO_BY_TWO_DEVIANCE, two_by_two_crossed
+
 CONTINUOUS = StructuralParams(
     group_share=0.4,
     x_group_effect=0.5, m_group_effect=0.4, m_early_effect=0.3,
@@ -307,6 +309,7 @@ def test_selfcheck_passes_and_prints_verdicts(capsys):
         "plug-in cell means vs saturated regression",
         "constant-confounder collapse",
         "group-stratified vs pooled-interaction",
+        "logistic score at the fit",
     ):
         assert fragment in out
 
@@ -410,6 +413,33 @@ def test_bootstrap_reports_a_replicate_warning_once_with_its_count(tmp_path, cap
     full_sample, replicates = run["warnings"]
     assert full_sample.startswith("outcome prevalence")
     assert replicates.startswith("PrevalenceWarning in 6 of 6 bootstrap replicates; first: outcome prevalence")
+
+
+def test_rare_binary_runs_report_each_logistic_fit_and_continuous_runs_do_not(tmp_path, capsys):
+    write_csv(two_by_two_crossed(), tmp_path / "cohort.csv")
+    cfg = write_config(
+        tmp_path,
+        bindings={"outcome": "y", "group": "r", "early": ["x"], "target": "m"},
+        runs=[
+            {"proposition": "P3", "estimator": "SUCCESSIVE", "outcome_family": "RARE_BINARY"},
+            {"proposition": "P3", "estimator": "PRODUCT", "outcome_family": "RARE_BINARY"},
+            {"proposition": "P3", "estimator": "SUCCESSIVE"},
+        ],
+    )
+    assert main(["run", str(cfg)]) == 0
+    first = (tmp_path / "report.json").read_bytes()
+    assert main(["run", str(cfg)]) == 0
+    assert (tmp_path / "report.json").read_bytes() == first
+    ladder, product, continuous = (run["estimate"] for run in read_report(tmp_path)["runs"])
+    assert list(ladder["logistic_fits"]) == ["y ~ r", "y ~ r + x", "y ~ r + x + m"]
+    assert list(product["logistic_fits"]) == ["y ~ r + x + m"]
+    for fits in (ladder["logistic_fits"], product["logistic_fits"]):
+        for fit in fits.values():
+            assert set(fit) == {"n_iter", "converged", "deviance"}
+            assert isinstance(fit["n_iter"], int) and fit["n_iter"] >= 1
+            assert fit["converged"] is True
+            assert fit["deviance"] == pytest.approx(TWO_BY_TWO_DEVIANCE, rel=1e-12)
+    assert "logistic_fits" not in continuous
 
 
 @pytest.mark.parametrize("estimator", ["SUCCESSIVE", "PLUGIN"])

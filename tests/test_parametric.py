@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dataset_from, random_continuous_params
+from conftest import TWO_BY_TWO_DEVIANCE, dataset_from, random_continuous_params, two_by_two_crossed
 from gapdecomp import (
     AnalysisSpec,
     StructuralParams,
@@ -468,3 +468,66 @@ def test_one_anchor_for_several_early_columns_is_refused(family, options):
         validate_spec(spec, two_early)
     with pytest.raises(InvalidSpec, match="conditioning_value_x"):
         estimate(two_early, spec)
+
+
+# -- logistic outcome fits: one per sample and model, with their diagnostics --
+
+
+def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
+    import gapdecomp.parametric as parametric
+    from gapdecomp import Dataset
+
+    calls = []
+    real = parametric.fit_logistic
+
+    def counted(design, y):
+        calls.append(design.labels)
+        return real(design, y)
+
+    monkeypatch.setattr(parametric, "fit_logistic", counted)
+    params = StructuralParams(
+        group_share=0.45, x_group_effect=-0.4, m_group_effect=-0.3,
+        m_early_effect=0.4, y_group_effect=0.3, y_early_effect=0.2,
+        y_target_effect=0.3, binary_outcome=True, outcome_prevalence=0.05,
+    )
+    d = generate(params, 6000, seed=50)
+    specs = [AnalysisSpec("P4", family, outcome_family="RARE_BINARY")
+             for family in ("SUCCESSIVE", "PRODUCT")]
+    shared = [estimate(d, spec) for spec in specs]
+    assert len(calls) == 3  # PRODUCT's outcome model is SUCCESSIVE's full model
+    assert len(set(calls)) == 3 and len(d._fits) == 3
+    for fit in d._fits.values():
+        assert not fit.values.flags.writeable
+    full_model = "outcome ~ group + early + target"
+    successive, product = shared
+    assert successive.coefficients[full_model] == product.coefficients[full_model]
+    assert successive.logistic_fits[full_model] == product.logistic_fits[full_model]
+
+    fresh = [estimate(Dataset(dict(d.columns), dict(d.roles)), spec) for spec in specs]
+    assert len(calls) == 3 + 4
+    assert [estimate_fields(e) + (e.logistic_fits,) for e in shared] == [
+        estimate_fields(e) + (e.logistic_fits,) for e in fresh
+    ]
+    for child in (d.take(np.arange(d.n_rows)), d.with_roles(dict(d.roles)),
+                  d.with_columns({"extra": np.zeros(d.n_rows)})):
+        assert child._fits == {}
+
+
+def test_logistic_outcome_models_carry_iterations_convergence_and_deviance():
+    from gapdecomp import DesignMatrix, fit_logistic
+
+    d = two_by_two_crossed()
+    with pytest.warns(PrevalenceWarning):
+        ladder = estimate(d, AnalysisSpec("P3", "SUCCESSIVE", outcome_family="RARE_BINARY"))
+        product = estimate(d, AnalysisSpec("P3", "PRODUCT", outcome_family="RARE_BINARY"))
+    assert set(ladder.logistic_fits) == set(ladder.coefficients) == {
+        "y ~ r", "y ~ r + x", "y ~ r + x + m",
+    }
+    assert set(product.logistic_fits) == {"y ~ r + x + m"}  # its target and early models are OLS
+    direct = fit_logistic(DesignMatrix.from_dataset(d, ["r"]), d.column("y"))
+    assert ladder.logistic_fits["y ~ r"]["n_iter"] == direct.n_iter
+    for fits in (ladder.logistic_fits, product.logistic_fits):
+        for fit in fits.values():
+            assert fit["converged"] is True and fit["n_iter"] >= 1
+            assert fit["deviance"] == pytest.approx(TWO_BY_TWO_DEVIANCE, rel=1e-12)
+    assert estimate(d, AnalysisSpec("P3", "SUCCESSIVE")).logistic_fits is None

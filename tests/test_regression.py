@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import dataset_from
 from gapdecomp import DesignMatrix, fit_logistic, fit_ols
@@ -198,3 +199,178 @@ def test_prefix_fits_of_one_factor_equal_separate_fits_bitwise():
     # a later column regressed on an earlier prefix: b on (1, a)
     aux = factor.fit("b", 2)
     assert np.array_equal(aux.values, fit_ols(design({"a": cols["a"]}), cols["b"]).values)
+
+
+def test_non_finite_cells_are_refused_by_column_before_any_fit():
+    from gapdecomp.errors import AnalysisError, NonFiniteCell
+
+    x = np.arange(10.0)
+    y = np.array([0.0, 1.0] * 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        z = x.copy()
+        z[3] = bad
+        for fit in (fit_ols, fit_logistic):
+            with pytest.raises(NonFiniteCell, match=r"column 'z' holds .* in row 3") as err:
+                fit(design({"x": x, "z": z}), y)
+            assert isinstance(err.value, AnalysisError)
+            with pytest.raises(NonFiniteCell, match="column 'response'"):
+                fit(design({"x": x}), np.where(x == 3, bad, y))
+
+
+# -- Gram-matrix Newton steps against the QR IRLS ------------------------------
+
+
+def _qr_binomial_deviance(eta, y):
+    return float(2.0 * np.sum(y * np.logaddexp(0.0, -eta) + (1.0 - y) * np.logaddexp(0.0, eta)))
+
+
+def qr_irls(design, y):
+    """The logistic fit whose every Newton step is the weighted least-squares
+    solve of the QR kernel, rank-checked on each weighted design."""
+    import math
+
+    from gapdecomp.errors import NotConverged
+    from gapdecomp.regression import (
+        CoefficientSet, expit, least_squares, triangular_factor,
+    )
+
+    y = np.asarray(y, dtype=float)
+    n, k = design.matrix.shape
+    if n <= k:
+        raise RankDeficient(design.labels)
+    classes = np.unique(y)
+    if not np.array_equal(classes, [0.0, 1.0]):
+        raise InvalidSpec("logistic outcome must contain both 0s and 1s (only)")
+
+    mat = design.matrix
+    beta = np.zeros(k)
+    m = float(y.mean())
+    beta[0] = math.log(m) - math.log1p(-m)
+    eta = mat @ beta
+    deviance = _qr_binomial_deviance(eta, y)
+    previous_step = np.inf
+    previous_norm = float(np.max(np.abs(beta)))
+    divergence_run = 0
+
+    for iteration in range(1, 101):
+        p = expit(eta)
+        w = np.clip(p * (1.0 - p), 1e-12, None)
+        root_w = np.sqrt(w)
+        weighted = np.empty((n, k + 1), order="F")
+        np.multiply(mat, root_w[:, None], out=weighted[:, :k])
+        np.divide(y - p, root_w, out=weighted[:, k])
+        delta, _ = least_squares(triangular_factor(weighted), n, k, k, design.labels)
+        beta = beta + delta
+        step = float(np.max(np.abs(delta)))
+        eta = mat @ beta  # carried into the next iteration
+        new_deviance = _qr_binomial_deviance(eta, y)
+        norm = float(np.max(np.abs(beta)))
+        if norm > 1e3 and step >= previous_step:
+            raise Separation(
+                "logistic fit diverging (coefficient norm "
+                f"{norm:.3g} after {iteration} iterations)"
+            )
+        if norm > previous_norm:
+            divergence_run += 1
+            if divergence_run >= 40:
+                raise Separation(
+                    "logistic fit diverging (coefficient norm grew for "
+                    f"{divergence_run} straight iterations, reaching "
+                    f"{norm:.3g}; the likelihood has no finite maximizer)"
+                )
+        else:
+            divergence_run = 0
+        previous_norm = norm
+        if step < 1e-10 or abs(deviance - new_deviance) < 1e-12:
+            return CoefficientSet(
+                design.labels, beta, deviance=new_deviance,
+                n_iter=iteration, converged=True,
+            )
+        deviance = new_deviance
+        previous_step = step
+
+    raise NotConverged("logistic fit did not converge in 100 iterations")
+
+
+@st.composite
+def logistic_problems(draw):
+    """(design, y, column scales): 0-5 regressors, normal or 0/1, each scaled
+    by 10**[-3, 3]; prevalence 2-50%, with about 40 events per column."""
+    k = draw(st.integers(0, 5))
+    prevalence = draw(st.floats(0.02, 0.5))
+    scales = 10.0 ** np.array([draw(st.floats(-3.0, 3.0)) for _ in range(k)])
+    kinds = [draw(st.booleans()) for _ in range(k)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = max(300, int(40 * (k + 1) / prevalence))
+    raw = [rng.normal(size=n) if kind else (rng.random(n) < 0.3).astype(float) for kind in kinds]
+    slopes = rng.uniform(-0.8, 0.8, size=k)
+    eta = sum((b * col for b, col in zip(slopes, raw)), np.zeros(n))
+    eta += np.log(prevalence / (1.0 - prevalence)) - eta.mean()
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    assume(10 <= y.sum() <= n - 10)
+    mat = np.column_stack([np.ones(n), *(c * s for c, s in zip(raw, scales))])
+    return DesignMatrix((INTERCEPT, *(f"x{j}" for j in range(k))), mat), y, scales
+
+
+@settings(max_examples=40, deadline=None)
+@given(logistic_problems())
+def test_gram_newton_matches_the_qr_irls(problem):
+    dm, y, scales = problem
+    fit, oracle = fit_logistic(dm, y), qr_irls(dm, y)
+    assert abs(fit.n_iter - oracle.n_iter) <= 1
+    assert fit.deviance == pytest.approx(oracle.deviance, rel=1e-10)
+    # a slope times its column's scale is its effect on the linear predictor
+    effect = fit.values * np.r_[1.0, scales]
+    reference = oracle.values * np.r_[1.0, scales]
+    np.testing.assert_allclose(
+        effect, reference, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(reference).max())
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(logistic_problems(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.5))
+def test_both_steps_refuse_a_separated_design(problem, seed, share):
+    dm, _, _ = problem
+    assume(dm.matrix.shape[1] > 1)
+    # y = 1 exactly where a linear score of the regressors is in its top share
+    score = dm.matrix[:, 1:] @ np.random.default_rng(seed).normal(size=dm.matrix.shape[1] - 1)
+    y = (score > np.quantile(score, 1.0 - share)).astype(float)
+    assume(0 < y.sum() < y.size)
+    with pytest.raises(Separation):
+        fit_logistic(dm, y)
+    with pytest.raises(Separation):
+        qr_irls(dm, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(logistic_problems(), st.data())
+def test_both_steps_name_the_same_dependent_columns(problem, data):
+    dm, y, _ = problem
+    k = dm.matrix.shape[1]
+    source = data.draw(st.integers(0, k - 1), label="copied column")
+    at = data.draw(st.integers(1, k), label="insert position")
+    copy = 2.0 * dm.matrix[:, source] + 3.0  # depends on the intercept and its source
+    labels = (*dm.labels[:at], "copy", *dm.labels[at:])
+    dependent = DesignMatrix(labels, np.insert(dm.matrix, at, copy, axis=1))
+    with pytest.raises(RankDeficient) as fit_error:
+        fit_logistic(dependent, y)
+    with pytest.raises(RankDeficient) as oracle_error:
+        qr_irls(dependent, y)
+    assert fit_error.value.columns == oracle_error.value.columns
+    assert fit_error.value.columns == (("copy",) if source < at else (dm.labels[source],))
+
+
+def test_a_step_the_cholesky_factorization_refuses_is_the_qr_solve(monkeypatch):
+    def refuse(h):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    rng = np.random.default_rng(23)
+    x, z = rng.normal(size=400), 1e3 * rng.normal(size=400)
+    y = (rng.random(400) < 1.0 / (1.0 + np.exp(1.5 - 0.8 * x))).astype(float)
+    dm = design({"x": x, "z": z})
+    gram = fit_logistic(dm, y)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    fallback, oracle = fit_logistic(dm, y), qr_irls(dm, y)
+    assert np.array_equal(fallback.values, oracle.values)
+    assert (fallback.deviance, fallback.n_iter) == (oracle.deviance, oracle.n_iter)
+    np.testing.assert_allclose(gram.values, oracle.values, rtol=1e-10)
