@@ -11,6 +11,8 @@ from .analysis import (
     OutcomeFamily,
     Proposition,
     Scale,
+    proportion_reduced,
+    proportion_with_note,
     validate_spec,
 )
 from .data import (
@@ -29,8 +31,6 @@ from .inference import (
     bootstrap,
     bootstrap_runs,
     bootstrap_statistic,
-    proportion_reduced,
-    proportion_with_note,
     resample_indices,
 )
 from .oaxaca import OBResult, interaction_model_estimates, oaxaca_decompose, proposition_via_oaxaca

@@ -1,4 +1,10 @@
-"""Shared vocabulary: propositions, estimator families, run specs, estimates."""
+"""Shared vocabulary: propositions, estimator families, run specs, estimates.
+
+Every family ends in the same closing step: `DecompositionEstimate.of` turns
+(initial, residual, reduction) into an estimate, with the proportion reduced
+(`proportion_reduced`, None with a note for a null initial disparity) and the
+within-X anchor note that P2 and P5 carry.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from enum import Enum
 from typing import Mapping
 
 from .data import Dataset, Role, normalize_roles
-from .errors import InvalidSpec
+from .errors import DegenerateInitial, InvalidSpec
 
 
 class Proposition(str, Enum):
@@ -222,6 +228,51 @@ def resolve_for(spec: AnalysisSpec, d: Dataset, *estimators: Estimator) -> Datas
     return spec.resolve(d)
 
 
+_DEGENERACY_TOL = 1e-12
+
+
+def proportion_reduced(initial: float, residual: float, scale=Scale.ADDITIVE) -> float:
+    """Fraction of the initial disparity removed by the intervention.
+
+    On the additive scale this is (initial - residual) / initial; for
+    ratio-scale quantities the relative version (initial - residual) /
+    (initial - 1) is used, which treats a ratio of 1 as "no disparity".
+    Values outside [0, 1] are legitimate (overshoot / sign flips).
+
+    `scale` is a Scale or its name in any case; "RELATIVE" names RATIO.
+
+    Raises
+    ------
+    DegenerateInitial
+        When the denominator is within 1e-12 of zero.
+    InvalidSpec
+        When `scale` names no scale.
+    """
+    name = scale.upper() if isinstance(scale, str) else None
+    resolved = Scale.RATIO if name == "RELATIVE" else Scale.__members__.get(name)
+    if resolved is None:
+        raise InvalidSpec(f"unknown scale {scale!r}; expected ADDITIVE or RATIO")
+    if resolved == Scale.ADDITIVE:
+        if abs(initial) <= _DEGENERACY_TOL:
+            raise DegenerateInitial(
+                f"initial disparity {initial!r} is null; proportion reduced is undefined"
+            )
+        return (initial - residual) / initial
+    if abs(initial - 1.0) <= _DEGENERACY_TOL:
+        raise DegenerateInitial(
+            f"initial ratio {initial!r} is 1; relative proportion reduced is undefined"
+        )
+    return (initial - residual) / (initial - 1.0)
+
+
+def proportion_with_note(initial, residual, scale):
+    """proportion_reduced, but degeneracy becomes (None, explanatory note)."""
+    try:
+        return proportion_reduced(initial, residual, scale), ()
+    except DegenerateInitial as err:
+        return None, (str(err),)
+
+
 @dataclass(frozen=True)
 class DecompositionEstimate:
     """One proposition's answer: where the disparity starts and what remains.
@@ -232,6 +283,7 @@ class DecompositionEstimate:
     anything. `coefficients` snapshots the fitted models the estimate was read
     from (parametric families only); `logistic_fits` holds each logistic
     outcome model's `n_iter`, `converged` and `deviance` (RARE_BINARY only).
+    Every family builds its estimates with `of`.
     """
 
     proposition: Proposition
@@ -244,3 +296,19 @@ class DecompositionEstimate:
     coefficients: Mapping[str, Mapping[str, float]] | None = None
     notes: tuple[str, ...] = ()
     logistic_fits: Mapping[str, Mapping] | None = None
+
+    @classmethod
+    def of(cls, proposition: Proposition, scale: Scale, initial: float, residual: float,
+           reduction: float, estimator: str, coefficients=None, notes=(),
+           logistic_fits=None) -> "DecompositionEstimate":
+        """The estimate of one split, with its proportion reduced.
+
+        Its notes are the caller's `notes`, then P2_ANCHOR_NOTE for P2 and P5,
+        then, when the initial disparity is null, the reason the proportion
+        reduced is None.
+        """
+        if TIMEDEP_BASE.get(proposition, proposition) == Proposition.P2:
+            notes = (*notes, P2_ANCHOR_NOTE)
+        proportion, degenerate = proportion_with_note(initial, residual, scale)
+        return cls(proposition, scale, initial, residual, reduction, proportion, estimator,
+                   coefficients, (*notes, *degenerate), logistic_fits)

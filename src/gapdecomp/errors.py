@@ -84,7 +84,8 @@ class RankDeficient(AnalysisError):
 
 
 class NonFiniteCell(AnalysisError):
-    """A design or response cell handed to a fit is NaN or infinite."""
+    """A design or response cell handed to a fit is NaN or infinite, or so
+    large that the fit's factor overflows (|x| above about 1e154)."""
 
 
 class Separation(AnalysisError):

@@ -1,4 +1,8 @@
-"""Bootstrap standard errors/intervals and the proportion-reduced arithmetic."""
+"""Bootstrap standard errors and percentile intervals, on top of the estimators.
+
+Replicate b resamples the rows from a stream keyed by (seed, b), and every
+run is evaluated on that one replicate Dataset through `engine.estimate`.
+"""
 
 from __future__ import annotations
 
@@ -8,55 +12,13 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import AnalysisSpec, DecompositionEstimate, Scale
+from .analysis import AnalysisSpec, DecompositionEstimate
 from .data import Dataset, Role
-from .errors import AnalysisError, DegenerateInitial, InvalidB, InvalidSpec, TooManyFailures
+from .engine import estimate
+from .errors import AnalysisError, InvalidB, TooManyFailures
 
 DEFAULT_REPLICATES = 1000
 _FAILURE_LIMIT = 0.10
-_DEGENERACY_TOL = 1e-12
-
-
-def proportion_reduced(initial: float, residual: float, scale=Scale.ADDITIVE) -> float:
-    """Fraction of the initial disparity removed by the intervention.
-
-    On the additive scale this is (initial - residual) / initial; for
-    ratio-scale quantities the relative version (initial - residual) /
-    (initial - 1) is used, which treats a ratio of 1 as "no disparity".
-    Values outside [0, 1] are legitimate (overshoot / sign flips).
-
-    `scale` is a Scale or its name in any case; "RELATIVE" names RATIO.
-
-    Raises
-    ------
-    DegenerateInitial
-        When the denominator is within 1e-12 of zero.
-    InvalidSpec
-        When `scale` names no scale.
-    """
-    name = scale.upper() if isinstance(scale, str) else None
-    resolved = Scale.RATIO if name == "RELATIVE" else Scale.__members__.get(name)
-    if resolved is None:
-        raise InvalidSpec(f"unknown scale {scale!r}; expected ADDITIVE or RATIO")
-    if resolved == Scale.ADDITIVE:
-        if abs(initial) <= _DEGENERACY_TOL:
-            raise DegenerateInitial(
-                f"initial disparity {initial!r} is null; proportion reduced is undefined"
-            )
-        return (initial - residual) / initial
-    if abs(initial - 1.0) <= _DEGENERACY_TOL:
-        raise DegenerateInitial(
-            f"initial ratio {initial!r} is 1; relative proportion reduced is undefined"
-        )
-    return (initial - residual) / (initial - 1.0)
-
-
-def proportion_with_note(initial, residual, scale):
-    """proportion_reduced, but degeneracy becomes (None, explanatory note)."""
-    try:
-        return proportion_reduced(initial, residual, scale), ()
-    except DegenerateInitial as err:
-        return None, (str(err),)
 
 
 @dataclass(frozen=True)
@@ -243,8 +205,6 @@ def bootstrap_runs(
     ``bootstrap(d, spec, ...)`` alone returns, bitwise, or the AnalysisError
     that ended it, and issues that run's replicate warnings as it does.
     """
-    from .engine import estimate  # deferred: engine pulls in every estimator
-
     return _bootstrap_each(
         d, [lambda data, spec=spec: _quantities(estimate(data, spec)) for spec in specs],
         b, seed, stratify_by_group, None if full is None else [_quantities(e) for e in full],

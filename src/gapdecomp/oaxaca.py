@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import (
-    P2_ANCHOR_NOTE,
     AnalysisSpec,
     DecompositionEstimate,
     Estimator,
@@ -41,8 +40,7 @@ from .analysis import (
 )
 from .data import Dataset, Role
 from .errors import EmptyGroup, InvalidSpec
-from .inference import proportion_with_note
-from .parametric import analysis_rows, _model_name
+from .parametric import analysis_rows, _model_name, _run_roles
 from .regression import INTERCEPT, DesignMatrix, TriangularFactor, fit_ols
 
 
@@ -192,12 +190,7 @@ def _bind(d: Dataset, spec: AnalysisSpec):
             "stratified-regression decomposition cannot absorb it into either "
             "portion — use the confounder-aware plug-in propositions instead"
         )
-    y = bound.single_role_column(Role.OUTCOME)
-    r = bound.single_role_column(Role.GROUP)
-    xs = list(bound.role_columns(Role.EARLY))
-    c = list(bound.covariate_names())
-    m = bound.single_role_column(Role.TARGET) if bound.role_columns(Role.TARGET) else None
-    return spec.proposition, bound, y, r, xs, c, m
+    return spec.proposition, bound, *_run_roles(bound)
 
 
 def proposition_via_oaxaca(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
@@ -211,43 +204,25 @@ def proposition_via_oaxaca(d: Dataset, spec: AnalysisSpec) -> DecompositionEstim
     """
     prop, bound, _, _, xs, c, m = _bind(d, spec)
     notes = []
-
-    if prop == Proposition.P1:
-        ob = oaxaca_decompose(bound, explanatory=xs, conditioning=c)
-        residual, reduction = ob.unexplained, ob.explained
-    elif prop == Proposition.P2:
+    if prop == Proposition.P2:
         # early measures at the anchor, covariates at their group-0 means
         groups = _GroupFactors(bound, [m], xs + c)
         ob = _split(groups, "group1", groups.profile(xs, spec.conditioning_value_x))
-        residual, reduction = ob.unexplained, ob.explained
         notes.append(f"anchored at early-measure profile {ob.profile}")
-        notes.append(P2_ANCHOR_NOTE)
-    elif prop == Proposition.P3:
-        ob = oaxaca_decompose(bound, explanatory=xs + [m], conditioning=c)
-        residual, reduction = ob.unexplained, ob.explained
-    else:  # P4: validate_spec leaves only P1-P4 to the parametric families
-        ob = oaxaca_decompose(bound, explanatory=xs + [m], conditioning=c)
+    else:  # validate_spec leaves only P1-P4 to the parametric families
+        explanatory = xs if prop == Proposition.P1 else xs + [m]
+        ob = oaxaca_decompose(bound, explanatory=explanatory, conditioning=c)
+    residual, reduction = ob.unexplained, ob.explained
+    if prop == Proposition.P4:
         reduction = ob.explained_terms[m]
-        residual = ob.unexplained + sum(ob.explained_terms[x] for x in xs)
+        residual += sum(ob.explained_terms[x] for x in xs)
         notes.append(
             "early-measure explained terms are part of the residual: the "
             "intervention equalizes the target marginally and leaves the "
             "early measures' group association intact"
         )
-
-    initial = residual + reduction
-    proportion, extra = proportion_with_note(initial, residual, Scale.ADDITIVE)
-    return DecompositionEstimate(
-        proposition=prop,
-        scale=Scale.ADDITIVE,
-        initial=initial,
-        residual=residual,
-        reduction=reduction,
-        proportion_reduced=proportion,
-        estimator=f"{spec.estimator.value}+interactions",
-        coefficients=ob.models,
-        notes=tuple(notes) + extra,
-    )
+    return DecompositionEstimate.of(prop, Scale.ADDITIVE, residual + reduction, residual, reduction,
+                                    f"{spec.estimator.value}+interactions", ob.models, notes)
 
 
 def interaction_model_estimates(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
@@ -286,35 +261,19 @@ def interaction_model_estimates(d: Dataset, spec: AnalysisSpec) -> Decomposition
             + fit[f"{r}:{m}"] * m0
         reduction = slope(m) * (m1 - m0)
         notes.append(f"anchored at early-measure profile {anchor}")
-        notes.append(P2_ANCHOR_NOTE)
     else:
         groups = _GroupFactors(bound, explanatory, c)
         values = np.array(list(groups.profile().values()))
         mean1 = groups.conditional_means(1, explanatory, values)
         mean0 = groups.conditional_means(0, explanatory, values)
-        if prop == Proposition.P1:
-            residual = fit[r] + sum(fit[f"{r}:{x}"] * mean0[x] for x in xs)
-            reduction = sum(slope(x) * (mean1[x] - mean0[x]) for x in xs)
-        elif prop == Proposition.P3:
-            residual = fit[r] + sum(fit[f"{r}:{v}"] * mean0[v] for v in explanatory)
-            reduction = sum(slope(v) * (mean1[v] - mean0[v]) for v in explanatory)
-        else:  # P4
+        if prop == Proposition.P4:
             residual = fit[r] \
                 + sum(fit[x] * (mean1[x] - mean0[x]) for x in xs) \
                 + sum(fit[f"{r}:{x}"] * mean1[x] for x in xs) \
                 + fit[f"{r}:{m}"] * mean0[m]
             reduction = slope(m) * (mean1[m] - mean0[m])
-
-    initial = residual + reduction
-    proportion, extra = proportion_with_note(initial, residual, Scale.ADDITIVE)
-    return DecompositionEstimate(
-        proposition=prop,
-        scale=Scale.ADDITIVE,
-        initial=initial,
-        residual=residual,
-        reduction=reduction,
-        proportion_reduced=proportion,
-        estimator="POOLED_INTERACTION",
-        coefficients=models,
-        notes=tuple(notes) + extra,
-    )
+        else:  # P1 and P3: the explanatory variables are the early measures (and the target)
+            residual = fit[r] + sum(fit[f"{r}:{v}"] * mean0[v] for v in explanatory)
+            reduction = sum(slope(v) * (mean1[v] - mean0[v]) for v in explanatory)
+    return DecompositionEstimate.of(prop, Scale.ADDITIVE, residual + reduction, residual, reduction,
+                                    "POOLED_INTERACTION", models, notes)

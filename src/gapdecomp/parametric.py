@@ -33,7 +33,6 @@ import warnings
 import numpy as np
 
 from .analysis import (
-    P2_ANCHOR_NOTE,
     AnalysisSpec,
     DecompositionEstimate,
     Estimator,
@@ -44,7 +43,6 @@ from .analysis import (
 )
 from .data import Dataset, Role
 from .errors import InvalidSpec, NearZeroDenominator, PrevalenceWarning
-from .inference import proportion_with_note
 from .regression import (
     INTERCEPT,
     CoefficientSet,
@@ -103,6 +101,13 @@ def _slope_scale(factor: TriangularFactor, outcome, column, logistic=False) -> f
     return (y_norm or math.sqrt(factor.n_rows)) / x_norm if x_norm else 1.0
 
 
+def _run_roles(d: Dataset):
+    """(outcome, group, early list, covariate list, target or None) columns of a run."""
+    m = d.single_role_column(Role.TARGET) if d.role_columns(Role.TARGET) else None
+    return (d.single_role_column(Role.OUTCOME), d.single_role_column(Role.GROUP),
+            list(d.role_columns(Role.EARLY)), list(d.covariate_names()), m)
+
+
 class _Run:
     """The bound columns of one run, its shared factor, and its fitted models.
 
@@ -113,11 +118,7 @@ class _Run:
     """
 
     def __init__(self, d: Dataset):
-        self.y = d.single_role_column(Role.OUTCOME)
-        self.r = d.single_role_column(Role.GROUP)
-        self.xs = list(d.role_columns(Role.EARLY))
-        self.c = list(d.covariate_names())
-        self.m = d.single_role_column(Role.TARGET) if d.role_columns(Role.TARGET) else None
+        self.y, self.r, self.xs, self.c, self.m = _run_roles(d)
         target = [] if self.m is None else [self.m]
         self.columns = [self.r, *self.c, *self.xs, *target, self.y]
         self.factor = sample_factor(d, self.columns)
@@ -238,13 +239,8 @@ def _decompose(d: Dataset, spec: AnalysisSpec, *estimators: Estimator):
     if logistic:
         residual, reduction = math.exp(residual), math.exp(reduction)
         initial, scale = residual * reduction, Scale.RATIO
-    if prop == Proposition.P2:
-        notes.append(P2_ANCHOR_NOTE)
-    proportion, extra = proportion_with_note(initial, residual, scale)
-    return DecompositionEstimate(
-        prop, scale, initial, residual, reduction, proportion,
-        spec.estimator.value, run.models, tuple(notes) + extra, run.fits or None,
-    )
+    return DecompositionEstimate.of(prop, scale, initial, residual, reduction, spec.estimator.value,
+                                    run.models, notes, run.fits or None)
 
 
 def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:

@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import (
-    P2_ANCHOR_NOTE,
     AnalysisSpec,
     DecompositionEstimate,
     Estimator,
@@ -39,7 +38,6 @@ from .analysis import (
 )
 from .data import Dataset, Role
 from .errors import EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
-from .inference import proportion_with_note
 from .parametric import analysis_rows
 
 DEFAULT_MAX_LEVELS = 20
@@ -82,18 +80,11 @@ class StratumTable:
     `levels[dim]`. A dimension with no columns is a single all-rows
     pseudo-level, a size-1 axis that is always present. `rows` selects the
     analysis sample (index array or boolean mask); `columns` maps each
-    dimension to its column names (default: the dataset's role map).
+    dimension to its column names.
     """
 
-    def __init__(self, d: Dataset, rows: np.ndarray, max_levels: int = DEFAULT_MAX_LEVELS,
-                 columns: Mapping[str, tuple[str, ...]] | None = None):
-        if columns is None:
-            columns = {
-                "early": d.role_columns(Role.EARLY),
-                "target": d.role_columns(Role.TARGET),
-                "confounder": d.role_columns(Role.CONFOUNDER_L),
-                "covariate": d.covariate_names(),
-            }
+    def __init__(self, d: Dataset, rows: np.ndarray, columns: Mapping[str, Sequence[str]],
+                 max_levels: int = DEFAULT_MAX_LEVELS):
         self.columns: dict[str, tuple[str, ...]] = {dim: tuple(columns[dim]) for dim in _DIMENSIONS}
         outcome = d.column(d.single_role_column(Role.OUTCOME))[rows]
         code = d.column(d.single_role_column(Role.GROUP))[rows].astype(np.intp)
@@ -241,8 +232,7 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
         names += dim_names
     rows = np.flatnonzero(analysis_rows(bound, names))
 
-    table = StratumTable(bound, rows, max_levels=spec.option("max_levels", DEFAULT_MAX_LEVELS),
-                         columns=columns)
+    table = StratumTable(bound, rows, columns, spec.option("max_levels", DEFAULT_MAX_LEVELS))
 
     weight_mode = spec.option("aggregation_weight", "group1")
     weight_group = {"group1": 1, "group0": 0, "pooled": None}[weight_mode]
@@ -278,11 +268,5 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
         initial = group1_mean - group0_mean
         residual = mu - group0_mean
         reduction = group1_mean - mu
-    proportion, extra = proportion_with_note(initial, residual, scale)
-    if base == Proposition.P2:
-        notes.append(P2_ANCHOR_NOTE)
-    return DecompositionEstimate(
-        proposition=prop, scale=scale, initial=initial, residual=residual,
-        reduction=reduction, proportion_reduced=proportion,
-        estimator=spec.estimator.value, coefficients=None, notes=tuple(notes) + extra,
-    )
+    return DecompositionEstimate.of(prop, scale, initial, residual, reduction,
+                                    spec.estimator.value, notes=notes)

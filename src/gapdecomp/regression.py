@@ -132,6 +132,8 @@ def triangular_factor(a: np.ndarray) -> np.ndarray:
     """R (p×p) of the left-looking Householder QR of a Fortran-ordered n×p ``a``.
 
     ``a`` is overwritten with the reflectors; when n < p, rows of R past n are 0.
+    A column whose cells overflow its norm leaves R non-finite from that
+    column on; `_named_factor` refuses such a factor.
     """
     n, p = a.shape
     r = np.zeros((p, p))
@@ -154,8 +156,20 @@ def triangular_factor(a: np.ndarray) -> np.ndarray:
             tau[j] = (beta - alpha) / beta
             x *= 1.0 / (alpha - beta)
             x[0] = 1.0
-    if not np.isfinite(r).all():
-        raise ValueError("least-squares columns contain infinite values")
+    return r
+
+
+def _named_factor(a: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+    """triangular_factor(a), or NonFiniteCell naming the first of the columns
+    `labels` whose R column overflowed (R[:, j] depends on columns 0..j only)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = triangular_factor(a)
+    finite = np.isfinite(r).all(axis=0)
+    if not finite.all():
+        raise NonFiniteCell(
+            f"column {labels[int(np.argmin(finite))]!r} holds cells too large in magnitude "
+            "to square and sum in floating point; rescale it"
+        )
     return r
 
 
@@ -208,7 +222,7 @@ class TriangularFactor:
     @classmethod
     def of(cls, labels: Sequence[str], columns: Sequence, rows=None) -> "TriangularFactor":
         a = stacked_columns(columns, rows)
-        return cls(tuple(labels), triangular_factor(a), a.shape[0])
+        return cls(tuple(labels), _named_factor(a, labels), a.shape[0])
 
     def fit(self, response: str, q: int) -> CoefficientSet:
         """Least squares of the `response` column on the first q columns."""
@@ -240,8 +254,9 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     """
     n, k = design.matrix.shape
     a = stacked_columns([*design.matrix.T, np.asarray(y, dtype=float)])
-    refuse_non_finite((*design.labels, "response"), a.T)
-    beta, rss = least_squares(triangular_factor(a), n, k, k, design.labels)
+    labels = (*design.labels, "response")
+    refuse_non_finite(labels, a.T)
+    beta, rss = least_squares(_named_factor(a, labels), n, k, k, design.labels)
     return CoefficientSet(design.labels, beta, residual_variance=rss / (n - k))
 
 
@@ -277,7 +292,7 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     n, k = mat.shape
     refuse_non_finite((*labels, "response"), [*mat.T, y])
     weighted = np.array(mat, order="F")  # scratch of the rank check, then of every step
-    check_rank(triangular_factor(weighted), n, k, labels)
+    check_rank(_named_factor(weighted, labels), n, k, labels)
     if not np.array_equal(np.unique(y), [0.0, 1.0]):
         raise InvalidSpec("logistic outcome must contain both 0s and 1s (only)")
 
@@ -300,7 +315,7 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
         except np.linalg.LinAlgError:
             root_w = np.sqrt(w)
             a = stacked_columns([*(mat * root_w[:, None]).T, (y - p) / root_w])
-            delta, _ = least_squares(triangular_factor(a), n, k, k, labels)
+            delta, _ = least_squares(_named_factor(a, (*labels, "response")), n, k, k, labels)
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
         eta = mat @ beta  # carried into the next iteration

@@ -15,15 +15,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analysis import (
-    P2_ANCHOR_NOTE,
-    DecompositionEstimate,
-    Proposition,
-    Scale,
-)
+from .analysis import DecompositionEstimate, Proposition, Scale
 from .data import Dataset, Role
 from .errors import InvalidSpec, UnsupportedMode
-from .inference import proportion_with_note
 from .regression import expit
 
 
@@ -201,14 +195,12 @@ def true_values(params: StructuralParams, proposition) -> DecompositionEstimate:
     via_early = group_gap_early * params.y_early_effect
     via_target = group_gap_target * params.y_target_effect
 
-    notes = ()
     if prop == Proposition.P1:
         residual = direct + params.m_group_effect * params.y_target_effect
         reduction = via_early + group_gap_early * params.m_early_effect * params.y_target_effect
     elif prop == Proposition.P2:
         residual = direct
         reduction = params.m_group_effect * params.y_target_effect
-        notes = (P2_ANCHOR_NOTE,)
     elif prop == Proposition.P3:
         residual = direct
         reduction = via_early + via_target
@@ -218,16 +210,5 @@ def true_values(params: StructuralParams, proposition) -> DecompositionEstimate:
     else:
         raise UnsupportedMode(f"no closed-form truth for {prop.value}")
 
-    initial = residual + reduction
-    proportion, extra = proportion_with_note(initial, residual, Scale.ADDITIVE)
-    return DecompositionEstimate(
-        proposition=prop,
-        scale=Scale.ADDITIVE,
-        initial=initial,
-        residual=residual,
-        reduction=reduction,
-        proportion_reduced=proportion,
-        estimator="TRUTH",
-        coefficients=None,
-        notes=notes + extra,
-    )
+    return DecompositionEstimate.of(prop, Scale.ADDITIVE, residual + reduction, residual,
+                                    reduction, "TRUTH")

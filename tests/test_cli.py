@@ -458,6 +458,33 @@ def test_an_infinite_cell_is_refused_before_any_estimate(tmp_path, capsys, estim
     assert not (tmp_path / "report.json").exists()
 
 
+def test_a_cell_that_overflows_a_fit_fails_only_the_runs_that_fit_it(tmp_path, capsys):
+    path = write_cohort(tmp_path, params=DISCRETE, n=300)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    row = next(i for i, line in enumerate(lines[1:], 1)
+               if float(line.split(",")[header.index("group")]) == 0.0)
+    cells = lines[row].split(",")
+    cells[header.index("early")] = "1e200"  # finite, but its square is not
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, runs=[
+        {"proposition": "P4", "estimator": "SUCCESSIVE"},
+        {"proposition": "P4", "estimator": "PRODUCT", "options": {"interactions": True}},
+        # P4 weights the early strata by group 1, so the group-0 cell is not needed
+        {"proposition": "P4", "estimator": "PLUGIN"},
+    ])
+    assert main(["run", str(cfg)]) == 1
+    assert "P4/SUCCESSIVE failed" in capsys.readouterr().err
+    *bad, good = read_report(tmp_path)["runs"]
+    for run in bad:
+        assert run["estimate"] is None and run["warnings"] == []
+        assert run["error"]["type"] == "NonFiniteCell"
+        assert run["error"]["message"].startswith("column 'early' holds cells too large")
+    assert good["error"] is None and good["estimate"]["initial"] > 0.0
+    assert (tmp_path / "table.txt").exists()
+
+
 def test_a_row_longer_than_the_header_is_refused_before_any_estimate(tmp_path, capsys):
     path = write_cohort(tmp_path, n=50)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -574,6 +601,7 @@ def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Dataset, "take", counted("take", Dataset.take))
     monkeypatch.setattr(engine, "estimate", counted("estimate", engine.estimate))
     monkeypatch.setattr(cli, "estimate", engine.estimate)
+    monkeypatch.setattr(inference, "estimate", engine.estimate)
     b, runs = 12, BOOTSTRAP_RUNS[:4]
     cfg = write_bootstrap_config(tmp_path, stratify=False, replicates=b)
     config = json.loads(cfg.read_text(encoding="utf-8"))

@@ -19,6 +19,7 @@ from gapdecomp.errors import (
     NonBinaryGroup,
     TooFewColumns,
     UnknownColumn,
+    UnreadCells,
     ZeroVariance,
 )
 
@@ -57,7 +58,9 @@ def test_load_csv_empty_cell_becomes_missing(tmp_path):
 def test_load_csv_unparseable_cell_becomes_missing(tmp_path):
     f = tmp_path / "junk.csv"
     f.write_text("y,r\n1.0,0\nN/A,1\n")
-    d = load_csv(f, {"outcome": "y", "group": "r"})
+    with pytest.warns(UnreadCells) as caught:
+        d = load_csv(f, {"outcome": "y", "group": "r"})
+    assert caught[0].message.unparsed == {"y": 1} and caught[0].message.short_rows == 0
     assert np.isnan(d.column("y")[1])
 
 
@@ -71,7 +74,9 @@ def test_load_csv_refuses_a_row_longer_than_its_header(tmp_path):
 def test_load_csv_pads_a_short_row_with_missing_cells(tmp_path):
     f = tmp_path / "short.csv"
     f.write_text("y,r,x\n1.0,0,2.0\n2.0,1\n")
-    d = load_csv(f, {"outcome": "y", "group": "r"})
+    with pytest.warns(UnreadCells) as caught:
+        d = load_csv(f, {"outcome": "y", "group": "r"})
+    assert caught[0].message.unparsed == {} and caught[0].message.short_rows == 1
     np.testing.assert_array_equal(d.column("y"), [1.0, 2.0])
     assert d.column("x")[0] == 2.0 and np.isnan(d.column("x")[1])
 

@@ -262,8 +262,10 @@ def test_too_many_levels_names_the_first_column_in_dimension_order():
 def test_boolean_rows_give_the_same_table_as_their_indices():
     d = covariate_dataset(seed=29)
     keep = np.random.default_rng(30).random(d.n_rows) < 0.7
-    by_mask = StratumTable(d, keep)
-    by_index = StratumTable(d, np.flatnonzero(keep))
+    columns = {"early": ("early",), "target": ("target",), "confounder": (),
+               "covariate": ("covariate",)}
+    by_mask = StratumTable(d, keep, columns)
+    by_index = StratumTable(d, np.flatnonzero(keep), columns)
     assert by_mask.levels == by_index.levels and by_mask.columns == by_index.columns
     assert np.array_equal(by_mask.counts, by_index.counts)
     assert np.array_equal(by_mask.sums, by_index.sums)

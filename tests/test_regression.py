@@ -217,6 +217,24 @@ def test_non_finite_cells_are_refused_by_column_before_any_fit():
                 fit(design({"x": x}), np.where(x == 3, bad, y))
 
 
+def test_cells_that_overflow_the_factor_are_refused_by_column():
+    import warnings
+
+    from gapdecomp.errors import NonFiniteCell
+
+    # finite cells whose squares overflow: the factor's column norm is infinite
+    x = np.arange(6.0)
+    z = np.where(x == 2, 1e200, x)
+    y = np.array([0.0, 1.0] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal comes without an overflow warning
+        for fit in (fit_ols, fit_logistic):
+            with pytest.raises(NonFiniteCell, match="column 'z' holds cells too large"):
+                fit(design({"x": x, "z": z}), y)
+        with pytest.raises(NonFiniteCell, match="column 'response' holds cells too large"):
+            fit_ols(design({"x": x}), np.where(x == 2, -1e200, y))
+
+
 # -- Gram-matrix Newton steps against the QR IRLS ------------------------------
 
 
