@@ -38,7 +38,7 @@ from .data import (
 from .data import write_csv as _write_csv
 from .engine import estimate
 from .errors import AnalysisError, ConfigError, UnreadCells
-from .inference import DEFAULT_REPLICATES, bootstrap_runs
+from .inference import DEFAULT_REPLICATES, bootstrap_runs, bootstrap_statistic
 from .oaxaca import interaction_model_estimates, proposition_via_oaxaca
 from .regression import DesignMatrix, fit_logistic, fit_ols
 from .simulate import StructuralParams, generate
@@ -537,6 +537,27 @@ def _check_logistic_score(rare) -> float:
     return float(np.max(np.abs(design.matrix.T @ (y - mu)))) / rare.n_rows
 
 
+def _check_replicate_indices(discrete) -> float:
+    """Largest relative gap between the bootstrap read from replicate row
+    indices and one that estimates on each replicate's `Dataset.take`
+    (`bootstrap_statistic`), over every spread of P1-P4 in all three
+    families; infinite if they fail on different replicates."""
+    specs = [AnalysisSpec(p, e) for p in ("P1", "P2", "P3", "P4")
+             for e in ("SUCCESSIVE", "PRODUCT", "PLUGIN")]
+    dev = 0.0
+    for spec, indexed in zip(specs, bootstrap_runs(discrete, specs, b=20, seed=5)):
+        if isinstance(indexed, AnalysisError):
+            raise indexed
+        taken = bootstrap_statistic(discrete, lambda r: estimate(r, spec), b=20, seed=5)
+        if indexed.failure_reasons != taken.failure_reasons:
+            return math.inf
+        x, y = (np.array([[q.se, q.lower, q.upper] for q in s.quantities.values()])
+                for s in (indexed, taken))
+        gap = np.where(x == y, 0.0, abs(x - y) / np.maximum(abs(x), abs(y)))
+        dev = max(dev, float(gap.max()))
+    return dev
+
+
 _SELFCHECK_IDENTITIES = (
     ("additivity (initial = residual + reduction)", _check_additivity, "continuous", 1e-10),
     ("nested-regression vs coefficient-product", _check_family_agreement, "continuous", 1e-8),
@@ -545,6 +566,8 @@ _SELFCHECK_IDENTITIES = (
     ("group-stratified vs pooled-interaction fit", _check_interaction_duality, "continuous", 1e-8),
     ("nested-fit coefficient-shift identity", _check_nested_shift_identity, "continuous", 1e-10),
     ("logistic score at the fit", _check_logistic_score, "rare", 1e-8),
+    ("replicate-index bootstrap vs per-replicate take", _check_replicate_indices, "discrete",
+     1e-12),
 )
 
 

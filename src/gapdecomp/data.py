@@ -1,8 +1,8 @@
 """Column-oriented dataset with declared analysis roles.
 
 Values are stored as float64 arrays; missing cells are NaN. Datasets are
-immutable — every operation returns a new instance — so they can be shared
-freely across bootstrap replicates.
+immutable — every operation returns a new instance — so a bootstrap
+replicate can be read as row indices into one of them.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class Dataset:
     `parametric.sample_factor`) and `_fits` its logistic outcome fits;
     derived datasets start with empty memos.
     `_codes` memoizes each column's sorted levels and row codes (see
-    `level_codes`); `take` hands them on, indexed by the rows it takes.
+    `level_codes`).
     """
 
     columns: Mapping[str, np.ndarray]
@@ -186,15 +186,12 @@ class Dataset:
     # -- derivation ------------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset/resample (used by the bootstrap)."""
+        """Row subset/resample: the rows at `indices`, in their order."""
         idx = np.asarray(indices)
         cols = {k: v[idx] for k, v in self.columns.items()}
         for arr in cols.values():
             arr.flags.writeable = False  # fresh arrays, frozen rather than copied again
-        child = Dataset(cols, dict(self.roles))
-        child._codes.update((name, (levels, None if codes is None else codes[idx]))
-                            for name, (levels, codes) in self._codes.items())
-        return child
+        return Dataset(cols, dict(self.roles))
 
     def with_columns(self, new: Mapping[str, np.ndarray], roles: Mapping | None = None) -> "Dataset":
         """Copy with columns added/replaced and optional extra role bindings."""

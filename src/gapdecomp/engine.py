@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from .analysis import AnalysisSpec, DecompositionEstimate, Estimator
+from .analysis import AnalysisSpec, DecompositionEstimate, Estimator, OutcomeFamily
 from .data import Dataset
 from .oaxaca import proposition_via_oaxaca
-from .parametric import decompose_product_coefficients, decompose_successive_linear
-from .plugin import plugin_mu
+from .parametric import (decompose_product_coefficients, decompose_successive_linear,
+                         replicate_estimator)
+from .plugin import Replicates, plugin_mu
 
 
 def estimate(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
@@ -24,3 +25,15 @@ def estimate(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     if spec.estimator == Estimator.PRODUCT:
         return decompose_product_coefficients(d, spec)
     return decompose_successive_linear(d, spec)
+
+
+def replicates(d: Dataset, spec: AnalysisSpec, b: int):
+    """The run of a spec over b bootstrap replicates given as row indices into
+    `d`, a callable of (indices, the memo a replicate's runs share); None for
+    runs that fit each replicate's own Dataset (RARE_BINARY parametric
+    runs' logistic fits, "interactions" runs' per-group fits)."""
+    if spec.estimator == Estimator.PLUGIN:
+        return Replicates(d, spec, b)
+    if spec.outcome_family == OutcomeFamily.CONTINUOUS and not spec.option("interactions"):
+        return replicate_estimator(d, spec)
+    return None

@@ -1,20 +1,25 @@
 """Bootstrap standard errors and percentile intervals, on top of the estimators.
 
-Replicate b resamples the rows from a stream keyed by (seed, b), and every
-run is evaluated on that one replicate Dataset through `engine.estimate`.
+Replicate b is its row indices into the full sample, drawn from a stream
+keyed by (seed, b) (Efron & Tibshirani, *An Introduction to the Bootstrap*,
+1993). A run is resolved and masked once on the full sample and reads each
+replicate from those indices (`engine.replicates`); only a run that needs
+the replicate's own rows as a Dataset, or an arbitrary statistic, gets a
+`Dataset.take` of them, one per replicate that such runs share.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .analysis import AnalysisSpec, DecompositionEstimate
 from .data import Dataset, Role
-from .engine import estimate
+from .engine import estimate, replicates
 from .errors import AnalysisError, InvalidB, TooManyFailures
 
 DEFAULT_REPLICATES = 1000
@@ -49,6 +54,7 @@ class BootstrapSummary:
     n_failed: int
     failure_reasons: tuple[str, ...]
     stratified: bool = False
+    failures_by_type: Mapping[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -57,6 +63,7 @@ class BootstrapSummary:
             "stratified": self.stratified,
             "failed_replicates": self.n_failed,
             "failure_reasons": list(self.failure_reasons),
+            "failures_by_type": dict(self.failures_by_type),
             "quantities": {k: v.as_dict() for k, v in self.quantities.items()},
         }
 
@@ -84,23 +91,34 @@ def resample_indices(
     return np.concatenate(parts)
 
 
-def _summary(full, values, failures, warned, b, seed, stratify_by_group) -> BootstrapSummary:
+def _named(value):
+    """A statistic's value as named floats, an estimate as its four reported
+    quantities; None and errors pass through."""
+    if isinstance(value, DecompositionEstimate):
+        return {key: getattr(value, key)
+                for key in ("initial", "residual", "reduction", "proportion_reduced")}
+    if value is None or isinstance(value, (Mapping, AnalysisError)):
+        return value
+    return {"statistic": value}
+
+
+def _summary(full, outcomes, warned, b, seed, stratify_by_group) -> BootstrapSummary:
     """Re-issue the tallied warnings, refuse too many failures, and summarize."""
     for category, (count, first) in warned.items():
         warnings.warn(
             f"{category.__name__} in {count} of {b} bootstrap replicates; first: {first}",
             category, stacklevel=3,
         )
+    failures = [(i, err) for i, err in enumerate(outcomes) if isinstance(err, AnalysisError)]
+    reasons = tuple(f"replicate {i}: {type(err).__name__}: {err}" for i, err in failures)
     if len(failures) > _FAILURE_LIMIT * b:
         raise TooManyFailures(
             f"{len(failures)} of {b} bootstrap replicates failed "
-            f"(limit {_FAILURE_LIMIT:.0%}); first: {failures[0]}"
+            f"(limit {_FAILURE_LIMIT:.0%}); first: {reasons[0]}"
         )
-    if not isinstance(full, Mapping):
-        full = {"statistic": float(full)}
-    values = [v if isinstance(v, Mapping) else {"statistic": v} for v in values if v is not None]
+    values = [v for v in outcomes if v is not None and not isinstance(v, AnalysisError)]
     quantities = {}
-    for name, point in full.items():
+    for name, point in _named(full).items():
         draws = np.asarray([float(v[name]) for v in values if v.get(name) is not None])
         if draws.size >= 2:
             se = float(draws.std(ddof=1))
@@ -113,18 +131,31 @@ def _summary(full, values, failures, warned, b, seed, stratify_by_group) -> Boot
         )
     return BootstrapSummary(
         b=b, seed=seed, quantities=quantities, n_failed=len(failures),
-        failure_reasons=tuple(failures), stratified=stratify_by_group,
+        failure_reasons=reasons, stratified=stratify_by_group,
+        failures_by_type=dict(sorted(Counter(type(err).__name__ for _, err in failures).items())),
     )
 
 
-def _bootstrap_each(d: Dataset, statistics, b, seed, stratify_by_group, full=None):
-    """The replicate loop: each replicate is drawn and taken once, and every
-    statistic is evaluated on it.
+def _taken(d: Dataset, statistic):
+    """`statistic` of each replicate's Dataset, taken once per replicate and shared."""
+    def draw(idx, shared):
+        if "dataset" not in shared:
+            shared["dataset"] = d.take(idx)
+        return statistic(shared["dataset"])
+    return draw
 
-    Yields per statistic its summary, or the AnalysisError that ended it (on
-    the full sample, or TooManyFailures), re-issuing its replicate warnings
-    (category -> [replicates, first message]) then. A replicate error fails
-    only the statistic that raised it.
+
+def _bootstrap_each(d: Dataset, statistics, b, seed, stratify_by_group, full=None, routes=None):
+    """The replicate loop: each replicate's indices are drawn once, and every
+    statistic reads them.
+
+    `routes(i)` reads replicates for statistic i, given their indices and a
+    memo its replicate shares (see `engine.replicates`); one with a `finish`
+    method returns every outcome from it. By default a statistic reads the
+    taken replicate. Yields per statistic its summary, or the AnalysisError
+    that ended it (on the full sample, or TooManyFailures), re-issuing its
+    replicate warnings (category -> [replicates, first message]) then. A
+    replicate error fails only the statistic that raised it.
     """
     if b < 2:
         raise InvalidB(f"bootstrap needs at least 2 replicates, got {b}")
@@ -135,24 +166,29 @@ def _bootstrap_each(d: Dataset, statistics, b, seed, stratify_by_group, full=Non
                 full.append(statistic(d))
             except AnalysisError as err:
                 full.append(err)
-    live = [(s, [], [], {}) for s, f in zip(statistics, full) if not isinstance(f, AnalysisError)]
+    live = [(routes(i) if routes else _taken(d, statistics[i]), [], {})
+            for i, f in enumerate(full) if not isinstance(f, AnalysisError)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for index in range(b):
-            resampled = d.take(resample_indices(d, seed, index, stratify_by_group))
-            for statistic, values, failures, warned in live:
-                try:
-                    values.append(statistic(resampled))
+            idx = resample_indices(d, seed, index, stratify_by_group)
+            shared: dict = {}
+            for route, outcomes, warned in live:
+                try:  # only the named quantities outlive the replicate
+                    outcomes.append(_named(route(idx, shared)))
                 except AnalysisError as err:
-                    failures.append(f"replicate {index}: {type(err).__name__}: {err}")
+                    outcomes.append(err)
                 for w in {w.category: w for w in reversed(caught)}.values():
                     warned.setdefault(w.category, [0, str(w.message)])[0] += 1
                 caught.clear()
     tallies = iter(live)
     for result in full:
         if not isinstance(result, AnalysisError):
+            route, outcomes, warned = next(tallies)
+            if hasattr(route, "finish"):
+                outcomes = [_named(outcome) for outcome in route.finish()]
             try:
-                result = _summary(result, *next(tallies)[1:], b, seed, stratify_by_group)
+                result = _summary(result, outcomes, warned, b, seed, stratify_by_group)
             except TooManyFailures as err:
                 result = err
         yield result
@@ -184,11 +220,6 @@ def bootstrap_statistic(
     return _only(_bootstrap_each(d, [statistic], b, seed, stratify_by_group))
 
 
-def _quantities(result) -> dict:
-    return {key: getattr(result, key)
-            for key in ("initial", "residual", "reduction", "proportion_reduced")}
-
-
 def bootstrap_runs(
     d: Dataset,
     specs: Sequence[AnalysisSpec],
@@ -197,17 +228,22 @@ def bootstrap_runs(
     stratify_by_group: bool = False,
     full: Sequence[DecompositionEstimate] | None = None,
 ) -> Iterator[BootstrapSummary | AnalysisError]:
-    """Bootstrap several runs, evaluating all of them on one Dataset per replicate.
+    """Bootstrap several runs, drawing each replicate's row indices once for all of them.
 
-    Runs on one analysis sample thus share its factor and stratum codes.
+    Each run is resolved and masked once on the full sample and reads a
+    replicate from its indices (`engine.replicates`): a plug-in run
+    bincounts the full sample's cell codes, a continuous SUCCESSIVE or
+    PRODUCT run factors the full sample's columns there, once per replicate
+    and analysis sample. Other runs read a `Dataset.take` of the replicate.
     `full` may hold the runs' full-sample estimates, which are then not
-    computed again. A generator: per spec it yields what
-    ``bootstrap(d, spec, ...)`` alone returns, bitwise, or the AnalysisError
-    that ended it, and issues that run's replicate warnings as it does.
+    computed again. A generator: per spec it yields what ``bootstrap(d,
+    spec, ...)`` alone returns, bitwise, or the AnalysisError that ended it,
+    and issues that run's replicate warnings as it does.
     """
+    statistics = [lambda data, spec=spec: estimate(data, spec) for spec in specs]
     return _bootstrap_each(
-        d, [lambda data, spec=spec: _quantities(estimate(data, spec)) for spec in specs],
-        b, seed, stratify_by_group, None if full is None else [_quantities(e) for e in full],
+        d, statistics, b, seed, stratify_by_group, full,
+        lambda i: replicates(d, specs[i], b) or _taken(d, statistics[i]),
     )
 
 

@@ -117,11 +117,11 @@ class _Run:
     factor's first q columns.
     """
 
-    def __init__(self, d: Dataset):
+    def __init__(self, d: Dataset, factor: TriangularFactor | None = None):
         self.y, self.r, self.xs, self.c, self.m = _run_roles(d)
         target = [] if self.m is None else [self.m]
         self.columns = [self.r, *self.c, *self.xs, *target, self.y]
-        self.factor = sample_factor(d, self.columns)
+        self.factor = factor or sample_factor(d, self.columns)
         self.models: dict[str, dict[str, float]] = {}
         self.fits: dict[str, dict] = {}  # logistic models' diagnostics
 
@@ -196,13 +196,13 @@ class _Run:
         return residual + reduction, residual, reduction
 
 
-def _decompose(d: Dataset, spec: AnalysisSpec, *estimators: Estimator):
-    """One parametric estimate of a spec for one of `estimators`. PRODUCT
-    combines coefficient products, SUCCESSIVE the nested ladder; a
-    RARE_BINARY outcome is fit by logistic regression and reported as ratios."""
-    d = resolve_for(spec, d, *estimators)
+def _decompose(d: Dataset, spec: AnalysisSpec, factor: TriangularFactor | None = None):
+    """The estimate of a spec resolved on `d`, read from `factor` (by default
+    the memoized factor of its analysis sample). PRODUCT combines coefficient
+    products, SUCCESSIVE the nested ladder; a RARE_BINARY outcome is fit by
+    logistic regression and reported as ratios."""
     logistic = spec.outcome_family == OutcomeFamily.RARE_BINARY
-    run, prop, notes = _Run(d), spec.proposition, []
+    run, prop, notes = _Run(d, factor), spec.proposition, []
     factor = run.factor
     if logistic:
         rows = analysis_rows(d, run.columns)
@@ -243,6 +243,26 @@ def _decompose(d: Dataset, spec: AnalysisSpec, *estimators: Estimator):
                                     run.models, notes, run.fits or None)
 
 
+def replicate_estimator(d: Dataset, spec: AnalysisSpec):
+    """A continuous SUCCESSIVE or PRODUCT run, resolved and masked once on
+    `d`, as ``estimate(idx, factors)`` on the bootstrap replicate of rows
+    `idx`. Its factor stacks ``idx[mask[idx]]``, the rows a taken replicate
+    stacks in the same order, so R is the same bit for bit; `factors` is
+    the replicate's memo of factors by column tuple, shared by its runs."""
+    d = resolve_for(spec, d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
+    key = tuple(_Run(d).columns)
+    mask = analysis_rows(d, key)
+
+    def estimate(idx: np.ndarray, factors: dict) -> DecompositionEstimate:
+        if key not in factors:
+            rows = idx[mask[idx]]
+            factors[key] = TriangularFactor.of((INTERCEPT, *key),
+                                               [1.0, *(d.column(k)[rows] for k in key)])
+        return _decompose(d, spec, factors[key])
+
+    return estimate
+
+
 def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     """Nested-regressions decomposition with one or more early measures.
 
@@ -251,7 +271,7 @@ def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> Decomposition
     sample; each proposition's residual and reduction come from differences
     of the group coefficient. Rare binary outcomes take the ratio scale.
     """
-    return _decompose(d, spec, Estimator.SUCCESSIVE)
+    return _decompose(resolve_for(spec, d, Estimator.SUCCESSIVE), spec)
 
 
 #: The single-early ladder is the one-step case of the general ladder.
@@ -265,7 +285,7 @@ def decompose_product_coefficients(d: Dataset, spec: AnalysisSpec) -> Decomposit
     nested-regressions family identically in-sample. Rare binary outcomes
     take the ratio scale.
     """
-    return _decompose(d, spec, Estimator.PRODUCT)
+    return _decompose(resolve_for(spec, d, Estimator.PRODUCT), spec)
 
 
 def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
@@ -279,4 +299,4 @@ def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEsti
     answers, whatever outcome family it names.
     """
     rare = dataclasses.replace(spec, outcome_family=OutcomeFamily.RARE_BINARY)
-    return _decompose(d, rare, Estimator.SUCCESSIVE, Estimator.PRODUCT)
+    return _decompose(resolve_for(rare, d, Estimator.SUCCESSIVE, Estimator.PRODUCT), rare)

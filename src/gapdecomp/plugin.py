@@ -11,7 +11,8 @@ sums over counts. A dimension with no bound column is a size-1 pseudo-level
 axis, so the plain propositions (P1-P4) and their confounder-aware versions
 (P5-P7) run the same contraction over identically shaped tables; a constant
 confounder yields the same codes and sums as none, and collapses to the
-plain answer bit-for-bit.
+plain answer bit-for-bit. The contraction takes a leading replicate axis,
+and an estimate is its one-replicate case (bootstrap: `Replicates`).
 
 Continuous early/target columns must be discretized first (see
 ``data.quantile_bin``); strata are never dropped silently — a needed cell
@@ -37,7 +38,7 @@ from .analysis import (
     resolve_for,
 )
 from .data import Dataset, Role
-from .errors import EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
+from .errors import AnalysisError, EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
 from .parametric import analysis_rows
 
 DEFAULT_MAX_LEVELS = 20
@@ -51,10 +52,12 @@ def _dimension_codes(d: Dataset, rows: np.ndarray, names: Sequence[str], max_lev
 
     Each column's levels and codes over `rows` are read from the dataset's
     memo (`Dataset.level_codes`), so a column is sorted once per dataset;
-    several columns combine mixed-radix (first column most significant, so
-    code order is tuple order) and are re-coded to the jointly observed tuples.
+    each further column combines mixed-radix with the tuples before it
+    (first column most significant, so code order is tuple order), and a
+    presence count re-codes them to the jointly observed tuples, with no
+    sort: a code stays below rows x max_levels.
     """
-    code = 0  # no columns: the single pseudo-level, broadcast over the rows
+    code, levels = 0, [()]  # no columns: the single pseudo-level, broadcast over the rows
     for name in names:
         distinct, inverse = d.level_codes(name, rows)
         if distinct.size > max_levels:
@@ -62,25 +65,29 @@ def _dimension_codes(d: Dataset, rows: np.ndarray, names: Sequence[str], max_lev
                 f"column {name!r} has {distinct.size} levels, more than the "
                 f"allowed {max_levels}; discretize it first"
             )
-        code = code * distinct.size + inverse
-    if len(names) < 2:
-        return ([(v,) for v in distinct.tolist()] if names else [()]), code
-    _, first, code = np.unique(code, return_index=True, return_inverse=True)
-    return list(zip(*(d.column(name)[rows][first].tolist() for name in names))), code
+        size, values = distinct.size, distinct.tolist()
+        if len(levels) == 1:  # one tuple so far: the combined codes are dense already
+            code, levels = inverse, [levels[0] + (value,) for value in values]
+            continue
+        code = code * size + inverse
+        seen = np.bincount(code, minlength=len(levels) * size) > 0
+        levels = [levels[j // size] + (values[j % size],) for j in np.flatnonzero(seen).tolist()]
+        code = (np.cumsum(seen) - 1)[code]
+    return levels, code
 
 
 class StratumTable:
     """Cell counts and outcome sums over the discrete strata of one analysis sample.
 
     Dimensions: "early" (joint tuple over the early columns), "target",
-    "confounder", "covariate" (joint tuple). A row's cell code combines its
-    group and its level index in each dimension; ``np.bincount`` of the code,
-    unweighted and weighted by the outcome, fills the public (2, X, M, L, C)
-    arrays `counts` and `sums`, indexed by group and then by position in
-    `levels[dim]`. A dimension with no columns is a single all-rows
-    pseudo-level, a size-1 axis that is always present. `rows` selects the
-    analysis sample (index array or boolean mask); `columns` maps each
-    dimension to its column names.
+    "confounder", "covariate" (joint tuple). A row's cell code (`code`, one
+    per analysis row) combines its group and its level index in each
+    dimension; ``np.bincount`` of the code, unweighted and weighted by the
+    outcome, fills the public (2, X, M, L, C) arrays `counts` and `sums`,
+    indexed by group and then by position in `levels[dim]`. A dimension
+    with no columns is a single all-rows pseudo-level, a size-1 axis that is
+    always present. `rows` selects the analysis sample (index array or
+    boolean mask); `columns` maps each dimension to its column names.
     """
 
     def __init__(self, d: Dataset, rows: np.ndarray, columns: Mapping[str, Sequence[str]],
@@ -94,7 +101,7 @@ class StratumTable:
             self.levels[dim] = levels
             code = code * len(levels) + inverse
         shape = (2,) + tuple(len(self.levels[dim]) for dim in _DIMENSIONS)
-        size = math.prod(shape)
+        size, self.code = math.prod(shape), code
         self.counts = np.bincount(code, minlength=size).reshape(shape)
         self.sums = np.bincount(code, weights=outcome, minlength=size).reshape(shape)
 
@@ -119,19 +126,30 @@ def _dimension_columns(d: Dataset, prop: Proposition) -> dict[str, tuple[str, ..
     }
 
 
-def _choose_x_star(table: StratumTable, spec: AnalysisSpec, d: Dataset, rows) -> int:
-    """Position of the early-measure stratum the within-X propositions condition on."""
-    early_names = table.columns["early"]
-    explicit = spec.conditioning_value_x
-    if explicit is not None:
-        target = np.array([float(explicit)])
-    else:
-        group = d.column(d.single_role_column(Role.GROUP))[rows]
-        target = np.array([
-            float(np.mean(d.column(name)[rows][group == 1.0])) for name in early_names
-        ])
-    distances = [float(np.sum((np.asarray(level) - target) ** 2)) for level in table.levels["early"]]
-    return int(np.argmin(distances))
+def _sample(d: Dataset, spec: AnalysisSpec):
+    """A plug-in run's bound dataset, analysis-row mask and full-sample table."""
+    bound = resolve_for(spec, d, Estimator.PLUGIN)
+    columns = _dimension_columns(bound, spec.proposition)
+    names = [bound.single_role_column(Role.OUTCOME), bound.single_role_column(Role.GROUP)]
+    for dim_names in columns.values():
+        names += dim_names
+    mask = analysis_rows(bound, names)
+    table = StratumTable(bound, np.flatnonzero(mask), columns,
+                         spec.option("max_levels", DEFAULT_MAX_LEVELS))
+    return bound, mask, table
+
+
+def _anchor(spec: AnalysisSpec, d: Dataset, rows: np.ndarray) -> list[float]:
+    """The early-measure point P2 and P5 anchor at (none for the others): the
+    explicit value, or each early column's group-1 mean over the index array `rows`."""
+    if TIMEDEP_BASE.get(spec.proposition, spec.proposition) != Proposition.P2:
+        return []
+    if spec.conditioning_value_x is not None:
+        return [float(spec.conditioning_value_x)]
+    group1 = rows[d.column(d.single_role_column(Role.GROUP))[rows] == 1.0]
+    # sum / size is np.mean's arithmetic; with no group-1 row the run fails on an empty stratum
+    return [float(d.column(name)[group1].sum()) / group1.size if group1.size else math.nan
+            for name in d.role_columns(Role.EARLY)]
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -140,64 +158,119 @@ def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
         return np.where(denominator > 0, numerator / denominator, 0.0)
 
 
-def _standardize(table: StratumTable, base: Proposition, x_index, needed: np.ndarray):
-    """Per covariate level: the equalized mean, and the group-0 and group-1 means.
+def _standardize(table: StratumTable, counts, sums, p4: bool, x_index, needed):
+    """Per replicate and covariate level: the equalized mean, and the group-0
+    and group-1 means; and the EmptyStratum of each replicate that has one.
 
+    `counts` and `sums` are (B, 2, X, M, L, C) over the levels of `table`.
     Group-1 cell means are averaged over the confounder's group-1
     distribution within (early, covariate), the target's group-0 distribution
     within (early, covariate) (P4: within covariate), and the early measure's
     group-0 (P4: group-1) distribution within covariate. P1 is P3 with a
-    size-1 target axis; P2 is P3 on the table cut to the anchor's early level.
-    The first empty cell that a `needed` covariate level reaches, in the
-    order the formula needs them, raises EmptyStratum.
+    size-1 target axis; P2 is P3 on the table cut to each replicate's anchor
+    level `x_index` (None off P2). The first empty cell that a `needed`
+    covariate level reaches, in the order the formula needs them, is the
+    replicate's error.
     """
-    counts, sums, early, anchor = table.counts, table.sums, table.levels["early"], ()
-    if base == Proposition.P2:
-        cut = slice(x_index, x_index + 1)
-        counts, sums, early = counts[:, cut], sums[:, cut], early[cut]
-        anchor = (("early", early[0]),)
-    n_xlc = counts.sum(axis=2)      # (2, X, L, C)
-    n_xc = n_xlc.sum(axis=2)        # (2, X, C)
-    n_c = n_xc.sum(axis=1)          # (2, C)
-    p4 = base == Proposition.P4
+    if x_index is not None:
+        at = x_index[:, None, None, None, None, None]
+        counts, sums = np.take_along_axis(counts, at, 2), np.take_along_axis(sums, at, 2)
+    n_xlc = counts.sum(axis=3)      # (B, 2, X, L, C)
+    n_xc = n_xlc.sum(axis=3)        # (B, 2, X, C)
+    n_c = n_xc.sum(axis=2)          # (B, 2, C)
     early_group = 1 if p4 else 0
-    p_x = _ratio(n_xc[early_group], n_c[early_group])
-    p_m = (_ratio(counts[0].sum(axis=(0, 2)), n_c[0])[None] if p4
-           else _ratio(counts[0].sum(axis=2), n_xc[0][:, None]))
-    p_l = _ratio(n_xlc[1], n_xc[1][:, None])
+    p_x = _ratio(n_xc[:, early_group], n_c[:, early_group, None])
+    p_m = (_ratio(counts[:, 0].sum(axis=(1, 3)), n_c[:, 0, None])[:, None] if p4
+           else _ratio(counts[:, 0].sum(axis=3), n_xc[:, 0, :, None]))
+    p_l = _ratio(n_xlc[:, 1], n_xc[:, 1, :, None])
 
-    empty_row = (p_x > 0) & (n_xc[1] == 0)
-    empty_cell = ((p_x[:, None, None] > 0) & (p_m[:, :, None] > 0) & (p_l[:, None] > 0)
-                  & (counts[1] == 0))
-    failing = needed & ((n_c == 0).any(axis=0) | empty_row.any(axis=0)
-                        | empty_cell.any(axis=(0, 1, 2)))
-    if failing.any():
+    empty_row = (p_x > 0) & (n_xc[:, 1] == 0)
+    empty_cell = ((p_x[:, :, None, None] > 0) & (p_m[:, :, :, None] > 0)
+                  & (p_l[:, :, None] > 0) & (counts[:, 1] == 0))
+    failing = needed & ((n_c == 0).any(axis=1) | empty_row.any(axis=1)
+                        | empty_cell.any(axis=(1, 2, 3)))
+    failures = {}
+    for b in np.flatnonzero(failing.any(axis=1)).tolist():
         # Name the first empty cell in the order the formula needs them.
-        k = int(np.argmax(failing))
+        k = int(np.argmax(failing[b]))
         c = (("covariate", table.levels["covariate"][k]),)
-        for group in (early_group, 0):
-            if n_c[group, k] == 0:
-                raise EmptyStratum(table._describe(group, anchor + c))
-        for x in np.flatnonzero(p_x[:, k] > 0):
+        early = table.levels["early"] if x_index is None else [table.levels["early"][x_index[b]]]
+        anchor = () if x_index is None else (("early", early[0]),)
+        named = [(group, anchor + c) for group in (early_group, 0) if n_c[b, group, k] == 0]
+        for x in np.flatnonzero(p_x[b, :, k] > 0):
             at_x = (("early", early[x]),)
-            if empty_row[x, k]:
-                raise EmptyStratum(table._describe(1, at_x + c))
-            cells = np.argwhere(empty_cell[x, :, :, k])
-            if cells.size:
-                m, l = cells[0]
-                at_ml = (("target", table.levels["target"][m]),
-                         ("confounder", table.levels["confounder"][l]))
-                raise EmptyStratum(table._describe(1, at_x + at_ml + c))
+            named += [(1, at_x + c)] if empty_row[b, x, k] else [
+                (1, at_x + (("target", table.levels["target"][m]),
+                            ("confounder", table.levels["confounder"][l])) + c)
+                for m, l in np.argwhere(empty_cell[b, x, :, :, k])]
         # the group-1 mean cell; its row above is empty first whenever it is
-        raise EmptyStratum(table._describe(1, c + anchor))
+        group, pairs = (named or [(1, c + anchor)])[0]
+        failures[b] = EmptyStratum(table._describe(group, pairs))
 
-    cell_mean = _ratio(sums[1], counts[1])
-    equalized = (p_x * (p_m * (p_l[:, None] * cell_mean).sum(axis=2)).sum(axis=1)).sum(axis=0)
+    cell_mean = _ratio(sums[:, 1], counts[:, 1])
+    equalized = (p_x * (p_m * (p_l[:, :, None] * cell_mean).sum(axis=3)).sum(axis=2)).sum(axis=1)
     # fsum rounds once, so the order of the cells (hence of the levels)
     # cannot move a group mean
-    by_level = sums.reshape(2, -1, sums.shape[-1]).swapaxes(1, 2).tolist()
-    group_sums = np.array([[math.fsum(cells) for cells in group] for group in by_level])
-    return equalized, _ratio(group_sums, n_c)
+    by_level = sums.reshape(*sums.shape[:2], -1, sums.shape[-1]).swapaxes(2, 3).tolist()
+    group_sums = np.array([[[math.fsum(cells) for cells in group] for group in replicate]
+                           for replicate in by_level])
+    return equalized, _ratio(group_sums, n_c), failures
+
+
+def _estimates(table: StratumTable, spec: AnalysisSpec, counts, sums, anchors) -> list:
+    """Each replicate's estimate, or the AnalysisError that ends it.
+
+    `counts` and `sums` are (B, 2, X, M, L, C) over the levels of `table`,
+    where a level that a replicate does not observe is a zero slice and gets
+    no weight; `anchors` holds each replicate's `_anchor`.
+    """
+    prop = spec.proposition
+    weight_mode = spec.option("aggregation_weight", "group1")
+    weight_group = {"group1": 1, "group0": 0, "pooled": None}[weight_mode]
+    by_covariate = counts.sum(axis=(2, 3, 4))
+    weighted = by_covariate.sum(axis=1) if weight_group is None else by_covariate[:, weight_group]
+    total = weighted.sum(axis=1, keepdims=True)
+    weights = _ratio(weighted, total)
+    # also an empty analysis sample, which has no levels at all
+    failures = {b: EmptyStratum(table._describe(weight_group, ()))
+                for b in np.flatnonzero(total[:, 0] == 0).tolist()}
+    if len(failures) == len(counts):
+        return list(failures.values())
+
+    base = TIMEDEP_BASE.get(prop, prop)
+    x_index = None
+    if base == Proposition.P2:  # the level nearest the anchor among those observed
+        distances = ((np.array(table.levels["early"]) - anchors[:, None]) ** 2).sum(axis=2)
+        observed = counts.sum(axis=(1, 3, 4, 5)) > 0
+        x_index = np.where(observed, distances, np.inf).argmin(axis=1)
+
+    equalized, group_means, empty = _standardize(table, counts, sums, base == Proposition.P4,
+                                                 x_index, weights > 0)
+    mu = (weights * equalized).sum(axis=1)
+    group0_mean, group1_mean = (weights[:, None] * group_means).sum(axis=2).T
+    for b, err in empty.items():
+        failures.setdefault(b, err)
+
+    if spec.outcome_family == OutcomeFamily.RARE_BINARY:
+        for label, mean in (("group-0", group0_mean), ("equalized", mu)):
+            message = (f"the {label} outcome mean is 0; "
+                       "the risk ratios divide by it and are undefined")
+            for b in np.flatnonzero(mean == 0.0).tolist():
+                failures.setdefault(b, NearZeroDenominator(message))
+        scale = Scale.RATIO
+        with np.errstate(divide="ignore", invalid="ignore"):
+            splits = (group1_mean / group0_mean, mu / group0_mean, group1_mean / mu)
+    else:
+        scale = Scale.ADDITIVE
+        splits = (group1_mean - group0_mean, mu - group0_mean, group1_mean - mu)
+    outcomes = []
+    for b, split in enumerate(zip(*(s.tolist() for s in splits))):
+        notes = [] if x_index is None else [
+            f"anchored at early-measure stratum {table.levels['early'][x_index[b]]}"]
+        notes.append(f"covariate strata aggregated with {weight_mode} weights")
+        outcomes.append(failures.get(b) or DecompositionEstimate.of(
+            prop, scale, *split, spec.estimator.value, notes=notes))
+    return outcomes
 
 
 def plugin_mu_timedep(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
@@ -223,50 +296,40 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     the whole table. With outcome family RARE_BINARY the same three means
     are reported as ratios.
     """
-    bound = resolve_for(spec, d, Estimator.PLUGIN)
-    prop = spec.proposition
-    columns = _dimension_columns(bound, prop)
+    bound, mask, table = _sample(d, spec)
+    anchors = np.array([_anchor(spec, bound, np.flatnonzero(mask))])
+    (result,) = _estimates(table, spec, table.counts[None], table.sums[None], anchors)
+    if isinstance(result, AnalysisError):
+        raise result
+    return result
 
-    names = [bound.single_role_column(Role.OUTCOME), bound.single_role_column(Role.GROUP)]
-    for dim_names in columns.values():
-        names += dim_names
-    rows = np.flatnonzero(analysis_rows(bound, names))
 
-    table = StratumTable(bound, rows, columns, spec.option("max_levels", DEFAULT_MAX_LEVELS))
+class Replicates:
+    """A plug-in run over b bootstrap replicates, each given as its row indices into `d`.
 
-    weight_mode = spec.option("aggregation_weight", "group1")
-    weight_group = {"group1": 1, "group0": 0, "pooled": None}[weight_mode]
-    by_covariate = table.counts.sum(axis=(1, 2, 3))
-    weighted = by_covariate.sum(axis=0) if weight_group is None else by_covariate[weight_group]
-    if not weighted.sum():  # also an empty analysis sample, which has no levels at all
-        raise EmptyStratum(table._describe(weight_group, ()))
-    weights = _ratio(weighted, weighted.sum())
+    The run is resolved, masked and tabulated once on the full sample. A
+    replicate's counts and sums are two bincounts of the full sample's cell
+    codes over the replicate's analysis rows (the rows its own table would
+    count, in the same order), written to its row of the preallocated
+    (b, cells) tables; `finish` contracts all replicates at once.
+    """
 
-    base = TIMEDEP_BASE.get(prop, prop)
-    notes = []
-    x_index = None
-    if base == Proposition.P2:
-        x_index = _choose_x_star(table, spec, bound, rows)
-        notes.append(f"anchored at early-measure stratum {table.levels['early'][x_index]}")
-    notes.append(f"covariate strata aggregated with {weight_mode} weights")
+    def __init__(self, d: Dataset, spec: AnalysisSpec, b: int):
+        self.spec, (self.bound, self.mask, self.table) = spec, _sample(d, spec)
+        self.code = np.zeros(d.n_rows, np.intp)
+        self.code[self.mask] = self.table.code
+        self.outcome = self.bound.column(self.bound.single_role_column(Role.OUTCOME))
+        shape = (b, *self.table.counts.shape)
+        self.counts, self.sums = np.zeros(shape, np.intp), np.zeros(shape)
+        self.anchors = []
 
-    equalized, group_means = _standardize(table, base, x_index, weights > 0)
-    mu = float((weights * equalized).sum())
-    group0_mean, group1_mean = ((weights * group_means).sum(axis=1)).tolist()
+    def __call__(self, idx: np.ndarray, shared=None) -> None:
+        rows, b = idx[self.mask[idx]], len(self.anchors)  # b replicates drawn before this one
+        code, size = self.code[rows], self.table.counts.size
+        self.counts[b].flat = np.bincount(code, minlength=size)
+        self.sums[b].flat = np.bincount(code, weights=self.outcome[rows], minlength=size)
+        self.anchors.append(_anchor(self.spec, self.bound, rows))
 
-    if spec.outcome_family == OutcomeFamily.RARE_BINARY:
-        for label, mean in (("group-0", group0_mean), ("equalized", mu)):
-            if mean == 0.0:
-                raise NearZeroDenominator(f"the {label} outcome mean is 0; the risk ratios "
-                                          "divide by it and are undefined")
-        scale = Scale.RATIO
-        initial = group1_mean / group0_mean
-        residual = mu / group0_mean
-        reduction = group1_mean / mu
-    else:
-        scale = Scale.ADDITIVE
-        initial = group1_mean - group0_mean
-        residual = mu - group0_mean
-        reduction = group1_mean - mu
-    return DecompositionEstimate.of(prop, scale, initial, residual, reduction,
-                                    spec.estimator.value, notes=notes)
+    def finish(self) -> list:
+        """Each replicate's estimate, or the AnalysisError that ends it."""
+        return _estimates(self.table, self.spec, self.counts, self.sums, np.array(self.anchors))

@@ -310,6 +310,7 @@ def test_selfcheck_passes_and_prints_verdicts(capsys):
         "constant-confounder collapse",
         "group-stratified vs pooled-interaction",
         "logistic score at the fit",
+        "replicate-index bootstrap vs per-replicate take",
     ):
         assert fragment in out
 
@@ -328,6 +329,17 @@ def test_selfcheck_catches_a_broken_estimator(monkeypatch, capsys):
     assert selfcheck() == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "all identities hold" not in out
+
+
+def test_selfcheck_catches_a_replicate_read_from_the_wrong_rows(monkeypatch):
+    from gapdecomp.cli import _check_replicate_indices, _selfcheck_data
+    from gapdecomp.plugin import Replicates
+
+    discrete = _selfcheck_data()[1]
+    assert _check_replicate_indices(discrete) == 0.0
+    draw = Replicates.__call__
+    monkeypatch.setattr(Replicates, "__call__", lambda self, idx, shared: draw(self, idx[:-1], shared))
+    assert _check_replicate_indices(discrete) > 1e-12
 
 
 def test_module_is_executable_as_a_script(tmp_path):
@@ -410,6 +422,7 @@ def test_bootstrap_reports_a_replicate_warning_once_with_its_count(tmp_path, cap
     assert main(["run", str(cfg)]) == 0
     run = read_report(tmp_path)["runs"][0]
     assert run["bootstrap"]["failed_replicates"] == 0
+    assert run["bootstrap"]["failures_by_type"] == {}
     full_sample, replicates = run["warnings"]
     assert full_sample.startswith("outcome prevalence")
     assert replicates.startswith("PrevalenceWarning in 6 of 6 bootstrap replicates; first: outcome prevalence")
@@ -584,6 +597,16 @@ def test_each_run_bootstraps_as_if_alone(tmp_path, capsys, stratify):
     assert report["runs"][4]["warnings"][1].startswith("PrevalenceWarning in 40 of 40")
 
 
+def test_the_report_counts_failed_replicates_by_type(tmp_path, capsys):
+    # the ~60-row missing-covariate stratum empties in some replicates of P3
+    assert main(["run", str(write_bootstrap_config(tmp_path, stratify=False))]) == 1
+    capsys.readouterr()
+    boots = [run["bootstrap"] for run in read_report(tmp_path)["runs"]]
+    assert [boot and boot["failures_by_type"] for boot in boots] == [
+        {}, {}, {"EmptyStratum": boots[2]["failed_replicates"]}, None, {}, None]
+    assert boots[2]["failed_replicates"] > 0
+
+
 def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
     import gapdecomp.cli as cli
     import gapdecomp.engine as engine
@@ -602,7 +625,7 @@ def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(engine, "estimate", counted("estimate", engine.estimate))
     monkeypatch.setattr(cli, "estimate", engine.estimate)
     monkeypatch.setattr(inference, "estimate", engine.estimate)
-    b, runs = 12, BOOTSTRAP_RUNS[:4]
+    b, runs = 12, BOOTSTRAP_RUNS[:5]
     cfg = write_bootstrap_config(tmp_path, stratify=False, replicates=b)
     config = json.loads(cfg.read_text(encoding="utf-8"))
     config.pop("preprocess")
@@ -610,10 +633,12 @@ def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "unique", counted("unique", np.unique))
     assert main(["run", str(cfg)]) == 0
     capsys.readouterr()
+    # only the RARE_BINARY run reads a taken replicate, through `estimate`;
     # np.unique sorts each stratum column (early, target, confounder,
-    # covariate) once; np.percentile calls it once per reported quantity
-    assert calls == {"resample": b, "take": b, "estimate": len(runs) * (b + 1),
-                     "unique": 4 + 4 * len(runs)}
+    # covariate) once, checks the outcome of each of its 3 logistic fits per
+    # sample, and np.percentile calls it once per reported quantity
+    assert calls == {"resample": b, "take": b, "estimate": len(runs) + b,
+                     "unique": 4 + 3 * (b + 1) + 4 * len(runs)}
 
 
 def test_fewer_than_two_replicates_are_refused_at_config_load(tmp_path, capsys):

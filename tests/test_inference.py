@@ -19,8 +19,10 @@ from gapdecomp import (
 from gapdecomp.errors import (
     AnalysisError,
     DegenerateInitial,
+    EmptyStratum,
     InvalidB,
     InvalidSpec,
+    NearZeroDenominator,
     TooManyFailures,
 )
 from gapdecomp.inference import DEFAULT_REPLICATES
@@ -137,6 +139,7 @@ def test_failed_replicates_are_recorded_and_excluded():
 
     summary = bootstrap_statistic(d, flaky, b=30, seed=9)
     assert summary.n_failed == 2
+    assert summary.failures_by_type == {"DegenerateInitial": 2}
     assert summary.failure_reasons[0].startswith("replicate 1: DegenerateInitial")
     assert summary.failure_reasons[1].startswith("replicate 4: DegenerateInitial")
     surviving = [
@@ -157,10 +160,28 @@ def test_a_replicate_with_a_zero_risk_ratio_denominator_is_counted_as_failed():
     summary = bootstrap(d, AnalysisSpec("P1", "PLUGIN", outcome_family="RARE_BINARY"), b=40, seed=4)
     missed = [i for i in range(40) if not {0, 2, 4} & set(resample_indices(d, 4, i).tolist())]
     assert missed and summary.n_failed == len(missed)
+    assert summary.as_dict()["failures_by_type"] == {"NearZeroDenominator": len(missed)}
     assert summary.failure_reasons == tuple(
         f"replicate {i}: NearZeroDenominator: the group-0 outcome mean is 0; "
         "the risk ratios divide by it and are undefined" for i in missed
     )
+
+
+def test_failures_are_counted_by_type_in_name_order():
+    d = plain_dataset(seed=4, n=80)
+    calls = {"n": -1}
+    raised = {3: EmptyStratum, 5: DegenerateInitial, 6: NearZeroDenominator, 9: EmptyStratum}
+
+    def flaky(data):
+        calls["n"] += 1
+        if calls["n"] in raised:
+            raise raised[calls["n"]]("synthetic failure")
+        return mean_y(data)
+
+    summary = bootstrap_statistic(d, flaky, b=40, seed=9)
+    assert summary.n_failed == 4
+    assert list(summary.as_dict()["failures_by_type"].items()) == [
+        ("DegenerateInitial", 1), ("EmptyStratum", 2), ("NearZeroDenominator", 1)]
 
 
 def test_too_many_failures_aborts():

@@ -12,6 +12,7 @@ from gapdecomp import (
     plugin_mu_timedep,
 )
 from gapdecomp.errors import EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
+from gapdecomp.plugin import Replicates
 
 
 def crossed_binary_dataset(seed=0, n_per_cell=2):
@@ -491,3 +492,26 @@ def test_a_zero_risk_ratio_denominator_is_refused_by_name(events_in, label):
     d = dataset_from({"y": y, "r": r, "x": x}, {"outcome": "y", "group": "r", "early": ["x"]})
     with pytest.raises(NearZeroDenominator, match=f"the {label} outcome mean is 0"):
         plugin_mu(d, AnalysisSpec("P1", "PLUGIN", outcome_family="RARE_BINARY"))
+
+
+def test_a_replicate_anchors_at_the_nearest_level_it_observes():
+    # x takes 0, 1 and 2; the anchor 2.0 is nearest level 2, which the first
+    # and last replicates do not draw: they anchor at level 1, as a table of
+    # their own rows does
+    d = crossed_binary_dataset(seed=5, n_per_cell=3)
+    x = np.array(d.column("x"))
+    x[np.flatnonzero(x == 1.0)[::3]] = 2.0
+    d = d.with_columns({"x": x})
+    spec = AnalysisSpec("P2", "PLUGIN", conditioning_value_x=2.0)
+    replicates = [np.flatnonzero(x != 2.0), np.arange(d.n_rows), np.flatnonzero(x != 2.0)[::-1]]
+    run = Replicates(d, spec, len(replicates))
+    for idx in replicates:
+        run(idx, {})
+    notes = []
+    for idx, got in zip(replicates, run.finish()):
+        want = plugin_mu(d.take(idx), spec)
+        assert (got.initial, got.residual, got.reduction) == pytest.approx(
+            (want.initial, want.residual, want.reduction), rel=1e-12)
+        assert got.notes == want.notes
+        notes.append(got.notes[0])
+    assert notes == [f"anchored at early-measure stratum ({level},)" for level in (1.0, 2.0, 1.0)]

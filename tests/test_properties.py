@@ -4,15 +4,18 @@ Each property draws structural coefficients (and RNG seeds) and checks an
 algebraic identity of the estimators: additivity of the reported quantities,
 agreement between estimator families on the same sample, invariance under
 affine re-coding / level relabeling, the collapse of the confounder-aware
-propositions when the confounder is constant, and determinism of the
-replicate-keyed bootstrap streams.
+propositions when the confounder is constant, determinism of the
+replicate-keyed bootstrap streams, and the bootstrap read from replicate row
+indices against one that estimates on each replicate's `Dataset.take`.
 """
 
 import dataclasses
 import itertools
+import math
+import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import dataset_from
 from gapdecomp import (
@@ -22,6 +25,8 @@ from gapdecomp import (
     Role,
     StratumTable,
     StructuralParams,
+    bootstrap_runs,
+    bootstrap_statistic,
     estimate,
     fit_ols,
     generate,
@@ -31,6 +36,7 @@ from gapdecomp import (
     resample_indices,
 )
 from gapdecomp.errors import (
+    AnalysisError,
     EmptyStratum,
     NearZeroDenominator,
     NotConverged,
@@ -247,16 +253,86 @@ def test_memoized_level_codes_equal_sorting_each_subset(values, memo_first, data
     check(d, subset, column[subset])
     check(d, mask, column[mask])
     first = data.draw(rows)
-    child = d.take(first)
+    child = d.take(first)  # sorts its own columns
     check(child, slice(None), column[first])
-    second = data.draw(st.lists(st.integers(0, max(first.size - 1, 0)),
-                                max_size=2 * first.size if first.size else 0)
-                       .map(lambda r: np.array(r, dtype=np.intp)))
-    grandchild = child.take(second)
-    check(grandchild, slice(None), column[first][second])
-    within = np.unique(data.draw(st.lists(st.integers(0, max(second.size - 1, 0)),
-                                          max_size=second.size).map(lambda r: np.array(r, dtype=np.intp))))
-    check(grandchild, within, column[first][second][within])
+    within = np.unique(data.draw(st.lists(st.integers(0, max(first.size - 1, 0)),
+                                          max_size=first.size).map(lambda r: np.array(r, dtype=np.intp))))
+    check(child, within, column[first][within])
+
+
+def replicate_sample(seed, n):
+    """Binary early, target and confounder with sparse cells (EmptyStratum in
+    some replicates of P7), a covariate level on 3 rows (a replicate without
+    them leaves it constant: RankDeficient), a few blank outcomes, and few
+    group-0 events in the 0/1 outcome `yb` (a replicate can draw none of
+    them: NearZeroDenominator on the ratio scale)."""
+    rng = np.random.default_rng(seed)
+    r = (rng.random(n) < 0.5).astype(float)
+    x = (rng.random(n) < 0.3 + 0.3 * r).astype(float)
+    l = (rng.random(n) < 0.3 + 0.2 * x).astype(float)
+    m = (rng.random(n) < 0.2 + 0.3 * x + 0.2 * l).astype(float)
+    c = np.zeros(n)
+    c[rng.choice(n, 3, replace=False)] = 1.0
+    y = 0.5 * r + x + m + 0.5 * l + rng.normal(size=n)
+    y[rng.random(n) < 0.05] = np.nan
+    yb = (rng.random(n) < 0.02 + 0.2 * r).astype(float)
+    return dataset_from({"y": y, "yb": yb, "r": r, "x": x, "m": m, "l": l, "c": c},
+                        {"outcome": "y", "group": "r", "early": ["x"], "target": "m",
+                         "confounder": "l", "covariate": ["c"]})
+
+
+BINARY = {"outcome": "yb", "covariate": []}
+REPLICATE_SPECS = [
+    AnalysisSpec("P4", "SUCCESSIVE"),
+    AnalysisSpec("P3", "PRODUCT"),
+    AnalysisSpec("P7", "PLUGIN", bindings={"covariate": []}),
+    AnalysisSpec("P2", "PLUGIN", bindings={"covariate": []}),
+    AnalysisSpec("P1", "PLUGIN", "RARE_BINARY", bindings=BINARY),
+    AnalysisSpec("P4", "SUCCESSIVE", "RARE_BINARY", bindings=BINARY),  # reads a taken replicate
+]
+
+
+def quantities(est):
+    return {k: getattr(est, k) for k in ("initial", "residual", "reduction", "proportion_reduced")}
+
+
+def summary_or_error(run):
+    """What a bootstrap yields or raises, and the replicate warnings it re-issues."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run()
+        except AnalysisError as err:
+            result = err
+    return result, [(w.category, str(w.message)) for w in caught
+                    if "bootstrap replicates" in str(w.message)]
+
+
+@example(seed=4, n=180, stratify=False)  # RankDeficient and EmptyStratum replicates
+@example(seed=4, n=100, stratify=False)  # NearZeroDenominator replicates
+@example(seed=5, n=180, stratify=True)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(100, 250), stratify=st.booleans())
+def test_replicate_indices_bootstrap_as_a_take_per_replicate_does(seed, n, stratify):
+    d = replicate_sample(seed, n)
+    draws = dict(b=20, seed=seed, stratify_by_group=stratify)
+    results = bootstrap_runs(d, REPLICATE_SPECS, **draws)
+    for spec in REPLICATE_SPECS:
+        indexed, indexed_warned = summary_or_error(lambda: next(results))
+        taken, taken_warned = summary_or_error(lambda: bootstrap_statistic(
+            d, lambda r: quantities(estimate(r, spec)), **draws))
+        assert indexed_warned == taken_warned
+        if isinstance(taken, AnalysisError):
+            assert type(indexed) is type(taken) and str(indexed) == str(taken)
+            continue
+        assert indexed.failure_reasons == taken.failure_reasons
+        assert indexed.failures_by_type == taken.failures_by_type
+        assert indexed.n_failed == taken.n_failed
+        for name, want in taken.quantities.items():
+            got = indexed.quantities[name]
+            assert got.point == want.point
+            for x, y in ((got.se, want.se), (got.lower, want.lower), (got.upper, want.upper)):
+                assert math.isclose(x, y, rel_tol=1e-12) or (math.isnan(x) and math.isnan(y))
 
 
 @settings(max_examples=30, deadline=None)
