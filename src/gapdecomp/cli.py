@@ -9,7 +9,8 @@ violated.  ``gapdecomp generate <params.json> <out.csv>`` writes a synthetic
 cohort.
 
 Reports are deterministic: rerunning the same config against the same file
-produces byte-identical output (no timestamps, no environment capture).
+at the same BLAS thread count produces byte-identical output (no timestamps,
+no environment capture; threaded BLAS sums may add in another order).
 Every numeric field is either finite or ``null`` with a reason string
 alongside it; warnings are part of the report, not log chatter.
 """
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import typing
 import warnings
@@ -137,7 +139,8 @@ def load_config(path) -> RunConfig:
     Raises ConfigError naming the offending key: for the config's shape, for
     a value only the CLI reads, or for a run naming no known proposition,
     estimator or outcome family. Never touches the dataset: ``execute``
-    checks each run against it with `validate_spec`.
+    checks each run against it with `validate_spec`. The input, the report
+    and the table must be three different files.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -163,14 +166,21 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: runs[{i}]: {exc}") from exc
 
     output = raw.get("output") or {}
+    paths = {"input": raw["input"], "output.report": output.get("report", "report.json"),
+             "output.table": output.get("table", "table.txt")}
+    seen = {}
+    for key, name in paths.items():
+        other = seen.setdefault(os.path.realpath(name), key)
+        if other != key:
+            raise ConfigError(f"{path}: {key!r} names the same file as {other!r}: {name!r}")
     return RunConfig(
-        input=raw["input"],
+        input=paths["input"],
         bindings=raw["bindings"],
         runs=tuple(runs),
         preprocess=raw.get("preprocess") or {},
         bootstrap=raw.get("bootstrap"),
-        report_path=output.get("report", "report.json"),
-        table_path=output.get("table", "table.txt"),
+        report_path=paths["output.report"],
+        table_path=paths["output.table"],
     )
 
 
@@ -541,9 +551,12 @@ def _check_replicate_indices(discrete) -> float:
     """Largest relative gap between the bootstrap read from replicate row
     indices and one that estimates on each replicate's `Dataset.take`
     (`bootstrap_statistic`), over every spread of P1-P4 in all three
-    families; infinite if they fail on different replicates."""
+    families and in SUCCESSIVE with "interactions"; infinite if they fail on
+    different replicates."""
     specs = [AnalysisSpec(p, e) for p in ("P1", "P2", "P3", "P4")
              for e in ("SUCCESSIVE", "PRODUCT", "PLUGIN")]
+    specs += [AnalysisSpec(p, "SUCCESSIVE", options={"interactions": True})
+              for p in ("P1", "P2", "P3", "P4")]
     dev = 0.0
     for spec, indexed in zip(specs, bootstrap_runs(discrete, specs, b=20, seed=5)):
         if isinstance(indexed, AnalysisError):
@@ -619,11 +632,6 @@ def generate_csv(params_path, out_path) -> int:
         raise ConfigError(f"cannot read params {params_path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{params_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{params_path}: top level must be an object")
-    unknown = sorted(set(raw) - set(_GENERATE))
-    if unknown:
-        raise ConfigError(f"{params_path}: unknown parameter(s) {', '.join(map(repr, unknown))}")
     _check(raw, _GENERATE, params_path)
     n, seed = raw.pop("n", 1000), raw.pop("seed", 0)
     d = generate(StructuralParams(**raw), n, seed=seed)

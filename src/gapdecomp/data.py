@@ -81,9 +81,9 @@ class Dataset:
     frozen by `take`) is kept as is; any other input is copied once.
     Infinite cells are refused.
 
-    `_factors` memoizes least-squares factors of its analysis samples (see
-    `parametric.sample_factor`) and `_fits` its logistic outcome fits;
-    derived datasets start with empty memos.
+    `_factors` memoizes the least-squares factors and logistic outcome fits
+    of its analysis samples (see `parametric.sample_factor`); derived
+    datasets start with empty memos.
     `_codes` memoizes each column's sorted levels and row codes (see
     `level_codes`).
     """
@@ -91,7 +91,6 @@ class Dataset:
     columns: Mapping[str, np.ndarray]
     roles: Mapping[Role, tuple[str, ...]] = field(default_factory=dict)
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _fits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _codes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from .analysis import AnalysisSpec, DecompositionEstimate, Estimator, OutcomeFamily
+from .analysis import AnalysisSpec, DecompositionEstimate, Estimator, resolve_for
 from .data import Dataset
 from .oaxaca import proposition_via_oaxaca
-from .parametric import (decompose_product_coefficients, decompose_successive_linear,
-                         replicate_estimator)
+from .parametric import _decompose, decompose_product_coefficients, decompose_successive_linear
 from .plugin import Replicates, plugin_mu
 
 
@@ -29,11 +28,11 @@ def estimate(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
 
 def replicates(d: Dataset, spec: AnalysisSpec, b: int):
     """The run of a spec over b bootstrap replicates given as row indices into
-    `d`, a callable of (indices, the memo a replicate's runs share); None for
-    runs that fit each replicate's own Dataset (RARE_BINARY parametric
-    runs' logistic fits, "interactions" runs' per-group fits)."""
+    `d`, a callable of (indices, the memo a replicate's runs share). The spec
+    is resolved once; each replicate is read at its analysis rows of `d`."""
     if spec.estimator == Estimator.PLUGIN:
         return Replicates(d, spec, b)
-    if spec.outcome_family == OutcomeFamily.CONTINUOUS and not spec.option("interactions"):
-        return replicate_estimator(d, spec)
-    return None
+    bound = resolve_for(spec, d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
+    if spec.option("interactions"):
+        return lambda idx, memo: proposition_via_oaxaca(bound, spec, idx)
+    return lambda idx, memo: _decompose(bound, spec, idx, memo)

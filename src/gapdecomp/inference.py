@@ -2,10 +2,9 @@
 
 Replicate b is its row indices into the full sample, drawn from a stream
 keyed by (seed, b) (Efron & Tibshirani, *An Introduction to the Bootstrap*,
-1993). A run is resolved and masked once on the full sample and reads each
-replicate from those indices (`engine.replicates`); only a run that needs
-the replicate's own rows as a Dataset, or an arbitrary statistic, gets a
-`Dataset.take` of them, one per replicate that such runs share.
+1993). Every run is resolved once on the full sample and reads each
+replicate from those indices (`engine.replicates`); only an arbitrary
+statistic (`bootstrap_statistic`) gets a `Dataset.take` of them.
 """
 
 from __future__ import annotations
@@ -137,25 +136,21 @@ def _summary(full, outcomes, warned, b, seed, stratify_by_group) -> BootstrapSum
 
 
 def _taken(d: Dataset, statistic):
-    """`statistic` of each replicate's Dataset, taken once per replicate and shared."""
-    def draw(idx, shared):
-        if "dataset" not in shared:
-            shared["dataset"] = d.take(idx)
-        return statistic(shared["dataset"])
-    return draw
+    """`statistic` of each replicate's Dataset, a `take` of its rows."""
+    return lambda idx, shared: statistic(d.take(idx))
 
 
-def _bootstrap_each(d: Dataset, statistics, b, seed, stratify_by_group, full=None, routes=None):
+def _bootstrap_each(d: Dataset, statistics, routes, b, seed, stratify_by_group, full=None):
     """The replicate loop: each replicate's indices are drawn once, and every
     statistic reads them.
 
     `routes(i)` reads replicates for statistic i, given their indices and a
     memo its replicate shares (see `engine.replicates`); one with a `finish`
-    method returns every outcome from it. By default a statistic reads the
-    taken replicate. Yields per statistic its summary, or the AnalysisError
-    that ended it (on the full sample, or TooManyFailures), re-issuing its
-    replicate warnings (category -> [replicates, first message]) then. A
-    replicate error fails only the statistic that raised it.
+    method returns every outcome from it. Yields per statistic its summary,
+    or the AnalysisError that ended it (on the full sample, or
+    TooManyFailures), re-issuing its replicate warnings (category ->
+    [replicates, first message]) then. A replicate error fails only the
+    statistic that raised it.
     """
     if b < 2:
         raise InvalidB(f"bootstrap needs at least 2 replicates, got {b}")
@@ -166,8 +161,7 @@ def _bootstrap_each(d: Dataset, statistics, b, seed, stratify_by_group, full=Non
                 full.append(statistic(d))
             except AnalysisError as err:
                 full.append(err)
-    live = [(routes(i) if routes else _taken(d, statistics[i]), [], {})
-            for i, f in enumerate(full) if not isinstance(f, AnalysisError)]
+    live = [(routes(i), [], {}) for i, f in enumerate(full) if not isinstance(f, AnalysisError)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for index in range(b):
@@ -217,7 +211,8 @@ def bootstrap_statistic(
     raised by replicates is re-issued once, with the number of replicates
     that raised it and the first message.
     """
-    return _only(_bootstrap_each(d, [statistic], b, seed, stratify_by_group))
+    return _only(_bootstrap_each(d, [statistic], lambda i: _taken(d, statistic), b, seed,
+                                 stratify_by_group))
 
 
 def bootstrap_runs(
@@ -230,21 +225,20 @@ def bootstrap_runs(
 ) -> Iterator[BootstrapSummary | AnalysisError]:
     """Bootstrap several runs, drawing each replicate's row indices once for all of them.
 
-    Each run is resolved and masked once on the full sample and reads a
-    replicate from its indices (`engine.replicates`): a plug-in run
-    bincounts the full sample's cell codes, a continuous SUCCESSIVE or
-    PRODUCT run factors the full sample's columns there, once per replicate
-    and analysis sample. Other runs read a `Dataset.take` of the replicate.
-    `full` may hold the runs' full-sample estimates, which are then not
-    computed again. A generator: per spec it yields what ``bootstrap(d,
-    spec, ...)`` alone returns, bitwise, or the AnalysisError that ended it,
-    and issues that run's replicate warnings as it does.
+    Each run is resolved once on the full sample and reads a replicate from
+    its indices (`engine.replicates`): a plug-in run bincounts the full
+    sample's cell codes there; a SUCCESSIVE or PRODUCT run factors the full
+    sample's columns at the replicate's analysis rows, once per replicate and
+    analysis sample, and fits a rare outcome's logistic models once per
+    replicate too; an "interactions" run factors each group's rows. `full`
+    may hold the runs' full-sample estimates, which are then not computed
+    again. A generator: per spec it yields what ``bootstrap(d, spec, ...)``
+    alone returns, bitwise, or the AnalysisError that ended it, and issues
+    that run's replicate warnings as it does.
     """
     statistics = [lambda data, spec=spec: estimate(data, spec) for spec in specs]
-    return _bootstrap_each(
-        d, statistics, b, seed, stratify_by_group, full,
-        lambda i: replicates(d, specs[i], b) or _taken(d, statistics[i]),
-    )
+    return _bootstrap_each(d, statistics, lambda i: replicates(d, specs[i], b), b, seed,
+                           stratify_by_group, full)
 
 
 def bootstrap(

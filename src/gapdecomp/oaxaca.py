@@ -69,10 +69,12 @@ class _GroupFactors:
     """One triangular factor per group of [1, conditioning…, explanatory…, y].
 
     Both factors cover the rows complete in the outcome, the group and every
-    listed column, split by group.
+    listed column, split by group; for the bootstrap replicate of rows `idx`
+    into `d`, each group's rows of `idx` in its order (those a `take` keeps).
     """
 
-    def __init__(self, d: Dataset, explanatory: Sequence[str], conditioning: Sequence[str]):
+    def __init__(self, d: Dataset, explanatory: Sequence[str], conditioning: Sequence[str],
+                 idx: np.ndarray | None = None):
         self.y = d.single_role_column(Role.OUTCOME)
         r = d.single_role_column(Role.GROUP)
         self.explanatory = list(explanatory)
@@ -83,11 +85,12 @@ class _GroupFactors:
         self.factors = {}
         for g in (1, 0):
             in_group = rows & (group == g)
-            if not in_group.any():
-                raise EmptyGroup(f"no usable rows in group {g}")
             self.factors[g] = TriangularFactor.of(
-                (INTERCEPT, *columns), [1.0, *map(d.column, columns)], in_group
+                (INTERCEPT, *columns), [1.0, *map(d.column, columns)],
+                in_group if idx is None else idx[in_group[idx]],
             )
+            if not self.factors[g].n_rows:
+                raise EmptyGroup(f"no usable rows in group {g}")
 
     def outcome_fit(self, g: int):
         return self.factors[g].fit(self.y, 1 + len(self.conditioning) + len(self.explanatory))
@@ -193,25 +196,27 @@ def _bind(d: Dataset, spec: AnalysisSpec):
     return spec.proposition, bound, *_run_roles(bound)
 
 
-def proposition_via_oaxaca(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
+def proposition_via_oaxaca(d: Dataset, spec: AnalysisSpec,
+                           idx: np.ndarray | None = None) -> DecompositionEstimate:
     """Each intervention's residual/reduction read off an explained/unexplained split.
 
     P1: early measures explain the gap within covariate strata. P2: the
     target explains the gap within (early, covariate) strata, anchored at
     the early profile. P3: early and target explain jointly. P4: only the
     target's detailed explained term counts as reduction; the early
-    measures' explained share stays in the residual.
+    measures' explained share stays in the residual. With `idx`, the split
+    of the bootstrap replicate of those rows into `d`.
     """
     prop, bound, _, _, xs, c, m = _bind(d, spec)
     notes = []
     if prop == Proposition.P2:
         # early measures at the anchor, covariates at their group-0 means
-        groups = _GroupFactors(bound, [m], xs + c)
+        groups = _GroupFactors(bound, [m], xs + c, idx)
         ob = _split(groups, "group1", groups.profile(xs, spec.conditioning_value_x))
         notes.append(f"anchored at early-measure profile {ob.profile}")
     else:  # validate_spec leaves only P1-P4 to the parametric families
-        explanatory = xs if prop == Proposition.P1 else xs + [m]
-        ob = oaxaca_decompose(bound, explanatory=explanatory, conditioning=c)
+        groups = _GroupFactors(bound, xs if prop == Proposition.P1 else xs + [m], c, idx)
+        ob = _split(groups, "group1", groups.profile())
     residual, reduction = ob.unexplained, ob.explained
     if prop == Proposition.P4:
         reduction = ob.explained_terms[m]

@@ -15,13 +15,16 @@ agree to floating-point precision on the common analysis sample. For a rare
 binary outcome the same two splits are applied on the log scale to logistic
 outcome fits and exponentiated onto the ratio scale.
 
-`sample_factor` memoizes R on the Dataset, keyed by the ordered column tuple
-(r, c…, x…, m, y), which also fixes the analysis rows (those complete in
-every listed column); the memo holds only the p×p R and the sample size, and
-`_fits` beside it the logistic outcome fits, keyed by (that tuple, q). Every
-derived Dataset (`take`, `with_roles`, `with_columns`, a spec's bindings)
-starts with empty memos and columns are read-only, so neither can go stale,
-and all parametric runs on one Dataset share one factor and its fits.
+`sample_factor` memoizes R keyed by the ordered column tuple (r, c…, x…, m,
+y), which also fixes the analysis rows (those complete in every listed
+column); the memo holds only the p×p R and the sample size, and beside it
+the logistic outcome fits, keyed by (that tuple, q). The full sample's memo
+is the Dataset's `_factors`. Every derived Dataset (`take`, `with_roles`,
+`with_columns`, a spec's bindings) starts with an empty memo and columns are
+read-only, so it cannot go stale, and all parametric runs on one Dataset
+share one factor and its fits. A bootstrap replicate is its row indices
+into the full sample: a run reads the replicate's analysis rows from them,
+and the runs of one replicate share its own memo.
 """
 
 from __future__ import annotations
@@ -56,29 +59,32 @@ from .regression import (
 RARE_PREVALENCE_LIMIT = 0.10
 
 
-def analysis_rows(d: Dataset, columns) -> np.ndarray:
-    """Boolean mask of rows with no missing cell in any listed column.
+def analysis_rows(d: Dataset, columns, idx: np.ndarray | None = None) -> np.ndarray:
+    """Boolean mask of rows with no missing cell in any listed column; for
+    the bootstrap replicate of rows `idx` into `d`, the indices
+    ``idx[mask[idx]]``, the rows a `take` of `idx` keeps, in its order.
 
-    Every model inside one run is fit on this common mask (rows complete for
-    the largest model), which is what makes the cross-family identities exact.
+    Every model inside one run is fit on these rows (rows complete for the
+    largest model), which is what makes the cross-family identities exact.
     """
     mask = np.ones(d.n_rows, dtype=bool)
     for name in columns:
         mask &= ~np.isnan(d.column(name))
-    return mask
+    return mask if idx is None else idx[mask[idx]]
 
 
-def sample_factor(d: Dataset, columns) -> TriangularFactor:
-    """R of [1, columns…] over the rows complete in every column, memoized on `d`."""
+def sample_factor(d: Dataset, columns, idx: np.ndarray | None = None,
+                  memo: dict | None = None) -> TriangularFactor:
+    """R of [1, columns…] over the analysis rows of `d`, or of its replicate
+    `idx`, memoized by column tuple in `memo` (by default `d._factors`)."""
     key = tuple(columns)
-    factor = d._factors.get(key)
-    if factor is None:
+    memo = d._factors if memo is None else memo
+    if key not in memo:
         if len(set(key)) != len(key):
             raise InvalidSpec(f"a column is bound to more than one role: {key}")
-        rows = analysis_rows(d, key)
-        factor = TriangularFactor.of((INTERCEPT, *key), [1.0, *map(d.column, key)], rows)
-        d._factors[key] = factor
-    return factor
+        memo[key] = TriangularFactor.of((INTERCEPT, *key), [1.0, *map(d.column, key)],
+                                        analysis_rows(d, key, idx))
+    return memo[key]
 
 
 def _model_name(outcome: str, regressors) -> str:
@@ -114,14 +120,16 @@ class _Run:
     Fits use the factor's column order (intercept, group, covariates, early
     measures, target); `models` records each in report order (group, early
     measures, target, covariates). `outcome_fit(q)` fits the outcome on the
-    factor's first q columns.
+    factor's first q columns. The factor is read from `memo` (see
+    `sample_factor`) over the analysis rows of `d` or of its replicate `idx`.
     """
 
-    def __init__(self, d: Dataset, factor: TriangularFactor | None = None):
+    def __init__(self, d: Dataset, idx: np.ndarray | None = None, memo: dict | None = None):
         self.y, self.r, self.xs, self.c, self.m = _run_roles(d)
-        target = [] if self.m is None else [self.m]
-        self.columns = [self.r, *self.c, *self.xs, *target, self.y]
-        self.factor = factor or sample_factor(d, self.columns)
+        target = () if self.m is None else (self.m,)
+        self.columns = (self.r, *self.c, *self.xs, *target, self.y)
+        self.memo = d._factors if memo is None else memo
+        self.factor = sample_factor(d, self.columns, idx, self.memo)
         self.models: dict[str, dict[str, float]] = {}
         self.fits: dict[str, dict] = {}  # logistic models' diagnostics
 
@@ -196,16 +204,17 @@ class _Run:
         return residual + reduction, residual, reduction
 
 
-def _decompose(d: Dataset, spec: AnalysisSpec, factor: TriangularFactor | None = None):
-    """The estimate of a spec resolved on `d`, read from `factor` (by default
-    the memoized factor of its analysis sample). PRODUCT combines coefficient
-    products, SUCCESSIVE the nested ladder; a RARE_BINARY outcome is fit by
-    logistic regression and reported as ratios."""
+def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
+               memo: dict | None = None):
+    """The estimate of a spec resolved on `d`, or on its bootstrap replicate
+    of rows `idx` when given, whose runs share `memo`. PRODUCT combines
+    coefficient products, SUCCESSIVE the nested ladder; a RARE_BINARY
+    outcome is fit by logistic regression and reported as ratios."""
     logistic = spec.outcome_family == OutcomeFamily.RARE_BINARY
-    run, prop, notes = _Run(d, factor), spec.proposition, []
+    run, prop, notes = _Run(d, idx, memo), spec.proposition, []
     factor = run.factor
     if logistic:
-        rows = analysis_rows(d, run.columns)
+        rows = analysis_rows(d, run.columns, idx)
         y = d.column(run.y)[rows]
         if np.any((y != 0.0) & (y != 1.0)):
             raise InvalidSpec("rare-binary outcome column must be 0/1")
@@ -217,14 +226,14 @@ def _decompose(d: Dataset, spec: AnalysisSpec, factor: TriangularFactor | None =
                 "rare-outcome approximation and may be distorted"
             )
             warnings.warn(notes[-1], PrevalenceWarning, stacklevel=3)
-        design = stacked_columns([1.0, *map(d.column, run.columns[:-1])], rows)
 
         def outcome_fit(q):
-            key = (tuple(run.columns), q)
-            if key not in d._fits:  # read-only, as SUCCESSIVE and PRODUCT share it
-                d._fits[key] = fit_logistic(DesignMatrix(factor.labels[:q], design[:, :q]), y)
-                d._fits[key].values.flags.writeable = False
-            return d._fits[key]
+            key = (run.columns, q)
+            if key not in run.memo:  # read-only, as SUCCESSIVE and PRODUCT share it
+                design = stacked_columns([1.0, *map(d.column, run.columns[: q - 1])], rows)
+                run.memo[key] = fit_logistic(DesignMatrix(factor.labels[:q], design), y)
+                run.memo[key].values.flags.writeable = False
+            return run.memo[key]
     else:
         def outcome_fit(q):
             return factor.fit(run.y, q)
@@ -241,26 +250,6 @@ def _decompose(d: Dataset, spec: AnalysisSpec, factor: TriangularFactor | None =
         initial, scale = residual * reduction, Scale.RATIO
     return DecompositionEstimate.of(prop, scale, initial, residual, reduction, spec.estimator.value,
                                     run.models, notes, run.fits or None)
-
-
-def replicate_estimator(d: Dataset, spec: AnalysisSpec):
-    """A continuous SUCCESSIVE or PRODUCT run, resolved and masked once on
-    `d`, as ``estimate(idx, factors)`` on the bootstrap replicate of rows
-    `idx`. Its factor stacks ``idx[mask[idx]]``, the rows a taken replicate
-    stacks in the same order, so R is the same bit for bit; `factors` is
-    the replicate's memo of factors by column tuple, shared by its runs."""
-    d = resolve_for(spec, d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
-    key = tuple(_Run(d).columns)
-    mask = analysis_rows(d, key)
-
-    def estimate(idx: np.ndarray, factors: dict) -> DecompositionEstimate:
-        if key not in factors:
-            rows = idx[mask[idx]]
-            factors[key] = TriangularFactor.of((INTERCEPT, *key),
-                                               [1.0, *(d.column(k)[rows] for k in key)])
-        return _decompose(d, spec, factors[key])
-
-    return estimate
 
 
 def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:

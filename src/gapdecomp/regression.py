@@ -113,18 +113,20 @@ class CoefficientSet:
 def stacked_columns(columns: Sequence, rows: np.ndarray | None = None) -> np.ndarray:
     """Fortran-ordered matrix of ``columns[j][rows]``; a scalar fills its column.
 
-    `rows` is an optional boolean mask selecting the analysis rows.
+    `rows` is an optional boolean mask or index array selecting the analysis rows.
     """
     if rows is None:
         n = len(next(c for c in columns if np.ndim(c)))
     else:
-        n = int(np.count_nonzero(rows))
+        n = int(np.count_nonzero(rows)) if rows.dtype == bool else rows.size
     out = np.empty((n, len(columns)), order="F")
     for j, col in enumerate(columns):
         if rows is None or not np.ndim(col):
             out[:, j] = col
-        else:
+        elif rows.dtype == bool:
             np.compress(rows, col, out=out[:, j])
+        else:
+            np.take(col, rows, out=out[:, j])
     return out
 
 

@@ -294,7 +294,7 @@ def test_generate_rejects_unknown_parameters(tmp_path, capsys):
     params.write_text(json.dumps({"n": 10, "group_gap": 0.5}), encoding="utf-8")
     assert main(["generate", str(params), str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
-    assert "unknown parameter(s)" in err and "group_gap" in err
+    assert "unknown key(s)" in err and "group_gap" in err
 
 
 def test_selfcheck_passes_and_prints_verdicts(capsys):
@@ -331,14 +331,30 @@ def test_selfcheck_catches_a_broken_estimator(monkeypatch, capsys):
     assert "FAIL" in out and "all identities hold" not in out
 
 
-def test_selfcheck_catches_a_replicate_read_from_the_wrong_rows(monkeypatch):
+@pytest.mark.parametrize("route", ["plugin", "parametric", "oaxaca"])
+def test_selfcheck_catches_a_replicate_read_from_the_wrong_rows(monkeypatch, route):
+    import gapdecomp.oaxaca as oaxaca
+    import gapdecomp.parametric as parametric
     from gapdecomp.cli import _check_replicate_indices, _selfcheck_data
     from gapdecomp.plugin import Replicates
 
+    def short(idx):  # a replicate that lost its last row
+        return None if idx is None else idx[:-1]
+
     discrete = _selfcheck_data()[1]
-    assert _check_replicate_indices(discrete) == 0.0
-    draw = Replicates.__call__
-    monkeypatch.setattr(Replicates, "__call__", lambda self, idx, shared: draw(self, idx[:-1], shared))
+    if route == "plugin":
+        assert _check_replicate_indices(discrete) == 0.0
+        draw = Replicates.__call__
+        monkeypatch.setattr(Replicates, "__call__",
+                            lambda self, idx, shared: draw(self, short(idx), shared))
+    elif route == "parametric":
+        rows = parametric.analysis_rows
+        monkeypatch.setattr(parametric, "analysis_rows",
+                            lambda d, columns, idx=None: rows(d, columns, short(idx)))
+    else:
+        init = oaxaca._GroupFactors.__init__
+        monkeypatch.setattr(oaxaca._GroupFactors, "__init__",
+                            lambda self, d, e, c, idx=None: init(self, d, e, c, short(idx)))
     assert _check_replicate_indices(discrete) > 1e-12
 
 
@@ -625,20 +641,42 @@ def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(engine, "estimate", counted("estimate", engine.estimate))
     monkeypatch.setattr(cli, "estimate", engine.estimate)
     monkeypatch.setattr(inference, "estimate", engine.estimate)
-    b, runs = 12, BOOTSTRAP_RUNS[:5]
+    b = 12
+    # P7 would need the confounder that an "interactions" run refuses
+    runs = [*BOOTSTRAP_RUNS[:3], BOOTSTRAP_RUNS[4],
+            {"proposition": "P4", "estimator": "SUCCESSIVE", "options": {"interactions": True}}]
     cfg = write_bootstrap_config(tmp_path, stratify=False, replicates=b)
     config = json.loads(cfg.read_text(encoding="utf-8"))
     config.pop("preprocess")
+    config["bindings"].pop("confounder")
     cfg.write_text(json.dumps({**config, "runs": runs}), encoding="utf-8")
     monkeypatch.setattr(np, "unique", counted("unique", np.unique))
     assert main(["run", str(cfg)]) == 0
     capsys.readouterr()
-    # only the RARE_BINARY run reads a taken replicate, through `estimate`;
-    # np.unique sorts each stratum column (early, target, confounder,
-    # covariate) once, checks the outcome of each of its 3 logistic fits per
-    # sample, and np.percentile calls it once per reported quantity
-    assert calls == {"resample": b, "take": b, "estimate": len(runs) + b,
-                     "unique": 4 + 3 * (b + 1) + 4 * len(runs)}
+    # every run reads its replicates from row indices, none through `estimate`;
+    # np.unique sorts each stratum column (early, target, covariate) once,
+    # checks the outcome of each of the 3 logistic fits per sample, and
+    # np.percentile calls it once per reported quantity
+    assert calls == {"resample": b, "take": 0, "estimate": len(runs),
+                     "unique": 3 + 3 * (b + 1) + 4 * len(runs)}
+
+
+@pytest.mark.parametrize("report,table", [
+    ("cohort.csv", "table.txt"), ("report.json", "cohort.csv"), ("cohort.csv", "cohort.csv"),
+    ("out.txt", "out.txt"), ("./sub/../cohort.csv", "table.txt"),
+])
+def test_outputs_that_name_the_input_or_each_other_are_refused(tmp_path, capsys, monkeypatch,
+                                                                report, table):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    before = write_cohort(tmp_path).read_bytes()
+    cfg = write_config(tmp_path, input="cohort.csv", output={"report": report, "table": table})
+    with pytest.raises(ConfigError, match="names the same file as"):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    assert "names the same file as" in capsys.readouterr().err
+    assert (tmp_path / "cohort.csv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "config.json", "sub"]
 
 
 def test_fewer_than_two_replicates_are_refused_at_config_load(tmp_path, capsys):

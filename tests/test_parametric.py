@@ -495,8 +495,9 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
              for family in ("SUCCESSIVE", "PRODUCT")]
     shared = [estimate(d, spec) for spec in specs]
     assert len(calls) == 3  # PRODUCT's outcome model is SUCCESSIVE's full model
-    assert len(set(calls)) == 3 and len(d._fits) == 3
-    for fit in d._fits.values():
+    fits = {key: fit for key, fit in d._factors.items() if isinstance(key[-1], int)}
+    assert len(set(calls)) == 3 and len(fits) == 3 and len(d._factors) == 4  # and one factor
+    for fit in fits.values():
         assert not fit.values.flags.writeable
     full_model = "outcome ~ group + early + target"
     successive, product = shared
@@ -510,7 +511,7 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
     ]
     for child in (d.take(np.arange(d.n_rows)), d.with_roles(dict(d.roles)),
                   d.with_columns({"extra": np.zeros(d.n_rows)})):
-        assert child._fits == {}
+        assert child._factors == {}
 
 
 def test_logistic_outcome_models_carry_iterations_convergence_and_deviance():

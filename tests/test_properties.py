@@ -265,7 +265,8 @@ def replicate_sample(seed, n):
     some replicates of P7), a covariate level on 3 rows (a replicate without
     them leaves it constant: RankDeficient), a few blank outcomes, and few
     group-0 events in the 0/1 outcome `yb` (a replicate can draw none of
-    them: NearZeroDenominator on the ratio scale)."""
+    them: NearZeroDenominator on the ratio scale). The confounder `l` is left
+    unbound, as "interactions" runs refuse one; P7 binds it."""
     rng = np.random.default_rng(seed)
     r = (rng.random(n) < 0.5).astype(float)
     x = (rng.random(n) < 0.3 + 0.3 * r).astype(float)
@@ -278,17 +279,19 @@ def replicate_sample(seed, n):
     yb = (rng.random(n) < 0.02 + 0.2 * r).astype(float)
     return dataset_from({"y": y, "yb": yb, "r": r, "x": x, "m": m, "l": l, "c": c},
                         {"outcome": "y", "group": "r", "early": ["x"], "target": "m",
-                         "confounder": "l", "covariate": ["c"]})
+                         "covariate": ["c"]})
 
 
 BINARY = {"outcome": "yb", "covariate": []}
 REPLICATE_SPECS = [
     AnalysisSpec("P4", "SUCCESSIVE"),
     AnalysisSpec("P3", "PRODUCT"),
-    AnalysisSpec("P7", "PLUGIN", bindings={"covariate": []}),
+    AnalysisSpec("P7", "PLUGIN", bindings={"covariate": [], "confounder": "l"}),
     AnalysisSpec("P2", "PLUGIN", bindings={"covariate": []}),
     AnalysisSpec("P1", "PLUGIN", "RARE_BINARY", bindings=BINARY),
-    AnalysisSpec("P4", "SUCCESSIVE", "RARE_BINARY", bindings=BINARY),  # reads a taken replicate
+    AnalysisSpec("P4", "SUCCESSIVE", "RARE_BINARY", bindings=BINARY),
+    AnalysisSpec("P2", "PRODUCT", bindings={"covariate": []}, options={"interactions": True}),
+    AnalysisSpec("P4", "SUCCESSIVE", bindings={"covariate": []}, options={"interactions": True}),
 ]
 
 
