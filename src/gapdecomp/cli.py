@@ -9,8 +9,10 @@ violated.  ``gapdecomp generate <params.json> <out.csv>`` writes a synthetic
 cohort.
 
 Reports are deterministic: rerunning the same config against the same file
-at the same BLAS thread count produces byte-identical output (no timestamps,
-no environment capture; threaded BLAS sums may add in another order).
+produces byte-identical output (no timestamps, no environment capture), at
+any BLAS thread count except for runs with logistic fits and configs using
+``principal_component``, whose threaded matrix products may add in another
+order.
 Every numeric field is either finite or ``null`` with a reason string
 alongside it; warnings are part of the report, not log chatter.
 """
@@ -93,7 +95,7 @@ _SCHEMA = {
     "output": {"report": _STRING, "table": _STRING},
 }
 _RUN = {"proposition": _ANY, "estimator": _ANY, "outcome_family": _ANY,
-        "conditioning_value_x": _ANY, "options": _OBJECT}
+        "conditioning_value_x": _ANY, "options": _OBJECT, "bindings": _SCHEMA["bindings"]}
 #: The keys a nested object must hold, by its key.
 _REQUIRED = {"principal_component": ("columns", "name"), "discretize": ("columns",)}
 
@@ -160,6 +162,7 @@ def load_config(path) -> RunConfig:
                 estimator=entry["estimator"],
                 outcome_family=entry.get("outcome_family", "CONTINUOUS"),
                 conditioning_value_x=entry.get("conditioning_value_x"),
+                bindings=entry.get("bindings"),
                 options={**raw.get("options", {}), **entry.get("options", {})},
             ))
         except ValueError as exc:
@@ -293,6 +296,7 @@ def execute(cfg: RunConfig) -> dict:
             "proposition": spec.proposition.value,
             "estimator": spec.estimator.value,
             "outcome_family": spec.outcome_family.value,
+            **({"bindings": dict(spec.bindings)} if spec.bindings else {}),
             "estimate": None,
             "notes": [],
             "warnings": [],

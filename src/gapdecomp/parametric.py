@@ -231,7 +231,8 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
             key = (run.columns, q)
             if key not in run.memo:  # read-only, as SUCCESSIVE and PRODUCT share it
                 design = stacked_columns([1.0, *map(d.column, run.columns[: q - 1])], rows)
-                run.memo[key] = fit_logistic(DesignMatrix(factor.labels[:q], design), y)
+                run.memo[key] = fit_logistic(DesignMatrix(factor.labels[:q], design), y,
+                                             factor.r[:q, :q])
                 run.memo[key].values.flags.writeable = False
             return run.memo[key]
     else:

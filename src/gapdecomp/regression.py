@@ -1,18 +1,26 @@
 """Least-squares and logistic fitting from one triangular factor.
 
-Every least-squares solve goes through one kernel: the regressors and the
-response column(s) are copied into one Fortran-ordered n×p array, and a
-left-looking, unpivoted Householder QR keeps only its p×p factor R. Column j
-receives the reflectors of columns 0..j-1 before yielding its own, so R[:, j]
-depends on columns 0..j alone and R holds every nested regression: column j
-on columns 0..q-1 (q <= j) solves R[:q, :q] b = R[:q, j] (nested QR, i.e.
-Frisch–Waugh–Lovell; Golub & Van Loan, *Matrix Computations* §5.3). A fit
-read from a wider factor thus equals `fit_ols` on its design alone, bit for
-bit (LAPACK's geqrf rounds differently as the trailing block widens). Rank is
-checked on the diagonal of each prefix used as a design, never on a
-response: a small |R[i, i]| against the norm of column i names column i as
-dependent on those declared before it. Downstream formulas read named
-coefficients off CoefficientSet: labels, not positions, are the contract.
+Every least-squares solve goes through one kernel, `fold_rows`: the
+regressors and the response column(s) are read BLOCK_ROWS (10,000) analysis
+rows at a time into one Fortran-ordered block, and a left-looking, unpivoted
+Householder QR folds each block into the p×p factor R, R <- R of [R; block],
+starting from R = 0 (the sequential TSQR update; Demmel, Grigori, Hoemmen &
+Langou, SIAM J. Sci. Comput. 2012). No caller holds more than one block of
+its sample, and every dot product has at most 10,000 terms, which OpenBLAS
+(0.3.31) sums on one thread, so R is the same, bit for bit, at any BLAS
+thread count. Within a block, column j receives the reflectors of columns
+0..j-1 before yielding its own, so R[:, j] depends on columns 0..j alone and
+R holds every nested regression: column j on columns 0..q-1 (q <= j) solves
+R[:q, :q] b = R[:q, j] (nested QR, i.e. Frisch–Waugh–Lovell; Golub & Van
+Loan, *Matrix Computations* §5.3). A fit read from a wider factor thus
+equals `fit_ols` on its design alone, bit for bit (LAPACK's geqrf rounds
+differently as the trailing block widens, as would a QR of [R; block]
+stacked as a plain matrix, whose dot products run over the zero rows a wider
+R carries). Rank is checked on the diagonal of each prefix used as a design,
+never on a response: a small |R[i, i]| against the norm of column i names
+column i as dependent on those declared before it. Downstream formulas read
+named coefficients off CoefficientSet: labels, not positions, are the
+contract.
 """
 
 from __future__ import annotations
@@ -110,19 +118,23 @@ class CoefficientSet:
         return {l: float(v) for l, v in zip(self.labels, self.values)}
 
 
-def stacked_columns(columns: Sequence, rows: np.ndarray | None = None) -> np.ndarray:
+#: Rows folded into a factor at a time: a constant, not an option (see above);
+#: a bootstrap replicate of a 10k-row sample stays one block.
+BLOCK_ROWS = 10_000
+
+
+def stacked_columns(columns: Sequence, rows, out: np.ndarray | None = None) -> np.ndarray:
     """Fortran-ordered matrix of ``columns[j][rows]``; a scalar fills its column.
 
-    `rows` is an optional boolean mask or index array selecting the analysis rows.
+    `rows` is a boolean mask or an index array, or a slice when `out` is
+    given to receive the matrix.
     """
-    if rows is None:
-        n = len(next(c for c in columns if np.ndim(c)))
-    else:
+    if out is None:
         n = int(np.count_nonzero(rows)) if rows.dtype == bool else rows.size
-    out = np.empty((n, len(columns)), order="F")
+        out = np.empty((n, len(columns)), order="F")
     for j, col in enumerate(columns):
-        if rows is None or not np.ndim(col):
-            out[:, j] = col
+        if not np.ndim(col) or isinstance(rows, slice):
+            out[:, j] = col[rows] if np.ndim(col) else col
         elif rows.dtype == bool:
             np.compress(rows, col, out=out[:, j])
         else:
@@ -130,49 +142,67 @@ def stacked_columns(columns: Sequence, rows: np.ndarray | None = None) -> np.nda
     return out
 
 
-def triangular_factor(a: np.ndarray) -> np.ndarray:
-    """R (p×p) of the left-looking Householder QR of a Fortran-ordered n×p ``a``.
+def fold_rows(r: np.ndarray, block: np.ndarray) -> None:
+    """R <- R of [R; block]: one Householder QR update, R (p×p) in place.
 
-    ``a`` is overwritten with the reflectors; when n < p, rows of R past n are 0.
-    A column whose cells overflow its norm leaves R non-finite from that
-    column on; `_named_factor` refuses such a factor.
+    Reflector j is 1 at row j of R and the block's column j below it, so it
+    touches only row j of R, and column j reads only R[:j+1, j], the block's
+    column j and reflectors 0..j-1: R[:, j] depends on columns 0..j alone.
+    The Fortran-ordered m×p ``block`` is overwritten with the reflectors.
     """
-    n, p = a.shape
-    r = np.zeros((p, p))
-    tau = np.zeros(p)
-    for j in range(p):
-        col = a[:, j]
-        top = min(j, n)
-        for i in range(top):
+    tau = np.zeros(r.shape[0])
+    for j in range(r.shape[0]):
+        col = block[:, j]
+        for i in range(j):
             if tau[i]:
-                v, x = a[i:, i], col[i:]
-                x -= (tau[i] * np.dot(v, x)) * v
-        r[:top, j] = col[:top]
-        if j >= n:
-            continue
-        x = col[j:]
-        alpha, rest = float(x[0]), float(np.linalg.norm(x[1:]))
-        r[j, j] = alpha
+                s = tau[i] * (r[i, j] + np.dot(block[:, i], col))
+                r[i, j] -= s
+                col -= s * block[:, i]
+        alpha, rest = float(r[j, j]), float(np.linalg.norm(col))
         if rest:
             r[j, j] = beta = -math.copysign(math.hypot(alpha, rest), alpha)
             tau[j] = (beta - alpha) / beta
-            x *= 1.0 / (alpha - beta)
-            x[0] = 1.0
-    return r
+            col *= 1.0 / (alpha - beta)
 
 
-def _named_factor(a: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-    """triangular_factor(a), or NonFiniteCell naming the first of the columns
-    `labels` whose R column overflowed (R[:, j] depends on columns 0..j only)."""
+def triangular_factor(columns: Sequence, rows=None) -> tuple[np.ndarray, int]:
+    """R (p×p) of ``columns[j][rows]`` and the row count n, folding the rows
+    in BLOCK_ROWS at a time from R = 0 (`fold_rows`).
+
+    `rows` is an optional boolean mask or index array. A column whose cells
+    overflow its norm leaves R non-finite from that column on;
+    `_named_factor` refuses such a factor.
+    """
+    if rows is None:
+        lengths = {len(c) for c in columns if np.ndim(c)}
+        if len(lengths) != 1:
+            raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+        (n,) = lengths
+    else:
+        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+        n = rows.size
+    r = np.zeros((len(columns), len(columns)))
+    block = np.empty((min(n, BLOCK_ROWS), len(columns)), order="F")
+    for start in range(0, n, BLOCK_ROWS):
+        part = block[: min(BLOCK_ROWS, n - start)]
+        at = slice(start, start + len(part))
+        fold_rows(r, stacked_columns(columns, at if rows is None else rows[at], part))
+    return r, n
+
+
+def _named_factor(columns: Sequence, labels: Sequence[str], rows=None) -> tuple[np.ndarray, int]:
+    """triangular_factor(columns, rows), or NonFiniteCell naming the first of
+    the columns `labels` whose R column overflowed (R[:, j] depends on
+    columns 0..j only)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r = triangular_factor(a)
+        r, n = triangular_factor(columns, rows)
     finite = np.isfinite(r).all(axis=0)
     if not finite.all():
         raise NonFiniteCell(
             f"column {labels[int(np.argmin(finite))]!r} holds cells too large in magnitude "
             "to square and sum in floating point; rescale it"
         )
-    return r
+    return r, n
 
 
 def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,15 +213,21 @@ def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def expit(x) -> np.ndarray:
+def exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|), the one exponential of both `expit` and the binomial deviance."""
+    e = np.empty_like(x)  # out= keeps a 0-d x an array
+    return np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+
+
+def expit(x, tail: np.ndarray | None = None) -> np.ndarray:
     """The logistic function, 1/(1 + exp(-x)), accurate in both tails.
 
     With e = exp(-|x|) and d = 1/(1 + e), it is d where x >= 0 and e·d where
     x < 0, so exp never overflows and the lower tail keeps its subnormals.
+    `tail`, when given, is ``exp_neg_abs(x)``, and is overwritten.
     """
     x = np.asarray(x, dtype=float)
-    e, d = np.empty_like(x), np.empty_like(x)  # out= keeps a 0-d x an array
-    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    e, d = exp_neg_abs(x) if tail is None else tail, np.empty_like(x)
     np.reciprocal(np.add(e, 1.0, out=d), out=d)
     # e <= 1, so max(e, x >= 0) picks 1 or e with no per-element branch
     return np.multiply(d, np.maximum(e, x >= 0, out=e), out=d)
@@ -215,7 +251,8 @@ def least_squares(r, n: int, q: int, j: int, labels: Sequence[str]) -> tuple[np.
 
 @dataclass(frozen=True)
 class TriangularFactor:
-    """R of the stacked columns `labels` over `n_rows` analysis rows."""
+    """R of the columns `labels` over `n_rows` analysis rows, folded in one
+    block at a time (`triangular_factor`): no n×p copy of the sample is made."""
 
     labels: tuple[str, ...]
     r: np.ndarray
@@ -223,8 +260,7 @@ class TriangularFactor:
 
     @classmethod
     def of(cls, labels: Sequence[str], columns: Sequence, rows=None) -> "TriangularFactor":
-        a = stacked_columns(columns, rows)
-        return cls(tuple(labels), _named_factor(a, labels), a.shape[0])
+        return cls(tuple(labels), *_named_factor(columns, labels, rows))
 
     def fit(self, response: str, q: int) -> CoefficientSet:
         """Least squares of the `response` column on the first q columns."""
@@ -255,19 +291,25 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     columns in declared order). Residual variance uses the n - k denominator.
     """
     n, k = design.matrix.shape
-    a = stacked_columns([*design.matrix.T, np.asarray(y, dtype=float)])
+    columns = [*design.matrix.T, np.asarray(y, dtype=float)]
     labels = (*design.labels, "response")
-    refuse_non_finite(labels, a.T)
-    beta, rss = least_squares(_named_factor(a, labels), n, k, k, design.labels)
+    refuse_non_finite(labels, columns)
+    beta, rss = least_squares(_named_factor(columns, labels)[0], n, k, k, design.labels)
     return CoefficientSet(design.labels, beta, residual_variance=rss / (n - k))
 
 
-def _binomial_deviance(eta: np.ndarray, sign: np.ndarray) -> float:
-    # -2 log-likelihood with sign = 1 - 2y, written with logaddexp so extreme eta stays finite
-    return float(2.0 * np.sum(np.logaddexp(0.0, sign * eta)))
+def _binomial_deviance(eta: np.ndarray, sign: np.ndarray, tail: np.ndarray) -> float:
+    """-2 log-likelihood with sign = 1 - 2y and tail = exp(-|eta|): each term
+    log(1 + exp(sign·eta)) is max(sign·eta, 0) + log1p(tail), as |sign·eta| =
+    |eta|, so extreme eta stays finite."""
+    terms = np.multiply(sign, eta)
+    np.maximum(terms, 0.0, out=terms)
+    terms += np.log1p(tail)
+    return float(2.0 * np.sum(terms))
 
 
-def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
+def fit_logistic(design: DesignMatrix, y: np.ndarray,
+                 r: np.ndarray | None = None) -> CoefficientSet:
     """Maximum-likelihood logistic regression by Newton/IRLS.
 
     Starts from the zero vector with intercept = logit of the outcome mean.
@@ -276,7 +318,9 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     is checked once, on the unweighted design (weights are clipped to >=
     1e-12, so every weighted design has its rank). Converges when the max
     absolute coefficient change is < 1e-10 or the deviance stopped changing
-    (moved by < 1e-12); at most 100 iterations.
+    (moved by < 1e-12); at most 100 iterations. A caller that holds R of
+    the design's columns (a `TriangularFactor` prefix) passes it as `r`, and
+    the rank is checked on it instead of on a factor of the design's own.
 
     Raises
     ------
@@ -293,8 +337,7 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     mat, labels = design.matrix, design.labels
     n, k = mat.shape
     refuse_non_finite((*labels, "response"), [*mat.T, y])
-    weighted = np.array(mat, order="F")  # scratch of the rank check, then of every step
-    check_rank(_named_factor(weighted, labels), n, k, labels)
+    check_rank(_named_factor(list(mat.T), labels)[0] if r is None else r, n, k, labels)
     if not np.array_equal(np.unique(y), [0.0, 1.0]):
         raise InvalidSpec("logistic outcome must contain both 0s and 1s (only)")
 
@@ -302,12 +345,14 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     m = float(y.mean())
     beta[0] = math.log(m) - math.log1p(-m)
     eta = mat @ beta
+    tail = exp_neg_abs(eta)  # of the current eta, used by its deviance and then by expit
     sign = 1.0 - 2.0 * y
-    deviance = _binomial_deviance(eta, sign)
+    deviance = _binomial_deviance(eta, sign, tail)
+    weighted = np.empty(mat.shape, order="F")  # scratch of every step
     previous_step, previous_norm, divergence_run = np.inf, abs(float(beta[0])), 0
 
     for iteration in range(1, _MAX_ITER + 1):
-        p = expit(eta)
+        p = expit(eta, tail)
         w = np.clip(p * (1.0 - p), 1e-12, None)
         g = mat.T @ (y - p)
         try:
@@ -316,12 +361,14 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
             delta = back_substitute(chol.T, back_substitute(chol[::-1, ::-1], g[::-1])[::-1])
         except np.linalg.LinAlgError:
             root_w = np.sqrt(w)
-            a = stacked_columns([*(mat * root_w[:, None]).T, (y - p) / root_w])
-            delta, _ = least_squares(_named_factor(a, (*labels, "response")), n, k, k, labels)
+            columns = [*(col * root_w for col in mat.T), (y - p) / root_w]
+            delta, _ = least_squares(_named_factor(columns, (*labels, "response"))[0],
+                                     n, k, k, labels)
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
         eta = mat @ beta  # carried into the next iteration
-        new_deviance = _binomial_deviance(eta, sign)
+        tail = exp_neg_abs(eta)
+        new_deviance = _binomial_deviance(eta, sign, tail)
         norm = float(np.max(np.abs(beta)))
         if norm > _DIVERGENCE_NORM and step >= previous_step:
             raise Separation(

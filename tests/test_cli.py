@@ -824,3 +824,77 @@ def test_generate_accepts_a_null_prevalence(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["generate", str(path), str(out)]) == 0
     assert load_csv(out).n_rows == 20
+
+
+# -- per-run bindings ---------------------------------------------------------
+
+
+def test_a_run_can_unbind_the_confounder_beside_a_confounder_adjusted_run(tmp_path, capsys):
+    from gapdecomp import AnalysisSpec, estimate
+
+    write_csv(generate(BOOTSTRAP_COHORT, 1500, seed=5), tmp_path / "cohort.csv")
+    interactions = {"proposition": "P4", "estimator": "SUCCESSIVE",
+                    "options": {"interactions": True}}
+    cfg = write_config(tmp_path, bindings={**BINDINGS, "confounder": "confounder"}, runs=[
+        {"proposition": "P7", "estimator": "PLUGIN"},
+        {**interactions, "bindings": {"confounder": []}},
+    ])
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    plugin, stratified = read_report(tmp_path)["runs"]
+    assert plugin["error"] is None and "bindings" not in plugin
+    assert stratified["bindings"] == {"confounder": []}
+    unbound = load_csv(tmp_path / "cohort.csv", BINDINGS)
+    want = estimate(unbound, AnalysisSpec("P4", "SUCCESSIVE", options={"interactions": True}))
+    got = stratified["estimate"]
+    assert (got["initial"], got["residual"], got["reduction"]) == (
+        want.initial, want.residual, want.reduction)
+
+    # without the run's own binding the stratified run refuses the confounder
+    cfg = write_config(tmp_path, bindings={**BINDINGS, "confounder": "confounder"},
+                       runs=[interactions])
+    assert main(["run", str(cfg)]) == 1
+    capsys.readouterr()
+    error = read_report(tmp_path)["runs"][0]["error"]
+    assert error["type"] == "InvalidSpec" and "confounder" in error["message"]
+
+
+@pytest.mark.parametrize("bindings,named", [
+    ({"covariate": ["no_such_column"]}, "'no_such_column'"),
+    ({"early": 5}, "'bindings' must be an object mapping roles"),
+    ({"cohort": "early"}, "unknown role"),
+])
+def test_a_run_binding_that_cannot_be_read_fails_before_any_estimate(tmp_path, capsys, bindings,
+                                                                     named):
+    write_cohort(tmp_path)
+    cfg = write_config(tmp_path, runs=[{"proposition": "P1", "estimator": "SUCCESSIVE"},
+                                       {"proposition": "P4", "estimator": "SUCCESSIVE",
+                                        "bindings": bindings}])
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not (tmp_path / "report.json").exists()
+
+
+# -- BLAS threads ---------------------------------------------------------------
+
+
+def test_reports_are_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    # 12,000 analysis rows: past the 10,000 below which OpenBLAS sums a dot
+    # product on one thread, so an unblocked factor adds in another order at 2
+    write_cohort(tmp_path, DISCRETE, n=12_000, seed=6)
+    cfg = write_config(tmp_path, runs=[
+        *({"proposition": p, "estimator": "SUCCESSIVE"} for p in ("P1", "P2", "P3", "P4")),
+        {"proposition": "P4", "estimator": "PRODUCT"},
+        {"proposition": "P4", "estimator": "SUCCESSIVE", "options": {"interactions": True}},
+        {"proposition": "P3", "estimator": "PLUGIN"},
+    ])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "gapdecomp.cli", "run", str(cfg)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((tmp_path / "report.json").read_bytes())
+    assert reports[0] == reports[1]

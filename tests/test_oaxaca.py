@@ -252,16 +252,16 @@ def test_each_group_is_factored_once_per_call(monkeypatch):
     d = d.with_columns({"c": np.random.default_rng(12).normal(size=d.n_rows)},
                        roles={"covariate": ["c"]})
     factored = []
-    triangular_factor = regression.triangular_factor
+    fold_rows = regression.fold_rows
 
-    def counted(a):
-        factored.append(a.shape)
-        return triangular_factor(a)
+    def counted(r, block):
+        factored.append(block.shape)
+        return fold_rows(r, block)
 
     def refused(*args, **kwargs):
         raise AssertionError("no separate design or fit expected")
 
-    monkeypatch.setattr(regression, "triangular_factor", counted)
+    monkeypatch.setattr(regression, "fold_rows", counted)
     monkeypatch.setattr(regression, "fit_ols", refused)
     monkeypatch.setattr(oaxaca, "fit_ols", refused)
     monkeypatch.setattr(regression.DesignMatrix, "from_dataset", refused)

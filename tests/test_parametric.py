@@ -46,10 +46,11 @@ def test_additivity_by_construction():
             assert e.initial == pytest.approx(e.residual + e.reduction, abs=1e-12)
 
 
-def test_p1_residual_is_adjusted_group_coefficient():
+@pytest.mark.parametrize("n", [300, 20_017])  # one factor block, and three
+def test_p1_residual_is_adjusted_group_coefficient(n):
     from gapdecomp import DesignMatrix, fit_ols
 
-    d = generate(random_continuous_params(np.random.default_rng(3)), 300, seed=4)
+    d = generate(random_continuous_params(np.random.default_rng(3)), n, seed=4)
     e = decompose_successive_linear(d, AnalysisSpec("P1", "SUCCESSIVE"))
     dm = DesignMatrix.from_dataset(d, ["group", "early"], np.arange(d.n_rows))
     direct = fit_ols(dm, d.column("outcome"))["group"]
@@ -480,9 +481,9 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
     calls = []
     real = parametric.fit_logistic
 
-    def counted(design, y):
+    def counted(design, y, r=None):
         calls.append(design.labels)
-        return real(design, y)
+        return real(design, y, r)
 
     monkeypatch.setattr(parametric, "fit_logistic", counted)
     params = StructuralParams(

@@ -15,7 +15,8 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import assume, example, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conftest import dataset_from
 from gapdecomp import (
@@ -42,6 +43,7 @@ from gapdecomp.errors import (
     NotConverged,
     Separation,
 )
+from gapdecomp import regression
 from gapdecomp.analysis import TIMEDEP_BASE, Proposition
 
 PROPS = ("P1", "P2", "P3", "P4")
@@ -418,7 +420,8 @@ def oracle(columns, xs, covariates, prop, family):
     return base[r], residual, reduction
 
 
-@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("block_rows", [regression.BLOCK_ROWS, 7])  # one block, or many
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     seed=seeds,
     n=st.integers(40, 160),
@@ -426,7 +429,9 @@ def oracle(columns, xs, covariates, prop, family):
     with_covariate=st.booleans(),
     missing=st.floats(0.0, 0.08),
 )
-def test_shared_factor_matches_models_fitted_one_by_one(seed, n, k, with_covariate, missing):
+def test_shared_factor_matches_models_fitted_one_by_one(monkeypatch, block_rows, seed, n, k,
+                                                         with_covariate, missing):
+    monkeypatch.setattr(regression, "BLOCK_ROWS", block_rows)  # the same value every example
     rng = np.random.default_rng(seed)
     r = (rng.random(n) < 0.5).astype(float)
     cov = rng.normal(size=n)
@@ -713,7 +718,8 @@ def stratified_oracle(d, prop, xs, covariates, anchor):
     return sum(unexplained.values()), sum(explained.values())
 
 
-@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("block_rows", [regression.BLOCK_ROWS, 7])  # one block, or many
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     seed=seeds,
     n=st.integers(60, 200),
@@ -722,7 +728,9 @@ def stratified_oracle(d, prop, xs, covariates, anchor):
     missing=st.floats(0.0, 0.08),
     given_profile=st.booleans(),
 )
-def test_stratified_route_matches_per_group_fits(seed, n, k, n_covariates, missing, given_profile):
+def test_stratified_route_matches_per_group_fits(monkeypatch, block_rows, seed, n, k, n_covariates,
+                                                 missing, given_profile):
+    monkeypatch.setattr(regression, "BLOCK_ROWS", block_rows)  # the same value every example
     rng = np.random.default_rng(seed)
     r = (rng.random(n) < 0.5).astype(float)
     columns = {"r": r}

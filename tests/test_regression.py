@@ -201,6 +201,59 @@ def test_prefix_fits_of_one_factor_equal_separate_fits_bitwise():
     assert np.array_equal(aux.values, fit_ols(design({"a": cols["a"]}), cols["b"]).values)
 
 
+def test_a_factor_holds_one_block_of_its_sample():
+    import tracemalloc
+
+    from gapdecomp.regression import TriangularFactor
+
+    rng = np.random.default_rng(41)
+    n = 200_000
+    columns = [1.0, *(rng.normal(size=n) for _ in range(5))]
+    rows = rng.random(n) < 0.98
+    tracemalloc.start()
+    try:
+        factor = TriangularFactor.of(tuple("abcdef"), columns, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.n_rows == np.count_nonzero(rows)
+    # the row indices (8 bytes a row) and one 10,000×6 block; the n×6 copy alone is 9.4 MB
+    assert peak < 3e6
+
+
+def test_a_logistic_fit_checks_rank_on_the_factor_its_caller_holds():
+    from gapdecomp.regression import TriangularFactor
+
+    rng = np.random.default_rng(42)
+    x, z = rng.normal(size=300), rng.normal(size=300)
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(2.0 - 0.5 * x))).astype(float)
+    for cols in ({"x": x, "z": z}, {"x": x, "z": 2.0 * x}):
+        factor = TriangularFactor.of((INTERCEPT, *cols, "y"), [1.0, *cols.values(), y])
+        dm = design(cols)
+        assert np.array_equal(factor.r[:3, :3], TriangularFactor.of(dm.labels, list(dm.matrix.T)).r)
+        try:
+            own = fit_logistic(dm, y)
+        except RankDeficient as exc:
+            with pytest.raises(RankDeficient, match=f"^{exc}$"):
+                fit_logistic(dm, y, factor.r[:3, :3])
+        else:
+            shared = fit_logistic(dm, y, factor.r[:3, :3])
+            assert np.array_equal(shared.values, own.values) and shared.deviance == own.deviance
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-700.0, 700.0), max_size=40), st.data())
+def test_the_deviance_from_the_shared_exponential_matches_logaddexp(eta, data):
+    from gapdecomp.regression import _binomial_deviance, exp_neg_abs
+
+    eta = np.array([*eta, 0.0, 700.0, -700.0])
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=eta.size,
+                                    max_size=eta.size)))
+    sign = 1.0 - 2.0 * y
+    want = float(2.0 * np.sum(np.logaddexp(0.0, sign * eta)))
+    assert _binomial_deviance(eta, sign, exp_neg_abs(eta)) == pytest.approx(want, rel=1e-14)
+
+
 def test_non_finite_cells_are_refused_by_column_before_any_fit():
     from gapdecomp.errors import AnalysisError, NonFiniteCell
 
@@ -277,7 +330,7 @@ def qr_irls(design, y):
         weighted = np.empty((n, k + 1), order="F")
         np.multiply(mat, root_w[:, None], out=weighted[:, :k])
         np.divide(y - p, root_w, out=weighted[:, k])
-        delta, _ = least_squares(triangular_factor(weighted), n, k, k, design.labels)
+        delta, _ = least_squares(triangular_factor(list(weighted.T))[0], n, k, k, design.labels)
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
         eta = mat @ beta  # carried into the next iteration
