@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .data import Dataset, Role, merge_roles
+from .data import Dataset, Role, normalize_roles
 from .errors import DegenerateInitial, InvalidSpec
 
 
@@ -81,7 +81,7 @@ class AnalysisSpec:
         What to estimate and with which family.
     bindings :
         Optional role -> column-name overrides; when None the dataset's own
-        role map is used. A one-column role bound to ``[]`` is unbound.
+        role map is used.
     conditioning_value_x :
         The early-measure value at which the within-X propositions (P2/P5)
         are anchored. Defaults to the group-1 mean of X (parametric paths)
@@ -116,15 +116,15 @@ class AnalysisSpec:
     def resolve(self, d: Dataset) -> Dataset:
         """Dataset with this spec's bindings applied, after validation.
 
-        Bindings are merged over the dataset's own role map (`merge_roles`):
-        a role named in the spec replaces that role's columns, a one-column
-        role bound to ``[]`` is unbound, and all other roles carry over.
+        Bindings are merged over the dataset's own role map: a role named in
+        the spec replaces that role's columns, all other roles carry over.
         Bindings that only restate the role map return `d` itself, so its
         factor memo is shared.
         """
         bound = d
         if self.bindings:
-            merged = merge_roles(d.roles, self.bindings)
+            merged = dict(d.roles)
+            merged.update(normalize_roles(self.bindings))
             if merged != d.roles:
                 bound = d.with_roles(merged)
         validate_spec(self, bound)

@@ -9,10 +9,12 @@ violated.  ``gapdecomp generate <params.json> <out.csv>`` writes a synthetic
 cohort.
 
 Reports are deterministic: rerunning the same config against the same file
-produces byte-identical output (no timestamps, no environment capture), at
-any BLAS thread count except for runs with logistic fits and configs using
-``principal_component``, whose threaded matrix products may add in another
-order.
+at the same BLAS thread count produces byte-identical output (no timestamps,
+no environment capture). With OpenBLAS, whose dot product runs on one thread
+up to 10,000 terms (measured on 0.3.31), least-squares output is also the
+same at any thread count; runs with logistic fits, configs using
+``principal_component`` and other BLAS builds may add threaded sums in
+another order, so pin the thread count for those.
 Every numeric field is either finite or ``null`` with a reason string
 alongside it; warnings are part of the report, not log chatter.
 """

@@ -67,19 +67,6 @@ def normalize_roles(roles: Mapping) -> dict[Role, tuple[str, ...]]:
     return out
 
 
-def merge_roles(roles: Mapping, bindings: Mapping) -> dict[Role, tuple[str, ...]]:
-    """`roles` with each role named in `bindings` bound to its columns there;
-    a one-column role bound to no column (``[]``) is dropped, i.e. unbound."""
-    merged = dict(roles)
-    for key, value in bindings.items():
-        role = _as_role(key)
-        if role in _SINGLE_COLUMN_ROLES and not isinstance(value, str) and not len(value):
-            merged.pop(role, None)
-        else:
-            merged.update(normalize_roles({role: value}))
-    return merged
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable table of float columns plus a role map.

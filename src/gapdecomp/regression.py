@@ -7,8 +7,8 @@ Householder QR folds each block into the p×p factor R, R <- R of [R; block],
 starting from R = 0 (the sequential TSQR update; Demmel, Grigori, Hoemmen &
 Langou, SIAM J. Sci. Comput. 2012). No caller holds more than one block of
 its sample, and every dot product has at most 10,000 terms, which OpenBLAS
-(0.3.31) sums on one thread, so R is the same, bit for bit, at any BLAS
-thread count. Within a block, column j receives the reflectors of columns
+sums on one thread (measured on 0.3.31; no BLAS promises it), so with that
+build R is the same, bit for bit, at any BLAS thread count. Within a block, column j receives the reflectors of columns
 0..j-1 before yielding its own, so R[:, j] depends on columns 0..j alone and
 R holds every nested regression: column j on columns 0..q-1 (q <= j) solves
 R[:q, :q] b = R[:q, j] (nested QR, i.e. Frisch–Waugh–Lovell; Golub & Van
@@ -118,8 +118,11 @@ class CoefficientSet:
         return {l: float(v) for l, v in zip(self.labels, self.values)}
 
 
-#: Rows folded into a factor at a time: a constant, not an option (see above);
-#: a bootstrap replicate of a 10k-row sample stays one block.
+#: Rows folded into a factor at a time: a constant, not an option. OpenBLAS
+#: 0.3.31 runs a dot product of up to 10,000 terms on one thread (10,001 did
+#: not), which keeps R thread-independent with that build only; other BLAS
+#: builds may split sums elsewhere. A bootstrap replicate of a 10k-row sample
+#: stays one block.
 BLOCK_ROWS = 10_000
 
 

@@ -97,21 +97,3 @@ def test_every_route_closes_its_estimate_with_the_same_notes(route, identical_gr
               f"initial disparity {est.initial!r} is null; proportion reduced is undefined")
     assert est.proportion_reduced is None
     assert est.notes == (*own_notes(True), P2_ANCHOR_NOTE, reason)
-
-
-def test_a_spec_can_unbind_a_one_column_role_and_a_dataset_cannot():
-    from gapdecomp import Role
-    from gapdecomp.errors import UnknownColumn
-
-    d = cohort(identical_groups=False)
-    d = d.with_columns({}, roles={"confounder": "l"})
-    unbound = AnalysisSpec("P4", "SUCCESSIVE", bindings={"confounder": []}).resolve(d)
-    assert Role.CONFOUNDER_L not in unbound.roles
-    assert {k: v for k, v in unbound.roles.items()} == {
-        k: v for k, v in d.roles.items() if k != Role.CONFOUNDER_L}
-    # restating the parent's roles, unbinding a role it never bound shares the parent
-    plain = dataset_from({name: d.column(name) for name in "rxmy"},
-                         {"outcome": "y", "group": "r", "early": ["x"], "target": "m"})
-    assert AnalysisSpec("P4", "SUCCESSIVE", bindings={"confounder": []}).resolve(plain) is plain
-    with pytest.raises(UnknownColumn, match="takes exactly one column"):
-        d.with_roles({**d.roles, Role.CONFOUNDER_L: []})

@@ -829,28 +829,31 @@ def test_generate_accepts_a_null_prevalence(tmp_path):
 # -- per-run bindings ---------------------------------------------------------
 
 
-def test_a_run_can_unbind_the_confounder_beside_a_confounder_adjusted_run(tmp_path, capsys):
+def test_a_run_can_bind_the_confounder_beside_an_interactions_run(tmp_path, capsys):
     from gapdecomp import AnalysisSpec, estimate
 
     write_csv(generate(BOOTSTRAP_COHORT, 1500, seed=5), tmp_path / "cohort.csv")
     interactions = {"proposition": "P4", "estimator": "SUCCESSIVE",
                     "options": {"interactions": True}}
-    cfg = write_config(tmp_path, bindings={**BINDINGS, "confounder": "confounder"}, runs=[
-        {"proposition": "P7", "estimator": "PLUGIN"},
-        {**interactions, "bindings": {"confounder": []}},
+    cfg = write_config(tmp_path, runs=[
+        {"proposition": "P7", "estimator": "PLUGIN", "bindings": {"confounder": "confounder"}},
+        interactions,
     ])
     assert main(["run", str(cfg)]) == 0
     capsys.readouterr()
     plugin, stratified = read_report(tmp_path)["runs"]
-    assert plugin["error"] is None and "bindings" not in plugin
-    assert stratified["bindings"] == {"confounder": []}
-    unbound = load_csv(tmp_path / "cohort.csv", BINDINGS)
-    want = estimate(unbound, AnalysisSpec("P4", "SUCCESSIVE", options={"interactions": True}))
-    got = stratified["estimate"]
-    assert (got["initial"], got["residual"], got["reduction"]) == (
-        want.initial, want.residual, want.reduction)
+    assert plugin["bindings"] == {"confounder": "confounder"} and "bindings" not in stratified
+    for run, bindings, spec in (
+            (plugin, {**BINDINGS, "confounder": "confounder"}, AnalysisSpec("P7", "PLUGIN")),
+            (stratified, BINDINGS, AnalysisSpec("P4", "SUCCESSIVE",
+                                                options={"interactions": True}))):
+        assert run["error"] is None
+        want = estimate(load_csv(tmp_path / "cohort.csv", bindings), spec)
+        got = run["estimate"]
+        assert (got["initial"], got["residual"], got["reduction"]) == (
+            want.initial, want.residual, want.reduction)
 
-    # without the run's own binding the stratified run refuses the confounder
+    # a confounder bound for the whole config reaches the stratified run, which refuses it
     cfg = write_config(tmp_path, bindings={**BINDINGS, "confounder": "confounder"},
                        runs=[interactions])
     assert main(["run", str(cfg)]) == 1
