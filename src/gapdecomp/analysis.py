@@ -93,9 +93,10 @@ class AnalysisSpec:
         not read and any value outside the ones listed. SUCCESSIVE and
         PRODUCT read "interactions" (True or False: route P1-P4 through the
         group-stratified decomposition instead of the pooled no-interaction
-        formulas; continuous outcomes only). PLUGIN reads "max_levels" (an
-        integer >= 1, default 20) and "aggregation_weight" ("group1",
-        "group0" or "pooled", default "group1").
+        formulas; continuous outcomes with no bound confounder only). PLUGIN
+        reads "max_levels" (an integer >= 1, default 20) and
+        "aggregation_weight" ("group1", "group0" or "pooled", default
+        "group1").
     """
 
     proposition: Proposition
@@ -177,6 +178,12 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
         if not test(value):
             raise InvalidSpec(f"option {key!r} of {spec.estimator.value} must be "
                               f"{accepted}, got {value!r}")
+    if spec.option("interactions") and d.role_columns(Role.CONFOUNDER_L):
+        raise InvalidSpec(
+            "a post-early confounder of the target is declared; the "
+            "stratified-regression decomposition cannot absorb it into either "
+            "portion — use the confounder-aware plug-in propositions instead"
+        )
     if spec.outcome_family == OutcomeFamily.RARE_BINARY and spec.estimator != Estimator.PLUGIN:
         if spec.option("interactions"):
             raise InvalidSpec(

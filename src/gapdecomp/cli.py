@@ -11,10 +11,9 @@ cohort.
 Reports are deterministic: rerunning the same config against the same file
 at the same BLAS thread count produces byte-identical output (no timestamps,
 no environment capture). With OpenBLAS, whose dot product runs on one thread
-up to 10,000 terms (measured on 0.3.31), least-squares output is also the
-same at any thread count; runs with logistic fits, configs using
-``principal_component`` and other BLAS builds may add threaded sums in
-another order, so pin the thread count for those.
+up to 10,000 terms (measured on 0.3.31), the output is also the same at any
+thread count; configs using ``principal_component`` and other BLAS builds
+may add threaded sums in another order, so pin the thread count for those.
 Every numeric field is either finite or ``null`` with a reason string
 alongside it; warnings are part of the report, not log chatter.
 """

@@ -46,6 +46,10 @@ class Role(str, Enum):
 
 _SINGLE_COLUMN_ROLES = (Role.OUTCOME, Role.GROUP, Role.TARGET, Role.CONFOUNDER_L)
 
+#: Rows `Dataset.level_codes` looks up at a time, so its search holds one
+#: block of int64 positions, not one per row.
+_SEARCH_ROWS = 10_000
+
 
 def _as_role(key) -> Role:
     if isinstance(key, Role):
@@ -160,27 +164,45 @@ class Dataset:
         return self.role_columns(Role.COVARIATE) + self.role_columns(Role.MISSING_INDICATOR)
 
     def level_codes(self, name: str, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted levels of a column over `rows`, and each row's index into them.
+        """Sorted levels of a column over `rows` (a boolean mask, an index
+        array or a slice), and each row's index into them.
 
-        Bitwise what ``np.unique(self.column(name)[rows], return_inverse=True)``
-        returns. The column is sorted once and memoized; a subset keeps the
-        levels it observes. A column whose equal cells differ in bits (0.0 and
-        -0.0, NaN payloads) is sorted per call instead, since which of them
+        The levels and the indices' values are bitwise what
+        ``np.unique(self.column(name)[rows], return_inverse=True)`` returns;
+        the indices come in the smallest unsigned type that holds the number
+        of levels of the whole column. The column's levels are found once and
+        each row's code by binary search, `_SEARCH_ROWS` rows at a time; both
+        are memoized, read-only, and a subset keeps the levels it observes.
+        A column whose equal cells differ in bits (0.0 and -0.0, NaN
+        payloads) is sorted per call instead, since which of them
         ``np.unique`` keeps depends on the rows.
         """
         if name not in self._codes:
             values = self.column(name)
-            levels, codes = np.unique(values, return_inverse=True)
-            same_bits = np.array_equal(levels.view(np.int64)[codes], values.view(np.int64))
-            # the smallest code type indexes like intp in less memory
-            self._codes[name] = (levels, codes.astype(np.min_scalar_type(levels.size))
-                                 if same_bits else None)
+            levels = np.unique(values)
+            if levels.size and np.isnan(levels[-1]):  # hashed, np.unique makes its own NaN
+                levels[-1] = values[np.isnan(values)][0]
+            codes = np.empty(values.size, np.min_scalar_type(levels.size))
+            for start in range(0, values.size, _SEARCH_ROWS):
+                part = values[start:start + _SEARCH_ROWS]
+                at = np.searchsorted(levels, part)
+                if not np.array_equal(levels.view(np.int64)[at], part.view(np.int64)):
+                    codes = None
+                    break
+                codes[start:start + _SEARCH_ROWS] = at
+            for arr in (levels, codes):
+                if arr is not None:
+                    arr.flags.writeable = False  # handed out as they are
+            self._codes[name] = (levels, codes)
         levels, codes = self._codes[name]
         if codes is None:
-            return np.unique(self.column(name)[rows], return_inverse=True)
+            subset, inverse = np.unique(self.column(name)[rows], return_inverse=True)
+            return subset, inverse.astype(np.min_scalar_type(levels.size))
         codes = codes[rows]
         seen = np.bincount(codes, minlength=levels.size) > 0
-        return levels[seen], (np.cumsum(seen) - 1)[codes]
+        if seen.all():
+            return levels, codes
+        return levels[seen], (np.cumsum(seen) - 1).astype(codes.dtype)[codes]
 
     # -- derivation ------------------------------------------------------
 
@@ -333,7 +355,13 @@ def _read_csv(path) -> tuple[dict[str, np.ndarray], dict[str, int], int]:
 
 
 def _parse_blocks(blocks, path):
-    """`_read_csv`'s result from a header and blocks of cells."""
+    """`_read_csv`'s result from a header and blocks of cells.
+
+    Each block is parsed into one float array per column, and its cells
+    dropped, before the next block is cut; then each column's arrays are
+    joined and dropped before the next column is joined. So the reader holds
+    the parsed file about once, plus one column and one block's cells.
+    """
     try:
         header = [h.strip() for h in next(blocks)]
     except StopIteration:
@@ -347,11 +375,13 @@ def _parse_blocks(blocks, path):
         short += block_short
         for j, column in enumerate(parsed):
             column.add(cells[j::stride])
+        del cells  # not held while the next block is cut
     if not parsed or not parsed[0].blocks:
         raise EmptyFile(f"{path}: header but no data rows")
     columns, unparsed = {}, {}
     for name, column in zip(header, parsed):
         columns[name] = values = np.concatenate(column.blocks)
+        column.blocks.clear()  # so the file is held about once, plus one column
         values.flags.writeable = False  # owned and frozen, so Dataset keeps it
         unparsed[name] = column.unparsed
     return columns, unparsed, short

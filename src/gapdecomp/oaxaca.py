@@ -25,7 +25,7 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .analysis import (
     Proposition,
     Scale,
     resolve_for,
+    validate_spec,
 )
 from .data import Dataset, Role
 from .errors import EmptyGroup, InvalidSpec
@@ -185,14 +186,11 @@ def oaxaca_decompose(
 
 
 def _bind(d: Dataset, spec: AnalysisSpec):
-    """(proposition, bound dataset, y, r, xs, c, m) of a stratified run."""
+    """(proposition, bound dataset, y, r, xs, c, m) of a stratified run; the
+    spec is validated as written, then as the "interactions" request this
+    answers, whatever its options say."""
     bound = resolve_for(spec, d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
-    if bound.role_columns(Role.CONFOUNDER_L):
-        raise InvalidSpec(
-            "a post-early confounder of the target is declared; the "
-            "stratified-regression decomposition cannot absorb it into either "
-            "portion — use the confounder-aware plug-in propositions instead"
-        )
+    validate_spec(replace(spec, options={**spec.options, "interactions": True}), bound)
     return spec.proposition, bound, *_run_roles(bound)
 
 

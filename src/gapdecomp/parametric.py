@@ -18,11 +18,12 @@ outcome fits and exponentiated onto the ratio scale.
 `sample_factor` memoizes R keyed by the ordered column tuple (r, c…, x…, m,
 y), which also fixes the analysis rows (those complete in every listed
 column); the memo holds only the p×p R and the sample size, and beside it
-the logistic outcome fits, keyed by (that tuple, q). The full sample's memo
-is the Dataset's `_factors`. Every derived Dataset (`take`, `with_roles`,
-`with_columns`, a spec's bindings) starts with an empty memo and columns are
-read-only, so it cannot go stale, and all parametric runs on one Dataset
-share one factor and its fits. A bootstrap replicate is its row indices
+the logistic outcome fits, keyed by (that tuple, q), and the 0/1 check
+and prevalence of their outcome, keyed by (that tuple, "prevalence"). The
+full sample's memo is the Dataset's `_factors`. Every derived Dataset
+(`take`, `with_roles`, `with_columns`, a spec's bindings) starts with an
+empty memo and columns are read-only, so it cannot go stale, and all
+parametric runs on one Dataset share one factor and its fits. A bootstrap replicate is its row indices
 into the full sample: a run reads the replicate's analysis rows from them,
 and the runs of one replicate share its own memo.
 """
@@ -30,6 +31,7 @@ and the runs of one replicate share its own memo.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -214,11 +216,18 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
     run, prop, notes = _Run(d, idx, memo), spec.proposition, []
     factor = run.factor
     if logistic:
-        rows = analysis_rows(d, run.columns, idx)
-        y = d.column(run.y)[rows]
-        if np.any((y != 0.0) & (y != 1.0)):
+        @functools.cache
+        def sample():  # the analysis rows and their outcomes, read once per call at most
+            rows = analysis_rows(d, run.columns, idx)
+            return rows, d.column(run.y)[rows]
+
+        key = (run.columns, "prevalence")
+        if key not in run.memo:  # None: an outcome that is not 0/1
+            y = sample()[1]
+            run.memo[key] = None if np.any((y != 0.0) & (y != 1.0)) else float(y.mean())
+        prevalence = run.memo[key]
+        if prevalence is None:
             raise InvalidSpec("rare-binary outcome column must be 0/1")
-        prevalence = float(y.mean())
         if prevalence > RARE_PREVALENCE_LIMIT:
             notes.append(
                 f"outcome prevalence {prevalence:.3f} exceeds "
@@ -230,6 +239,7 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
         def outcome_fit(q):
             key = (run.columns, q)
             if key not in run.memo:  # read-only, as SUCCESSIVE and PRODUCT share it
+                rows, y = sample()
                 design = stacked_columns([1.0, *map(d.column, run.columns[: q - 1])], rows)
                 run.memo[key] = fit_logistic(DesignMatrix(factor.labels[:q], design), y,
                                              factor.r[:q, :q])

@@ -55,7 +55,8 @@ def _dimension_codes(d: Dataset, rows: np.ndarray, names: Sequence[str], max_lev
     each further column combines mixed-radix with the tuples before it
     (first column most significant, so code order is tuple order), and a
     presence count re-codes them to the jointly observed tuples, with no
-    sort: a code stays below rows x max_levels.
+    sort: a code stays below rows x max_levels. Codes are kept in the
+    smallest unsigned type that holds them, widened before each product.
     """
     code, levels = 0, [()]  # no columns: the single pseudo-level, broadcast over the rows
     for name in names:
@@ -69,10 +70,12 @@ def _dimension_codes(d: Dataset, rows: np.ndarray, names: Sequence[str], max_lev
         if len(levels) == 1:  # one tuple so far: the combined codes are dense already
             code, levels = inverse, [levels[0] + (value,) for value in values]
             continue
-        code = code * size + inverse
+        code = code.astype(np.min_scalar_type(len(levels) * size))  # so the product cannot wrap
+        code *= size
+        code += inverse
         seen = np.bincount(code, minlength=len(levels) * size) > 0
         levels = [levels[j // size] + (values[j % size],) for j in np.flatnonzero(seen).tolist()]
-        code = (np.cumsum(seen) - 1)[code]
+        code = (np.cumsum(seen) - 1).astype(np.min_scalar_type(len(levels)))[code]
     return levels, code
 
 
@@ -86,23 +89,30 @@ class StratumTable:
     outcome, fills the public (2, X, M, L, C) arrays `counts` and `sums`,
     indexed by group and then by position in `levels[dim]`. A dimension
     with no columns is a single all-rows pseudo-level, a size-1 axis that is
-    always present. `rows` selects the analysis sample (index array or
-    boolean mask); `columns` maps each dimension to its column names.
+    always present. `rows` selects the analysis sample: normally the
+    boolean mask of its rows, or an index array; `columns` maps each
+    dimension to its column names.
+
+    The code is built in place, one dimension at a time, and the outcome is
+    gathered only for the weighted bincount, so beside the dataset a build
+    holds the code and one dimension's level indices, then the code and the
+    outcome.
     """
 
     def __init__(self, d: Dataset, rows: np.ndarray, columns: Mapping[str, Sequence[str]],
                  max_levels: int = DEFAULT_MAX_LEVELS):
         self.columns: dict[str, tuple[str, ...]] = {dim: tuple(columns[dim]) for dim in _DIMENSIONS}
-        outcome = d.column(d.single_role_column(Role.OUTCOME))[rows]
         code = d.column(d.single_role_column(Role.GROUP))[rows].astype(np.intp)
         self.levels: dict[str, list] = {}
         for dim, names in self.columns.items():
             levels, inverse = _dimension_codes(d, rows, names, max_levels)
             self.levels[dim] = levels
-            code = code * len(levels) + inverse
+            code *= len(levels)
+            code += inverse
         shape = (2,) + tuple(len(self.levels[dim]) for dim in _DIMENSIONS)
         size, self.code = math.prod(shape), code
         self.counts = np.bincount(code, minlength=size).reshape(shape)
+        outcome = d.column(d.single_role_column(Role.OUTCOME))[rows]
         self.sums = np.bincount(code, weights=outcome, minlength=size).reshape(shape)
 
     def _describe(self, group, pairs) -> str:
@@ -134,18 +144,19 @@ def _sample(d: Dataset, spec: AnalysisSpec):
     for dim_names in columns.values():
         names += dim_names
     mask = analysis_rows(bound, names)
-    table = StratumTable(bound, np.flatnonzero(mask), columns,
-                         spec.option("max_levels", DEFAULT_MAX_LEVELS))
+    table = StratumTable(bound, mask, columns, spec.option("max_levels", DEFAULT_MAX_LEVELS))
     return bound, mask, table
 
 
 def _anchor(spec: AnalysisSpec, d: Dataset, rows: np.ndarray) -> list[float]:
     """The early-measure point P2 and P5 anchor at (none for the others): the
-    explicit value, or each early column's group-1 mean over the index array `rows`."""
+    explicit value, or each early column's group-1 mean over `rows`, an index
+    array or a boolean mask."""
     if TIMEDEP_BASE.get(spec.proposition, spec.proposition) != Proposition.P2:
         return []
     if spec.conditioning_value_x is not None:
         return [float(spec.conditioning_value_x)]
+    rows = np.flatnonzero(rows) if rows.dtype == bool else rows
     group1 = rows[d.column(d.single_role_column(Role.GROUP))[rows] == 1.0]
     # sum / size is np.mean's arithmetic; with no group-1 row the run fails on an empty stratum
     return [float(d.column(name)[group1].sum()) / group1.size if group1.size else math.nan
@@ -297,7 +308,7 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     are reported as ratios.
     """
     bound, mask, table = _sample(d, spec)
-    anchors = np.array([_anchor(spec, bound, np.flatnonzero(mask))])
+    anchors = np.array([_anchor(spec, bound, mask)])
     (result,) = _estimates(table, spec, table.counts[None], table.sums[None], anchors)
     if isinstance(result, AnalysisError):
         raise result

@@ -8,11 +8,14 @@ starting from R = 0 (the sequential TSQR update; Demmel, Grigori, Hoemmen &
 Langou, SIAM J. Sci. Comput. 2012). No caller holds more than one block of
 its sample, and every dot product has at most 10,000 terms, which OpenBLAS
 sums on one thread (measured on 0.3.31; no BLAS promises it), so with that
-build R is the same, bit for bit, at any BLAS thread count. Within a block, column j receives the reflectors of columns
-0..j-1 before yielding its own, so R[:, j] depends on columns 0..j alone and
-R holds every nested regression: column j on columns 0..q-1 (q <= j) solves
-R[:q, :q] b = R[:q, j] (nested QR, i.e. Frisch–Waugh–Lovell; Golub & Van
-Loan, *Matrix Computations* §5.3). A fit read from a wider factor thus
+build R is the same, bit for bit, at any BLAS thread count. A logistic fit
+reads its deviance, score and Gram matrix the same way, one BLOCK_ROWS
+slice of its design at a time (`_newton_terms`). Within a block, column j
+receives the reflectors of columns 0..j-1 before yielding its own, so
+R[:, j] depends on columns 0..j alone and R holds every nested regression:
+column j on columns 0..q-1 (q <= j) solves R[:q, :q] b = R[:q, j] (nested
+QR, i.e. Frisch–Waugh–Lovell; Golub & Van Loan, *Matrix Computations*
+§5.3). A fit read from a wider factor thus
 equals `fit_ols` on its design alone, bit for bit (LAPACK's geqrf rounds
 differently as the trailing block widens, as would a QR of [R; block]
 stacked as a plain matrix, whose dot products run over the zero rows a wider
@@ -118,9 +121,10 @@ class CoefficientSet:
         return {l: float(v) for l, v in zip(self.labels, self.values)}
 
 
-#: Rows folded into a factor at a time: a constant, not an option. OpenBLAS
-#: 0.3.31 runs a dot product of up to 10,000 terms on one thread (10,001 did
-#: not), which keeps R thread-independent with that build only; other BLAS
+#: Rows folded into a factor, or read by a logistic Newton pass, at a time:
+#: a constant, not an option. OpenBLAS 0.3.31 runs a dot product of up to
+#: 10,000 terms on one thread (10,001 did not), which keeps R and the
+#: logistic sums thread-independent with that build only; other BLAS
 #: builds may split sums elsewhere. A bootstrap replicate of a 10k-row sample
 #: stays one block.
 BLOCK_ROWS = 10_000
@@ -311,6 +315,25 @@ def _binomial_deviance(eta: np.ndarray, sign: np.ndarray, tail: np.ndarray) -> f
     return float(2.0 * np.sum(terms))
 
 
+def _newton_terms(mat: np.ndarray, y: np.ndarray, sign: np.ndarray, beta: np.ndarray):
+    """The binomial deviance at beta, and the score Aᵀ(y - p) and Gram
+    matrix Aᵀ(w·A) a Newton step from beta solves with, read in one pass over
+    BLOCK_ROWS-row slices of the design A = `mat`. Weights w = p(1 - p) are
+    clipped to >= 1e-12. No sum runs over more than one slice's rows."""
+    k = mat.shape[1]
+    deviance, score, gram = 0.0, np.zeros(k), np.zeros((k, k))
+    for start in range(0, mat.shape[0], BLOCK_ROWS):
+        at = slice(start, start + BLOCK_ROWS)
+        a = mat[at]
+        eta = a @ beta
+        tail = exp_neg_abs(eta)  # read by the deviance, then overwritten by expit
+        deviance += _binomial_deviance(eta, sign[at], tail)
+        p = expit(eta, tail)
+        score += a.T @ (y[at] - p)
+        gram += a.T @ (a * np.clip(p * (1.0 - p), 1e-12, None)[:, None])
+    return deviance, score, gram
+
+
 def fit_logistic(design: DesignMatrix, y: np.ndarray,
                  r: np.ndarray | None = None) -> CoefficientSet:
     """Maximum-likelihood logistic regression by Newton/IRLS.
@@ -319,7 +342,9 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
     Each step solves Aᵀ(w·A)·delta = Aᵀ(y - p) by a Cholesky factor of the
     k×k Gram matrix, or by the QR kernel when that factorization fails; rank
     is checked once, on the unweighted design (weights are clipped to >=
-    1e-12, so every weighted design has its rank). Converges when the max
+    1e-12, so every weighted design has its rank). The deviance, the score
+    and the Gram matrix at each iterate come from one pass over the design,
+    BLOCK_ROWS rows at a time (`_newton_terms`). Converges when the max
     absolute coefficient change is < 1e-10 or the deviance stopped changing
     (moved by < 1e-12); at most 100 iterations. A caller that holds R of
     the design's columns (a `TriangularFactor` prefix) passes it as `r`, and
@@ -347,31 +372,24 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
     beta = np.zeros(k)
     m = float(y.mean())
     beta[0] = math.log(m) - math.log1p(-m)
-    eta = mat @ beta
-    tail = exp_neg_abs(eta)  # of the current eta, used by its deviance and then by expit
     sign = 1.0 - 2.0 * y
-    deviance = _binomial_deviance(eta, sign, tail)
-    weighted = np.empty(mat.shape, order="F")  # scratch of every step
+    deviance, g, gram = _newton_terms(mat, y, sign, beta)
     previous_step, previous_norm, divergence_run = np.inf, abs(float(beta[0])), 0
 
     for iteration in range(1, _MAX_ITER + 1):
-        p = expit(eta, tail)
-        w = np.clip(p * (1.0 - p), 1e-12, None)
-        g = mat.T @ (y - p)
         try:
-            chol = np.linalg.cholesky(mat.T @ np.multiply(mat, w[:, None], out=weighted))
+            chol = np.linalg.cholesky(gram)
             # H = L·Lᵀ: L·z = g is the triangular solve with rows and columns reversed
             delta = back_substitute(chol.T, back_substitute(chol[::-1, ::-1], g[::-1])[::-1])
         except np.linalg.LinAlgError:
-            root_w = np.sqrt(w)
+            p = expit(mat @ beta)
+            root_w = np.sqrt(np.clip(p * (1.0 - p), 1e-12, None))
             columns = [*(col * root_w for col in mat.T), (y - p) / root_w]
             delta, _ = least_squares(_named_factor(columns, (*labels, "response"))[0],
                                      n, k, k, labels)
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
-        eta = mat @ beta  # carried into the next iteration
-        tail = exp_neg_abs(eta)
-        new_deviance = _binomial_deviance(eta, sign, tail)
+        new_deviance, g, gram = _newton_terms(mat, y, sign, beta)  # g, gram: the next step's
         norm = float(np.max(np.abs(beta)))
         if norm > _DIVERGENCE_NORM and step >= previous_step:
             raise Separation(

@@ -95,3 +95,29 @@ def two_by_two_crossed():
 
 
 TWO_BY_TWO_DEVIANCE = -8.0 * (10 * np.log(0.2) + 40 * np.log(0.8) + 20 * np.log(0.4) + 30 * np.log(0.6))
+
+
+#: The discrete cohort of the `batch` benchmark: binary early, target,
+#: confounder and covariate.
+BATCH_PARAMS = StructuralParams(
+    group_share=0.4, covariate_share=0.3, discrete=True, confounder=True,
+    x_intercept=0.35, x_group_effect=0.2, x_covariate_effect=0.1,
+    l_intercept=0.3, l_group_effect=0.1, l_early_effect=0.2,
+    m_intercept=0.25, m_group_effect=0.1, m_early_effect=0.15,
+    m_confounder_effect=0.15, m_covariate_effect=0.1,
+    y_group_effect=-0.3, y_early_effect=0.4, y_target_effect=0.5,
+    y_confounder_effect=0.3, y_covariate_effect=0.2,
+)
+
+
+def batch_cohort(n, seed=3):
+    """A `batch`-shaped cohort of n rows, roles bound, with 1% of the outcome
+    and covariate cells blank."""
+    from gapdecomp import generate
+
+    d = generate(BATCH_PARAMS, n, seed=seed)
+    rng = np.random.default_rng([seed, 1])
+    columns = dict(d.columns)
+    for name in ("outcome", "covariate"):
+        columns[name] = np.where(rng.random(n) < 0.01, np.nan, columns[name])
+    return Dataset(columns, dict(d.roles))

@@ -853,13 +853,16 @@ def test_a_run_can_bind_the_confounder_beside_an_interactions_run(tmp_path, caps
         assert (got["initial"], got["residual"], got["reduction"]) == (
             want.initial, want.residual, want.reduction)
 
-    # a confounder bound for the whole config reaches the stratified run, which refuses it
+    # a confounder bound for the whole config reaches the stratified run, which
+    # refuses it before any estimate: nothing is written
+    for name in ("report.json", "table.txt"):
+        (tmp_path / name).unlink()
     cfg = write_config(tmp_path, bindings={**BINDINGS, "confounder": "confounder"},
                        runs=[interactions])
-    assert main(["run", str(cfg)]) == 1
-    capsys.readouterr()
-    error = read_report(tmp_path)["runs"][0]["error"]
-    assert error["type"] == "InvalidSpec" and "confounder" in error["message"]
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "confounder" in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "table.txt").exists()
 
 
 @pytest.mark.parametrize("bindings,named", [
@@ -882,16 +885,29 @@ def test_a_run_binding_that_cannot_be_read_fails_before_any_estimate(tmp_path, c
 # -- BLAS threads ---------------------------------------------------------------
 
 
-def test_reports_are_byte_identical_at_one_and_two_blas_threads(tmp_path):
-    # 12,000 analysis rows: past the 10,000 below which OpenBLAS sums a dot
-    # product on one thread, so an unblocked factor adds in another order at 2
-    write_cohort(tmp_path, DISCRETE, n=12_000, seed=6)
-    cfg = write_config(tmp_path, runs=[
+RARE_COHORT = StructuralParams(
+    group_share=0.45, x_group_effect=-0.4, m_group_effect=-0.3, m_early_effect=0.4,
+    y_group_effect=0.3, y_early_effect=0.2, y_target_effect=0.3,
+    binary_outcome=True, outcome_prevalence=0.05,
+)
+
+
+@pytest.mark.parametrize("params,runs", [
+    (DISCRETE, [
         *({"proposition": p, "estimator": "SUCCESSIVE"} for p in ("P1", "P2", "P3", "P4")),
         {"proposition": "P4", "estimator": "PRODUCT"},
         {"proposition": "P4", "estimator": "SUCCESSIVE", "options": {"interactions": True}},
         {"proposition": "P3", "estimator": "PLUGIN"},
-    ])
+    ]),
+    (RARE_COHORT, [{"proposition": "P4", "estimator": family, "outcome_family": "RARE_BINARY"}
+                   for family in ("SUCCESSIVE", "PRODUCT")]),
+], ids=["least_squares", "logistic"])
+def test_reports_are_byte_identical_at_one_and_two_blas_threads(tmp_path, params, runs):
+    # 12,000 analysis rows: past the 10,000 below which OpenBLAS sums a dot
+    # product on one thread, so an unblocked factor, score or Gram matrix adds
+    # in another order at 2
+    write_cohort(tmp_path, params, n=12_000, seed=6)
+    cfg = write_config(tmp_path, runs=runs)
     reports = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),

@@ -12,6 +12,7 @@ import csv
 import itertools
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import batch_cohort
 from gapdecomp import Dataset, data, load_csv, write_csv
 from gapdecomp.data import normalize_roles
 from gapdecomp.errors import AnalysisError, EmptyFile, LongRow, RepeatedColumn, UnreadCells
@@ -333,3 +335,20 @@ def test_writer_writes_the_row_writers_bytes_and_round_trips(data_, width, n, bl
             assert list(back.columns) == names
             for name in names:
                 assert back.column(name).tobytes() == d.column(name).tobytes()
+
+
+def test_the_reader_holds_the_file_about_once(tmp_path):
+    # each column's parsed blocks are joined and dropped before the next
+    # column is joined: beside the columns, the reader holds one column and
+    # one block's cells, not the whole file a second time
+    path = tmp_path / "batch.csv"
+    write_csv(batch_cohort(200_000), path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * sum(column.nbytes for column in d.columns.values())
+

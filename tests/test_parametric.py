@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -497,7 +499,8 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
     shared = [estimate(d, spec) for spec in specs]
     assert len(calls) == 3  # PRODUCT's outcome model is SUCCESSIVE's full model
     fits = {key: fit for key, fit in d._factors.items() if isinstance(key[-1], int)}
-    assert len(set(calls)) == 3 and len(fits) == 3 and len(d._factors) == 4  # and one factor
+    # and one factor, and one outcome check
+    assert len(set(calls)) == 3 and len(fits) == 3 and len(d._factors) == 5
     for fit in fits.values():
         assert not fit.values.flags.writeable
     full_model = "outcome ~ group + early + target"
@@ -513,6 +516,30 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
     for child in (d.take(np.arange(d.n_rows)), d.with_roles(dict(d.roles)),
                   d.with_columns({"extra": np.zeros(d.n_rows)})):
         assert child._factors == {}
+
+
+def test_a_rare_binary_sample_is_read_once_and_warned_of_per_estimate(monkeypatch):
+    import gapdecomp.parametric as parametric
+
+    calls = []
+    real = parametric.analysis_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parametric, "analysis_rows", counted)
+    params = StructuralParams(binary_outcome=True, outcome_prevalence=0.2)
+    d = generate(params, 4000, seed=52)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ests = [estimate(d, AnalysisSpec("P4", family, outcome_family="RARE_BINARY"))
+                for family in ("SUCCESSIVE", "PRODUCT")]
+    # the factor and the outcome check each read the rows once; the second run reads neither
+    assert len(calls) == 2
+    assert [issubclass(w.category, PrevalenceWarning) for w in caught] == [True, True]
+    for est in ests:
+        assert any(note.startswith("outcome prevalence 0.2") for note in est.notes)
 
 
 def test_logistic_outcome_models_carry_iterations_convergence_and_deviance():

@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import dataset_from, random_discrete_params, saturated_fit
+from conftest import batch_cohort, dataset_from, random_discrete_params, saturated_fit
 from gapdecomp import (
     AnalysisSpec,
     StratumTable,
+    add_missing_indicators,
     generate,
     plugin_mu,
     plugin_mu_timedep,
@@ -515,3 +518,45 @@ def test_a_replicate_anchors_at_the_nearest_level_it_observes():
         assert got.notes == want.notes
         notes.append(got.notes[0])
     assert notes == [f"anchored at early-measure stratum ({level},)" for level in (1.0, 2.0, 1.0)]
+
+
+def test_a_joint_covariate_of_more_than_255_tuples_matches_enumeration():
+    # two 20-level covariates: 400 joint tuples, past what one byte codes
+    rng = np.random.default_rng(31)
+    cells = np.array(list(itertools.product((0.0, 1.0), (0.0, 1.0), range(20), range(20))), float)
+    g, x, c1, c2 = np.repeat(cells, rng.integers(1, 4, len(cells)), axis=0).T
+    y = rng.normal(size=g.size) + 0.5 * g + 0.3 * x + 0.01 * c1 * c2
+    d = dataset_from({"y": y, "g": g, "x": x, "c1": c1, "c2": c2},
+                     {"outcome": "y", "group": "g", "early": ["x"], "covariate": ["c1", "c2"]})
+    table = StratumTable(d, np.ones(g.size, bool),
+                         {"early": ["x"], "target": [], "confounder": [], "covariate": ["c1", "c2"]})
+    assert len(table.levels["covariate"]) == 400
+    est = plugin_mu(d, AnalysisSpec("P1", "PLUGIN"))
+
+    totals = np.zeros(3)
+    for a, b in itertools.product(range(20), repeat=2):
+        in_c = (c1 == a) & (c2 == b)
+        weight = np.count_nonzero(in_c & (g == 1)) / np.count_nonzero(g == 1)
+        g1, g0 = y[in_c & (g == 1)].mean(), y[in_c & (g == 0)].mean()
+        mu = sum(y[in_c & (g == 1) & (x == v)].mean()
+                 * np.count_nonzero(in_c & (g == 0) & (x == v)) / np.count_nonzero(in_c & (g == 0))
+                 for v in (0.0, 1.0))
+        totals += weight * np.array([g1 - g0, mu - g0, g1 - mu])
+    assert np.abs(np.array([est.initial, est.residual, est.reduction]) - totals).max() <= 1e-12
+
+
+def test_a_plugin_estimate_holds_a_few_bytes_per_analysis_row():
+    # a table build holds its cell codes and one dimension's level indices,
+    # then the codes and the outcome; the first build also sorts each column
+    d = add_missing_indicators(batch_cohort(200_000), ["covariate"])
+    d = d.with_roles({**d.roles, "confounder": ["confounder"]})
+    tracemalloc.start()
+    try:
+        for prop in ("P1", "P2", "P3", "P4", "P5", "P6", "P7"):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            plugin_mu(d, AnalysisSpec(prop, "PLUGIN"))
+            assert tracemalloc.get_traced_memory()[1] - before <= 6e6, prop
+    finally:
+        tracemalloc.stop()
+

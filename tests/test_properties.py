@@ -44,6 +44,7 @@ from gapdecomp.errors import (
     Separation,
 )
 from gapdecomp import regression
+from gapdecomp.data import _SEARCH_ROWS
 from gapdecomp.analysis import TIMEDEP_BASE, Proposition
 
 PROPS = ("P1", "P2", "P3", "P4")
@@ -225,16 +226,24 @@ def test_bootstrap_streams_are_keyed_and_in_range(n, seed, index):
         assert int(r[strat].sum()) == int(r.sum())
 
 
+#: A quiet NaN with another payload than np.nan's: equal to it as a level,
+#: different in bits.
+OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+
 #: Cells that repeat, so levels are shared; 0.0 and -0.0 (equal, different
-#: bits) and NaN included.
-cells = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.nan]),
+#: bits) and two NaN payloads included.
+cells = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.nan, OTHER_NAN]),
                   st.floats(allow_infinity=False))
 
 
 @settings(max_examples=60, deadline=None)
-@given(values=st.lists(cells, min_size=1, max_size=60), memo_first=st.booleans(), data=st.data())
-def test_memoized_level_codes_equal_sorting_each_subset(values, memo_first, data):
+@given(values=st.lists(cells, min_size=1, max_size=60), memo_first=st.booleans(),
+       long=st.booleans(), data=st.data())
+def test_memoized_level_codes_equal_sorting_each_subset(values, memo_first, long, data):
     column = np.array(values)
+    if long:  # past the first block of the memo's search, with a tail only the last block reads
+        tail = data.draw(st.lists(cells, max_size=3))
+        column = np.concatenate([np.tile(column, _SEARCH_ROWS // column.size + 1), tail])
     n = column.size
     d = Dataset({"v": column})
 
@@ -242,16 +251,20 @@ def test_memoized_level_codes_equal_sorting_each_subset(values, memo_first, data
         levels, codes = dataset.level_codes("v", rows)
         want_levels, want_codes = np.unique(expected, return_inverse=True)
         assert levels.dtype == want_levels.dtype and levels.tobytes() == want_levels.tobytes()
-        assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+        # the codes' type counts the levels of the whole column, whichever rows are read
+        assert codes.dtype == np.min_scalar_type(np.unique(dataset.column("v")).size)
+        assert np.array_equal(codes, want_codes)
 
     if memo_first:
         check(d, slice(None), column)
         # equal cells with identical bits are served from the memo, not re-sorted
         exact = np.unique(column.view(np.int64)).size == np.unique(column).size
         assert (d._codes["v"][1] is not None) == exact
-    rows = st.lists(st.integers(0, n - 1), max_size=2 * n).map(lambda r: np.array(r, dtype=np.intp))
+    rows = st.lists(st.integers(0, n - 1), max_size=2 * len(values)).map(
+        lambda r: np.array(r, dtype=np.intp))
     subset = np.unique(data.draw(rows))
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask = np.resize(data.draw(st.lists(st.booleans(), min_size=len(values),
+                                        max_size=len(values))), n)
     check(d, subset, column[subset])
     check(d, mask, column[mask])
     first = data.draw(rows)
