@@ -178,6 +178,12 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
         if not test(value):
             raise InvalidSpec(f"option {key!r} of {spec.estimator.value} must be "
                               f"{accepted}, got {value!r}")
+    bound = [(name, role.value) for role, names in d.roles.items() for name in names]
+    for i, (name, _) in enumerate(bound):
+        if any(name == other for other, _ in bound[:i]):
+            roles = " and ".join(role for other, role in bound if other == name)
+            raise InvalidSpec(f"column {name!r} is bound more than once, as {roles}; "
+                              "each column plays one role")
     if spec.option("interactions") and d.role_columns(Role.CONFOUNDER_L):
         raise InvalidSpec(
             "a post-early confounder of the target is declared; the "

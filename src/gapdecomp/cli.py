@@ -12,8 +12,9 @@ Reports are deterministic: rerunning the same config against the same file
 at the same BLAS thread count produces byte-identical output (no timestamps,
 no environment capture). With OpenBLAS, whose dot product runs on one thread
 up to 10,000 terms (measured on 0.3.31), the output is also the same at any
-thread count; configs using ``principal_component`` and other BLAS builds
-may add threaded sums in another order, so pin the thread count for those.
+thread count, ``principal_component`` included (its correlation matrix
+measured the same at 1 and 2 threads); other BLAS builds may add threaded
+sums in another order, so pin the thread count with those.
 Every numeric field is either finite or ``null`` with a reason string
 alongside it; warnings are part of the report, not log chatter.
 """
@@ -406,57 +407,19 @@ def run(config_path) -> int:
 
 def _selfcheck_data():
     linear = StructuralParams(
-        group_share=0.4,
-        x_group_effect=-0.6,
-        m_group_effect=-0.5,
-        m_early_effect=0.7,
-        y_group_effect=-0.3,
-        y_early_effect=0.4,
-        y_target_effect=0.5,
+        group_share=0.4, x_group_effect=-0.6, m_group_effect=-0.5, m_early_effect=0.7,
+        y_group_effect=-0.3, y_early_effect=0.4, y_target_effect=0.5,
     )
-    continuous = generate(linear, 4000, seed=17)
-    discrete = generate(
-        StructuralParams(
-            group_share=0.4,
-            x_intercept=0.45,
-            x_group_effect=0.2,
-            m_intercept=0.35,
-            m_group_effect=0.15,
-            m_early_effect=0.2,
-            y_group_effect=-0.3,
-            y_early_effect=0.4,
-            y_target_effect=0.5,
-            discrete=True,
-        ),
-        4000,
-        seed=23,
+    discrete = dataclasses.replace(linear, x_intercept=0.45, x_group_effect=0.2, m_intercept=0.35,
+                                   m_group_effect=0.15, m_early_effect=0.2, discrete=True)
+    confounded = dataclasses.replace(
+        discrete, m_intercept=0.3, m_group_effect=0.1, m_early_effect=0.15, confounder=True,
+        l_intercept=0.3, l_group_effect=0.1, l_early_effect=0.2, m_confounder_effect=0.15,
+        y_confounder_effect=0.3,
     )
-    confounded = generate(
-        StructuralParams(
-            group_share=0.4,
-            x_intercept=0.45,
-            x_group_effect=0.2,
-            m_intercept=0.3,
-            m_group_effect=0.1,
-            m_early_effect=0.15,
-            y_group_effect=-0.3,
-            y_early_effect=0.4,
-            y_target_effect=0.5,
-            discrete=True,
-            confounder=True,
-            l_intercept=0.3,
-            l_group_effect=0.1,
-            l_early_effect=0.2,
-            m_confounder_effect=0.15,
-            y_confounder_effect=0.3,
-        ),
-        4000,
-        seed=29,
-    )
-    rare = generate(
-        dataclasses.replace(linear, binary_outcome=True, outcome_prevalence=0.05), 4000, seed=31
-    )
-    return continuous, discrete, confounded, rare
+    rare = dataclasses.replace(linear, binary_outcome=True, outcome_prevalence=0.05)
+    return tuple(generate(params, 4000, seed=seed)
+                 for params, seed in ((linear, 17), (discrete, 23), (confounded, 29), (rare, 31)))
 
 
 def _check_additivity(continuous) -> float:

@@ -82,8 +82,6 @@ def sample_factor(d: Dataset, columns, idx: np.ndarray | None = None,
     key = tuple(columns)
     memo = d._factors if memo is None else memo
     if key not in memo:
-        if len(set(key)) != len(key):
-            raise InvalidSpec(f"a column is bound to more than one role: {key}")
         memo[key] = TriangularFactor.of((INTERCEPT, *key), [1.0, *map(d.column, key)],
                                         analysis_rows(d, key, idx))
     return memo[key]
@@ -241,8 +239,7 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
             if key not in run.memo:  # read-only, as SUCCESSIVE and PRODUCT share it
                 rows, y = sample()
                 design = stacked_columns([1.0, *map(d.column, run.columns[: q - 1])], rows)
-                run.memo[key] = fit_logistic(DesignMatrix(factor.labels[:q], design), y,
-                                             factor.r[:q, :q])
+                run.memo[key] = fit_logistic(DesignMatrix(factor.labels[:q], design), y, factor)
                 run.memo[key].values.flags.writeable = False
             return run.memo[key]
     else:

@@ -1,21 +1,22 @@
 """Least-squares and logistic fitting from one triangular factor.
 
-Every least-squares solve goes through one kernel, `fold_rows`: the
-regressors and the response column(s) are read BLOCK_ROWS (10,000) analysis
-rows at a time into one Fortran-ordered block, and a left-looking, unpivoted
-Householder QR folds each block into the p×p factor R, R <- R of [R; block],
-starting from R = 0 (the sequential TSQR update; Demmel, Grigori, Hoemmen &
-Langou, SIAM J. Sci. Comput. 2012). No caller holds more than one block of
-its sample, and every dot product has at most 10,000 terms, which OpenBLAS
-sums on one thread (measured on 0.3.31; no BLAS promises it), so with that
-build R is the same, bit for bit, at any BLAS thread count. A logistic fit
-reads its deviance, score and Gram matrix the same way, one BLOCK_ROWS
-slice of its design at a time (`_newton_terms`). Within a block, column j
-receives the reflectors of columns 0..j-1 before yielding its own, so
-R[:, j] depends on columns 0..j alone and R holds every nested regression:
-column j on columns 0..q-1 (q <= j) solves R[:q, :q] b = R[:q, j] (nested
-QR, i.e. Frisch–Waugh–Lovell; Golub & Van Loan, *Matrix Computations*
-§5.3). A fit read from a wider factor thus
+Every least-squares fit and rank check is read off one kernel,
+`TriangularFactor`: `TriangularFactor.of` reads the regressors and the
+response column(s) BLOCK_ROWS (10,000) analysis rows at a time into one
+Fortran-ordered block, and `fold_rows`, a left-looking, unpivoted
+Householder QR, folds each block into the p×p factor R, R <- R of [R;
+block], starting from R = 0 (the sequential TSQR update; Demmel, Grigori,
+Hoemmen & Langou, SIAM J. Sci. Comput. 2012); `.fit` and `.check_rank` read
+R. No caller holds more than one block of its sample, and every dot product
+has at most 10,000 terms, which OpenBLAS sums on one thread (measured on
+0.3.31; no BLAS promises it), so with that build R is the same, bit for bit,
+at any BLAS thread count. A logistic fit reads its deviance, score and Gram
+matrix the same way, one BLOCK_ROWS slice of its design at a time
+(`_newton_terms`). Within a block, column j receives the reflectors of
+columns 0..j-1 before yielding its own, so R[:, j] depends on columns 0..j
+alone and R holds every nested regression: column j on columns 0..q-1 (q <=
+j) solves R[:q, :q] b = R[:q, j] (nested QR, i.e. Frisch–Waugh–Lovell; Golub
+& Van Loan, *Matrix Computations* §5.3). A fit read from a wider factor thus
 equals `fit_ols` on its design alone, bit for bit (LAPACK's geqrf rounds
 differently as the trailing block widens, as would a QR of [R; block]
 stacked as a plain matrix, whose dot products run over the zero rows a wider
@@ -172,46 +173,6 @@ def fold_rows(r: np.ndarray, block: np.ndarray) -> None:
             col *= 1.0 / (alpha - beta)
 
 
-def triangular_factor(columns: Sequence, rows=None) -> tuple[np.ndarray, int]:
-    """R (p×p) of ``columns[j][rows]`` and the row count n, folding the rows
-    in BLOCK_ROWS at a time from R = 0 (`fold_rows`).
-
-    `rows` is an optional boolean mask or index array. A column whose cells
-    overflow its norm leaves R non-finite from that column on;
-    `_named_factor` refuses such a factor.
-    """
-    if rows is None:
-        lengths = {len(c) for c in columns if np.ndim(c)}
-        if len(lengths) != 1:
-            raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
-        (n,) = lengths
-    else:
-        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
-        n = rows.size
-    r = np.zeros((len(columns), len(columns)))
-    block = np.empty((min(n, BLOCK_ROWS), len(columns)), order="F")
-    for start in range(0, n, BLOCK_ROWS):
-        part = block[: min(BLOCK_ROWS, n - start)]
-        at = slice(start, start + len(part))
-        fold_rows(r, stacked_columns(columns, at if rows is None else rows[at], part))
-    return r, n
-
-
-def _named_factor(columns: Sequence, labels: Sequence[str], rows=None) -> tuple[np.ndarray, int]:
-    """triangular_factor(columns, rows), or NonFiniteCell naming the first of
-    the columns `labels` whose R column overflowed (R[:, j] depends on
-    columns 0..j only)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, n = triangular_factor(columns, rows)
-    finite = np.isfinite(r).all(axis=0)
-    if not finite.all():
-        raise NonFiniteCell(
-            f"column {labels[int(np.argmin(finite))]!r} holds cells too large in magnitude "
-            "to square and sum in floating point; rescale it"
-        )
-    return r, n
-
-
 def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with ``r @ x = b`` for upper-triangular r, solved from the last row up."""
     x = np.array(b, dtype=float)
@@ -240,26 +201,11 @@ def expit(x, tail: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(d, np.maximum(e, x >= 0, out=e), out=d)
 
 
-def check_rank(r, n: int, q: int, labels: Sequence[str]) -> None:
-    """RankDeficient naming each of the q columns `labels` that depends on those before it."""
-    if n <= q:
-        raise RankDeficient(labels)
-    dependent = np.abs(np.diag(r)[:q]) <= _RANK_TOL * np.linalg.norm(r[:, :q], axis=0)
-    if dependent.any():
-        raise RankDeficient([labels[i] for i in np.flatnonzero(dependent)])
-
-
-def least_squares(r, n: int, q: int, j: int, labels: Sequence[str]) -> tuple[np.ndarray, float]:
-    """Coefficients and residual sum of squares of column j on columns 0..q-1."""
-    check_rank(r, n, q, labels)
-    tail = r[q : j + 1, j]
-    return back_substitute(r[:q, :q], r[:q, j]), float(tail @ tail)
-
-
 @dataclass(frozen=True)
 class TriangularFactor:
-    """R of the columns `labels` over `n_rows` analysis rows, folded in one
-    block at a time (`triangular_factor`): no n×p copy of the sample is made."""
+    """R of the columns `labels` over `n_rows` analysis rows, folded in
+    BLOCK_ROWS rows at a time: no n×p copy of the sample is made. Every
+    least-squares fit and rank check reads it here."""
 
     labels: tuple[str, ...]
     r: np.ndarray
@@ -267,14 +213,56 @@ class TriangularFactor:
 
     @classmethod
     def of(cls, labels: Sequence[str], columns: Sequence, rows=None) -> "TriangularFactor":
-        return cls(tuple(labels), *_named_factor(columns, labels, rows))
+        """R of ``columns[j][rows]`` from R = 0 (`fold_rows`); a scalar
+        fills its column. `rows` is an optional boolean mask or index array.
+
+        Raises UnknownColumn for columns of unequal lengths, and NonFiniteCell
+        naming the first column whose R column overflowed (R[:, j] depends
+        on columns 0..j only).
+        """
+        if rows is None:
+            lengths = [(label, len(c)) for label, c in zip(labels, columns) if np.ndim(c)]
+            n = lengths[0][1]
+            for label, m in lengths:
+                if m != n:
+                    raise UnknownColumn(f"column {label!r} has {m} rows, expected {n}")
+        else:
+            rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+            n = rows.size
+        r = np.zeros((len(columns), len(columns)))
+        block = np.empty((min(n, BLOCK_ROWS), len(columns)), order="F")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, BLOCK_ROWS):
+                part = block[: min(BLOCK_ROWS, n - start)]
+                at = slice(start, start + len(part))
+                fold_rows(r, stacked_columns(columns, at if rows is None else rows[at], part))
+        finite = np.isfinite(r).all(axis=0)
+        if not finite.all():
+            raise NonFiniteCell(
+                f"column {labels[int(np.argmin(finite))]!r} holds cells too large in magnitude "
+                "to square and sum in floating point; rescale it"
+            )
+        return cls(tuple(labels), r, n)
+
+    def check_rank(self, q: int) -> None:
+        """RankDeficient naming each of the first q columns that depends on those before it."""
+        labels = self.labels[:q]
+        if self.n_rows <= q:
+            raise RankDeficient(labels)
+        r = self.r[:, :q]
+        dependent = np.abs(np.diag(r)) <= _RANK_TOL * np.linalg.norm(r, axis=0)
+        if dependent.any():
+            raise RankDeficient([labels[i] for i in np.flatnonzero(dependent)])
 
     def fit(self, response: str, q: int) -> CoefficientSet:
-        """Least squares of the `response` column on the first q columns."""
-        beta, rss = least_squares(
-            self.r, self.n_rows, q, self.labels.index(response), self.labels[:q]
-        )
-        return CoefficientSet(self.labels[:q], beta, residual_variance=rss / (self.n_rows - q))
+        """Least squares of the `response` column, the first so labelled at
+        or after column q, on the first q columns."""
+        j = self.labels.index(response, q)
+        self.check_rank(q)
+        tail = self.r[q : j + 1, j]
+        beta = back_substitute(self.r[:q, :q], self.r[:q, j])
+        return CoefficientSet(self.labels[:q], beta,
+                              residual_variance=float(tail @ tail) / (self.n_rows - q))
 
     def centered_norm(self, label: str) -> float:
         """||a - mean(a)||: with column 0 the intercept, R[0, j] = sqrt(n)·mean."""
@@ -297,12 +285,10 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> CoefficientSet:
     Raises RankDeficient when the design is singular (names the dependent
     columns in declared order). Residual variance uses the n - k denominator.
     """
-    n, k = design.matrix.shape
     columns = [*design.matrix.T, np.asarray(y, dtype=float)]
     labels = (*design.labels, "response")
     refuse_non_finite(labels, columns)
-    beta, rss = least_squares(_named_factor(columns, labels)[0], n, k, k, design.labels)
-    return CoefficientSet(design.labels, beta, residual_variance=rss / (n - k))
+    return TriangularFactor.of(labels, columns).fit("response", len(design.labels))
 
 
 def _binomial_deviance(eta: np.ndarray, sign: np.ndarray, tail: np.ndarray) -> float:
@@ -335,7 +321,7 @@ def _newton_terms(mat: np.ndarray, y: np.ndarray, sign: np.ndarray, beta: np.nda
 
 
 def fit_logistic(design: DesignMatrix, y: np.ndarray,
-                 r: np.ndarray | None = None) -> CoefficientSet:
+                 factor: TriangularFactor | None = None) -> CoefficientSet:
     """Maximum-likelihood logistic regression by Newton/IRLS.
 
     Starts from the zero vector with intercept = logit of the outcome mean.
@@ -346,9 +332,10 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
     and the Gram matrix at each iterate come from one pass over the design,
     BLOCK_ROWS rows at a time (`_newton_terms`). Converges when the max
     absolute coefficient change is < 1e-10 or the deviance stopped changing
-    (moved by < 1e-12); at most 100 iterations. A caller that holds R of
-    the design's columns (a `TriangularFactor` prefix) passes it as `r`, and
-    the rank is checked on it instead of on a factor of the design's own.
+    (moved by < 1e-12); at most 100 iterations. A caller that already holds
+    a `TriangularFactor` whose first k columns are the design's passes it as
+    `factor`, and the rank is checked on that prefix instead of on a factor
+    of the design's own; its later columns are not read.
 
     Raises
     ------
@@ -359,13 +346,17 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
         so a fit with a finite optimum reaches it (and stops growing) in
         far fewer steps regardless of column scaling; only a likelihood
         increasing along a ray keeps the norm growing indefinitely.
+    UnknownColumn
+        `y` does not have one cell per design row.
     NonFiniteCell, NotConverged, RankDeficient
     """
     y = np.asarray(y, dtype=float)
     mat, labels = design.matrix, design.labels
     n, k = mat.shape
+    if len(y) != n:
+        raise UnknownColumn(f"column 'response' has {len(y)} rows, expected {n}")
     refuse_non_finite((*labels, "response"), [*mat.T, y])
-    check_rank(_named_factor(list(mat.T), labels)[0] if r is None else r, n, k, labels)
+    (factor or TriangularFactor.of(labels, list(mat.T))).check_rank(k)
     if not np.array_equal(np.unique(y), [0.0, 1.0]):
         raise InvalidSpec("logistic outcome must contain both 0s and 1s (only)")
 
@@ -385,8 +376,7 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
             p = expit(mat @ beta)
             root_w = np.sqrt(np.clip(p * (1.0 - p), 1e-12, None))
             columns = [*(col * root_w for col in mat.T), (y - p) / root_w]
-            delta, _ = least_squares(_named_factor(columns, (*labels, "response"))[0],
-                                     n, k, k, labels)
+            delta = TriangularFactor.of((*labels, "response"), columns).fit("response", k).values
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
         new_deviance, g, gram = _newton_terms(mat, y, sign, beta)  # g, gram: the next step's

@@ -869,6 +869,7 @@ def test_a_run_can_bind_the_confounder_beside_an_interactions_run(tmp_path, caps
     ({"covariate": ["no_such_column"]}, "'no_such_column'"),
     ({"early": 5}, "'bindings' must be an object mapping roles"),
     ({"cohort": "early"}, "unknown role"),
+    ({"target": "early"}, "column 'early' is bound more than once"),
 ])
 def test_a_run_binding_that_cannot_be_read_fails_before_any_estimate(tmp_path, capsys, bindings,
                                                                      named):
@@ -892,22 +893,29 @@ RARE_COHORT = StructuralParams(
 )
 
 
-@pytest.mark.parametrize("params,runs", [
-    (DISCRETE, [
+@pytest.mark.parametrize("params,config", [
+    (DISCRETE, {"runs": [
         *({"proposition": p, "estimator": "SUCCESSIVE"} for p in ("P1", "P2", "P3", "P4")),
         {"proposition": "P4", "estimator": "PRODUCT"},
         {"proposition": "P4", "estimator": "SUCCESSIVE", "options": {"interactions": True}},
         {"proposition": "P3", "estimator": "PLUGIN"},
-    ]),
-    (RARE_COHORT, [{"proposition": "P4", "estimator": family, "outcome_family": "RARE_BINARY"}
-                   for family in ("SUCCESSIVE", "PRODUCT")]),
-], ids=["least_squares", "logistic"])
-def test_reports_are_byte_identical_at_one_and_two_blas_threads(tmp_path, params, runs):
+    ]}),
+    (RARE_COHORT, {"runs": [
+        {"proposition": "P4", "estimator": family, "outcome_family": "RARE_BINARY"}
+        for family in ("SUCCESSIVE", "PRODUCT")
+    ]}),
+    (CONTINUOUS, {
+        "preprocess": {"principal_component": {"columns": ["early", "target"], "name": "index"}},
+        "runs": [{"proposition": p, "estimator": "SUCCESSIVE", "bindings": {"early": ["index"]}}
+                 for p in ("P1", "P4")],
+    }),
+], ids=["least_squares", "logistic", "principal_component"])
+def test_reports_are_byte_identical_at_one_and_two_blas_threads(tmp_path, params, config):
     # 12,000 analysis rows: past the 10,000 below which OpenBLAS sums a dot
-    # product on one thread, so an unblocked factor, score or Gram matrix adds
-    # in another order at 2
+    # product on one thread, so an unblocked factor, score, Gram matrix or
+    # correlation matrix adds in another order at 2
     write_cohort(tmp_path, params, n=12_000, seed=6)
-    cfg = write_config(tmp_path, runs=runs)
+    cfg = write_config(tmp_path, **config)
     reports = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),

@@ -229,7 +229,7 @@ def test_confounder_declaration_is_refused():
 def test_pooled_fit_refuses_a_column_bound_to_two_roles():
     d = two_group_dataset(seed=13)
     spec = AnalysisSpec("P3", "SUCCESSIVE", bindings={"covariate": ["x"]})
-    with pytest.raises(InvalidSpec, match="column 'x' is listed more than once"):
+    with pytest.raises(InvalidSpec, match="column 'x' is bound more than once"):
         interaction_model_estimates(d, spec)
 
 

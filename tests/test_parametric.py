@@ -483,9 +483,9 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
     calls = []
     real = parametric.fit_logistic
 
-    def counted(design, y, r=None):
+    def counted(design, y, factor=None):
         calls.append(design.labels)
-        return real(design, y, r)
+        return real(design, y, factor)
 
     monkeypatch.setattr(parametric, "fit_logistic", counted)
     params = StructuralParams(

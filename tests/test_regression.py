@@ -184,6 +184,25 @@ def test_exactly_fitted_or_constant_response_is_not_rank_checked():
     assert fit_ols(design({"x": x}), np.zeros(6))["x"] == 0.0
 
 
+def test_a_design_column_labelled_response_is_not_taken_for_the_response():
+    rng = np.random.default_rng(43)
+    x, z = rng.normal(size=50), rng.normal(size=50)
+    y = 1.0 + 2.0 * x - z + rng.normal(size=50)
+    named = fit_ols(design({"x": x, "response": z}), y)
+    renamed = fit_ols(design({"x": x, "z": z}), y)
+    assert named.labels == (INTERCEPT, "x", "response")
+    assert np.array_equal(named.values, renamed.values)
+    assert named.residual_variance == renamed.residual_variance
+
+
+@pytest.mark.parametrize("fit", [fit_ols, fit_logistic])
+def test_a_response_of_another_length_than_the_design_is_refused_by_name(fit):
+    from gapdecomp.errors import UnknownColumn
+
+    with pytest.raises(UnknownColumn, match="column 'response' has 4 rows, expected 5"):
+        fit(design({"x": np.arange(5.0)}), np.array([0.0, 1.0, 0.0, 1.0]))
+
+
 def test_prefix_fits_of_one_factor_equal_separate_fits_bitwise():
     from gapdecomp.regression import TriangularFactor
 
@@ -235,9 +254,9 @@ def test_a_logistic_fit_checks_rank_on_the_factor_its_caller_holds():
             own = fit_logistic(dm, y)
         except RankDeficient as exc:
             with pytest.raises(RankDeficient, match=f"^{exc}$"):
-                fit_logistic(dm, y, factor.r[:3, :3])
+                fit_logistic(dm, y, factor)
         else:
-            shared = fit_logistic(dm, y, factor.r[:3, :3])
+            shared = fit_logistic(dm, y, factor)
             assert np.array_equal(shared.values, own.values) and shared.deviance == own.deviance
 
 
@@ -301,9 +320,7 @@ def qr_irls(design, y):
     import math
 
     from gapdecomp.errors import NotConverged
-    from gapdecomp.regression import (
-        CoefficientSet, expit, least_squares, triangular_factor,
-    )
+    from gapdecomp.regression import CoefficientSet, TriangularFactor, expit
 
     y = np.asarray(y, dtype=float)
     n, k = design.matrix.shape
@@ -330,7 +347,8 @@ def qr_irls(design, y):
         weighted = np.empty((n, k + 1), order="F")
         np.multiply(mat, root_w[:, None], out=weighted[:, :k])
         np.divide(y - p, root_w, out=weighted[:, k])
-        delta, _ = least_squares(triangular_factor(list(weighted.T))[0], n, k, k, design.labels)
+        factor = TriangularFactor.of((*design.labels, "response"), list(weighted.T))
+        delta = factor.fit("response", k).values
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
         eta = mat @ beta  # carried into the next iteration

@@ -51,6 +51,11 @@ def other_estimator(entry, prop, family, runs):
     return entry, AnalysisSpec(prop, family), 1, f"runs {runs}, not {family}"
 
 
+def bound_twice(family, **options):
+    return estimate, AnalysisSpec("P3", family, bindings={"target": "early"}, options=options), \
+        1, "column 'early' is bound more than once, as early and target"
+
+
 @pytest.mark.parametrize("entry,spec,early_columns,named", [
     bad_option("SUCCESSIVE", "interactions", "no"),
     bad_option("PRODUCT", "interactions", 1),
@@ -76,6 +81,10 @@ def other_estimator(entry, prop, family, runs):
     other_estimator(proposition_via_oaxaca, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
     other_estimator(interaction_model_estimates, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
     bad_anchor(10**400),  # too large for a float
+    bound_twice("PLUGIN"),
+    bound_twice("SUCCESSIVE"),
+    bound_twice("PRODUCT"),
+    bound_twice("SUCCESSIVE", interactions=True),
 ])
 def test_an_unanswerable_request_is_refused_by_name_before_any_estimate(
     monkeypatch, entry, spec, early_columns, named
