@@ -119,15 +119,9 @@ class AnalysisSpec:
 
         Bindings are merged over the dataset's own role map: a role named in
         the spec replaces that role's columns, all other roles carry over.
-        Bindings that only restate the role map return `d` itself, so its
-        factor memo is shared.
+        The bound dataset shares `d`'s memo (`Dataset.with_roles`).
         """
-        bound = d
-        if self.bindings:
-            merged = dict(d.roles)
-            merged.update(normalize_roles(self.bindings))
-            if merged != d.roles:
-                bound = d.with_roles(merged)
+        bound = d.with_roles({**d.roles, **normalize_roles(self.bindings)}) if self.bindings else d
         validate_spec(self, bound)
         return bound
 

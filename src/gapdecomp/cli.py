@@ -39,6 +39,7 @@ from .data import (
     add_missing_indicators,
     first_principal_component,
     load_csv,
+    normalize_roles,
     quantile_bin,
 )
 from .data import write_csv as _write_csv
@@ -77,6 +78,7 @@ _OBJECT = (lambda v: isinstance(v, dict), "an object")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _INTEGER = (is_integer, "an integer")
 _COLUMNS = (_is_column_list, "a list of column names")
+_TWO_OR_MORE = (lambda v: is_integer(v) and v >= 2, "an integer >= 2")
 
 #: Every config key with the values it accepts; a dict is a nested object.
 _SCHEMA = {
@@ -89,9 +91,9 @@ _SCHEMA = {
     "preprocess": {
         "missing_indicators": _COLUMNS,
         "principal_component": {"columns": _COLUMNS, "name": _STRING},
-        "discretize": {"columns": _COLUMNS, "bins": _INTEGER},
+        "discretize": {"columns": _COLUMNS, "bins": _TWO_OR_MORE},
     },
-    "bootstrap": {"replicates": (lambda v: is_integer(v) and v >= 2, "an integer >= 2"),
+    "bootstrap": {"replicates": _TWO_OR_MORE,
                   "seed": _INTEGER,
                   "stratify_by_group": (lambda v: isinstance(v, bool), "true or false")},
     "output": {"report": _STRING, "table": _STRING},
@@ -194,8 +196,17 @@ def load_config(path) -> RunConfig:
 
 
 def _prepare_dataset(cfg: RunConfig) -> Dataset:
+    """The config's dataset, preprocessed. A role is bound as the file is
+    read, so a blank group cell is refused before `missing_indicators` can
+    fill it, unless it names a column preprocessing makes: it is bound after."""
+    pre = cfg.preprocess
+    pca, disc = pre.get("principal_component"), pre.get("discretize")
+    made = {f"{name}_miss" for name in pre.get("missing_indicators") or ()}
+    made |= {pca["name"]} if pca is not None else set()
+    roles = normalize_roles(cfg.bindings)
+    late = {role: names for role, names in roles.items() if made.intersection(names)}
     try:
-        d = load_csv(cfg.input, cfg.bindings)
+        d = load_csv(cfg.input, {role: names for role, names in roles.items() if role not in late})
     except OSError as exc:
         raise ConfigError(f"cannot read input {cfg.input!r}: {exc}") from exc
     except UnicodeDecodeError:
@@ -205,15 +216,16 @@ def _prepare_dataset(cfg: RunConfig) -> Dataset:
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"cannot read input {cfg.input!r}: byte {exc.start} is not UTF-8") from None
         raise
-    pre = cfg.preprocess
     if pre.get("missing_indicators"):
         d = add_missing_indicators(d, pre["missing_indicators"])
-    pca, disc = pre.get("principal_component"), pre.get("discretize")
     if pca is not None:
+        if pca["name"] in d.columns:
+            raise ConfigError(f"preprocess.principal_component.name {pca['name']!r} is already "
+                              "a column of the dataset; give the component a new name")
         d = d.with_columns({pca["name"]: first_principal_component(d, pca["columns"])})
     if disc is not None:
         d = quantile_bin(d, disc["columns"], bins=disc.get("bins", 5))
-    return d
+    return d.with_roles({**d.roles, **late}) if late else d
 
 
 def _number_or_null(value):
@@ -422,24 +434,35 @@ def _selfcheck_data():
                  for params, seed in ((linear, 17), (discrete, 23), (confounded, 29), (rare, 31)))
 
 
-def _check_additivity(continuous) -> float:
-    dev = 0.0
-    for prop in ("P1", "P2", "P3", "P4"):
-        for family in ("SUCCESSIVE", "PRODUCT"):
-            e = estimate(continuous, AnalysisSpec(prop, family))
-            dev = max(dev, abs(e.initial - (e.residual + e.reduction)))
-    return dev
+_PROPS = ("P1", "P2", "P3", "P4")
+
+
+def _largest(gaps) -> float:
+    """The largest of `gaps`, or infinity if one is not finite: a NaN fails its row."""
+    gaps = list(gaps)
+    return max(gaps) if all(map(math.isfinite, gaps)) else math.inf
+
+
+def _largest_gap(pairs, relative=False) -> float:
+    """Largest gap between the initial, residual and reduction of each pair
+    (a, b) of estimates, relative to max(1, |a|) if `relative`."""
+    gaps = []
+    for a, b in pairs:
+        for key in ("initial", "residual", "reduction"):
+            x, y = getattr(a, key), getattr(b, key)
+            gaps.append(abs(x - y) / (max(1.0, abs(x)) if relative else 1.0))
+    return _largest(gaps)
+
+
+def _check_additivity(d, specs) -> float:
+    return _largest(abs(e.initial - (e.residual + e.reduction))
+                    for e in (estimate(d, spec) for spec in specs))
 
 
 def _check_family_agreement(continuous) -> float:
-    dev = 0.0
-    for prop in ("P1", "P2", "P3", "P4"):
-        a = estimate(continuous, AnalysisSpec(prop, "SUCCESSIVE"))
-        b = estimate(continuous, AnalysisSpec(prop, "PRODUCT"))
-        for key in ("initial", "residual", "reduction"):
-            x, y = getattr(a, key), getattr(b, key)
-            dev = max(dev, abs(x - y) / max(1.0, abs(x)))
-    return dev
+    return _largest_gap(((estimate(continuous, AnalysisSpec(prop, "SUCCESSIVE")),
+                          estimate(continuous, AnalysisSpec(prop, "PRODUCT"))) for prop in _PROPS),
+                        relative=True)
 
 
 def _check_plugin_saturated_fit(discrete) -> float:
@@ -456,39 +479,22 @@ def _check_plugin_saturated_fit(discrete) -> float:
     outcome = discrete.single_role_column(Role.OUTCOME)
     fitted = design @ fit_ols(DesignMatrix(labels, design), discrete.column(outcome)).values
     saturated = discrete.with_columns({outcome: fitted})
-    dev = 0.0
-    for prop in ("P1", "P2", "P3", "P4"):
-        a = estimate(discrete, AnalysisSpec(prop, "PLUGIN"))
-        b = estimate(saturated, AnalysisSpec(prop, "PLUGIN"))
-        for key in ("initial", "residual", "reduction"):
-            dev = max(dev, abs(getattr(a, key) - getattr(b, key)))
-    return dev
+    return _largest_gap((estimate(discrete, AnalysisSpec(prop, "PLUGIN")),
+                         estimate(saturated, AnalysisSpec(prop, "PLUGIN"))) for prop in _PROPS)
 
 
 def _check_constant_confounder_collapse(discrete) -> float:
     constant = discrete.with_columns({"always_one": np.ones(discrete.n_rows)})
-    worst = 0.0
-    for timedep, base in (("P5", "P2"), ("P6", "P3"), ("P7", "P4")):
-        a = estimate(
-            constant,
-            AnalysisSpec(timedep, "PLUGIN", bindings={"confounder": "always_one"}),
-        )
-        b = estimate(constant, AnalysisSpec(base, "PLUGIN"))
-        for key in ("initial", "residual", "reduction"):
-            x, y = getattr(a, key), getattr(b, key)
-            worst = max(worst, 0.0 if x == y else max(abs(x - y), np.finfo(float).tiny))
-    return worst
+    return _largest_gap(
+        (estimate(constant, AnalysisSpec(timedep, "PLUGIN", bindings={"confounder": "always_one"})),
+         estimate(constant, AnalysisSpec(base, "PLUGIN")))
+        for timedep, base in (("P5", "P2"), ("P6", "P3"), ("P7", "P4")))
 
 
 def _check_interaction_duality(continuous) -> float:
-    dev = 0.0
-    for prop in ("P1", "P2", "P3", "P4"):
-        spec = AnalysisSpec(prop, "SUCCESSIVE", options={"interactions": True})
-        a = proposition_via_oaxaca(continuous, spec)
-        b = interaction_model_estimates(continuous, spec)
-        for key in ("initial", "residual", "reduction"):
-            dev = max(dev, abs(getattr(a, key) - getattr(b, key)))
-    return dev
+    specs = [AnalysisSpec(prop, "SUCCESSIVE", options={"interactions": True}) for prop in _PROPS]
+    return _largest_gap((proposition_via_oaxaca(continuous, spec),
+                         interaction_model_estimates(continuous, spec)) for spec in specs)
 
 
 def _check_nested_shift_identity(continuous) -> float:
@@ -520,12 +526,10 @@ def _check_replicate_indices(discrete) -> float:
     indices and one that estimates on each replicate's `Dataset.take`
     (`bootstrap_statistic`), over every spread of P1-P4 in all three
     families and in SUCCESSIVE with "interactions"; infinite if they fail on
-    different replicates."""
-    specs = [AnalysisSpec(p, e) for p in ("P1", "P2", "P3", "P4")
-             for e in ("SUCCESSIVE", "PRODUCT", "PLUGIN")]
-    specs += [AnalysisSpec(p, "SUCCESSIVE", options={"interactions": True})
-              for p in ("P1", "P2", "P3", "P4")]
-    dev = 0.0
+    different replicates, or if a spread is NaN on one side only."""
+    specs = [AnalysisSpec(p, e) for p in _PROPS for e in ("SUCCESSIVE", "PRODUCT", "PLUGIN")]
+    specs += [AnalysisSpec(p, "SUCCESSIVE", options={"interactions": True}) for p in _PROPS]
+    gaps = []
     for spec, indexed in zip(specs, bootstrap_runs(discrete, specs, b=20, seed=5)):
         if isinstance(indexed, AnalysisError):
             raise indexed
@@ -534,13 +538,15 @@ def _check_replicate_indices(discrete) -> float:
             return math.inf
         x, y = (np.array([[q.se, q.lower, q.upper] for q in s.quantities.values()])
                 for s in (indexed, taken))
-        gap = np.where(x == y, 0.0, abs(x - y) / np.maximum(abs(x), abs(y)))
-        dev = max(dev, float(gap.max()))
-    return dev
+        same = (x == y) | (np.isnan(x) & np.isnan(y))
+        gaps += np.where(same, 0.0, abs(x - y) / np.maximum(abs(x), abs(y))).ravel().tolist()
+    return _largest(gaps)
 
 
 _SELFCHECK_IDENTITIES = (
-    ("additivity (initial = residual + reduction)", _check_additivity, "continuous", 1e-10),
+    ("additivity (initial = residual + reduction)", lambda d: _check_additivity(
+        d, [AnalysisSpec(p, e) for p in _PROPS for e in ("SUCCESSIVE", "PRODUCT")]),
+     "continuous", 1e-10),
     ("nested-regression vs coefficient-product", _check_family_agreement, "continuous", 1e-8),
     ("plug-in cell means vs saturated regression", _check_plugin_saturated_fit, "discrete", 1e-8),
     ("constant-confounder collapse (bitwise)", _check_constant_confounder_collapse, "discrete", 0.0),
@@ -549,6 +555,8 @@ _SELFCHECK_IDENTITIES = (
     ("logistic score at the fit", _check_logistic_score, "rare", 1e-8),
     ("replicate-index bootstrap vs per-replicate take", _check_replicate_indices, "discrete",
      1e-12),
+    ("confounder-adjusted plug-in additivity",
+     lambda d: _check_additivity(d, [AnalysisSpec("P7", "PLUGIN")]), "confounded", 1e-10),
 )
 
 
@@ -558,8 +566,7 @@ def selfcheck() -> int:
     Prints one line per identity with its observed max deviation; returns 0
     only if every deviation is within tolerance.
     """
-    continuous, discrete, confounded, rare = _selfcheck_data()
-    data = {"continuous": continuous, "discrete": discrete, "confounded": confounded, "rare": rare}
+    data = dict(zip(("continuous", "discrete", "confounded", "rare"), _selfcheck_data()))
     failures = 0
     for name, check, which, tol in _SELFCHECK_IDENTITIES:
         try:
@@ -572,17 +579,6 @@ def selfcheck() -> int:
         verdict = "ok" if ok else "FAIL"
         sys.stdout.write(f"{name:48s} {verdict:6s} max deviation {dev:.3e} (tolerance {tol:.0e})\n")
         failures += 0 if ok else 1
-
-    # the time-varying-confounder route must at least run on data that has one
-    try:
-        e = estimate(confounded, AnalysisSpec("P7", "PLUGIN"))
-        ok = math.isfinite(e.initial) and abs(e.initial - (e.residual + e.reduction)) <= 1e-10
-        verdict = "ok" if ok else "FAIL"
-        sys.stdout.write(f"{'confounder-adjusted plug-in additivity':48s} {verdict:6s}\n")
-        failures += 0 if ok else 1
-    except AnalysisError as exc:
-        sys.stdout.write(f"{'confounder-adjusted plug-in additivity':48s} FAIL    {type(exc).__name__}: {exc}\n")
-        failures += 1
 
     sys.stdout.write("selfcheck: " + ("all identities hold\n" if failures == 0 else f"{failures} FAILED\n"))
     return 0 if failures == 0 else 1

@@ -85,17 +85,17 @@ class Dataset:
     frozen by `take`) is kept as is; any other input is copied once.
     Infinite cells are refused.
 
-    `_factors` memoizes the least-squares factors and logistic outcome fits
-    of its analysis samples (see `parametric.sample_factor`); derived
-    datasets start with empty memos.
-    `_codes` memoizes each column's sorted levels and row codes (see
-    `level_codes`).
+    `_memo` holds what is computed from the columns, keyed by the columns
+    read: a column name maps to its levels and row codes (`level_codes`), a
+    column tuple to the `TriangularFactor` of its analysis sample, (tuple, q)
+    and (tuple, "prevalence") to that sample's logistic fits and 0/1 check
+    (`parametric`). `with_roles` keeps the columns, so it shares the memo;
+    `take` and `with_columns` start an empty one.
     """
 
     columns: Mapping[str, np.ndarray]
     roles: Mapping[Role, tuple[str, ...]] = field(default_factory=dict)
-    _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _codes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cols = {}
@@ -177,7 +177,7 @@ class Dataset:
         payloads) is sorted per call instead, since which of them
         ``np.unique`` keeps depends on the rows.
         """
-        if name not in self._codes:
+        if name not in self._memo:
             values = self.column(name)
             levels = np.unique(values)
             if levels.size and np.isnan(levels[-1]):  # hashed, np.unique makes its own NaN
@@ -193,8 +193,8 @@ class Dataset:
             for arr in (levels, codes):
                 if arr is not None:
                     arr.flags.writeable = False  # handed out as they are
-            self._codes[name] = (levels, codes)
-        levels, codes = self._codes[name]
+            self._memo[name] = (levels, codes)
+        levels, codes = self._memo[name]
         if codes is None:
             subset, inverse = np.unique(self.column(name)[rows], return_inverse=True)
             return subset, inverse.astype(np.min_scalar_type(levels.size))
@@ -227,8 +227,10 @@ class Dataset:
         return Dataset(cols, merged)
 
     def with_roles(self, roles: Mapping) -> "Dataset":
-        """Copy with the role map replaced."""
-        return Dataset(dict(self.columns), roles)
+        """Copy with the role map replaced; it shares this dataset's memo."""
+        bound = Dataset(dict(self.columns), roles)
+        object.__setattr__(bound, "_memo", self._memo)
+        return bound
 
 
 # -- CSV ------------------------------------------------------------------

@@ -164,7 +164,7 @@ def _bootstrap_each(d: Dataset, statistics, routes, b, seed, stratify_by_group, 
     live = [(routes(i), [], {}) for i, f in enumerate(full) if not isinstance(f, AnalysisError)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for index in range(b):
+        for index in range(b if live else 0):  # no draw when every run failed on the full sample
             idx = resample_indices(d, seed, index, stratify_by_group)
             shared: dict = {}
             for route, outcomes, warned in live:

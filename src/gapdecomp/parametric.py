@@ -17,15 +17,14 @@ outcome fits and exponentiated onto the ratio scale.
 
 `sample_factor` memoizes R keyed by the ordered column tuple (r, c…, x…, m,
 y), which also fixes the analysis rows (those complete in every listed
-column); the memo holds only the p×p R and the sample size, and beside it
-the logistic outcome fits, keyed by (that tuple, q), and the 0/1 check
-and prevalence of their outcome, keyed by (that tuple, "prevalence"). The
-full sample's memo is the Dataset's `_factors`. Every derived Dataset
-(`take`, `with_roles`, `with_columns`, a spec's bindings) starts with an
-empty memo and columns are read-only, so it cannot go stale, and all
-parametric runs on one Dataset share one factor and its fits. A bootstrap replicate is its row indices
-into the full sample: a run reads the replicate's analysis rows from them,
-and the runs of one replicate share its own memo.
+column); beside it go the logistic outcome fits, keyed by (that tuple, q),
+and the 0/1 check and prevalence of their outcome, keyed by (that tuple,
+"prevalence"). The full sample's memo is the Dataset's `_memo`: each key
+names the columns its value is read from, so every run over the same
+columns shares one factor and its fits, whatever roles bind them. A
+bootstrap replicate is its row indices into the full sample: a run reads
+the replicate's analysis rows from them, and the runs of one replicate
+share its own memo.
 """
 
 from __future__ import annotations
@@ -78,9 +77,9 @@ def analysis_rows(d: Dataset, columns, idx: np.ndarray | None = None) -> np.ndar
 def sample_factor(d: Dataset, columns, idx: np.ndarray | None = None,
                   memo: dict | None = None) -> TriangularFactor:
     """R of [1, columns…] over the analysis rows of `d`, or of its replicate
-    `idx`, memoized by column tuple in `memo` (by default `d._factors`)."""
+    `idx`, memoized by column tuple in `memo` (by default `d._memo`)."""
     key = tuple(columns)
-    memo = d._factors if memo is None else memo
+    memo = d._memo if memo is None else memo
     if key not in memo:
         memo[key] = TriangularFactor.of((INTERCEPT, *key), [1.0, *map(d.column, key)],
                                         analysis_rows(d, key, idx))
@@ -128,7 +127,7 @@ class _Run:
         self.y, self.r, self.xs, self.c, self.m = _run_roles(d)
         target = () if self.m is None else (self.m,)
         self.columns = (self.r, *self.c, *self.xs, *target, self.y)
-        self.memo = d._factors if memo is None else memo
+        self.memo = d._memo if memo is None else memo
         self.factor = sample_factor(d, self.columns, idx, self.memo)
         self.models: dict[str, dict[str, float]] = {}
         self.fits: dict[str, dict] = {}  # logistic models' diagnostics

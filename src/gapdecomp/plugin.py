@@ -51,7 +51,7 @@ def _dimension_codes(d: Dataset, rows: np.ndarray, names: Sequence[str], max_lev
     """Sorted observed level tuples of one dimension and each row's level index.
 
     Each column's levels and codes over `rows` are read from the dataset's
-    memo (`Dataset.level_codes`), so a column is sorted once per dataset;
+    memo (`Dataset.level_codes`), so a column is sorted once per memo;
     each further column combines mixed-radix with the tuples before it
     (first column most significant, so code order is tuple order), and a
     presence count re-codes them to the jointly observed tuples, with no

@@ -210,6 +210,7 @@ class TriangularFactor:
     labels: tuple[str, ...]
     r: np.ndarray
     n_rows: int
+    dependent: np.ndarray  # per column: whether it depends on those before it
 
     @classmethod
     def of(cls, labels: Sequence[str], columns: Sequence, rows=None) -> "TriangularFactor":
@@ -242,17 +243,16 @@ class TriangularFactor:
                 f"column {labels[int(np.argmin(finite))]!r} holds cells too large in magnitude "
                 "to square and sum in floating point; rescale it"
             )
-        return cls(tuple(labels), r, n)
+        # R[:, j] is zero below row j, so column j's check is the same in every prefix
+        dependent = np.abs(np.diag(r)) <= _RANK_TOL * np.linalg.norm(r, axis=0)
+        return cls(tuple(labels), r, n, dependent)
 
     def check_rank(self, q: int) -> None:
         """RankDeficient naming each of the first q columns that depends on those before it."""
-        labels = self.labels[:q]
         if self.n_rows <= q:
-            raise RankDeficient(labels)
-        r = self.r[:, :q]
-        dependent = np.abs(np.diag(r)) <= _RANK_TOL * np.linalg.norm(r, axis=0)
-        if dependent.any():
-            raise RankDeficient([labels[i] for i in np.flatnonzero(dependent)])
+            raise RankDeficient(self.labels[:q])
+        if self.dependent[:q].any():
+            raise RankDeficient([self.labels[i] for i in np.flatnonzero(self.dependent[:q])])
 
     def fit(self, response: str, q: int) -> CoefficientSet:
         """Least squares of the `response` column, the first so labelled at

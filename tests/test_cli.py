@@ -331,6 +331,30 @@ def test_selfcheck_catches_a_broken_estimator(monkeypatch, capsys):
     assert "FAIL" in out and "all identities hold" not in out
 
 
+def test_selfcheck_fails_an_estimator_that_returns_nan(monkeypatch, capsys):
+    import gapdecomp.cli as cli
+    from gapdecomp.cli import _check_replicate_indices, _selfcheck_data
+    from gapdecomp.engine import estimate as real_estimate
+
+    def nan_split(d, spec):
+        est = real_estimate(d, spec)
+        if spec.estimator.value == "PRODUCT" and spec.proposition.value != "P1":
+            return dataclasses.replace(est, residual=np.nan, reduction=np.nan)
+        return est
+
+    monkeypatch.setattr(cli, "estimate", nan_split)
+    # NaN on the per-replicate side only
+    assert _check_replicate_indices(_selfcheck_data()[1]) == np.inf
+    assert selfcheck() == 1
+    out = capsys.readouterr().out
+    verdicts = {line[:48].strip(): line[48:].split()[0] for line in out.splitlines()[:-1]}
+    for row in ("additivity (initial = residual + reduction)",
+                "nested-regression vs coefficient-product",
+                "replicate-index bootstrap vs per-replicate take"):
+        assert verdicts[row] == "FAIL"
+    assert "all identities hold" not in out
+
+
 @pytest.mark.parametrize("route", ["plugin", "parametric", "oaxaca"])
 def test_selfcheck_catches_a_replicate_read_from_the_wrong_rows(monkeypatch, route):
     import gapdecomp.oaxaca as oaxaca
@@ -881,6 +905,79 @@ def test_a_run_binding_that_cannot_be_read_fails_before_any_estimate(tmp_path, c
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_runs_binding_their_own_confounder_sort_no_column_more_than_one_top_level_binding(
+        tmp_path, capsys, monkeypatch):
+    """The README's pattern: P5-P7 PLUGIN runs each binding the confounder.
+    Their bound datasets share the loaded dataset's memo, so each column's
+    levels are sorted as often as when the confounder is bound for all runs."""
+    write_csv(generate(BOOTSTRAP_COHORT, 1500, seed=5), tmp_path / "cohort.csv")
+    runs = [{"proposition": p, "estimator": "PLUGIN"} for p in ("P5", "P6", "P7")]
+    sorts, estimates = [], []
+    real = np.unique
+
+    def counted(values, *args, **kwargs):
+        sorts[-1] += 1
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    for bindings, own in (({**BINDINGS, "confounder": "confounder"}, {}),
+                          (BINDINGS, {"bindings": {"confounder": "confounder"}})):
+        cfg = write_config(tmp_path, bindings=bindings, runs=[{**run, **own} for run in runs])
+        sorts.append(0)
+        assert main(["run", str(cfg)]) == 0
+        estimates.append([run["estimate"] for run in read_report(tmp_path)["runs"]])
+    capsys.readouterr()
+    top_level, per_run = sorts
+    assert 0 < per_run <= top_level
+    assert estimates[0] == estimates[1]
+
+
+def test_a_top_level_binding_can_name_a_column_preprocessing_makes(tmp_path, capsys):
+    write_cohort(tmp_path, n=400)
+    pca = {"principal_component": {"columns": ["early", "target"], "name": "index"}}
+    runs = [{"proposition": "P4", "estimator": "SUCCESSIVE"}]
+    cfg = write_config(tmp_path, bindings={**BINDINGS, "early": ["index"]}, preprocess=pca,
+                       runs=runs)
+    assert main(["run", str(cfg)]) == 0
+    top_level = read_report(tmp_path)["runs"][0]
+    cfg = write_config(tmp_path, preprocess=pca,
+                       runs=[{**runs[0], "bindings": {"early": ["index"]}}])
+    assert main(["run", str(cfg)]) == 0
+    per_run = read_report(tmp_path)["runs"][0]
+    capsys.readouterr()
+    assert top_level["error"] is None and top_level["estimate"] == per_run["estimate"]
+    assert "outcome ~ group + index" in top_level["estimate"]["coefficients"]
+
+
+def test_a_group_column_with_a_blank_cell_is_refused_though_indicators_list_it(tmp_path, capsys):
+    path = tmp_path / "cohort.csv"
+    path.write_text("outcome,group,early,target\n1.0,0,0.1,0.2\n2.0,,0.4,0.7\n"
+                    "1.5,1,0.2,0.3\n2.5,1,0.9,0.1\n", encoding="utf-8")
+    cfg = write_config(tmp_path, preprocess={"missing_indicators": ["group"]})
+    assert main(["run", str(cfg)]) == 2
+    assert "NonBinaryGroup" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["outcome", "early_miss"])
+def test_a_principal_component_may_not_replace_a_column(tmp_path, capsys, name):
+    write_cohort(tmp_path, n=200)
+    cfg = write_config(tmp_path, preprocess={
+        "missing_indicators": ["early"],
+        "principal_component": {"columns": ["early", "target"], "name": name}})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "principal_component.name" in err and repr(name) in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "table.txt").exists()
+
+
+@pytest.mark.parametrize("bins", [1, 0, -3])
+def test_fewer_than_two_bins_are_refused_at_config_load(tmp_path, capsys, bins):
+    cfg = write_config(tmp_path, preprocess={"discretize": {"columns": ["early"], "bins": bins}})
+    assert main(["run", str(cfg)]) == 2  # no input was written: refused before it is read
+    assert "'bins' must be an integer >= 2" in capsys.readouterr().err
 
 
 # -- BLAS threads ---------------------------------------------------------------

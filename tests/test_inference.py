@@ -209,6 +209,26 @@ def test_full_sample_failure_propagates():
         bootstrap_statistic(d, broken, b=10, seed=0)
 
 
+def test_nothing_is_drawn_once_every_run_failed_on_the_full_sample(monkeypatch):
+    import gapdecomp.inference as inference
+    from gapdecomp.errors import TooManyLevels
+
+    draws = []
+    real = inference.resample_indices
+    monkeypatch.setattr(inference, "resample_indices",
+                        lambda *args, **kw: draws.append(1) or real(*args, **kw))
+    d = generate(random_continuous_params(np.random.default_rng(7)), 200, seed=8)
+    with pytest.raises(TooManyLevels):  # a continuous early measure has 200 levels
+        bootstrap(d, AnalysisSpec("P4", "PLUGIN"), b=300)
+
+    def broken(data):
+        raise DegenerateInitial("nothing to see")
+
+    with pytest.raises(DegenerateInitial):
+        bootstrap_statistic(d, broken, b=300)
+    assert draws == []
+
+
 def test_none_valued_quantities_keep_null_point_and_nan_spread():
     d = plain_dataset(seed=7, n=50)
 

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import TWO_BY_TWO_DEVIANCE, dataset_from, random_continuous_params, two_by_two_crossed
+from conftest import (BATCH_PARAMS, TWO_BY_TWO_DEVIANCE, dataset_from, random_continuous_params,
+                      two_by_two_crossed)
 from gapdecomp import (
     AnalysisSpec,
     StructuralParams,
@@ -367,7 +368,7 @@ def test_parametric_runs_on_one_dataset_share_one_factor_and_repeat_bitwise():
         (prop, family): estimate_fields(estimate(d, AnalysisSpec(prop, family)))
         for prop in ("P1", "P2", "P3", "P4") for family in ("SUCCESSIVE", "PRODUCT")
     }
-    assert len(d._factors) == 1
+    assert len(d._memo) == 1
     for (prop, family), fields in first.items():
         assert estimate_fields(estimate(d, AnalysisSpec(prop, family))) == fields
 
@@ -385,44 +386,46 @@ def test_factor_memo_is_keyed_by_the_ordered_column_tuple():
     assert with_target.n_rows < a.n_rows == 200  # the key also fixes the analysis rows
 
 
-def test_derived_datasets_never_reuse_the_parent_factor():
+def test_new_rows_or_columns_never_reuse_the_parent_factor():
     d = generate(random_continuous_params(np.random.default_rng(42)), 300, seed=43)
     spec = AnalysisSpec("P4", "SUCCESSIVE")
     parent = estimate_fields(estimate(d, spec))
 
     idx = np.random.default_rng(44).integers(0, d.n_rows, size=d.n_rows)
     child = d.take(idx)
-    assert child._factors == {}
+    assert child._memo == {}
     fresh = dataset_from({k: v[idx] for k, v in d.columns.items()}, dict(d.roles))
     assert estimate_fields(estimate(child, spec)) == estimate_fields(estimate(fresh, spec))
     assert estimate_fields(estimate(child, spec)) != parent
 
-    # a new role map with the same key columns still factors its own sample
-    rebound = d.with_roles(dict(d.roles))
-    assert rebound._factors == {}
-    assert estimate_fields(estimate(rebound, spec)) == parent
-
     # replacing a column cannot serve the old column's factor
     shifted = d.with_columns({"outcome": d.column("outcome") + 0.5 * d.column("early")})
+    assert shifted._memo == {}
     moved = estimate(shifted, spec)
     assert moved.residual != parent[1]
     again = dataset_from(dict(shifted.columns), dict(shifted.roles))
     assert estimate_fields(moved) == estimate_fields(estimate(again, spec))
 
 
-def test_bindings_that_restate_the_roles_share_the_datasets_factor():
-    d = generate(random_continuous_params(np.random.default_rng(47)), 300, seed=48)
-    spec = AnalysisSpec("P4", "SUCCESSIVE", bindings={"early": ["early"]})
-    assert spec.resolve(d) is d
-    first = estimate_fields(estimate(d, spec))
-    for _ in range(2):
-        assert estimate_fields(estimate(d, spec)) == first
-    assert len(d._factors) == 1
-    # a binding that does change the roles still gets its own dataset,
-    # over the parent's (read-only, uncopied) columns
-    rebound = AnalysisSpec("P4", "SUCCESSIVE", bindings={"covariate": []}).resolve(d)
-    assert rebound is not d and rebound._factors == {}
-    assert rebound.column("early") is d.column("early")
+@pytest.mark.parametrize("family", ["SUCCESSIVE", "PRODUCT", "PLUGIN"])
+def test_every_rebinding_shares_the_datasets_memo(family):
+    d = generate(BATCH_PARAMS, 600, seed=48)
+    d = d.with_columns({"early2": d.column("early")})
+    restate = AnalysisSpec("P4", family, bindings={"early": ["early"]})
+    rebind = AnalysisSpec("P4", family, bindings={"early": ["early2"], "covariate": []})
+    first = estimate_fields(estimate(d, restate))
+    entries = len(d._memo)
+    for spec in (restate, rebind):
+        bound = spec.resolve(d)
+        assert bound is not d and bound._memo is d._memo
+        assert bound.column("early") is d.column("early")  # read-only, uncopied
+    assert d.with_roles(dict(d.roles))._memo is d._memo
+    # the same columns are served from the memo, bitwise as a fresh dataset computes them
+    assert estimate_fields(estimate(d, restate)) == first and len(d._memo) == entries
+    fresh = dataset_from(dict(d.columns), {**d.roles, "early": ["early2"], "covariate": []})
+    assert estimate_fields(estimate(d, rebind)) == estimate_fields(
+        estimate(fresh, AnalysisSpec("P4", family)))
+    assert len(d._memo) > entries  # the rebinding's own columns joined the parent's memo
 
 
 def test_dependent_target_is_named_by_rank_deficiency():
@@ -498,9 +501,9 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
              for family in ("SUCCESSIVE", "PRODUCT")]
     shared = [estimate(d, spec) for spec in specs]
     assert len(calls) == 3  # PRODUCT's outcome model is SUCCESSIVE's full model
-    fits = {key: fit for key, fit in d._factors.items() if isinstance(key[-1], int)}
+    fits = {key: fit for key, fit in d._memo.items() if isinstance(key[-1], int)}
     # and one factor, and one outcome check
-    assert len(set(calls)) == 3 and len(fits) == 3 and len(d._factors) == 5
+    assert len(set(calls)) == 3 and len(fits) == 3 and len(d._memo) == 5
     for fit in fits.values():
         assert not fit.values.flags.writeable
     full_model = "outcome ~ group + early + target"
@@ -513,9 +516,11 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
     assert [estimate_fields(e) + (e.logistic_fits,) for e in shared] == [
         estimate_fields(e) + (e.logistic_fits,) for e in fresh
     ]
-    for child in (d.take(np.arange(d.n_rows)), d.with_roles(dict(d.roles)),
-                  d.with_columns({"extra": np.zeros(d.n_rows)})):
-        assert child._factors == {}
+    for child in (d.take(np.arange(d.n_rows)), d.with_columns({"extra": np.zeros(d.n_rows)})):
+        assert child._memo == {}
+    rebound = [estimate(d.with_roles(dict(d.roles)), spec) for spec in specs]
+    assert len(calls) == 3 + 4  # a new role map over the same columns reuses the fits
+    assert [estimate_fields(e) for e in rebound] == [estimate_fields(e) for e in shared]
 
 
 def test_a_rare_binary_sample_is_read_once_and_warned_of_per_estimate(monkeypatch):

@@ -259,7 +259,7 @@ def test_memoized_level_codes_equal_sorting_each_subset(values, memo_first, long
         check(d, slice(None), column)
         # equal cells with identical bits are served from the memo, not re-sorted
         exact = np.unique(column.view(np.int64)).size == np.unique(column).size
-        assert (d._codes["v"][1] is not None) == exact
+        assert (d._memo["v"][1] is not None) == exact
     rows = st.lists(st.integers(0, n - 1), max_size=2 * len(values)).map(
         lambda r: np.array(r, dtype=np.intp))
     subset = np.unique(data.draw(rows))

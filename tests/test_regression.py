@@ -178,6 +178,22 @@ def test_rank_deficiency_names_the_first_dependent_column_in_declared_order():
     assert err.value.columns == ("flat",)
 
 
+def test_a_rank_check_reads_the_column_past_the_prefix_only_when_asked(monkeypatch):
+    from gapdecomp.regression import TriangularFactor
+
+    rng = np.random.default_rng(44)
+    a, b = rng.normal(size=40), rng.normal(size=40)
+    factor = TriangularFactor.of((INTERCEPT, "a", "b", "c", "y"),
+                                 [1.0, a, b, 2.0 * a - b, rng.normal(size=40)])
+    norms = []
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kw: norms.append(1))
+    factor.check_rank(3)  # "c", just past the prefix, is not read
+    with pytest.raises(RankDeficient) as err:
+        factor.check_rank(4)
+    assert err.value.columns == ("c",)
+    assert norms == []  # every prefix reads the one check made with the factor
+
+
 def test_exactly_fitted_or_constant_response_is_not_rank_checked():
     x = np.arange(6.0)
     assert fit_ols(design({"x": x}), 3.0 - x)["x"] == pytest.approx(-1.0, abs=1e-12)
