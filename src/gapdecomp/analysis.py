@@ -114,13 +114,18 @@ class AnalysisSpec:
     def option(self, key: str, default=None):
         return self.options.get(key, default)
 
-    def resolve(self, d: Dataset) -> Dataset:
+    def resolve(self, d: Dataset, *estimators: Estimator) -> Dataset:
         """Dataset with this spec's bindings applied, after validation.
 
         Bindings are merged over the dataset's own role map: a role named in
         the spec replaces that role's columns, all other roles carry over.
-        The bound dataset shares `d`'s memo (`Dataset.with_roles`).
+        The bound dataset shares `d`'s memo (`Dataset.with_roles`). An entry
+        point that runs only `estimators` names them: a spec naming another
+        estimator is refused by name, not relabelled.
         """
+        if estimators and self.estimator not in estimators:
+            raise InvalidSpec(f"this entry point runs {' or '.join(e.value for e in estimators)}, "
+                              f"not {self.estimator.value}; estimate() routes a spec to its estimator")
         bound = d.with_roles({**d.roles, **normalize_roles(self.bindings)}) if self.bindings else d
         validate_spec(self, bound)
         return bound
@@ -214,8 +219,8 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
     if spec.proposition in TIMEDEP_PROPOSITIONS:
         if spec.estimator != Estimator.PLUGIN:
             raise InvalidSpec(
-                f"{spec.proposition.value} is only identified by the PLUGIN "
-                f"estimator, got {spec.estimator.value}"
+                f"{spec.proposition.value} is implemented by the PLUGIN estimator only; "
+                f"SUCCESSIVE and PRODUCT answer P1-P4, got {spec.estimator.value}"
             )
         if not d.role_columns(Role.CONFOUNDER_L):
             raise InvalidSpec(f"{spec.proposition.value} requires a confounder binding")
@@ -224,15 +229,6 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
             raise InvalidSpec(
                 "PRODUCT estimator requires exactly one early column and one target column"
             )
-
-
-def resolve_for(spec: AnalysisSpec, d: Dataset, *estimators: Estimator) -> Dataset:
-    """`spec.resolve(d)` for an entry point that runs only `estimators`; a
-    spec naming another estimator is refused by name, not relabelled."""
-    if spec.estimator not in estimators:
-        raise InvalidSpec(f"this entry point runs {' or '.join(e.value for e in estimators)}, "
-                          f"not {spec.estimator.value}; estimate() routes a spec to its estimator")
-    return spec.resolve(d)
 
 
 _DEGENERACY_TOL = 1e-12

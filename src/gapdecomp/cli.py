@@ -172,6 +172,14 @@ def load_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: runs[{i}]: {exc}") from exc
 
+    indicated = set((raw.get("preprocess") or {}).get("missing_indicators") or ())
+    for where, bindings in [("bindings", raw["bindings"])] + [
+            (f"runs[{i}].bindings", e["bindings"]) for i, e in enumerate(raw["runs"]) if "bindings" in e]:
+        outcome = next((v for k, v in bindings.items() if k.lower() == Role.OUTCOME.value), [])
+        for name in indicated.intersection([outcome] if isinstance(outcome, str) else outcome):
+            raise ConfigError(f"{path}: preprocess.missing_indicators names {name!r}, bound as the "
+                              f"outcome in {where}; its indicator would fill blank outcomes with 0.0")
+
     output = raw.get("output") or {}
     paths = {"input": raw["input"], "output.report": output.get("report", "report.json"),
              "output.table": output.get("table", "table.txt")}
@@ -368,29 +376,23 @@ def render_table(report: dict) -> str:
     labels = [r["proposition"] for r in runs]
     if len(set(labels)) != len(labels):
         labels = [f"{r['proposition']}/{r['estimator']}" for r in runs]
+    if len(set(labels)) != len(labels):
+        labels = [f"#{i} {label}" for i, label in enumerate(labels, 1)]
     width = max(12, max((len(s) for s in labels), default=0) + 2)
 
     def row(title, values):
         return title.ljust(20) + "".join(v.rjust(width) for v in values)
 
-    initial, residual, percent = [], [], []
-    for r in runs:
-        est = r["estimate"]
+    def cell(est, key, form):
         if est is None:
-            initial.append("error")
-            residual.append("error")
-            percent.append("error")
-            continue
-        initial.append("—" if est["initial"] is None else f"{est['initial']:.3f}")
-        residual.append("—" if est["residual"] is None else f"{est['residual']:.3f}")
-        p = est["proportion_reduced"]
-        percent.append("—" if p is None else f"{round(100 * p):d}")
-    lines = [
-        row("quantity", labels),
-        row("initial disparity", initial),
-        row("residual disparity", residual),
-        row("% reduction", percent),
-    ]
+            return "error"
+        return "—" if est[key] is None else form(est[key])
+
+    quantities = (("initial disparity", "initial", "{:.3f}".format),
+                  ("residual disparity", "residual", "{:.3f}".format),
+                  ("% reduction", "proportion_reduced", lambda p: f"{round(100 * p):d}"))
+    lines = [row("quantity", labels)]
+    lines += [row(title, [cell(r["estimate"], key, form) for r in runs]) for title, key, form in quantities]
     return "\n".join(lines) + "\n"
 
 

@@ -89,8 +89,9 @@ class Dataset:
     read: a column name maps to its levels and row codes (`level_codes`), a
     column tuple to the `TriangularFactor` of its analysis sample, (tuple, q)
     and (tuple, "prevalence") to that sample's logistic fits and 0/1 check
-    (`parametric`). `with_roles` keeps the columns, so it shares the memo;
-    `take` and `with_columns` start an empty one.
+    (`parametric`), (max_levels, outcome, group, dimension tuples…) to a
+    plug-in sample's row mask and `StratumTable`. `with_roles` keeps the
+    columns, so it shares the memo; `take` and `with_columns` start an empty one.
     """
 
     columns: Mapping[str, np.ndarray]

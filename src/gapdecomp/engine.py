@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from .analysis import AnalysisSpec, DecompositionEstimate, Estimator, resolve_for
+from .analysis import AnalysisSpec, DecompositionEstimate, Estimator
 from .data import Dataset
-from .oaxaca import proposition_via_oaxaca
+from .oaxaca import _stratified, proposition_via_oaxaca
 from .parametric import _decompose, decompose_product_coefficients, decompose_successive_linear
 from .plugin import Replicates, plugin_mu
 
@@ -32,7 +32,7 @@ def replicates(d: Dataset, spec: AnalysisSpec, b: int):
     is resolved once; each replicate is read at its analysis rows of `d`."""
     if spec.estimator == Estimator.PLUGIN:
         return Replicates(d, spec, b)
-    bound = resolve_for(spec, d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
+    bound = spec.resolve(d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
     if spec.option("interactions"):
-        return lambda idx, memo: proposition_via_oaxaca(bound, spec, idx)
+        return lambda idx, memo: _stratified(bound, spec, idx)
     return lambda idx, memo: _decompose(bound, spec, idx, memo)

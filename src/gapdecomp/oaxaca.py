@@ -36,7 +36,6 @@ from .analysis import (
     Estimator,
     Proposition,
     Scale,
-    resolve_for,
     validate_spec,
 )
 from .data import Dataset, Role
@@ -189,23 +188,28 @@ def _bind(d: Dataset, spec: AnalysisSpec):
     """(proposition, bound dataset, y, r, xs, c, m) of a stratified run; the
     spec is validated as written, then as the "interactions" request this
     answers, whatever its options say."""
-    bound = resolve_for(spec, d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
+    bound = spec.resolve(d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
     validate_spec(replace(spec, options={**spec.options, "interactions": True}), bound)
     return spec.proposition, bound, *_run_roles(bound)
 
 
-def proposition_via_oaxaca(d: Dataset, spec: AnalysisSpec,
-                           idx: np.ndarray | None = None) -> DecompositionEstimate:
+def proposition_via_oaxaca(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     """Each intervention's residual/reduction read off an explained/unexplained split.
 
     P1: early measures explain the gap within covariate strata. P2: the
     target explains the gap within (early, covariate) strata, anchored at
     the early profile. P3: early and target explain jointly. P4: only the
     target's detailed explained term counts as reduction; the early
-    measures' explained share stays in the residual. With `idx`, the split
-    of the bootstrap replicate of those rows into `d`.
+    measures' explained share stays in the residual.
     """
-    prop, bound, _, _, xs, c, m = _bind(d, spec)
+    return _stratified(_bind(d, spec)[1], spec)
+
+
+def _stratified(bound: Dataset, spec: AnalysisSpec,
+                idx: np.ndarray | None = None) -> DecompositionEstimate:
+    """`proposition_via_oaxaca` on the dataset `spec` binds, validated; with
+    `idx`, of the bootstrap replicate of those rows into `bound`."""
+    prop, (_, _, xs, c, m) = spec.proposition, _run_roles(bound)
     notes = []
     if prop == Proposition.P2:
         # early measures at the anchor, covariates at their group-0 means

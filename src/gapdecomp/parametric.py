@@ -43,7 +43,6 @@ from .analysis import (
     OutcomeFamily,
     Proposition,
     Scale,
-    resolve_for,
 )
 from .data import Dataset, Role
 from .errors import InvalidSpec, NearZeroDenominator, PrevalenceWarning
@@ -267,7 +266,7 @@ def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> Decomposition
     sample; each proposition's residual and reduction come from differences
     of the group coefficient. Rare binary outcomes take the ratio scale.
     """
-    return _decompose(resolve_for(spec, d, Estimator.SUCCESSIVE), spec)
+    return _decompose(spec.resolve(d, Estimator.SUCCESSIVE), spec)
 
 
 #: The single-early ladder is the one-step case of the general ladder.
@@ -281,7 +280,7 @@ def decompose_product_coefficients(d: Dataset, spec: AnalysisSpec) -> Decomposit
     nested-regressions family identically in-sample. Rare binary outcomes
     take the ratio scale.
     """
-    return _decompose(resolve_for(spec, d, Estimator.PRODUCT), spec)
+    return _decompose(spec.resolve(d, Estimator.PRODUCT), spec)
 
 
 def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
@@ -295,4 +294,4 @@ def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEsti
     answers, whatever outcome family it names.
     """
     rare = dataclasses.replace(spec, outcome_family=OutcomeFamily.RARE_BINARY)
-    return _decompose(resolve_for(rare, d, Estimator.SUCCESSIVE, Estimator.PRODUCT), rare)
+    return _decompose(rare.resolve(d, Estimator.SUCCESSIVE, Estimator.PRODUCT), rare)

@@ -2,12 +2,14 @@
 
 Every proposition is a weighted sum of group-1 conditional outcome means,
 with weights taken from whichever group's distribution the intervention
-equalizes. All of them are read from one table per analysis sample: each row
+equalizes. All of them are read from one table per analysis sample, which
+the dataset's memo shares among the runs over the same columns: each row
 gets one integer cell code over (group, early, target, confounder,
 covariate), and two ``np.bincount`` calls over it give every cell's count
-and outcome sum. A proposition is one contraction of that table: each
-probability is counts over their marginal along an axis, each cell mean is
-sums over counts. A dimension with no bound column is a size-1 pseudo-level
+and outcome sum. A proposition is one contraction of that table (P2 and P5
+read their default anchor off its group-1 early margin): each probability
+is counts over their marginal along an axis, each cell mean is sums over
+counts. A dimension with no bound column is a size-1 pseudo-level
 axis, so the plain propositions (P1-P4) and their confounder-aware versions
 (P5-P7) run the same contraction over identically shaped tables; a constant
 confounder yields the same codes and sums as none, and collapses to the
@@ -35,7 +37,6 @@ from .analysis import (
     Scale,
     TIMEDEP_BASE,
     TIMEDEP_PROPOSITIONS,
-    resolve_for,
 )
 from .data import Dataset, Role
 from .errors import AnalysisError, EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
@@ -93,27 +94,31 @@ class StratumTable:
     boolean mask of its rows, or an index array; `columns` maps each
     dimension to its column names.
 
-    The code is built in place, one dimension at a time, and the outcome is
-    gathered only for the weighted bincount, so beside the dataset a build
-    holds the code and one dimension's level indices, then the code and the
-    outcome.
+    The code is built in place, one dimension at a time, in the smallest
+    unsigned type that holds the cells so far, and the outcome is gathered
+    only for the weighted bincount, so beside the dataset a build holds the
+    code and one dimension's level indices, then the code and the outcome.
+    The dataset's memo shares a table (`_sample`), so its arrays are read-only.
     """
 
     def __init__(self, d: Dataset, rows: np.ndarray, columns: Mapping[str, Sequence[str]],
                  max_levels: int = DEFAULT_MAX_LEVELS):
         self.columns: dict[str, tuple[str, ...]] = {dim: tuple(columns[dim]) for dim in _DIMENSIONS}
-        code = d.column(d.single_role_column(Role.GROUP))[rows].astype(np.intp)
+        code, size = d.column(d.single_role_column(Role.GROUP))[rows].astype(np.uint8), 2
         self.levels: dict[str, list] = {}
         for dim, names in self.columns.items():
             levels, inverse = _dimension_codes(d, rows, names, max_levels)
-            self.levels[dim] = levels
+            self.levels[dim], size = levels, size * len(levels)
+            code = code.astype(np.min_scalar_type(size), copy=False)  # so the product cannot wrap
             code *= len(levels)
             code += inverse
         shape = (2,) + tuple(len(self.levels[dim]) for dim in _DIMENSIONS)
-        size, self.code = math.prod(shape), code
+        self.code = code
         self.counts = np.bincount(code, minlength=size).reshape(shape)
         outcome = d.column(d.single_role_column(Role.OUTCOME))[rows]
         self.sums = np.bincount(code, weights=outcome, minlength=size).reshape(shape)
+        for arr in (self.code, self.counts, self.sums):
+            arr.flags.writeable = False
 
     def _describe(self, group, pairs) -> str:
         parts = [f"group={int(group)}" if group is not None else "group=any"]
@@ -137,30 +142,18 @@ def _dimension_columns(d: Dataset, prop: Proposition) -> dict[str, tuple[str, ..
 
 
 def _sample(d: Dataset, spec: AnalysisSpec):
-    """A plug-in run's bound dataset, analysis-row mask and full-sample table."""
-    bound = resolve_for(spec, d, Estimator.PLUGIN)
+    """A plug-in run's bound dataset, and its analysis-row mask and table,
+    memoized in the dataset's memo by the columns they read and `max_levels`."""
+    bound = spec.resolve(d, Estimator.PLUGIN)
     columns = _dimension_columns(bound, spec.proposition)
-    names = [bound.single_role_column(Role.OUTCOME), bound.single_role_column(Role.GROUP)]
-    for dim_names in columns.values():
-        names += dim_names
-    mask = analysis_rows(bound, names)
-    table = StratumTable(bound, mask, columns, spec.option("max_levels", DEFAULT_MAX_LEVELS))
-    return bound, mask, table
-
-
-def _anchor(spec: AnalysisSpec, d: Dataset, rows: np.ndarray) -> list[float]:
-    """The early-measure point P2 and P5 anchor at (none for the others): the
-    explicit value, or each early column's group-1 mean over `rows`, an index
-    array or a boolean mask."""
-    if TIMEDEP_BASE.get(spec.proposition, spec.proposition) != Proposition.P2:
-        return []
-    if spec.conditioning_value_x is not None:
-        return [float(spec.conditioning_value_x)]
-    rows = np.flatnonzero(rows) if rows.dtype == bool else rows
-    group1 = rows[d.column(d.single_role_column(Role.GROUP))[rows] == 1.0]
-    # sum / size is np.mean's arithmetic; with no group-1 row the run fails on an empty stratum
-    return [float(d.column(name)[group1].sum()) / group1.size if group1.size else math.nan
-            for name in d.role_columns(Role.EARLY)]
+    outcome, group = bound.single_role_column(Role.OUTCOME), bound.single_role_column(Role.GROUP)
+    max_levels = spec.option("max_levels", DEFAULT_MAX_LEVELS)
+    key = (max_levels, outcome, group, *columns.values())  # no int last: that is a logistic fit's
+    if key not in bound._memo:
+        mask = analysis_rows(bound, [outcome, group, *(n for names in columns.values() for n in names)])
+        mask.flags.writeable = False
+        bound._memo[key] = mask, StratumTable(bound, mask, columns, max_levels)
+    return bound, *bound._memo[key]
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -228,12 +221,13 @@ def _standardize(table: StratumTable, counts, sums, p4: bool, x_index, needed):
     return equalized, _ratio(group_sums, n_c), failures
 
 
-def _estimates(table: StratumTable, spec: AnalysisSpec, counts, sums, anchors) -> list:
+def _estimates(table: StratumTable, spec: AnalysisSpec, counts, sums) -> list:
     """Each replicate's estimate, or the AnalysisError that ends it.
 
     `counts` and `sums` are (B, 2, X, M, L, C) over the levels of `table`,
     where a level that a replicate does not observe is a zero slice and gets
-    no weight; `anchors` holds each replicate's `_anchor`.
+    no weight. P2 and P5 anchor at the observed early level nearest
+    `conditioning_value_x`, or else the mean of the group-1 early margin.
     """
     prop = spec.proposition
     weight_mode = spec.option("aggregation_weight", "group1")
@@ -251,7 +245,12 @@ def _estimates(table: StratumTable, spec: AnalysisSpec, counts, sums, anchors) -
     base = TIMEDEP_BASE.get(prop, prop)
     x_index = None
     if base == Proposition.P2:  # the level nearest the anchor among those observed
-        distances = ((np.array(table.levels["early"]) - anchors[:, None]) ** 2).sum(axis=2)
+        early, n_x = np.array(table.levels["early"]), counts[:, 1].sum(axis=(2, 3, 4))
+        with np.errstate(invalid="ignore"):  # no group-1 row: NaN, and the run fails on an empty stratum
+            anchors = (n_x[:, :, None] * early).sum(axis=1) / n_x.sum(axis=1)[:, None]
+        if spec.conditioning_value_x is not None:
+            anchors = np.array([[spec.conditioning_value_x]], float)
+        distances = ((early - anchors[:, None]) ** 2).sum(axis=2)
         observed = counts.sum(axis=(1, 3, 4, 5)) > 0
         x_index = np.where(observed, distances, np.inf).argmin(axis=1)
 
@@ -307,9 +306,8 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     the whole table. With outcome family RARE_BINARY the same three means
     are reported as ratios.
     """
-    bound, mask, table = _sample(d, spec)
-    anchors = np.array([_anchor(spec, bound, mask)])
-    (result,) = _estimates(table, spec, table.counts[None], table.sums[None], anchors)
+    table = _sample(d, spec)[2]
+    (result,) = _estimates(table, spec, table.counts[None], table.sums[None])
     if isinstance(result, AnalysisError):
         raise result
     return result
@@ -318,7 +316,7 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
 class Replicates:
     """A plug-in run over b bootstrap replicates, each given as its row indices into `d`.
 
-    The run is resolved, masked and tabulated once on the full sample. A
+    Its full-sample mask and table are its estimate's (`_sample`). A
     replicate's counts and sums are two bincounts of the full sample's cell
     codes over the replicate's analysis rows (the rows its own table would
     count, in the same order), written to its row of the preallocated
@@ -326,21 +324,20 @@ class Replicates:
     """
 
     def __init__(self, d: Dataset, spec: AnalysisSpec, b: int):
-        self.spec, (self.bound, self.mask, self.table) = spec, _sample(d, spec)
-        self.code = np.zeros(d.n_rows, np.intp)
+        self.spec, self.drawn, (bound, self.mask, self.table) = spec, 0, _sample(d, spec)
+        self.code = np.zeros(d.n_rows, self.table.code.dtype)
         self.code[self.mask] = self.table.code
-        self.outcome = self.bound.column(self.bound.single_role_column(Role.OUTCOME))
+        self.outcome = bound.column(bound.single_role_column(Role.OUTCOME))
         shape = (b, *self.table.counts.shape)
         self.counts, self.sums = np.zeros(shape, np.intp), np.zeros(shape)
-        self.anchors = []
 
     def __call__(self, idx: np.ndarray, shared=None) -> None:
-        rows, b = idx[self.mask[idx]], len(self.anchors)  # b replicates drawn before this one
-        code, size = self.code[rows], self.table.counts.size
-        self.counts[b].flat = np.bincount(code, minlength=size)
-        self.sums[b].flat = np.bincount(code, weights=self.outcome[rows], minlength=size)
-        self.anchors.append(_anchor(self.spec, self.bound, rows))
+        rows, size = idx[self.mask[idx]], self.table.counts.size
+        code = self.code[rows]
+        self.counts[self.drawn].flat = np.bincount(code, minlength=size)
+        self.sums[self.drawn].flat = np.bincount(code, weights=self.outcome[rows], minlength=size)
+        self.drawn += 1
 
     def finish(self) -> list:
         """Each replicate's estimate, or the AnalysisError that ends it."""
-        return _estimates(self.table, self.spec, self.counts, self.sums, np.array(self.anchors))
+        return _estimates(self.table, self.spec, self.counts, self.sums)

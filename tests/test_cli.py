@@ -1022,3 +1022,46 @@ def test_reports_are_byte_identical_at_one_and_two_blas_threads(tmp_path, params
         assert proc.returncode == 0, proc.stderr
         reports.append((tmp_path / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("bindings,run_bindings,where", [
+    ({**BINDINGS, "outcome": "score"}, None, "bindings"),
+    (BINDINGS, {"Outcome": "score"}, "runs[1].bindings"),
+    (BINDINGS, {"outcome": ["score"]}, "runs[1].bindings"),
+])
+def test_a_missing_indicator_for_the_outcome_is_refused_before_any_estimate(
+        tmp_path, capsys, bindings, run_bindings, where):
+    lines = ["outcome,group,early,target,score"] + [
+        f"{i % 3},{i % 2},{i % 5},{i % 4},{'' if i % 7 == 0 else i % 6}" for i in range(60)]
+    (tmp_path / "cohort.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    runs = [{"proposition": "P1", "estimator": "SUCCESSIVE"},
+            {"proposition": "P4", "estimator": "SUCCESSIVE",
+             **({"bindings": run_bindings} if run_bindings else {})}]
+    cfg = write_config(tmp_path, bindings=bindings, runs=runs,
+                       preprocess={"missing_indicators": ["early", "score"]})
+    named = f"preprocess.missing_indicators names 'score', bound as the outcome in {where};"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "config.json"]
+
+
+def test_table_columns_that_share_proposition_and_estimator_are_numbered_by_run(tmp_path, capsys):
+    write_csv(generate(BOOTSTRAP_COHORT, 1500, seed=7), tmp_path / "cohort.csv")
+    runs = [{"proposition": "P4", "estimator": "PLUGIN"},
+            {"proposition": "P4", "estimator": "PLUGIN",
+             "options": {"aggregation_weight": "pooled"}},
+            {"proposition": "P7", "estimator": "PLUGIN", "bindings": {"confounder": "confounder"}},
+            {"proposition": "P7", "estimator": "PLUGIN", "bindings": {"confounder": "covariate"}},
+            {"proposition": "P4", "estimator": "SUCCESSIVE"}]
+    assert main(["run", str(write_config(tmp_path, runs=runs))]) == 0
+    header = (tmp_path / "table.txt").read_text(encoding="utf-8").splitlines()[0]
+    assert re.split(r"\s{2,}", header) == [
+        "quantity", "#1 P4/PLUGIN", "#2 P4/PLUGIN", "#3 P7/PLUGIN", "#4 P7/PLUGIN",
+        "#5 P4/SUCCESSIVE"]
+    assert capsys.readouterr().out.splitlines()[0] == header
+    # labels that the estimator tells apart are not numbered
+    assert main(["run", str(write_config(tmp_path, runs=runs[1:3] + runs[4:]))]) == 0
+    header = (tmp_path / "table.txt").read_text(encoding="utf-8").splitlines()[0]
+    assert re.split(r"\s{2,}", header) == ["quantity", "P4/PLUGIN", "P7/PLUGIN", "P4/SUCCESSIVE"]

@@ -305,3 +305,32 @@ def test_bootstrap_runs_yields_what_bootstrap_returns_for_each_spec():
                 continue
             assert repr(result) == repr(alone)  # floats by repr: bitwise
         assert [type(r).__name__ for r in results][-1] == "TooManyLevels"
+
+
+def test_an_interactions_bootstrap_binds_its_run_once_whatever_b(monkeypatch):
+    import gapdecomp.analysis as analysis
+    import gapdecomp.data as data
+    import gapdecomp.oaxaca as oaxaca
+
+    calls = {"validate": 0, "build": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    validate = counted("validate", analysis.validate_spec)
+    monkeypatch.setattr(analysis, "validate_spec", validate)
+    monkeypatch.setattr(oaxaca, "validate_spec", validate)
+    monkeypatch.setattr(data.Dataset, "__post_init__", counted("build", data.Dataset.__post_init__))
+    d = generate(random_continuous_params(np.random.default_rng(40)), 400, seed=41)
+    spec = AnalysisSpec("P4", "SUCCESSIVE", bindings={"target": "target"},
+                        options={"interactions": True})
+    seen = []
+    for b in (5, 25):
+        for key in calls:
+            calls[key] = 0
+        assert bootstrap(d, spec, b=b, seed=2).n_failed == 0
+        seen.append(dict(calls))
+    assert seen[0] == seen[1] and seen[0]["validate"] > 0

@@ -8,14 +8,16 @@ import pytest
 from conftest import batch_cohort, dataset_from, random_discrete_params, saturated_fit
 from gapdecomp import (
     AnalysisSpec,
+    Dataset,
     StratumTable,
     add_missing_indicators,
+    bootstrap_runs,
     generate,
     plugin_mu,
     plugin_mu_timedep,
 )
 from gapdecomp.errors import EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
-from gapdecomp.plugin import Replicates
+from gapdecomp.plugin import Replicates, _sample
 
 
 def crossed_binary_dataset(seed=0, n_per_cell=2):
@@ -238,12 +240,16 @@ def test_too_many_levels():
     )
     with pytest.raises(TooManyLevels):
         plugin_mu(d, AnalysisSpec("P1", "PLUGIN"))
-    # configurable ceiling
+    # configurable ceiling, checked also after a run with a higher one tabulated the columns
     small = dataset_from(
         {"y": y, "r": r, "x": np.round(x)}, {"outcome": "y", "group": "r", "early": ["x"]}
     )
-    with pytest.raises(TooManyLevels):
+    first = plugin_mu(small, AnalysisSpec("P1", "PLUGIN"))
+    with pytest.raises(TooManyLevels, match="column 'x' has [0-9]+ levels, more than the allowed 2"):
         plugin_mu(small, AnalysisSpec("P1", "PLUGIN", options={"max_levels": 2}))
+    again = plugin_mu(small, AnalysisSpec("P1", "PLUGIN", options={"max_levels": 20}))
+    assert (again.initial, again.residual, again.reduction) == (
+        first.initial, first.residual, first.reduction)
 
 
 def test_too_many_levels_names_the_first_column_in_dimension_order():
@@ -560,3 +566,101 @@ def test_a_plugin_estimate_holds_a_few_bytes_per_analysis_row():
     finally:
         tracemalloc.stop()
 
+
+
+def counted_tables(monkeypatch):
+    """The (early, target, confounder, covariate) columns of every table built from now on."""
+    builds, real = [], StratumTable.__init__
+
+    def counted(self, d, rows, columns, *args):
+        builds.append(tuple(tuple(columns[dim]) for dim in ("early", "target", "confounder", "covariate")))
+        real(self, d, rows, columns, *args)
+
+    monkeypatch.setattr(StratumTable, "__init__", counted)
+    return builds
+
+
+def estimate_fields(e):
+    return e.initial, e.residual, e.reduction, e.proportion_reduced, e.notes
+
+
+def test_plugin_runs_over_the_same_columns_share_one_table(monkeypatch):
+    builds = counted_tables(monkeypatch)
+    d = batch_cohort(4000)
+    props = ("P2", "P3", "P4", "P5", "P6", "P7")
+    shared = [plugin_mu(d, AnalysisSpec(prop, "PLUGIN")) for prop in props[:3]]
+    assert builds == [(("early",), ("target",), (), ("covariate",))]
+    shared += [plugin_mu(d, AnalysisSpec(prop, "PLUGIN")) for prop in props[3:]]
+    assert len(builds) == 2 and builds[1][2] == ("confounder",)
+    fresh = [plugin_mu(Dataset(dict(d.columns), dict(d.roles)), AnalysisSpec(prop, "PLUGIN"))
+             for prop in props]
+    assert len(builds) == 2 + len(props)
+    assert [estimate_fields(e) for e in shared] == [estimate_fields(e) for e in fresh]
+
+    # handed out by the memo: read-only, and the cell code in its smallest unsigned type
+    _, mask, table = _sample(d, AnalysisSpec("P6", "PLUGIN"))
+    assert len(builds) == 2 + len(props)
+    for arr in (mask, table.code, table.counts, table.sums):
+        assert not arr.flags.writeable
+    assert table.code.dtype == np.min_scalar_type(table.counts.size) == np.uint8
+
+
+def test_a_plugin_bootstrap_builds_no_table_beyond_its_estimates(monkeypatch):
+    builds = counted_tables(monkeypatch)
+    d = batch_cohort(3000)
+    specs = [AnalysisSpec("P3", "PLUGIN"), AnalysisSpec("P7", "PLUGIN")]
+    shared = [summary.as_dict() for summary in bootstrap_runs(d, specs, b=30, seed=4)]
+    assert len(builds) == len(specs)
+    alone = [summary.as_dict() for summary in bootstrap_runs(
+        Dataset(dict(d.columns), dict(d.roles)), specs, b=30, seed=4)]
+    assert shared == alone
+
+
+def test_bindings_share_the_table_and_new_columns_do_not(monkeypatch):
+    builds = counted_tables(monkeypatch)
+    d = batch_cohort(2000)
+    spec = AnalysisSpec("P6", "PLUGIN")
+    first = estimate_fields(plugin_mu(d, spec))
+    restated = AnalysisSpec("P6", "PLUGIN", bindings={"target": "target"})
+    assert estimate_fields(plugin_mu(d, restated)) == first
+    assert estimate_fields(plugin_mu(d.with_roles(dict(d.roles)), spec)) == first
+    assert len(builds) == 1
+    swapped = AnalysisSpec("P6", "PLUGIN", bindings={"target": "confounder", "confounder": "target"})
+    plugin_mu(d, swapped)
+    plugin_mu(d.with_roles({**d.roles, "target": ("confounder",), "confounder": ("target",)}), spec)
+    assert builds[1:] == [(("early",), ("confounder",), ("target",), ("covariate",))]
+    for child in (d.take(np.arange(d.n_rows)), d.with_columns({"extra": np.zeros(d.n_rows)})):
+        assert estimate_fields(plugin_mu(child, spec)) == first
+    assert len(builds) == 4
+
+
+def test_the_anchor_read_off_the_table_picks_the_level_nearest_the_row_mean():
+    # two early columns; the group-1 mean of each falls between its levels
+    rng = np.random.default_rng(12)
+    n = 600
+    r = (rng.random(n) < 0.5).astype(float)
+    x1 = (rng.random(n) < 0.35 + 0.1 * r).astype(float) * 2.0
+    x2 = rng.integers(0, 3, n) / 3.0
+    m = (rng.random(n) < 0.5).astype(float)
+    y = rng.normal(size=n) + r + x1 - x2 + m
+    d = dataset_from({"y": y, "r": r, "x1": x1, "x2": x2, "m": m},
+                     {"outcome": "y", "group": "r", "early": ["x1", "x2"], "target": "m"})
+
+    def row_mean(rows):
+        return np.array([x1[rows][r[rows] == 1].mean(), x2[rows][r[rows] == 1].mean()])
+
+    def nearest_to_row_mean(rows):
+        levels = sorted(set(zip(x1[rows].tolist(), x2[rows].tolist())))
+        return min(levels, key=lambda level: ((np.array(level) - row_mean(rows)) ** 2).sum())
+
+    mean = row_mean(np.arange(n))
+    assert not np.isin(mean[0], x1) and not np.isin(mean[1], x2)
+    spec = AnalysisSpec("P2", "PLUGIN")
+    assert plugin_mu(d, spec).notes[0] == (
+        f"anchored at early-measure stratum {nearest_to_row_mean(np.arange(n))}")
+    replicates = [rng.integers(0, n, n) for _ in range(8)]
+    run = Replicates(d, spec, len(replicates))
+    for idx in replicates:
+        run(idx, {})
+    assert [e.notes[0] for e in run.finish()] == [
+        f"anchored at early-measure stratum {nearest_to_row_mean(idx)}" for idx in replicates]

@@ -51,6 +51,11 @@ def other_estimator(entry, prop, family, runs):
     return entry, AnalysisSpec(prop, family), 1, f"runs {runs}, not {family}"
 
 
+def plugin_only(prop, family):
+    return estimate, AnalysisSpec(prop, family), 1, \
+        f"{prop} is implemented by the PLUGIN estimator only; SUCCESSIVE and PRODUCT answer P1-P4"
+
+
 def bound_twice(family, **options):
     return estimate, AnalysisSpec("P3", family, bindings={"target": "early"}, options=options), \
         1, "column 'early' is bound more than once, as early and target"
@@ -81,6 +86,9 @@ def bound_twice(family, **options):
     other_estimator(proposition_via_oaxaca, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
     other_estimator(interaction_model_estimates, "P3", "PLUGIN", "SUCCESSIVE or PRODUCT"),
     bad_anchor(10**400),  # too large for a float
+    plugin_only("P5", "SUCCESSIVE"),
+    plugin_only("P6", "PRODUCT"),
+    plugin_only("P7", "SUCCESSIVE"),
     bound_twice("PLUGIN"),
     bound_twice("SUCCESSIVE"),
     bound_twice("PRODUCT"),
