@@ -233,6 +233,9 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
 
 _DEGENERACY_TOL = 1e-12
 
+#: What an estimate reports, and a bootstrap summarizes.
+QUANTITIES = ("initial", "residual", "reduction", "proportion_reduced")
+
 
 def proportion_reduced(initial: float, residual: float, scale=Scale.ADDITIVE) -> float:
     """Fraction of the initial disparity removed by the intervention.

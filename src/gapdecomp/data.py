@@ -7,6 +7,7 @@ replicate can be read as row indices into one of them.
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import math
@@ -121,15 +122,19 @@ class Dataset:
                     f"column {name!r} has {arr.shape[0]} rows, expected {n}"
                 )
             cols[name] = arr
-        roles = normalize_roles(self.roles)
+        object.__setattr__(self, "columns", MappingProxyType(cols))
+        self._bind(self.roles)
+
+    def _bind(self, roles: Mapping) -> None:
+        """Set the role map; refuse a role naming no column, a group not 0/1."""
+        roles = normalize_roles(roles)
         for role, names in roles.items():
             for name in names:
-                if name not in cols:
+                if name not in self.columns:
                     raise MissingColumn(f"role {role.value} references missing column {name!r}")
-        object.__setattr__(self, "columns", MappingProxyType(cols))
         object.__setattr__(self, "roles", MappingProxyType(roles))
         if Role.GROUP in roles:
-            g = cols[roles[Role.GROUP][0]]
+            g = self.columns[roles[Role.GROUP][0]]
             bad = ~np.isin(g, (0.0, 1.0)) | np.isnan(g)
             if bad.any():
                 raise NonBinaryGroup(
@@ -171,17 +176,21 @@ class Dataset:
         The levels and the indices' values are bitwise what
         ``np.unique(self.column(name)[rows], return_inverse=True)`` returns;
         the indices come in the smallest unsigned type that holds the number
-        of levels of the whole column. The column's levels are found once and
-        each row's code by binary search, `_SEARCH_ROWS` rows at a time; both
-        are memoized, read-only, and a subset keeps the levels it observes.
-        A column whose equal cells differ in bits (0.0 and -0.0, NaN
-        payloads) is sorted per call instead, since which of them
-        ``np.unique`` keeps depends on the rows.
+        of levels of the whole column. The column's levels are found once (a
+        sort, as ``np.unique`` does) and each row's code by binary search,
+        `_SEARCH_ROWS` rows at a time; both are memoized, read-only, and a
+        subset keeps the levels it observes. A column whose equal cells differ
+        in bits (0.0 and -0.0, NaN payloads) is sorted per call instead, since
+        which of them ``np.unique`` keeps depends on the rows.
         """
         if name not in self._memo:
             values = self.column(name)
-            levels = np.unique(values)
-            if levels.size and np.isnan(levels[-1]):  # hashed, np.unique makes its own NaN
+            levels = np.sort(values)
+            distinct = np.ones(levels.size, bool)
+            np.not_equal(levels[1:], levels[:-1], out=distinct[1:])
+            levels = levels[distinct]
+            if levels.size and np.isnan(levels[-1]):  # NaNs sort last; keep one, the first
+                levels = levels[: np.argmax(np.isnan(levels)) + 1]
                 levels[-1] = values[np.isnan(values)][0]
             codes = np.empty(values.size, np.min_scalar_type(levels.size))
             for start in range(0, values.size, _SEARCH_ROWS):
@@ -228,9 +237,9 @@ class Dataset:
         return Dataset(cols, merged)
 
     def with_roles(self, roles: Mapping) -> "Dataset":
-        """Copy with the role map replaced; it shares this dataset's memo."""
-        bound = Dataset(dict(self.columns), roles)
-        object.__setattr__(bound, "_memo", self._memo)
+        """Copy with the role map replaced, sharing the checked columns and the memo."""
+        bound = copy.copy(self)
+        bound._bind(roles)
         return bound
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from .analysis import AnalysisSpec, DecompositionEstimate, Estimator
+from .analysis import AnalysisSpec, DecompositionEstimate, Estimator, OutcomeFamily
 from .data import Dataset
 from .oaxaca import _stratified, proposition_via_oaxaca
-from .parametric import _decompose, decompose_product_coefficients, decompose_successive_linear
+from .parametric import (LinearReplicates, _decompose, decompose_product_coefficients,
+                         decompose_successive_linear)
 from .plugin import Replicates, plugin_mu
 
 
@@ -26,13 +27,16 @@ def estimate(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     return decompose_successive_linear(d, spec)
 
 
-def replicates(d: Dataset, spec: AnalysisSpec, b: int):
+def replicates(d: Dataset, spec: AnalysisSpec, b: int, stacks: dict | None = None):
     """The run of a spec over b bootstrap replicates given as row indices into
     `d`, a callable of (indices, the memo a replicate's runs share). The spec
-    is resolved once; each replicate is read at its analysis rows of `d`."""
+    is resolved once; each replicate is read at its analysis rows of `d`. Linear
+    runs of one bootstrap share `stacks` (`LinearReplicates`)."""
     if spec.estimator == Estimator.PLUGIN:
         return Replicates(d, spec, b)
     bound = spec.resolve(d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
     if spec.option("interactions"):
         return lambda idx, memo: _stratified(bound, spec, idx)
-    return lambda idx, memo: _decompose(bound, spec, idx, memo)
+    if spec.outcome_family == OutcomeFamily.RARE_BINARY or not LinearReplicates.suit(bound):
+        return lambda idx, memo: _decompose(bound, spec, idx, memo)
+    return LinearReplicates(bound, spec, b, {} if stacks is None else stacks)

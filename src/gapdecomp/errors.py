@@ -135,7 +135,7 @@ class UnsupportedMode(AnalysisError):
 
 
 class InvalidB(AnalysisError):
-    """Bootstrap replicate count below the minimum of 2."""
+    """Bootstrap replicate count that is not an integer of at least 2."""
 
 
 class TooManyFailures(AnalysisError):

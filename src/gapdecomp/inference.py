@@ -9,6 +9,7 @@ statistic (`bootstrap_statistic`) gets a `Dataset.take` of them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -16,10 +17,10 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import AnalysisSpec, DecompositionEstimate
+from .analysis import QUANTITIES, AnalysisSpec, DecompositionEstimate, is_integer
 from .data import Dataset, Role
 from .engine import estimate, replicates
-from .errors import AnalysisError, InvalidB, TooManyFailures
+from .errors import AnalysisError, InvalidB, InvalidSpec, TooManyFailures
 
 DEFAULT_REPLICATES = 1000
 _FAILURE_LIMIT = 0.10
@@ -94,11 +95,22 @@ def _named(value):
     """A statistic's value as named floats, an estimate as its four reported
     quantities; None and errors pass through."""
     if isinstance(value, DecompositionEstimate):
-        return {key: getattr(value, key)
-                for key in ("initial", "residual", "reduction", "proportion_reduced")}
+        return {key: getattr(value, key) for key in QUANTITIES}
     if value is None or isinstance(value, (Mapping, AnalysisError)):
         return value
     return {"statistic": value}
+
+
+def percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile`` of the sorted draws by its linear rule, without its
+    ``numpy.ma`` import; equal as floats (a sort and a partition may order 0.0
+    and -0.0 differently)."""
+    at = (ordered.size - 1) * (q / 100)
+    low, high = ordered[math.floor(at)], ordered[min(math.floor(at) + 1, ordered.size - 1)]
+    t = at - math.floor(at)
+    if math.isnan(ordered[-1]):
+        return math.nan
+    return float(high - (high - low) * (1 - t) if t >= 0.5 else low + (high - low) * t)
 
 
 def _summary(full, outcomes, warned, b, seed, stratify_by_group) -> BootstrapSummary:
@@ -121,7 +133,8 @@ def _summary(full, outcomes, warned, b, seed, stratify_by_group) -> BootstrapSum
         draws = np.asarray([float(v[name]) for v in values if v.get(name) is not None])
         if draws.size >= 2:
             se = float(draws.std(ddof=1))
-            lower, upper = (float(q) for q in np.percentile(draws, [2.5, 97.5]))
+            ordered = np.sort(draws)
+            lower, upper = percentile(ordered, 2.5), percentile(ordered, 97.5)
         else:
             se = lower = upper = float("nan")
         quantities[name] = QuantitySummary(
@@ -146,14 +159,18 @@ def _bootstrap_each(d: Dataset, statistics, routes, b, seed, stratify_by_group, 
 
     `routes(i)` reads replicates for statistic i, given their indices and a
     memo its replicate shares (see `engine.replicates`); one with a `finish`
-    method returns every outcome from it. Yields per statistic its summary,
+    method returns every outcome from it, given a function that draws
+    replicate k's indices again. Yields per statistic its summary,
     or the AnalysisError that ended it (on the full sample, or
     TooManyFailures), re-issuing its replicate warnings (category ->
     [replicates, first message]) then. A replicate error fails only the
     statistic that raised it.
     """
-    if b < 2:
-        raise InvalidB(f"bootstrap needs at least 2 replicates, got {b}")
+    if not is_integer(b) or b < 2:  # not a bool, float or string either
+        raise InvalidB(f"bootstrap needs an integer number of replicates, at least 2, got {b!r}")
+    if not is_integer(seed):
+        raise InvalidSpec(f"bootstrap seed must be an integer, got {seed!r}")
+    b, seed = int(b), int(seed)
     if full is None:
         full = []
         for statistic in statistics:
@@ -180,7 +197,8 @@ def _bootstrap_each(d: Dataset, statistics, routes, b, seed, stratify_by_group, 
         if not isinstance(result, AnalysisError):
             route, outcomes, warned = next(tallies)
             if hasattr(route, "finish"):
-                outcomes = [_named(outcome) for outcome in route.finish()]
+                outcomes = [_named(outcome) for outcome in route.finish(
+                    lambda index: resample_indices(d, seed, index, stratify_by_group))]
             try:
                 result = _summary(result, outcomes, warned, b, seed, stratify_by_group)
             except TooManyFailures as err:
@@ -236,8 +254,8 @@ def bootstrap_runs(
     alone returns, bitwise, or the AnalysisError that ended it, and issues
     that run's replicate warnings as it does.
     """
-    statistics = [lambda data, spec=spec: estimate(data, spec) for spec in specs]
-    return _bootstrap_each(d, statistics, lambda i: replicates(d, specs[i], b), b, seed,
+    statistics, stacks = [lambda data, spec=spec: estimate(data, spec) for spec in specs], {}
+    return _bootstrap_each(d, statistics, lambda i: replicates(d, specs[i], b, stacks), b, seed,
                            stratify_by_group, full)
 
 

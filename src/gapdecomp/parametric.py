@@ -22,9 +22,12 @@ and the 0/1 check and prevalence of their outcome, keyed by (that tuple,
 "prevalence"). The full sample's memo is the Dataset's `_memo`: each key
 names the columns its value is read from, so every run over the same
 columns shares one factor and its fits, whatever roles bind them. A
-bootstrap replicate is its row indices into the full sample: a run reads
-the replicate's analysis rows from them, and the runs of one replicate
-share its own memo.
+bootstrap replicate is its row indices into the full sample. A linear run
+reads all replicates at once (`LinearReplicates`): the ladder and product
+splits run over a stack of their factors, which `regression.WhitenedGrams`
+builds, with a leading replicate axis, and an estimate is the case of one
+factor. Other runs read a replicate's analysis rows from its indices, and
+the runs of one replicate share its own memo.
 """
 
 from __future__ import annotations
@@ -38,19 +41,23 @@ import numpy as np
 
 from .analysis import (
     AnalysisSpec,
+    QUANTITIES,
     DecompositionEstimate,
     Estimator,
     OutcomeFamily,
     Proposition,
     Scale,
+    proportion_with_note,
 )
 from .data import Dataset, Role
-from .errors import InvalidSpec, NearZeroDenominator, PrevalenceWarning
+from .errors import AnalysisError, InvalidSpec, NearZeroDenominator, PrevalenceWarning
 from .regression import (
     INTERCEPT,
     CoefficientSet,
     DesignMatrix,
+    WHITEN_LIMIT,
     TriangularFactor,
+    WhitenedGrams,
     fit_logistic,
     stacked_columns,
 )
@@ -89,20 +96,13 @@ def _model_name(outcome: str, regressors) -> str:
     return f"{outcome} ~ " + " + ".join(regressors)
 
 
-def _check_denominator(value: float, natural_scale: float, label: str) -> None:
-    if abs(value) < 1e-8 * natural_scale:
-        raise NearZeroDenominator(
-            f"slope of {label} is {value:.3g}, below 1e-8 of its natural scale "
-            f"({natural_scale:.3g}); the within-level share needed by this "
-            "proposition is undefined"
-        )
-
-
-def _slope_scale(factor: TriangularFactor, outcome, column, logistic=False) -> float:
+def _slope_scale(factor, outcome, column, logistic=False):
     """sd(y)/sd(x), or 1/sd(x) on the log-odds scale; sd = centred norm / sqrt(n)."""
     x_norm = factor.centered_norm(column)
     y_norm = 0.0 if logistic else factor.centered_norm(outcome)
-    return (y_norm or math.sqrt(factor.n_rows)) / x_norm if x_norm else 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(y_norm > 0.0, y_norm, np.sqrt(factor.n_rows)) / x_norm
+    return np.where(x_norm > 0.0, scale, 1.0)[()]
 
 
 def _run_roles(d: Dataset):
@@ -113,30 +113,51 @@ def _run_roles(d: Dataset):
 
 
 class _Run:
-    """The bound columns of one run, its shared factor, and its fitted models.
+    """The bound columns of one run and the models it reads off `factor`:
+    its `sample_factor` over the analysis rows of `d` or of its replicate
+    `idx`, or a stack of its bootstrap replicates' factors. On a stack every
+    coefficient, denominator and split carries a leading replicate axis, no
+    model is recorded, and `near` flags each replicate whose P4 denominator
+    is within 100 times of the refusal threshold instead of refusing it.
 
     Fits use the factor's column order (intercept, group, covariates, early
     measures, target); `models` records each in report order (group, early
     measures, target, covariates). `outcome_fit(q)` fits the outcome on the
-    factor's first q columns. The factor is read from `memo` (see
-    `sample_factor`) over the analysis rows of `d` or of its replicate `idx`.
+    factor's first q columns.
     """
 
-    def __init__(self, d: Dataset, idx: np.ndarray | None = None, memo: dict | None = None):
+    def __init__(self, d: Dataset, factor=None, idx=None, memo: dict | None = None):
         self.y, self.r, self.xs, self.c, self.m = _run_roles(d)
-        target = () if self.m is None else (self.m,)
-        self.columns = (self.r, *self.c, *self.xs, *target, self.y)
-        self.memo = d._memo if memo is None else memo
-        self.factor = sample_factor(d, self.columns, idx, self.memo)
+        self.columns = (self.r, *self.c, *self.xs, *(() if self.m is None else (self.m,)), self.y)
+        self.factor = sample_factor(d, self.columns, idx, memo) if factor is None else factor
+        self.near = np.zeros(len(self.factor.r), bool) if self.factor.r.ndim == 3 else None
         self.models: dict[str, dict[str, float]] = {}
         self.fits: dict[str, dict] = {}  # logistic models' diagnostics
 
     def _record(self, fit: CoefficientSet, outcome: str, regressors) -> CoefficientSet:
-        name = _model_name(outcome, regressors)
-        self.models[name] = {label: fit[label] for label in (INTERCEPT, *regressors)}
-        if fit.n_iter is not None:
-            self.fits[name] = {k: getattr(fit, k) for k in ("n_iter", "converged", "deviance")}
+        if self.near is None:
+            name = _model_name(outcome, regressors)
+            self.models[name] = {label: fit[label] for label in (INTERCEPT, *regressors)}
+            if fit.n_iter is not None:
+                self.fits[name] = {k: getattr(fit, k) for k in ("n_iter", "converged", "deviance")}
         return fit
+
+    def _check_denominator(self, value, natural_scale, label: str) -> None:
+        if self.near is not None:  # a stack: set aside what a fit of its own rows might refuse
+            self.near |= abs(value) < 100 * 1e-8 * natural_scale
+        elif abs(value) < 1e-8 * natural_scale:
+            raise NearZeroDenominator(
+                f"slope of {label} is {value:.3g}, below 1e-8 of its natural scale "
+                f"({natural_scale:.3g}); the within-level share needed by this "
+                "proposition is undefined"
+            )
+
+    def split(self, spec: AnalysisSpec, outcome_fit, logistic=False):
+        """(initial, residual, reduction) of the spec's proposition and family."""
+        if spec.estimator == Estimator.PRODUCT:
+            return self.product_split(spec.proposition, outcome_fit)
+        return self.ladder_split(spec.proposition, outcome_fit,
+                                 lambda x: _slope_scale(self.factor, self.y, x, logistic))
 
     def ladder_split(self, prop, outcome_fit, slope_scale):
         """(initial, residual, reduction) from the nested-regression ladder.
@@ -166,7 +187,7 @@ class _Run:
             return base[r], full[r], base[r] - full[r]
         gaps = []  # P4: validate_spec leaves only P1-P4 to this family
         for j, fit in enumerate(steps):
-            _check_denominator(fit[xs[j]], slope_scale(xs[j]), xs[j])
+            self._check_denominator(fit[xs[j]], slope_scale(xs[j]), xs[j])
             numerator = base[r] - fit[r]
             for i in range(j):
                 numerator -= fit[xs[i]] * gaps[i]
@@ -208,20 +229,20 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
     of rows `idx` when given, whose runs share `memo`. PRODUCT combines
     coefficient products, SUCCESSIVE the nested ladder; a RARE_BINARY
     outcome is fit by logistic regression and reported as ratios."""
-    logistic = spec.outcome_family == OutcomeFamily.RARE_BINARY
-    run, prop, notes = _Run(d, idx, memo), spec.proposition, []
-    factor = run.factor
+    logistic, memo = spec.outcome_family == OutcomeFamily.RARE_BINARY, d._memo if memo is None else memo
+    run, prop, notes = _Run(d, idx=idx, memo=memo), spec.proposition, []
+    factor, columns = run.factor, run.columns
     if logistic:
         @functools.cache
         def sample():  # the analysis rows and their outcomes, read once per call at most
-            rows = analysis_rows(d, run.columns, idx)
+            rows = analysis_rows(d, columns, idx)
             return rows, d.column(run.y)[rows]
 
-        key = (run.columns, "prevalence")
-        if key not in run.memo:  # None: an outcome that is not 0/1
+        key = (columns, "prevalence")
+        if key not in memo:  # None: an outcome that is not 0/1
             y = sample()[1]
-            run.memo[key] = None if np.any((y != 0.0) & (y != 1.0)) else float(y.mean())
-        prevalence = run.memo[key]
+            memo[key] = None if np.any((y != 0.0) & (y != 1.0)) else float(y.mean())
+        prevalence = memo[key]
         if prevalence is None:
             raise InvalidSpec("rare-binary outcome column must be 0/1")
         if prevalence > RARE_PREVALENCE_LIMIT:
@@ -233,29 +254,86 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
             warnings.warn(notes[-1], PrevalenceWarning, stacklevel=3)
 
         def outcome_fit(q):
-            key = (run.columns, q)
-            if key not in run.memo:  # read-only, as SUCCESSIVE and PRODUCT share it
+            key = (columns, q)
+            if key not in memo:  # read-only, as SUCCESSIVE and PRODUCT share it
                 rows, y = sample()
-                design = stacked_columns([1.0, *map(d.column, run.columns[: q - 1])], rows)
-                run.memo[key] = fit_logistic(DesignMatrix(factor.labels[:q], design), y, factor)
-                run.memo[key].values.flags.writeable = False
-            return run.memo[key]
+                design = stacked_columns([1.0, *map(d.column, columns[: q - 1])], rows)
+                memo[key] = fit_logistic(DesignMatrix(factor.labels[:q], design), y, factor)
+                memo[key].values.flags.writeable = False
+            return memo[key]
     else:
         def outcome_fit(q):
             return factor.fit(run.y, q)
 
-    if spec.estimator == Estimator.PRODUCT:
-        initial, residual, reduction = run.product_split(prop, outcome_fit)
-    else:
-        initial, residual, reduction = run.ladder_split(
-            prop, outcome_fit, lambda x: _slope_scale(factor, run.y, x, logistic)
-        )
+    initial, residual, reduction = run.split(spec, outcome_fit, logistic)
     scale = Scale.ADDITIVE
     if logistic:
         residual, reduction = math.exp(residual), math.exp(reduction)
         initial, scale = residual * reduction, Scale.RATIO
     return DecompositionEstimate.of(prop, scale, initial, residual, reduction, spec.estimator.value,
                                     run.models, notes, run.fits or None)
+
+
+class LinearReplicates:
+    """A linear SUCCESSIVE or PRODUCT run over b bootstrap replicates, given
+    as row indices into `d`. The runs of one bootstrap over the same columns
+    share one `WhitenedGrams` in `stacks`, which the first of them fills, and
+    the memo of each replicate read at its own rows; `finish` reads every
+    replicate off the stack's factors at once, by the algebra an estimate runs."""
+
+    @staticmethod
+    def suit(d: Dataset) -> bool:
+        """Whether the full sample's factor is within `WHITEN_LIMIT`."""
+        return _Run(d).factor.condition() <= WHITEN_LIMIT
+
+    def __init__(self, d: Dataset, spec: AnalysisSpec, b: int, stacks: dict):
+        self.d, self.spec, self.drawn, run = d, spec, 0, _Run(d)
+        if run.columns not in stacks:
+            stacks[run.columns] = WhitenedGrams(run.factor, [1.0, *map(d.column, run.columns)],
+                                                analysis_rows(d, run.columns), b)
+        self.grams = stacks[run.columns]
+        self.memos = stacks.setdefault((run.columns, "memos"), {})  # replicate -> its runs' memo
+
+    def __call__(self, idx: np.ndarray, shared=None) -> None:
+        if self.grams.drawn == self.drawn:  # not yet added by a run over the same columns
+            self.grams.add(idx)
+        self.drawn += 1
+
+    def finish(self, redraw) -> list:
+        """Each replicate's four reported quantities, or the AnalysisError
+        that ends it. `_decompose` reads replicate k at its own rows,
+        `redraw(k)`, if the stack flags it, if its P4 denominator is within
+        100 times of the refusal threshold or its initial disparity within
+        1e-10 of null, or if a quantity of it is within 1e-8 (of the largest)
+        of a draw that a 2.5% or 97.5% percentile interpolates between: so
+        failures and percentiles are bitwise a fit of each replicate's rows."""
+        def read(k):
+            try:
+                estimate = _decompose(self.d, self.spec, redraw(k), self.memos.setdefault(k, {}))
+            except AnalysisError as err:
+                return err
+            return {name: getattr(estimate, name) for name in QUANTITIES}
+
+        factor, flagged = self.grams.factors
+        run = _Run(self.d, factor)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as a `near` replicate may
+            splits = run.split(self.spec, lambda q: factor.fit(run.y, q))
+        exact = flagged | run.near | (abs(splits[0]) <= 1e-10)
+        outcomes = [read(k) if exact[k] else dict(zip(QUANTITIES, (*split, proportion_with_note(
+            split[0], split[1], Scale.ADDITIVE)[0]))) for k, split in enumerate(zip(*splits))]
+        for name in QUANTITIES:
+            drawn = [(k, o[name]) for k, o in enumerate(outcomes)
+                     if not isinstance(o, AnalysisError) and o[name] is not None]
+            if len(drawn) < 2:
+                continue
+            keys, values = map(np.array, zip(*drawn))
+            ordered = np.sort(values)
+            pivots = [ordered[min(math.floor(at) + i, ordered.size - 1)] for i in (0, 1)
+                      for at in ((ordered.size - 1) * (q / 100) for q in (2.5, 97.5))]
+            close = np.abs(np.subtract.outer(values, pivots)).min(axis=1) <= 1e-8 * abs(ordered).max()
+            for k in keys[close & ~exact[keys]].tolist():
+                outcomes[k], exact[k] = read(k), True
+        return outcomes
 
 
 def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:

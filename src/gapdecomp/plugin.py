@@ -317,27 +317,27 @@ class Replicates:
     """A plug-in run over b bootstrap replicates, each given as its row indices into `d`.
 
     Its full-sample mask and table are its estimate's (`_sample`). A
-    replicate's counts and sums are two bincounts of the full sample's cell
-    codes over the replicate's analysis rows (the rows its own table would
-    count, in the same order), written to its row of the preallocated
-    (b, cells) tables; `finish` contracts all replicates at once.
+    replicate's counts and sums are two bincounts of the cell codes at its
+    indices, rows outside the analysis sample in one dropped dump cell: each
+    cell adds the rows its own table would count, in the same order. They
+    fill its row of the (b, cells) tables; `finish` contracts all at once.
     """
 
     def __init__(self, d: Dataset, spec: AnalysisSpec, b: int):
-        self.spec, self.drawn, (bound, self.mask, self.table) = spec, 0, _sample(d, spec)
-        self.code = np.zeros(d.n_rows, self.table.code.dtype)
-        self.code[self.mask] = self.table.code
+        self.spec, self.drawn, (bound, mask, self.table) = spec, 0, _sample(d, spec)
+        size = self.table.counts.size
+        self.code = np.full(d.n_rows, size, np.min_scalar_type(size))
+        self.code[mask] = self.table.code
         self.outcome = bound.column(bound.single_role_column(Role.OUTCOME))
         shape = (b, *self.table.counts.shape)
         self.counts, self.sums = np.zeros(shape, np.intp), np.zeros(shape)
 
     def __call__(self, idx: np.ndarray, shared=None) -> None:
-        rows, size = idx[self.mask[idx]], self.table.counts.size
-        code = self.code[rows]
-        self.counts[self.drawn].flat = np.bincount(code, minlength=size)
-        self.sums[self.drawn].flat = np.bincount(code, weights=self.outcome[rows], minlength=size)
+        code, size = self.code[idx], self.table.counts.size
+        self.counts[self.drawn].flat = np.bincount(code, minlength=size + 1)[:size]
+        self.sums[self.drawn].flat = np.bincount(code, weights=self.outcome[idx], minlength=size + 1)[:size]
         self.drawn += 1
 
-    def finish(self) -> list:
+    def finish(self, redraw=None) -> list:
         """Each replicate's estimate, or the AnalysisError that ends it."""
         return _estimates(self.table, self.spec, self.counts, self.sums)

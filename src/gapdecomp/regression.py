@@ -24,11 +24,13 @@ R carries). Rank is checked on the diagonal of each prefix used as a design,
 never on a response: a small |R[i, i]| against the norm of column i names
 column i as dependent on those declared before it. Downstream formulas read
 named coefficients off CoefficientSet: labels, not positions, are the
-contract.
+contract. `WhitenedGrams` gives the factors of many bootstrap replicates of
+one sample at once, as a stack that fits with a leading replicate axis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -112,11 +114,13 @@ class CoefficientSet:
     def __post_init__(self):
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
 
-    def __getitem__(self, label: str) -> float:
+    def __getitem__(self, label: str):
+        """The coefficient as a float; on a stack of fits, one per fit."""
         try:
-            return float(self.values[self._index[label]])
+            value = self.values[..., self._index[label]]
         except KeyError:
             raise UnknownColumn(f"no coefficient labeled {label!r}") from None
+        return value if value.ndim else float(value)
 
     def as_dict(self) -> dict[str, float]:
         return {l: float(v) for l, v in zip(self.labels, self.values)}
@@ -174,10 +178,12 @@ def fold_rows(r: np.ndarray, block: np.ndarray) -> None:
 
 
 def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with ``r @ x = b`` for upper-triangular r, solved from the last row up."""
+    """x with ``r @ x = b`` for upper-triangular r, solved from the last row up;
+    on a stack (..., q, q), each system alone, by a BLAS dot per row as unstacked."""
     x = np.array(b, dtype=float)
-    for i in range(x.shape[0] - 1, -1, -1):
-        x[i] = (x[i] - r[i, i + 1 :] @ x[i + 1 :]) / r[i, i]
+    for i in range(x.shape[-1] - 1, -1, -1):
+        x[..., i] = (x[..., i] - (r[..., i : i + 1, i + 1 :] @ x[..., i + 1 :, None])[..., 0, 0]
+                     ) / r[..., i, i]
     return x
 
 
@@ -205,7 +211,8 @@ def expit(x, tail: np.ndarray | None = None) -> np.ndarray:
 class TriangularFactor:
     """R of the columns `labels` over `n_rows` analysis rows, folded in
     BLOCK_ROWS rows at a time: no n×p copy of the sample is made. Every
-    least-squares fit and rank check reads it here."""
+    least-squares fit and rank check reads it here. A stack of factors (r of
+    shape (B, p, p)) fits with a leading replicate axis."""
 
     labels: tuple[str, ...]
     r: np.ndarray
@@ -259,15 +266,73 @@ class TriangularFactor:
         or after column q, on the first q columns."""
         j = self.labels.index(response, q)
         self.check_rank(q)
-        tail = self.r[q : j + 1, j]
-        beta = back_substitute(self.r[:q, :q], self.r[:q, j])
-        return CoefficientSet(self.labels[:q], beta,
-                              residual_variance=float(tail @ tail) / (self.n_rows - q))
+        tail = self.r[..., q : j + 1, j]
+        beta = back_substitute(self.r[..., :q, :q], self.r[..., :q, j])
+        return CoefficientSet(self.labels[:q], beta, residual_variance=(
+            tail[..., None, :] @ tail[..., None])[..., 0, 0] / (self.n_rows - q))
 
     def centered_norm(self, label: str) -> float:
         """||a - mean(a)||: with column 0 the intercept, R[0, j] = sqrt(n)·mean."""
         j = self.labels.index(label)
-        return float(np.linalg.norm(self.r[1 : j + 1, j]))
+        return np.sqrt(self.r[..., None, 1 : j + 1, j] @ self.r[..., 1 : j + 1, j, None])[..., 0, 0]
+
+    def condition(self) -> float:
+        """The 2-norm condition number of the columns at unit norm, from the
+        eigenvalues of their Gram matrix; inf if it is singular."""
+        norms = np.linalg.norm(self.r, axis=0)
+        if not norms.all():
+            return math.inf
+        eigenvalues = np.linalg.eigvalsh((self.r / norms).T @ (self.r / norms))
+        return math.sqrt(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0 else math.inf
+
+
+#: Largest condition number, of R with unit columns times that of S, at which
+#: a replicate is read off a whitened Gram: two backward-stable routes to its
+#: fits differ by about eps times it (spreads moved by up to 3e-16 times it).
+WHITEN_LIMIT = 100.0
+
+
+class WhitenedGrams:
+    """The factors of b bootstrap replicates of one analysis sample: with A
+    its `columns` over the boolean `mask` and R its factor, Q = A R⁻¹ (zero
+    outside the sample) is built once, BLOCK_ROWS rows at a time. A replicate
+    drawing row i w_i times has Gram Rᵀ G R, G = Qᵀ diag(w) Q = S Sᵀ close to
+    I, so R_b = SᵀR is its R up to the signs of its rows, which no fit sees
+    (Golub & Van Loan, *Matrix Computations* §5.3)."""
+
+    def __init__(self, factor: TriangularFactor, columns: Sequence, mask: np.ndarray, b: int):
+        self.factor, r, rows = factor, factor.r, np.flatnonzero(mask)
+        self.qt = np.zeros((r.shape[0], mask.size))  # Qᵀ
+        for start in range(0, rows.size, BLOCK_ROWS):
+            block = stacked_columns(columns, rows[start : start + BLOCK_ROWS])
+            for j in range(r.shape[0]):  # Q R = A, column j from columns 0..j-1
+                block[:, j] = (block[:, j] - block[:, :j] @ r[:j, j]) / r[j, j]
+            self.qt[:, rows[start : start + BLOCK_ROWS]] = block.T
+        self.gram, self.drawn = np.empty((b, *r.shape)), 0
+
+    def add(self, idx: np.ndarray) -> None:
+        """The next replicate's G, BLOCK_ROWS rows at a time, from its rows `idx`."""
+        weights, gram = np.bincount(idx, minlength=self.qt.shape[1]).astype(float), 0.0
+        for start in range(0, weights.size, BLOCK_ROWS):
+            qt = self.qt[:, start : start + BLOCK_ROWS]
+            gram = gram + (qt * weights[start : start + BLOCK_ROWS]) @ qt.T
+        self.gram[self.drawn] = gram
+        self.drawn += 1
+
+    @functools.cached_property
+    def factors(self) -> tuple[TriangularFactor, np.ndarray]:
+        """A stack of every replicate's R_b, and which replicates the eigenvalues
+        of G put past WHITEN_LIMIT: among them any that a fit of its own rows
+        refuses (a dependent column, or no more rows than columns, leaves G
+        singular). A flagged replicate reads the full sample's R, and each
+        the full sample's row count, which no split reads."""
+        eigenvalues = np.linalg.eigvalsh(self.gram)
+        flagged = ~(self.factor.condition() ** 2 * eigenvalues[:, -1]
+                    < WHITEN_LIMIT**2 * eigenvalues[:, 0])
+        self.qt = None  # every replicate is in: free Q for the refits
+        s = np.linalg.cholesky(np.where(flagged[:, None, None], np.eye(self.gram.shape[1]), self.gram))
+        return TriangularFactor(self.factor.labels, np.swapaxes(s, 1, 2) @ self.factor.r,
+                                self.factor.n_rows, self.factor.dependent), flagged
 
 
 def refuse_non_finite(labels: Sequence[str], columns) -> None:

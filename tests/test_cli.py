@@ -358,23 +358,20 @@ def test_selfcheck_fails_an_estimator_that_returns_nan(monkeypatch, capsys):
 @pytest.mark.parametrize("route", ["plugin", "parametric", "oaxaca"])
 def test_selfcheck_catches_a_replicate_read_from_the_wrong_rows(monkeypatch, route):
     import gapdecomp.oaxaca as oaxaca
-    import gapdecomp.parametric as parametric
     from gapdecomp.cli import _check_replicate_indices, _selfcheck_data
+    from gapdecomp.parametric import LinearReplicates
     from gapdecomp.plugin import Replicates
 
     def short(idx):  # a replicate that lost its last row
         return None if idx is None else idx[:-1]
 
     discrete = _selfcheck_data()[1]
-    if route == "plugin":
-        assert _check_replicate_indices(discrete) == 0.0
-        draw = Replicates.__call__
-        monkeypatch.setattr(Replicates, "__call__",
+    if route in ("plugin", "parametric"):
+        assert _check_replicate_indices(discrete) <= 1e-12
+        route_class = Replicates if route == "plugin" else LinearReplicates
+        draw = route_class.__call__
+        monkeypatch.setattr(route_class, "__call__",
                             lambda self, idx, shared: draw(self, short(idx), shared))
-    elif route == "parametric":
-        rows = parametric.analysis_rows
-        monkeypatch.setattr(parametric, "analysis_rows",
-                            lambda d, columns, idx=None: rows(d, columns, short(idx)))
     else:
         init = oaxaca._GroupFactors.__init__
         monkeypatch.setattr(oaxaca._GroupFactors, "__init__",
@@ -652,7 +649,8 @@ def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
     import gapdecomp.engine as engine
     import gapdecomp.inference as inference
 
-    calls = {"resample": 0, "take": 0, "estimate": 0, "unique": 0}
+    calls = {"take": 0, "estimate": 0, "unique": 0, "sort": 0}
+    drawn, draw = [], inference.resample_indices
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -660,7 +658,8 @@ def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(inference, "resample_indices", counted("resample", inference.resample_indices))
+    monkeypatch.setattr(inference, "resample_indices",
+                        lambda d, seed, index, *args: drawn.append(index) or draw(d, seed, index, *args))
     monkeypatch.setattr(Dataset, "take", counted("take", Dataset.take))
     monkeypatch.setattr(engine, "estimate", counted("estimate", engine.estimate))
     monkeypatch.setattr(cli, "estimate", engine.estimate)
@@ -675,14 +674,41 @@ def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
     config["bindings"].pop("confounder")
     cfg.write_text(json.dumps({**config, "runs": runs}), encoding="utf-8")
     monkeypatch.setattr(np, "unique", counted("unique", np.unique))
+    monkeypatch.setattr(np, "sort", counted("sort", np.sort))
     assert main(["run", str(cfg)]) == 0
     capsys.readouterr()
+    # the loop draws each replicate once for every run; the two linear runs
+    # (SUCCESSIVE and PRODUCT) draw again only the replicates they read at
+    # their own rows, after the loop
+    assert drawn[:b] == list(range(b)) and set(drawn[b:]) <= set(range(b))
     # every run reads its replicates from row indices, none through `estimate`;
-    # np.unique sorts each stratum column (early, target, covariate) once,
-    # checks the outcome of each of the 3 logistic fits per sample, and
-    # np.percentile calls it once per reported quantity
-    assert calls == {"resample": b, "take": 0, "estimate": len(runs),
-                     "unique": 3 + 3 * (b + 1) + 4 * len(runs)}
+    # np.sort sorts each stratum column (early, target, covariate) once, each
+    # reported quantity's draws once, and a linear run's draws of each
+    # quantity once more; np.unique checks the outcome of each of the 3
+    # logistic fits per sample
+    assert calls == {"take": 0, "estimate": len(runs), "unique": 3 * (b + 1),
+                     "sort": 3 + 4 * len(runs) + 2 * 4}
+
+
+def test_a_bootstrap_report_is_the_same_at_one_and_two_blas_threads_without_numpy_ma(tmp_path):
+    import gapdecomp
+
+    write_csv(generate(BOOTSTRAP_COHORT, 12_000, seed=3), tmp_path / "cohort.csv")
+    cfg = write_config(tmp_path, runs=BOOTSTRAP_RUNS[:4], bootstrap={"replicates": 20, "seed": 2},
+                       bindings={**BINDINGS, "confounder": "confounder", "covariate": ["covariate"]})
+    child = ("import sys; from gapdecomp.cli import main; code = main(['run', sys.argv[1]]); "
+             "print('numpy.ma' in sys.modules); sys.exit(code)")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(gapdecomp.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", child, str(cfg)], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"  # np.unique and np.percentile import it
+        reports.append((tmp_path / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert all(run["bootstrap"]["failed_replicates"] == 0 for run in read_report(tmp_path)["runs"])
 
 
 @pytest.mark.parametrize("report,table", [
@@ -915,13 +941,13 @@ def test_runs_binding_their_own_confounder_sort_no_column_more_than_one_top_leve
     write_csv(generate(BOOTSTRAP_COHORT, 1500, seed=5), tmp_path / "cohort.csv")
     runs = [{"proposition": p, "estimator": "PLUGIN"} for p in ("P5", "P6", "P7")]
     sorts, estimates = [], []
-    real = np.unique
+    real = np.sort
 
     def counted(values, *args, **kwargs):
         sorts[-1] += 1
         return real(values, *args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counted)
+    monkeypatch.setattr(np, "sort", counted)
     for bindings, own in (({**BINDINGS, "confounder": "confounder"}, {}),
                           (BINDINGS, {"bindings": {"confounder": "confounder"}})):
         cfg = write_config(tmp_path, bindings=bindings, runs=[{**run, **own} for run in runs])

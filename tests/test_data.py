@@ -137,6 +137,21 @@ def test_derived_datasets_reuse_frozen_columns_but_copy_caller_arrays():
     assert not sub.column("y").flags.writeable
 
 
+def test_a_rebinding_checks_its_roles_but_not_its_columns_again(monkeypatch):
+    d = Dataset({"y": [1.0, 2.0, 3.0], "r": [0.0, 1.0, 0.0], "z": [0.0, 2.0, 1.0]},
+                {"outcome": "y", "group": "r"})
+    with pytest.raises(MissingColumn, match="'w'"):
+        d.with_roles({"outcome": "w"})
+    with pytest.raises(NonBinaryGroup, match="group column 'z' .*first bad row: 1"):
+        d.with_roles({"outcome": "y", "group": "z"})
+    scans = []
+    monkeypatch.setattr(np, "isinf", lambda values: scans.append(values) or np.zeros(len(values), bool))
+    bound = d.with_roles({"outcome": "z", "group": "r"})
+    assert scans == [] and bound.columns is d.columns and bound._memo is d._memo
+    assert dict(bound.roles) == {Role.OUTCOME: ("z",), Role.GROUP: ("r",)}
+    assert dict(d.roles) == {Role.OUTCOME: ("y",), Role.GROUP: ("r",)}
+
+
 def test_columns_are_immutable():
     d = dataset_from({"y": [1.0, 2.0], "r": [0.0, 1.0]}, {"outcome": "y", "group": "r"})
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_from, random_continuous_params
 from gapdecomp import (
@@ -25,7 +26,7 @@ from gapdecomp.errors import (
     NearZeroDenominator,
     TooManyFailures,
 )
-from gapdecomp.inference import DEFAULT_REPLICATES
+from gapdecomp.inference import DEFAULT_REPLICATES, percentile
 
 
 def plain_dataset(seed=0, n=300):
@@ -84,6 +85,47 @@ def test_b_must_be_at_least_two():
         with pytest.raises(InvalidB):
             bootstrap_statistic(d, mean_y, b=b)
     assert DEFAULT_REPLICATES == 1000
+
+
+@pytest.mark.parametrize("b,seed,error", [
+    (2.5, 0, InvalidB), (10.0, 0, InvalidB), ("10", 0, InvalidB), (True, 0, InvalidB),
+    (10, 1.7, InvalidSpec), (10, "3", InvalidSpec), (10, True, InvalidSpec),
+])
+def test_a_b_or_seed_that_is_not_an_integer_is_refused_before_any_estimate(monkeypatch, b, seed,
+                                                                           error):
+    import gapdecomp.engine as engine
+    import gapdecomp.inference as inference
+
+    d = generate(random_continuous_params(np.random.default_rng(11)), 200, seed=1)
+    estimates = []
+    monkeypatch.setattr(engine, "estimate", lambda *args: estimates.append(args))
+    monkeypatch.setattr(inference, "estimate", lambda *args: estimates.append(args))
+    with pytest.raises(error, match=f"got {b if error is InvalidB else seed!r}"):
+        next(bootstrap_runs(d, [AnalysisSpec("P4", "SUCCESSIVE")], b=b, seed=seed))
+    with pytest.raises(error):
+        bootstrap_statistic(d, lambda r: estimates.append(r), b=b, seed=seed)
+    with pytest.raises(error):
+        bootstrap(d, AnalysisSpec("P4", "SUCCESSIVE"), b=b, seed=seed)
+    assert estimates == []
+
+
+def test_numpy_integers_are_a_b_and_a_seed():
+    d = plain_dataset(seed=4)
+    summary = bootstrap_statistic(d, mean_y, b=np.int64(12), seed=np.uint32(7))
+    assert summary == bootstrap_statistic(d, mean_y, b=12, seed=7)
+    assert type(summary.b) is int and type(summary.seed) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(draws=st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]) | st.floats(-1e6, 1e6),
+                      min_size=2, max_size=40),
+       q=st.sampled_from([2.5, 97.5]) | st.floats(0.0, 100.0))
+def test_the_percentile_is_numpys_bit_for_bit(draws, q):
+    draws = np.array(draws) + 0.0  # -0.0 + 0.0 is 0.0: no zeros of both signs
+    got, want = percentile(np.sort(draws), q), np.percentile(draws, q)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert percentile(np.array([1.0, 1.0]), 97.5) == 1.0
+    assert percentile(np.array([1.0, 3.0]), 2.5) == float(np.percentile([3.0, 1.0], 2.5))
 
 
 def test_point_is_full_sample_value_and_runs_are_deterministic():

@@ -565,3 +565,129 @@ def test_logistic_outcome_models_carry_iterations_convergence_and_deviance():
             assert fit["converged"] is True and fit["n_iter"] >= 1
             assert fit["deviance"] == pytest.approx(TWO_BY_TWO_DEVIANCE, rel=1e-12)
     assert estimate(d, AnalysisSpec("P3", "SUCCESSIVE")).logistic_fits is None
+
+
+# -- bootstrap replicates read off whitened Gram matrices ----------------------
+
+
+def read_replicates(d, spec, replicates):
+    """The linear route's outcome for each replicate given as row indices."""
+    from gapdecomp.engine import replicates as route_of
+    from gapdecomp.parametric import LinearReplicates
+
+    route = route_of(d, spec, len(replicates))
+    assert isinstance(route, LinearReplicates)
+    for idx in replicates:
+        route(idx, {})
+    return route.finish(lambda k: replicates[k])
+
+
+def assert_read_as_taken(d, spec, replicates):
+    """Each replicate refused with the take route's error, or estimated as it is."""
+    from gapdecomp.errors import AnalysisError
+
+    kinds = []
+    for idx, got in zip(replicates, read_replicates(d, spec, replicates)):
+        try:
+            want = estimate(d.take(idx), spec)
+        except AnalysisError as err:
+            assert type(got) is type(err) and str(got) == str(err)
+            kinds.append(type(err).__name__)
+            continue
+        for key, value in got.items():
+            assert value == pytest.approx(getattr(want, key), rel=1e-12)
+        kinds.append("estimate")
+    return kinds
+
+
+def test_a_replicate_with_an_all_zero_covariate_is_refused_as_its_take_is():
+    rng = np.random.default_rng(3)
+    n = 200
+    r = (rng.random(n) < 0.5).astype(float)
+    c = np.zeros(n)
+    c[[5, 50, 150]] = 1.0
+    x = 0.5 * r + rng.normal(size=n)
+    m = 0.4 * x + rng.normal(size=n)
+    y = r + x + m + c + rng.normal(size=n)
+    d = dataset_from({"y": y, "r": r, "c": c, "x": x, "m": m},
+                     {"outcome": "y", "group": "r", "covariate": ["c"], "early": ["x"],
+                      "target": "m"})
+    without = np.setdiff1d(np.arange(n), [5, 50, 150])
+    # among 30 other replicates, so that no draw a percentile reads is set aside
+    replicates = [rng.choice(without, n), *(rng.integers(0, n, n) for _ in range(30)), without[::-1]]
+    for family in ("SUCCESSIVE", "PRODUCT"):
+        kinds = assert_read_as_taken(d, AnalysisSpec("P4", family), replicates)
+        assert kinds[0] == kinds[-1] == "RankDeficient" and kinds.count("estimate") >= 25
+
+
+def test_a_replicate_with_a_near_zero_p4_denominator_is_refused_as_its_take_is():
+    # on the first 100 rows the outcome's noise is orthogonal to x given
+    # (1, r), so their x slope is rounding noise; the last 100 give x a slope.
+    # Their group coefficient puts their quantities mid-way among 30 other
+    # replicates', so no draw a percentile reads is set aside
+    rng = np.random.default_rng(8)
+    n, half = 200, np.arange(100)
+    r = (rng.random(n) < 0.5).astype(float)
+    x = 0.5 * r + rng.normal(size=n)
+    m = 0.4 * x + rng.normal(size=n)
+    design = np.column_stack([np.ones(100), r[half], x[half]])
+    noise = rng.normal(size=100)
+    noise -= design @ np.linalg.lstsq(design, noise, rcond=None)[0]
+    y = np.concatenate([1.0 + 1.6 * r[half] + noise, r[100:] + x[100:] + rng.normal(size=100)])
+    d = dataset_from({"y": y, "r": r, "x": x, "m": m},
+                     {"outcome": "y", "group": "r", "early": ["x"], "target": "m"})
+    replicates = [half, *(rng.integers(0, n, n) for _ in range(30)), half[::-1]]
+    kinds = assert_read_as_taken(d, AnalysisSpec("P4", "SUCCESSIVE"), replicates)
+    assert kinds == ["NearZeroDenominator", *["estimate"] * 30, "NearZeroDenominator"]
+
+
+def test_successive_and_product_runs_over_one_sample_fill_one_gram_stack(monkeypatch):
+    from gapdecomp import bootstrap_runs
+    from gapdecomp.regression import WhitenedGrams
+
+    calls = {"build": 0, "add": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(WhitenedGrams, "__init__", counted("build", WhitenedGrams.__init__))
+    monkeypatch.setattr(WhitenedGrams, "add", counted("add", WhitenedGrams.add))
+    d = generate(random_continuous_params(np.random.default_rng(30)), 300, seed=31)
+    results = list(bootstrap_runs(d, [AnalysisSpec("P4", "SUCCESSIVE"), AnalysisSpec("P4", "PRODUCT")],
+                                  b=12, seed=4))
+    assert calls == {"build": 1, "add": 12}
+    assert all(result.n_failed == 0 for result in results)
+
+
+def test_a_badly_conditioned_design_folds_each_replicate():
+    from gapdecomp.engine import replicates
+    from gapdecomp.parametric import LinearReplicates
+
+    rng = np.random.default_rng(5)
+    d = generate(random_continuous_params(rng), 300, seed=6)
+    spec = AnalysisSpec("P4", "SUCCESSIVE", bindings={"covariate": ["year"]})
+    for mean, linear in ((10.0, True), (1e4, False)):  # condition number about 26, then 2.5e4
+        dated = d.with_columns({"year": mean + rng.normal(size=300)})
+        assert isinstance(replicates(dated, spec, 4), LinearReplicates) is linear
+
+
+def test_linear_bootstrap_percentiles_are_those_of_each_replicates_own_fit_bit_for_bit():
+    # a sample whose P3 proportion reduced has its 2.5% percentile near zero,
+    # where the stack's values differ from a fit of each replicate's own rows
+    # by more than 1e-12 relative; the draws a percentile reads are refitted
+    from gapdecomp import bootstrap_runs, bootstrap_statistic
+    from test_properties import replicate_sample
+
+    d = replicate_sample(29984, 126)
+    specs = [AnalysisSpec("P4", "SUCCESSIVE"), AnalysisSpec("P3", "PRODUCT")]
+    for spec, indexed in zip(specs, bootstrap_runs(d, specs, b=20, seed=29984)):
+        taken = bootstrap_statistic(d, lambda r: {k: getattr(estimate(r, spec), k) for k in (
+            "initial", "residual", "reduction", "proportion_reduced")}, b=20, seed=29984)
+        for name, want in taken.quantities.items():
+            got = indexed.quantities[name]
+            assert (got.lower, got.upper) == (want.lower, want.upper)
+            assert got.se == pytest.approx(want.se, rel=1e-12)
+    assert abs(taken.quantities["proportion_reduced"].lower) < 1e-4

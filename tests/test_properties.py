@@ -281,7 +281,9 @@ def replicate_sample(seed, n):
     them leaves it constant: RankDeficient), a few blank outcomes, and few
     group-0 events in the 0/1 outcome `yb` (a replicate can draw none of
     them: NearZeroDenominator on the ratio scale). The confounder `l` is left
-    unbound, as "interactions" runs refuse one; P7 binds it."""
+    unbound, as "interactions" runs refuse one; P7 binds it. Covariates `big`
+    (mean 1e4) and `twin` (big plus 1e-4 noise) give a design of condition
+    number about 1e8."""
     rng = np.random.default_rng(seed)
     r = (rng.random(n) < 0.5).astype(float)
     x = (rng.random(n) < 0.3 + 0.3 * r).astype(float)
@@ -292,7 +294,10 @@ def replicate_sample(seed, n):
     y = 0.5 * r + x + m + 0.5 * l + rng.normal(size=n)
     y[rng.random(n) < 0.05] = np.nan
     yb = (rng.random(n) < 0.02 + 0.2 * r).astype(float)
-    return dataset_from({"y": y, "yb": yb, "r": r, "x": x, "m": m, "l": l, "c": c},
+    big = 1e4 + rng.normal(size=n)
+    twin = big + 1e-4 * rng.normal(size=n)
+    return dataset_from({"y": y, "yb": yb, "r": r, "x": x, "m": m, "l": l, "c": c, "big": big,
+                         "twin": twin},
                         {"outcome": "y", "group": "r", "early": ["x"], "target": "m",
                          "covariate": ["c"]})
 
@@ -307,6 +312,7 @@ REPLICATE_SPECS = [
     AnalysisSpec("P4", "SUCCESSIVE", "RARE_BINARY", bindings=BINARY),
     AnalysisSpec("P2", "PRODUCT", bindings={"covariate": []}, options={"interactions": True}),
     AnalysisSpec("P4", "SUCCESSIVE", bindings={"covariate": []}, options={"interactions": True}),
+    AnalysisSpec("P4", "SUCCESSIVE", bindings={"covariate": ["big", "twin"]}),
 ]
 
 
