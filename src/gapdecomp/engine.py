@@ -27,16 +27,17 @@ def estimate(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     return decompose_successive_linear(d, spec)
 
 
-def replicates(d: Dataset, spec: AnalysisSpec, b: int, stacks: dict | None = None):
+def replicates(d: Dataset, spec: AnalysisSpec, b: int, stacks: dict, draw):
     """The run of a spec over b bootstrap replicates given as row indices into
     `d`, a callable of (indices, the memo a replicate's runs share). The spec
-    is resolved once; each replicate is read at its analysis rows of `d`. Linear
-    runs of one bootstrap share `stacks` (`LinearReplicates`)."""
+    is resolved once; each replicate is read at its analysis rows of `d`.
+    Linear runs of one bootstrap share `stacks`, and draw replicate k's
+    indices again by `draw(k)` to refit it (`LinearReplicates`)."""
     if spec.estimator == Estimator.PLUGIN:
         return Replicates(d, spec, b)
     bound = spec.resolve(d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
     if spec.option("interactions"):
         return lambda idx, memo: _stratified(bound, spec, idx)
-    if spec.outcome_family == OutcomeFamily.RARE_BINARY or not LinearReplicates.suit(bound):
+    if spec.outcome_family == OutcomeFamily.RARE_BINARY:
         return lambda idx, memo: _decompose(bound, spec, idx, memo)
-    return LinearReplicates(bound, spec, b, {} if stacks is None else stacks)
+    return LinearReplicates(bound, spec, stacks, draw)

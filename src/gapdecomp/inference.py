@@ -157,10 +157,10 @@ def _bootstrap_each(d: Dataset, statistics, routes, b, seed, stratify_by_group, 
     """The replicate loop: each replicate's indices are drawn once, and every
     statistic reads them.
 
-    `routes(i)` reads replicates for statistic i, given their indices and a
-    memo its replicate shares (see `engine.replicates`); one with a `finish`
-    method returns every outcome from it, given a function that draws
-    replicate k's indices again. Yields per statistic its summary,
+    `routes(i, draw)` reads replicates for statistic i, given their indices
+    and a memo its replicate shares (see `engine.replicates`), and may draw
+    replicate k's indices again by `draw(k)`; one with a `finish` method
+    returns every outcome from it. Yields per statistic its summary,
     or the AnalysisError that ended it (on the full sample, or
     TooManyFailures), re-issuing its replicate warnings (category ->
     [replicates, first message]) then. A replicate error fails only the
@@ -178,12 +178,12 @@ def _bootstrap_each(d: Dataset, statistics, routes, b, seed, stratify_by_group, 
                 full.append(statistic(d))
             except AnalysisError as err:
                 full.append(err)
-    live = [(routes(i), [], {}) for i, f in enumerate(full) if not isinstance(f, AnalysisError)]
+    draw = lambda index: resample_indices(d, seed, index, stratify_by_group)
+    live = [(routes(i, draw), [], {}) for i, f in enumerate(full) if not isinstance(f, AnalysisError)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for index in range(b if live else 0):  # no draw when every run failed on the full sample
-            idx = resample_indices(d, seed, index, stratify_by_group)
-            shared: dict = {}
+            idx, shared = draw(index), {}
             for route, outcomes, warned in live:
                 try:  # only the named quantities outlive the replicate
                     outcomes.append(_named(route(idx, shared)))
@@ -197,8 +197,7 @@ def _bootstrap_each(d: Dataset, statistics, routes, b, seed, stratify_by_group, 
         if not isinstance(result, AnalysisError):
             route, outcomes, warned = next(tallies)
             if hasattr(route, "finish"):
-                outcomes = [_named(outcome) for outcome in route.finish(
-                    lambda index: resample_indices(d, seed, index, stratify_by_group))]
+                outcomes = [_named(outcome) for outcome in route.finish()]
             try:
                 result = _summary(result, outcomes, warned, b, seed, stratify_by_group)
             except TooManyFailures as err:
@@ -229,7 +228,7 @@ def bootstrap_statistic(
     raised by replicates is re-issued once, with the number of replicates
     that raised it and the first message.
     """
-    return _only(_bootstrap_each(d, [statistic], lambda i: _taken(d, statistic), b, seed,
+    return _only(_bootstrap_each(d, [statistic], lambda i, draw: _taken(d, statistic), b, seed,
                                  stratify_by_group))
 
 
@@ -255,8 +254,8 @@ def bootstrap_runs(
     that run's replicate warnings as it does.
     """
     statistics, stacks = [lambda data, spec=spec: estimate(data, spec) for spec in specs], {}
-    return _bootstrap_each(d, statistics, lambda i: replicates(d, specs[i], b, stacks), b, seed,
-                           stratify_by_group, full)
+    return _bootstrap_each(d, statistics, lambda i, draw: replicates(d, specs[i], b, stacks, draw),
+                           b, seed, stratify_by_group, full)
 
 
 def bootstrap(

@@ -47,7 +47,6 @@ from .analysis import (
     OutcomeFamily,
     Proposition,
     Scale,
-    proportion_with_note,
 )
 from .data import Dataset, Role
 from .errors import AnalysisError, InvalidSpec, NearZeroDenominator, PrevalenceWarning
@@ -275,64 +274,62 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
 
 
 class LinearReplicates:
-    """A linear SUCCESSIVE or PRODUCT run over b bootstrap replicates, given
-    as row indices into `d`. The runs of one bootstrap over the same columns
-    share one `WhitenedGrams` in `stacks`, which the first of them fills, and
-    the memo of each replicate read at its own rows; `finish` reads every
-    replicate off the stack's factors at once, by the algebra an estimate runs."""
+    """A linear SUCCESSIVE or PRODUCT run over bootstrap replicates, given as
+    row indices into `d`, replicate k's by `draw(k)`. The runs of one
+    bootstrap over the same columns share in `stacks` one `WhitenedGrams`,
+    which the first of them adds each replicate to, and the memos of the
+    replicates refitted at their own rows; `finish` reads every replicate
+    off the stack's factors at once, by the algebra an estimate runs."""
 
-    @staticmethod
-    def suit(d: Dataset) -> bool:
-        """Whether the full sample's factor is within `WHITEN_LIMIT`."""
-        return _Run(d).factor.condition() <= WHITEN_LIMIT
-
-    def __init__(self, d: Dataset, spec: AnalysisSpec, b: int, stacks: dict):
-        self.d, self.spec, self.drawn, run = d, spec, 0, _Run(d)
+    def __init__(self, d: Dataset, spec: AnalysisSpec, stacks: dict, draw):
+        self.d, self.spec, self.draw, run = d, spec, draw, _Run(d)
         if run.columns not in stacks:
-            stacks[run.columns] = WhitenedGrams(run.factor, [1.0, *map(d.column, run.columns)],
-                                                analysis_rows(d, run.columns), b)
-        self.grams = stacks[run.columns]
-        self.memos = stacks.setdefault((run.columns, "memos"), {})  # replicate -> its runs' memo
+            stacks[run.columns] = (WhitenedGrams(run.factor, [1.0, *map(d.column, run.columns)],
+                                                 analysis_rows(d, run.columns)), {})
+        self.key, (self.grams, self.memos) = (run.columns, "whitened"), stacks[run.columns]
 
-    def __call__(self, idx: np.ndarray, shared=None) -> None:
-        if self.grams.drawn == self.drawn:  # not yet added by a run over the same columns
+    def __call__(self, idx: np.ndarray, shared: dict) -> None:
+        if shared.setdefault(self.key, self) is self:  # no run over these columns added it yet
             self.grams.add(idx)
-        self.drawn += 1
 
-    def finish(self, redraw) -> list:
+    def finish(self) -> list:
         """Each replicate's four reported quantities, or the AnalysisError
-        that ends it. `_decompose` reads replicate k at its own rows,
-        `redraw(k)`, if the stack flags it, if its P4 denominator is within
-        100 times of the refusal threshold or its initial disparity within
-        1e-10 of null, or if a quantity of it is within 1e-8 (of the largest)
-        of a draw that a 2.5% or 97.5% percentile interpolates between: so
-        failures and percentiles are bitwise a fit of each replicate's rows."""
+        that ends it. `_decompose` refits replicate k at its own rows (`exact`)
+        where its condition number passes WHITEN_LIMIT, its P4 denominator is
+        within 100 times of the refusal threshold, its initial disparity is
+        within 1e13 times of eps·condition·sd(y)/sd(group) (the two routes
+        differ in it by at most 0.13 times that, measured), or a quantity is
+        within 1e-8 (of the largest) of a draw that a 2.5% or 97.5% percentile
+        interpolates between. So failures and percentiles are bitwise, and
+        spreads within 1e-13 relative, those of fits of each replicate's rows."""
         def read(k):
             try:
-                estimate = _decompose(self.d, self.spec, redraw(k), self.memos.setdefault(k, {}))
+                estimate = _decompose(self.d, self.spec, self.draw(k), self.memos.setdefault(k, {}))
             except AnalysisError as err:
                 return err
             return {name: getattr(estimate, name) for name in QUANTITIES}
 
-        factor, flagged = self.grams.factors
+        factor, condition = self.grams.factors
         run = _Run(self.d, factor)
         with np.errstate(divide="ignore", invalid="ignore"):  # as a `near` replicate may
-            splits = run.split(self.spec, lambda q: factor.fit(run.y, q))
-        exact = flagged | run.near | (abs(splits[0]) <= 1e-10)
-        outcomes = [read(k) if exact[k] else dict(zip(QUANTITIES, (*split, proportion_with_note(
-            split[0], split[1], Scale.ADDITIVE)[0]))) for k, split in enumerate(zip(*splits))]
+            initial, residual, reduction = run.split(self.spec, lambda q: factor.fit(run.y, q))
+            error = np.finfo(float).eps * condition * _slope_scale(factor, run.y, run.r)
+            proportion = (initial - residual) / initial
+        self.exact = (condition > WHITEN_LIMIT) | run.near | ~(abs(initial) > np.maximum(
+            1e13 * error, 1e-10))
+        outcomes = [read(k) if self.exact[k] else dict(zip(QUANTITIES, values))
+                    for k, values in enumerate(zip(initial, residual, reduction, proportion))]
         for name in QUANTITIES:
-            drawn = [(k, o[name]) for k, o in enumerate(outcomes)
-                     if not isinstance(o, AnalysisError) and o[name] is not None]
-            if len(drawn) < 2:
+            values = np.array([np.nan if isinstance(o, AnalysisError) or o[name] is None
+                               else o[name] for o in outcomes])
+            ordered = np.sort(values[~np.isnan(values)])
+            if ordered.size < 2:
                 continue
-            keys, values = map(np.array, zip(*drawn))
-            ordered = np.sort(values)
-            pivots = [ordered[min(math.floor(at) + i, ordered.size - 1)] for i in (0, 1)
-                      for at in ((ordered.size - 1) * (q / 100) for q in (2.5, 97.5))]
-            close = np.abs(np.subtract.outer(values, pivots)).min(axis=1) <= 1e-8 * abs(ordered).max()
-            for k in keys[close & ~exact[keys]].tolist():
-                outcomes[k], exact[k] = read(k), True
+            at = np.floor((ordered.size - 1) * np.array([0.025, 0.975])).astype(int)
+            pivots = ordered[np.minimum(np.concatenate([at, at + 1]), ordered.size - 1)]
+            close = np.abs(values[:, None] - pivots).min(axis=1) <= 1e-8 * abs(ordered).max()
+            for k in np.flatnonzero(close & ~self.exact):
+                outcomes[k], self.exact[k] = read(k), True
         return outcomes
 
 

@@ -338,6 +338,6 @@ class Replicates:
         self.sums[self.drawn].flat = np.bincount(code, weights=self.outcome[idx], minlength=size + 1)[:size]
         self.drawn += 1
 
-    def finish(self, redraw=None) -> list:
+    def finish(self) -> list:
         """Each replicate's estimate, or the AnalysisError that ends it."""
         return _estimates(self.table, self.spec, self.counts, self.sums)

@@ -286,29 +286,27 @@ class TriangularFactor:
         return math.sqrt(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0 else math.inf
 
 
-#: Largest condition number, of R with unit columns times that of S, at which
-#: a replicate is read off a whitened Gram: two backward-stable routes to its
-#: fits differ by about eps times it (spreads moved by up to 3e-16 times it).
+#: Largest condition number of a replicate read off a whitened Gram: its
+#: two routes differ by about eps times it (see `WhitenedGrams.factors`).
 WHITEN_LIMIT = 100.0
 
 
 class WhitenedGrams:
-    """The factors of b bootstrap replicates of one analysis sample: with A
-    its `columns` over the boolean `mask` and R its factor, Q = A R⁻¹ (zero
+    """The factors of bootstrap replicates of one analysis sample: with A its
+    `columns` over the boolean `mask` and R its factor, Q = A R⁻¹ (zero
     outside the sample) is built once, BLOCK_ROWS rows at a time. A replicate
     drawing row i w_i times has Gram Rᵀ G R, G = Qᵀ diag(w) Q = S Sᵀ close to
     I, so R_b = SᵀR is its R up to the signs of its rows, which no fit sees
     (Golub & Van Loan, *Matrix Computations* §5.3)."""
 
-    def __init__(self, factor: TriangularFactor, columns: Sequence, mask: np.ndarray, b: int):
+    def __init__(self, factor: TriangularFactor, columns: Sequence, mask: np.ndarray):
         self.factor, r, rows = factor, factor.r, np.flatnonzero(mask)
-        self.qt = np.zeros((r.shape[0], mask.size))  # Qᵀ
+        self.qt, self.grams = np.zeros((r.shape[0], mask.size)), []  # Qᵀ, each replicate's G
         for start in range(0, rows.size, BLOCK_ROWS):
             block = stacked_columns(columns, rows[start : start + BLOCK_ROWS])
             for j in range(r.shape[0]):  # Q R = A, column j from columns 0..j-1
                 block[:, j] = (block[:, j] - block[:, :j] @ r[:j, j]) / r[j, j]
             self.qt[:, rows[start : start + BLOCK_ROWS]] = block.T
-        self.gram, self.drawn = np.empty((b, *r.shape)), 0
 
     def add(self, idx: np.ndarray) -> None:
         """The next replicate's G, BLOCK_ROWS rows at a time, from its rows `idx`."""
@@ -316,23 +314,25 @@ class WhitenedGrams:
         for start in range(0, weights.size, BLOCK_ROWS):
             qt = self.qt[:, start : start + BLOCK_ROWS]
             gram = gram + (qt * weights[start : start + BLOCK_ROWS]) @ qt.T
-        self.gram[self.drawn] = gram
-        self.drawn += 1
+        self.grams.append(gram)
 
     @functools.cached_property
     def factors(self) -> tuple[TriangularFactor, np.ndarray]:
-        """A stack of every replicate's R_b, and which replicates the eigenvalues
-        of G put past WHITEN_LIMIT: among them any that a fit of its own rows
-        refuses (a dependent column, or no more rows than columns, leaves G
-        singular). A flagged replicate reads the full sample's R, and each
-        the full sample's row count, which no split reads."""
-        eigenvalues = np.linalg.eigvalsh(self.gram)
-        flagged = ~(self.factor.condition() ** 2 * eigenvalues[:, -1]
-                    < WHITEN_LIMIT**2 * eigenvalues[:, 0])
-        self.qt = None  # every replicate is in: free Q for the refits
-        s = np.linalg.cholesky(np.where(flagged[:, None, None], np.eye(self.gram.shape[1]), self.gram))
+        """A stack of every replicate's R_b, and each one's condition number
+        (of R with unit columns, times that of S): a fit of R_b and one of the
+        replicate's own rows differ by about eps times it. It is inf where G
+        is singular, as a dependent column or too few rows leave it. One past
+        WHITEN_LIMIT reads the full sample's R, and each the full sample's
+        row count, which no split reads."""
+        gram = np.array(self.grams)
+        eigenvalues = np.linalg.eigvalsh(gram)
+        ratio = np.divide(eigenvalues[:, -1], eigenvalues[:, 0], out=np.full(len(gram), np.inf),
+                          where=eigenvalues[:, 0] > 0)
+        condition, self.qt = self.factor.condition() * np.sqrt(ratio), None  # free Q for refits
+        s = np.linalg.cholesky(np.where((condition > WHITEN_LIMIT)[:, None, None], np.eye(
+            gram.shape[1]), gram))
         return TriangularFactor(self.factor.labels, np.swapaxes(s, 1, 2) @ self.factor.r,
-                                self.factor.n_rows, self.factor.dependent), flagged
+                                self.factor.n_rows, self.factor.dependent), condition
 
 
 def refuse_non_finite(labels: Sequence[str], columns) -> None:

@@ -644,13 +644,15 @@ def test_the_report_counts_failed_replicates_by_type(tmp_path, capsys):
     assert boots[2]["failed_replicates"] > 0
 
 
-def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
+def test_a_config_draws_each_replicate_once_and_again_only_to_refit_it(tmp_path, capsys,
+                                                                        monkeypatch):
     import gapdecomp.cli as cli
     import gapdecomp.engine as engine
     import gapdecomp.inference as inference
+    from gapdecomp.parametric import LinearReplicates
 
     calls = {"take": 0, "estimate": 0, "unique": 0, "sort": 0}
-    drawn, draw = [], inference.resample_indices
+    drawn, draw, refitted, finish = [], inference.resample_indices, [], LinearReplicates.finish
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -660,6 +662,8 @@ def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(inference, "resample_indices",
                         lambda d, seed, index, *args: drawn.append(index) or draw(d, seed, index, *args))
+    monkeypatch.setattr(LinearReplicates, "finish", lambda self: (
+        finish(self), refitted.extend(np.flatnonzero(self.exact).tolist()))[0])
     monkeypatch.setattr(Dataset, "take", counted("take", Dataset.take))
     monkeypatch.setattr(engine, "estimate", counted("estimate", engine.estimate))
     monkeypatch.setattr(cli, "estimate", engine.estimate)
@@ -677,10 +681,10 @@ def test_a_config_draws_each_replicate_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "sort", counted("sort", np.sort))
     assert main(["run", str(cfg)]) == 0
     capsys.readouterr()
-    # the loop draws each replicate once for every run; the two linear runs
-    # (SUCCESSIVE and PRODUCT) draw again only the replicates they read at
-    # their own rows, after the loop
-    assert drawn[:b] == list(range(b)) and set(drawn[b:]) <= set(range(b))
+    # the loop draws each replicate once for every run; after it, the two
+    # linear runs (SUCCESSIVE and PRODUCT) draw again each replicate they
+    # refit at its own rows, once per run
+    assert drawn[:b] == list(range(b)) and sorted(drawn[b:]) == sorted(refitted)
     # every run reads its replicates from row indices, none through `estimate`;
     # np.sort sorts each stratum column (early, target, covariate) once, each
     # reported quantity's draws once, and a linear run's draws of each

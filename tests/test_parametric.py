@@ -575,11 +575,11 @@ def read_replicates(d, spec, replicates):
     from gapdecomp.engine import replicates as route_of
     from gapdecomp.parametric import LinearReplicates
 
-    route = route_of(d, spec, len(replicates))
+    route = route_of(d, spec, len(replicates), {}, replicates.__getitem__)
     assert isinstance(route, LinearReplicates)
     for idx in replicates:
         route(idx, {})
-    return route.finish(lambda k: replicates[k])
+    return route.finish()
 
 
 def assert_read_as_taken(d, spec, replicates):
@@ -643,9 +643,10 @@ def test_a_replicate_with_a_near_zero_p4_denominator_is_refused_as_its_take_is()
 
 def test_successive_and_product_runs_over_one_sample_fill_one_gram_stack(monkeypatch):
     from gapdecomp import bootstrap_runs
+    from gapdecomp.parametric import LinearReplicates
     from gapdecomp.regression import WhitenedGrams
 
-    calls = {"build": 0, "add": 0}
+    calls, refitted, finish = {"build": 0, "add": 0}, [], LinearReplicates.finish
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -655,23 +656,16 @@ def test_successive_and_product_runs_over_one_sample_fill_one_gram_stack(monkeyp
 
     monkeypatch.setattr(WhitenedGrams, "__init__", counted("build", WhitenedGrams.__init__))
     monkeypatch.setattr(WhitenedGrams, "add", counted("add", WhitenedGrams.add))
+    monkeypatch.setattr(LinearReplicates, "finish",
+                        lambda self: (finish(self), refitted.append(int(self.exact.sum())))[0])
     d = generate(random_continuous_params(np.random.default_rng(30)), 300, seed=31)
     results = list(bootstrap_runs(d, [AnalysisSpec("P4", "SUCCESSIVE"), AnalysisSpec("P4", "PRODUCT")],
-                                  b=12, seed=4))
-    assert calls == {"build": 1, "add": 12}
+                                  b=40, seed=4))
+    assert calls == {"build": 1, "add": 40}
     assert all(result.n_failed == 0 for result in results)
-
-
-def test_a_badly_conditioned_design_folds_each_replicate():
-    from gapdecomp.engine import replicates
-    from gapdecomp.parametric import LinearReplicates
-
-    rng = np.random.default_rng(5)
-    d = generate(random_continuous_params(rng), 300, seed=6)
-    spec = AnalysisSpec("P4", "SUCCESSIVE", bindings={"covariate": ["year"]})
-    for mean, linear in ((10.0, True), (1e4, False)):  # condition number about 26, then 2.5e4
-        dated = d.with_columns({"year": mean + rng.normal(size=300)})
-        assert isinstance(replicates(dated, spec, 4), LinearReplicates) is linear
+    # only the draws next to the 2.5% and 97.5% percentiles (ranks 0, 1, 38
+    # and 39 of each of the four quantities) are refitted on this sample
+    assert len(refitted) == 2 and all(0 < count <= 16 for count in refitted)
 
 
 def test_linear_bootstrap_percentiles_are_those_of_each_replicates_own_fit_bit_for_bit():
@@ -691,3 +685,50 @@ def test_linear_bootstrap_percentiles_are_those_of_each_replicates_own_fit_bit_f
             assert (got.lower, got.upper) == (want.lower, want.upper)
             assert got.se == pytest.approx(want.se, rel=1e-12)
     assert abs(taken.quantities["proportion_reduced"].lower) < 1e-4
+
+
+def test_a_replicate_with_a_near_null_initial_disparity_is_refitted():
+    # no group gap within levels of x: P2's initial disparity is near null in
+    # every replicate, and the one nearest null drives the proportion's
+    # spread. Read off the stack, that replicate moved the spread by 2.5e-11
+    from gapdecomp import bootstrap_runs, bootstrap_statistic
+
+    rng = np.random.default_rng(0)
+    n = 300
+    r = (rng.random(n) < 0.5).astype(float)
+    x = r + rng.normal(size=n)
+    c = rng.normal(size=n) + 3.0
+    m = 0.4 * x + rng.normal(size=n)
+    y = x + m + c + rng.normal(size=n) + 5.0
+    d = dataset_from({"y": y, "r": r, "x": x, "m": m, "c": c},
+                     {"outcome": "y", "group": "r", "early": ["x"], "target": "m",
+                      "covariate": ["c"]})
+    spec = AnalysisSpec("P2", "SUCCESSIVE")
+    indexed = next(bootstrap_runs(d, [spec], b=200, seed=0))
+    taken = bootstrap_statistic(d, lambda t: {k: getattr(estimate(t, spec), k) for k in (
+        "initial", "residual", "reduction", "proportion_reduced")}, b=200, seed=0)
+    for name, want in taken.quantities.items():
+        got = indexed.quantities[name]
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        assert got.se == pytest.approx(want.se, rel=1e-13)
+    assert taken.quantities["proportion_reduced"].se > 50.0
+
+
+def test_replicates_past_the_whitening_limit_are_read_as_their_takes_are():
+    # a covariate with mean 3.5 against unit spread: the replicates'
+    # condition numbers run from 91 to 113, 24 of 40 past the limit. The gap
+    # is large against sd(y)/sd(r), so only the condition number sends them
+    # back to their own rows
+    rng = np.random.default_rng(12)
+    n = 200
+    r = (rng.random(n) < 0.5).astype(float)
+    c = 3.5 + rng.normal(size=n)
+    x = 0.5 * r + rng.normal(size=n)
+    m = 0.4 * x + rng.normal(size=n)
+    y = 3.0 * r + 0.3 * (x + m + c) + 0.1 * rng.normal(size=n)
+    d = dataset_from({"y": y, "r": r, "c": c, "x": x, "m": m},
+                     {"outcome": "y", "group": "r", "covariate": ["c"], "early": ["x"],
+                      "target": "m"})
+    replicates = [rng.integers(0, n, n) for _ in range(40)]
+    for family in ("SUCCESSIVE", "PRODUCT"):
+        assert assert_read_as_taken(d, AnalysisSpec("P4", family), replicates) == ["estimate"] * 40
