@@ -11,6 +11,7 @@ import copy
 import csv
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -245,10 +246,15 @@ class Dataset:
 
 # -- CSV ------------------------------------------------------------------
 
-#: Rows the reader tokenizes and parses at a time. Larger blocks parse no
-#: faster, and the small objects a block churns stay resident: a 10k-row
-#: bootstrap run peaked 1.1 MB higher with 2048-row blocks than with these.
+#: Rows csv.reader tokenizes, and write_csv writes, at a time. Larger blocks
+#: parse no faster, and the small objects a block churns stay resident: a
+#: 10k-row bootstrap run peaked 1.1 MB higher with 2048-row blocks than with these.
 _BLOCK_ROWS = 1536
+#: Bytes of whole lines parsed at a time outside csv.reader.
+_BLOCK_BYTES = 1 << 16
+#: Least body bytes per range: the body is read as one range per usable CPU
+#: at most, every range but the first by a forked process.
+_RANGE_BYTES = 1 << 20
 
 
 def _parse_cell(text: str) -> float | None:
@@ -262,8 +268,21 @@ def _parse_cell(text: str) -> float | None:
         return None
 
 
+def _parse_cells(cells: list) -> tuple[np.ndarray, int]:
+    """One column's block of cells: its values, and how many are not numbers."""
+    try:  # "nan" reads as a blank cell does, so blanks keep the block in C
+        return np.fromiter(map(float, [text or "nan" for text in cells]), float, len(cells)), 0
+    except ValueError:  # padded or junk cells: parse this block cell by cell
+        values = list(map(_parse_cell, cells))
+        return np.array(values, dtype=float), values.count(None)  # None reads as NaN
+
+
 class _Irregular(Exception):
-    """A block one str.split cannot cut into cells as csv.reader would."""
+    """Lines that only csv.reader cuts into cells as csv.reader would."""
+
+
+class _WorkerFailed(Exception):
+    """A range's process could not be started, or did not send its columns."""
 
 
 def _split_rows(text: str, width: int) -> tuple[list, int]:
@@ -289,28 +308,172 @@ def _split_rows(text: str, width: int) -> tuple[list, int]:
     return cells, stride
 
 
-def _split_blocks(fh):
-    """The header, then (cells, stride, short rows) per block, read with one
-    str.split per block; raises _Irregular at anything else."""
-    line = fh.readline()
-    if not line.endswith("\n") or '"' in line or not line.rstrip("\r\n"):
+def _nan_filled(raw: bytes) -> str:
+    """Whole lines with "nan" in every blank cell, so np.loadtxt reads each
+    cell as csv.reader and float() do; a blank line stays blank. Raises
+    _Irregular at a quote or a lone CR."""
+    if b'"' in raw:
         raise _Irregular
-    header = line.rstrip("\r\n").split(",")
-    yield header
-    for lines in iter(lambda: list(itertools.islice(fh, _BLOCK_ROWS)), []):
-        yield *_split_rows("".join(lines), len(header)), 0
+    e = np.frombuffer(b"\n" + raw + b"\n", np.uint8)
+    comma, cr, lf = e == ord(","), e == ord("\r"), e == ord("\n")
+    if (cr[:-1] > lf[1:]).any():
+        raise _Irregular
+    ends = comma | cr | lf  # a blank cell lies between two ends, one of them a comma
+    cuts = [0, *np.flatnonzero(comma[:-1] & ends[1:] | ends[:-1] & comma[1:]).tolist(), len(raw)]
+    return b"nan".join([raw[i:j] for i, j in zip(cuts, cuts[1:])]).decode()
 
 
-def _csv_blocks(fh, path):
-    """The header, then (cells, stride, short rows) per block, tokenized by
-    csv.reader: blank lines are skipped, a short row is padded with blank
-    cells, and a long row is refused."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        return
-    yield header
-    width = len(header)
+def _parse_range(path, columns: list[np.ndarray], start: int, end: int) -> list[int]:
+    """Parse the whole lines of bytes start..end into `columns`, one row per
+    line and `_BLOCK_BYTES` at a time; each column's count of cells that are
+    not numbers. np.loadtxt parses a number as float() does; a block it
+    refuses, or reads at another shape (it skips blank lines), is cut by
+    `_split_rows` and parsed column by column."""
+    unparsed, at = [0] * len(columns), 0
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while data := fh.read(min(_BLOCK_BYTES, end - fh.tell())):
+            if not data.endswith(b"\n"):
+                data += fh.readline(end - fh.tell())  # the rest of the block's last line
+            text = _nan_filled(data)
+            lines = text.split("\n")
+            rows = len(lines) - (lines[-1] == "")
+            if at + rows > columns[0].size:
+                raise _Irregular  # the file changed while it was read
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # blank lines alone: "input contained no data"
+                    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                values = None
+            if values is not None and values.shape == (rows, len(columns)):
+                for column, value in zip(columns, values.T):
+                    column[at:at + rows] = value
+            else:
+                cells, stride = _split_rows(text, len(columns))
+                for j, column in enumerate(columns):
+                    column[at:at + rows], bad = _parse_cells(cells[j::stride])
+                    unparsed[j] += bad
+            at += rows
+    if at != columns[0].size:
+        raise _Irregular
+    return unparsed
+
+
+def _ranges(fh, start: int, size: int) -> list[tuple[int, int, int]]:
+    """(start, end, rows) of each range of the body's whole lines, one per
+    usable CPU at most, each of `_RANGE_BYTES` or more; rows counts line ends
+    and a last line with none."""
+    k = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = max(1, min(len(os.sched_getaffinity(0)), (size - start) // _RANGE_BYTES))
+    bounds = [start]
+    for i in range(1, k):
+        fh.seek(start + i * (size - start) // k - 1)
+        fh.readline()
+        if bounds[-1] < fh.tell() < size:
+            bounds.append(fh.tell())
+    ranges, last = [], b"\n"
+    fh.seek(start)
+    for begin, end in zip(bounds, bounds[1:] + [size]):
+        rows = 0
+        while data := fh.read(min(_BLOCK_BYTES, end - fh.tell())):
+            rows, last = rows + int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n"))), data[-1:]
+        ranges.append((begin, end, rows + (end == size and last != b"\n")))
+    return ranges
+
+
+def _fork_range(path, width: int, start: int, end: int, rows: int) -> tuple:
+    """(pid, pipe file) of a process that parses the range start..end and then
+    writes to the pipe whether it is irregular and each column's unparsed
+    cells (int64), then each column. It parses before it writes, so it never
+    waits on the reader mid-parse, and it ends in os._exit, so it flushes no
+    output and runs no exit hook of the process it was forked from."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise _WorkerFailed from None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            columns = [np.empty(rows) for _ in range(width)]
+            try:
+                head = [0, *_parse_range(path, columns, start, end)]
+            except _Irregular:
+                head, columns = [1] * (width + 1), []
+            with open(w, "wb") as out:
+                for array in (np.array(head, np.int64), *columns):
+                    out.write(array)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _receive(pipe, values: np.ndarray) -> None:
+    """Fill `values` with the next bytes of a worker's pipe."""
+    if pipe.readinto(memoryview(values).cast("B")) != values.nbytes:
+        raise _WorkerFailed
+
+
+def _reap(workers: list, kill: bool) -> bool:
+    """Wait for each worker, killed first if `kill`, and close its pipe;
+    whether all exited 0."""
+    ok = True
+    while workers:
+        pid, pipe = workers[-1]
+        if kill:
+            import signal  # here, as importing it costs a process about 0.1 MB
+
+            os.kill(pid, signal.SIGKILL)
+        ok &= os.waitpid(pid, 0)[1] == 0
+        pipe.close()
+        workers.pop()
+    return ok
+
+
+def _read_ranges(path, width: int, ranges: list) -> tuple[list[np.ndarray], list[int]]:
+    """Each column, frozen, and its unparsed cells: the first of `_ranges`
+    parsed here into the columns, each other by a forked process and read
+    from its pipe into them, a column at a time; raises _Irregular if any
+    range is. Every worker is reaped before this returns, killed first unless
+    it sent all it had. If one fails, the body is read again here alone,
+    which gives the same values and counts."""
+    ends = list(itertools.accumulate(rows for *_, rows in ranges))
+    columns, workers = [np.empty(ends[-1]) for _ in range(width)], []
+    try:
+        for start, end, rows in ranges[1:]:
+            workers.append(_fork_range(path, width, start, end, rows))
+        heads = [_parse_range(path, [column[:ends[0]] for column in columns], *ranges[0][:2])]
+        for _, pipe in workers:
+            heads.append(np.empty(width + 1, np.int64))
+            _receive(pipe, heads[-1])
+            if heads[-1][0]:
+                raise _Irregular
+        for column in columns:
+            for (_, pipe), begin, end in zip(workers, ends, ends[1:]):
+                _receive(pipe, column[begin:end])
+            column.flags.writeable = False  # owned and frozen, so Dataset keeps it
+        if _reap(workers, kill=False):
+            return columns, np.sum([heads[0], *(head[1:] for head in heads[1:])], axis=0).tolist()
+    except _WorkerFailed:
+        pass
+    finally:
+        _reap(workers, kill=True)
+    return _read_ranges(path, width, [(ranges[0][0], ranges[-1][1], ends[-1])])
+
+
+def _csv_blocks(reader, width: int, path):
+    """(cells, short rows) per block of the rows left in a csv.reader: blank
+    lines are skipped, a short row is padded with blank cells, and a long row
+    is refused."""
     cells, short = [], 0
     for row in reader:
         if len(row) != width:
@@ -323,80 +486,65 @@ def _csv_blocks(fh, path):
             row += [""] * (width - len(row))
         cells += row
         if len(cells) == _BLOCK_ROWS * width:
-            yield cells, width, short
+            yield cells, short
             cells, short = [], 0
     if cells:
-        yield cells, width, short
+        yield cells, short
 
 
-class _Column:
-    """One column's parsed blocks, and how many of its cells are not numbers."""
-
-    def __init__(self):
-        self.blocks: list[np.ndarray] = []
-        self.unparsed = 0
-
-    def add(self, cells: list) -> None:
-        try:  # "nan" reads as a blank cell does, so blanks keep the block in C
-            self.blocks.append(np.fromiter(map(float, [text or "nan" for text in cells]),
-                                           float, len(cells)))
-        except ValueError:  # padded or junk cells: parse this block cell by cell
-            values = list(map(_parse_cell, cells))
-            self.unparsed += values.count(None)
-            self.blocks.append(np.array(values, dtype=float))  # None reads as NaN
+def _header(names, path) -> list[str]:
+    """The column names, stripped; refuses a missing header or a repeated name."""
+    if names is None:
+        raise EmptyFile(f"{path}: no header row")
+    header = [h.strip() for h in names]
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise RepeatedColumn(f"{path}: the header names column {repeated!r} more than once")
+    return header
 
 
 def _read_csv(path) -> tuple[dict[str, np.ndarray], dict[str, int], int]:
     """The columns of a CSV by header name, how many cells of each are not
     numbers, and how many rows are shorter than the header.
 
-    Blocks are cut with one str.split each; if any block holds a quote, a
-    lone CR, a blank line or a row of another width, csv.reader tokenizes the
-    whole file instead. Both feed the same column-wise parse.
+    The body is read in `_ranges`. If a quote, a lone CR, a blank line or a
+    row of another width shows in any, csv.reader tokenizes the whole file
+    instead, and each column's blocks are joined and dropped before the next
+    column's, so the reader holds the parsed file about once, plus one column.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            return _parse_blocks(_split_blocks(fh), path)
-        except _Irregular:
-            fh.seek(0)
-            limit = csv.field_size_limit(2**31 - 1)  # a cell of any length, as str.split reads it
-            try:
-                return _parse_blocks(_csv_blocks(fh, path), path)
-            finally:
-                csv.field_size_limit(limit)
-
-
-def _parse_blocks(blocks, path):
-    """`_read_csv`'s result from a header and blocks of cells.
-
-    Each block is parsed into one float array per column, and its cells
-    dropped, before the next block is cut; then each column's arrays are
-    joined and dropped before the next column is joined. So the reader holds
-    the parsed file about once, plus one column and one block's cells.
-    """
+    with open(path, "rb") as fh:
+        line = fh.readline().decode("utf-8-sig")
+        ranges = _ranges(fh, fh.tell(), os.fstat(fh.fileno()).st_size)
+    names = line[:-1].removesuffix("\r")
     try:
-        header = [h.strip() for h in next(blocks)]
-    except StopIteration:
-        raise EmptyFile(f"{path}: no header row") from None
-    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
-    if repeated is not None:
-        raise RepeatedColumn(f"{path}: the header names column {repeated!r} more than once")
-    parsed = [_Column() for _ in header]
-    short = 0
-    for cells, stride, block_short in blocks:
-        short += block_short
-        for j, column in enumerate(parsed):
-            column.add(cells[j::stride])
-        del cells  # not held while the next block is cut
-    if not parsed or not parsed[0].blocks:
+        if not line.endswith("\n") or '"' in names or "\r" in names or not names:
+            raise _Irregular
+        header = _header(names.split(","), path)
+        (columns, unparsed), short = _read_ranges(path, len(header), ranges), 0
+    except _Irregular:
+        limit = csv.field_size_limit(2**31 - 1)  # a cell of any length, as str.split reads it
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                header = _header(next(reader, None), path)
+                parsed, unparsed, short = [[] for _ in header], [0] * len(header), 0
+                for cells, block_short in _csv_blocks(reader, len(header), path):
+                    short += block_short
+                    for j, column in enumerate(parsed):
+                        values, bad = _parse_cells(cells[j::len(header)])
+                        column.append(values)
+                        unparsed[j] += bad
+                    del cells  # not held while the next block is cut
+        finally:
+            csv.field_size_limit(limit)
+        columns = []
+        for column in parsed:
+            columns.append(np.concatenate(column or [np.empty(0)]))
+            column.clear()
+            columns[-1].flags.writeable = False
+    if not columns or not columns[0].size:
         raise EmptyFile(f"{path}: header but no data rows")
-    columns, unparsed = {}, {}
-    for name, column in zip(header, parsed):
-        columns[name] = values = np.concatenate(column.blocks)
-        column.blocks.clear()  # so the file is held about once, plus one column
-        values.flags.writeable = False  # owned and frozen, so Dataset keeps it
-        unparsed[name] = column.unparsed
-    return columns, unparsed, short
+    return dict(zip(header, columns)), dict(zip(header, unparsed)), short
 
 
 def load_csv(path, role_declarations: Mapping | None = None) -> Dataset:

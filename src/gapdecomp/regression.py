@@ -422,7 +422,7 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
         raise UnknownColumn(f"column 'response' has {len(y)} rows, expected {n}")
     refuse_non_finite((*labels, "response"), [*mat.T, y])
     (factor or TriangularFactor.of(labels, list(mat.T))).check_rank(k)
-    if not np.array_equal(np.unique(y), [0.0, 1.0]):
+    if np.any((y != 0.0) & (y != 1.0)) or not 0 < np.count_nonzero(y) < n:
         raise InvalidSpec("logistic outcome must contain both 0s and 1s (only)")
 
     beta = np.zeros(k)

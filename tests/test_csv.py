@@ -3,14 +3,19 @@
 `oracle_load` and `oracle_write` are the row-wise reader and writer kept as
 independent oracles: one Python list and one parse call per row. The
 column-wise reader must match the oracle bitwise on every value, on the
-counts of cells it could not read, and on the exception it raises; the
+counts of cells it could not read, and on the exception it raises, whether
+it reads a file alone or in ranges split among forked processes; the
 vectorized writer must write the oracle's bytes.
 """
 
 import contextlib
 import csv
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -24,7 +29,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import batch_cohort
 from gapdecomp import Dataset, data, load_csv, write_csv
 from gapdecomp.data import normalize_roles
-from gapdecomp.errors import AnalysisError, EmptyFile, LongRow, RepeatedColumn, UnreadCells
+from gapdecomp.errors import (AnalysisError, EmptyFile, InfiniteCell, LongRow, RepeatedColumn,
+                             UnreadCells)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -129,6 +135,32 @@ def assert_same_reading(path, roles=None):
     return new
 
 
+@contextlib.contextmanager
+def read_in_ranges(cpus, block_bytes=None, fork=os.fork, range_bytes=1):
+    """Ranges of `range_bytes` or more, one per CPU of `cpus`, so that even a
+    small file is read in ranges, each but the first by a forked process; and, if
+    given, blocks of `block_bytes`, so that lines straddle block boundaries.
+    Yields the pids forked; on leaving, no process the reads started is left."""
+    pids = []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(data, "_RANGE_BYTES", range_bytes))
+        stack.enter_context(mock.patch.object(data.os, "sched_getaffinity",
+                                              return_value=set(range(cpus))))
+        stack.enter_context(mock.patch.object(data.os, "fork", counted))
+        if block_bytes is not None:
+            stack.enter_context(mock.patch.object(data, "_BLOCK_BYTES", block_bytes))
+        yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # -- reader ----------------------------------------------------------------
 
 #: Cells a survey extract may hold: numbers plain and padded, blanks, NaN,
@@ -168,17 +200,21 @@ def csv_texts(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(text=csv_texts(), block_rows=st.integers(1, 5),
+@given(text=csv_texts(), block_rows=st.integers(1, 5), cpus=st.integers(1, 4),
        roles=st.sampled_from([None, {"outcome": "a"}, {"group": "b"}]))
-def test_column_reader_matches_the_row_reader_bitwise(text, block_rows, roles):
-    # small blocks, so rows straddle block boundaries
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+def test_column_reader_matches_the_row_reader_bitwise(text, block_rows, cpus, roles):
+    # small blocks, so rows straddle block boundaries; up to 4 ranges, so a
+    # file of a few lines is cut at every line boundary
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_BLOCK_ROWS", block_rows), \
+            read_in_ranges(cpus, block_bytes=8 * block_rows):
         path = Path(tmp) / "in.csv"
         path.write_bytes(text.encode("utf-8"))
         assert_same_reading(path, roles)
 
 
-#: Files a str.split reading gets wrong unless it sends them to csv.reader.
+#: Files a str.split or np.loadtxt reading gets wrong unless it sends them
+#: to csv.reader or cuts them cell by cell, and files whose first or last
+#: range is unlike the others.
 NASTY = [
     "a\n1\r2",                   # lone CR between two one-cell rows
     "a\n1\r2\r",
@@ -189,6 +225,13 @@ NASTY = [
     "a,b,c\n1,2,3,4\n5,6\n",     # a long and a short row that add up to the header's width
     "a\n1\n\n2\n",              # a blank line in a one-column file
     "a\n1\n\r\n2\n",
+    "a\n1\n \n\t\n2\n",         # whitespace-only cells in a one-column file
+    "a\r\n1\r\n\r\n \r\n2",
+    "a,b\n1,2\n\n3,4\n",         # a blank line, which np.loadtxt skips
+    "a,b\n1,2\n ,\n3,4\n",
+    "\ufeffa,b\r\n1,2\r\n,4\r\n5,\r\n",  # a byte order mark with CRLF, blank cells at both ends
+    "a,b\n1,2\n3,4",             # no final line end
+    "a,b\n1,2\n3,",
     'a,b\n"1,5",2\n',
     "a,b\n1,2\r",                 # a lone CR ending the file
     "\n1,2\n",                    # a blank header line
@@ -206,12 +249,14 @@ def short_id(text):
     return f"{text[:8]}...{len(text)}chars" if len(text) > 100 else None
 
 
+@pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 @pytest.mark.parametrize("text", NASTY, ids=short_id)
-def test_irregular_files_read_as_the_row_reader_reads_them(tmp_path, text, block_rows):
+def test_irregular_files_read_as_the_row_reader_reads_them(tmp_path, text, block_rows, cpus):
     path = tmp_path / "nasty.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(data, "_BLOCK_ROWS", block_rows), \
+            read_in_ranges(cpus, block_bytes=8 * block_rows):
         assert_same_reading(path)
 
 
@@ -229,31 +274,155 @@ def regular_file(path, n, seed, last=None):
     path.write_text("code,value,small\n" + "\n".join(lines) + "\n", encoding="utf-8")
 
 
-def test_a_regular_file_of_many_blocks_is_cut_without_csv_reader(tmp_path):
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_regular_file_of_many_blocks_is_cut_without_csv_reader(tmp_path, cpus):
+    # junk cells in every range are counted once each, by the range that holds them
     path = tmp_path / "plain.csv"
     regular_file(path, 3 * data._BLOCK_ROWS + 17, seed=1)
     expected = outcome(oracle_load, path, None)
-    with mock.patch.object(data.csv, "reader", side_effect=AssertionError("csv.reader used")):
+    with mock.patch.object(data.csv, "reader", side_effect=AssertionError("csv.reader used")), \
+            read_in_ranges(cpus) as pids:
         new = outcome(new_load, path, None)
-    assert new == expected
+    assert new == expected and len(pids) == cpus - 1
     _, unparsed, short = new
     assert unparsed["code"] > 0 and unparsed["value"] > 0 and "small" not in unparsed
     assert short == 0
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("last, error", [
     ('"1,5",2,3', None),            # a quote: csv.reader reads the whole file
     ("1.0,2.0", None),              # a short row, padded and counted
     ("1.0,2.0,3,4", LongRow),       # a long row, refused with its line
 ])
-def test_an_irregular_last_block_sends_the_whole_file_to_csv_reader(tmp_path, last, error):
+def test_an_irregular_last_block_sends_the_whole_file_to_csv_reader(tmp_path, last, error, cpus):
+    # with 3 CPUs, the last row is in the last range, read by a forked process
     path = tmp_path / "tail.csv"
     regular_file(path, 2 * data._BLOCK_ROWS + 5, seed=2, last=last)
-    new = assert_same_reading(path)
+    parent, parse, parsed_here = os.getpid(), data._parse_range, []
+
+    def counted(*args):
+        if os.getpid() == parent:
+            parsed_here.append(args[2:])
+        return parse(*args)
+
+    with read_in_ranges(cpus) as pids, mock.patch.object(data, "_parse_range", counted):
+        new = assert_same_reading(path)
+    # the first range is parsed here, and nothing is parsed here again
+    assert len(pids) == cpus - 1 and len(parsed_here) == 1
     if error is None:
         assert new[2] == (last == "1.0,2.0")
     else:
         assert new[0] is error and f"line {2 * data._BLOCK_ROWS + 6} has 4 cells" in new[1]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("a,b\n" + "1,2\n" * 50, None),                   # read in 4 ranges
+    ("a,b\n" + "1,2\n" * 50 + '"3",4\n', None),       # irregular: csv.reader reads it
+    ("a,a\n" + "1,2\n" * 50, RepeatedColumn),         # refused before any range is read
+    ("a,b\n" + "1,2\n" * 50 + "inf,4\n", InfiniteCell),  # refused after the ranges are read
+])
+def test_no_process_outlives_a_read(tmp_path, text, error):
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    with read_in_ranges(4) as pids:
+        new = assert_same_reading(path)
+    assert (new[0] is error) if error else not isinstance(new[0], type)
+    assert len(pids) == (0 if error is RepeatedColumn else 3)
+
+
+def test_an_interrupted_read_kills_its_workers(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("a,b\n" + "1,2\n" * 50, encoding="utf-8")
+    parent, parse = os.getpid(), data._parse_range
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse(*args)
+
+    with read_in_ranges(4) as pids, mock.patch.object(data, "_parse_range", interrupted), \
+            pytest.raises(KeyboardInterrupt):
+        load_csv(path)
+    assert len(pids) == 3
+
+
+@pytest.mark.parametrize("when", ["at fork", "before sending", "after sending"])
+def test_a_failed_worker_sends_the_file_to_a_serial_read(tmp_path, when):
+    path = tmp_path / "junk.csv"
+    regular_file(path, 2_000, seed=3)
+    parent, parse, exit_, parsed_here = os.getpid(), data._parse_range, os._exit, []
+
+    def parse_or_fail(*args):
+        if os.getpid() == parent:
+            parsed_here.append(args[2:])
+        elif when == "before sending":
+            exit_(1)
+        return parse(*args)
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    fail = (mock.patch.object(data.os, "_exit", lambda code: exit_(1)) if when == "after sending"
+            else contextlib.nullcontext())
+    with mock.patch.object(data, "_parse_range", parse_or_fail), fail, \
+            read_in_ranges(3, **({"fork": no_fork} if when == "at fork" else {})) as pids:
+        new = assert_same_reading(path)
+    # the first range (unless no worker started), then the whole body, read here
+    assert len(pids) == (0 if when == "at fork" else 2) and new[1]["code"] > 0
+    assert len(parsed_here) == (1 if when == "at fork" else 2)
+    assert parsed_here[-1] == (len("code,value,small\n"), path.stat().st_size)
+
+
+def test_a_warning_about_forking_does_not_reach_the_caller(tmp_path):
+    # Python 3.12 and later warn when a process with live threads (a BLAS
+    # pool) forks
+    path = tmp_path / "in.csv"
+    path.write_text("a,b\n" + "1,2\n" * 20, encoding="utf-8")
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks",
+                      DeprecationWarning)
+        return fork()
+
+    with read_in_ranges(2, fork=warning_fork) as pids, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_csv(path).n_rows == 20
+    assert len(pids) == 1
+
+
+def test_the_cli_reads_a_file_past_the_range_size_in_parallel(tmp_path):
+    # the child counts its forks; its report is the one a serial read gives
+    import gapdecomp
+    from gapdecomp.cli import main
+
+    d = batch_cohort(60_000)
+    write_csv(d, tmp_path / "cohort.csv")
+    assert (tmp_path / "cohort.csv").stat().st_size > 2 * data._RANGE_BYTES
+    config = {"input": str(tmp_path / "cohort.csv"),
+              "bindings": {"outcome": "outcome", "group": "group", "early": ["early"],
+                           "target": "target", "covariate": ["covariate"]},
+              "preprocess": {"missing_indicators": ["covariate"]},
+              "runs": [{"proposition": "P4", "estimator": e} for e in ("SUCCESSIVE", "PLUGIN")],
+              "output": {"report": str(tmp_path / "report.json"),
+                         "table": str(tmp_path / "table.txt")}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    child = ("import os, sys; from gapdecomp.cli import main; "
+             "fork, pids = os.fork, []; "
+             "os.sched_getaffinity = lambda pid: {0, 1}; "
+             "os.fork = lambda: pids.append(fork()) or pids[-1]; "
+             "code = main(['run', sys.argv[1]]); print(len([p for p in pids if p])); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(gapdecomp.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child, str(tmp_path / "config.json")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
+    parallel = [(tmp_path / name).read_bytes() for name in ("report.json", "table.txt")]
+    with mock.patch.object(data, "_RANGE_BYTES", 2**62):
+        assert main(["run", str(tmp_path / "config.json")]) == 0
+    assert parallel == [(tmp_path / name).read_bytes() for name in ("report.json", "table.txt")]
+    assert json.loads(parallel[0])["dataset"]["rows"] == 60_000
 
 
 def test_counts_name_each_column_and_the_short_rows(tmp_path):
@@ -339,16 +508,19 @@ def test_writer_writes_the_row_writers_bytes_and_round_trips(data_, width, n, bl
 
 def test_the_reader_holds_the_file_about_once(tmp_path):
     # each column's parsed blocks are joined and dropped before the next
-    # column is joined: beside the columns, the reader holds one column and
-    # one block's cells, not the whole file a second time
+    # column is joined, and a forked range's values are read into the joined
+    # column from its pipe: beside the columns, the reader holds one column
+    # and its own range's blocks, not the whole file a second time
     path = tmp_path / "batch.csv"
     write_csv(batch_cohort(200_000), path)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        d = load_csv(path)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    with read_in_ranges(2, range_bytes=data._RANGE_BYTES) as pids:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert len(pids) == 1  # the parallel read
     assert peak <= 1.2 * sum(column.nbytes for column in d.columns.values())
 
