@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import itertools
 import math
 import os
+import stat
+import threading
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -281,10 +284,6 @@ class _Irregular(Exception):
     """Lines that only csv.reader cuts into cells as csv.reader would."""
 
 
-class _WorkerFailed(Exception):
-    """A range's process could not be started, or did not send its columns."""
-
-
 def _split_rows(text: str, width: int) -> tuple[list, int]:
     r"""Cells of whole lines, cut with one str.split; raises _Irregular
     unless csv.reader would cut them the same way.
@@ -326,27 +325,30 @@ def _nan_filled(raw: bytes) -> str:
 def _parse_range(path, columns: list[np.ndarray], start: int, end: int) -> list[int]:
     """Parse the whole lines of bytes start..end into `columns`, one row per
     line and `_BLOCK_BYTES` at a time; each column's count of cells that are
-    not numbers. np.loadtxt parses a number as float() does; a block it
-    refuses, or reads at another shape (it skips blank lines), is cut by
-    `_split_rows` and parsed column by column."""
-    unparsed, at = [0] * len(columns), 0
+    not numbers. np.loadtxt parses a number as float() does. Once it refuses
+    a block (a junk or whitespace-only cell), or reads one at another shape
+    (it skips blank lines), that block and the rest of the range are cut by
+    `_split_rows` and parsed column by column, so a file with junk in most
+    blocks pays for no more refused attempts."""
+    unparsed, at, fast = [0] * len(columns), 0, True
     with open(path, "rb") as fh:
         fh.seek(start)
         while data := fh.read(min(_BLOCK_BYTES, end - fh.tell())):
             if not data.endswith(b"\n"):
                 data += fh.readline(end - fh.tell())  # the rest of the block's last line
-            text = _nan_filled(data)
-            lines = text.split("\n")
-            rows = len(lines) - (lines[-1] == "")
+            text = _nan_filled(data) if fast else data.decode()
+            rows = text.count("\n") + (not text.endswith("\n"))
             if at + rows > columns[0].size:
                 raise _Irregular  # the file changed while it was read
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # blank lines alone: "input contained no data"
-                    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                values = None
-            if values is not None and values.shape == (rows, len(columns)):
+            if fast:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # blank lines alone: "input contained no data"
+                        values = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2)
+                    fast = values.shape == (rows, len(columns))
+                except ValueError:
+                    fast = False
+            if fast:
                 for column, value in zip(columns, values.T):
                     column[at:at + rows] = value
             else:
@@ -363,9 +365,11 @@ def _parse_range(path, columns: list[np.ndarray], start: int, end: int) -> list[
 def _ranges(fh, start: int, size: int) -> list[tuple[int, int, int]]:
     """(start, end, rows) of each range of the body's whole lines, one per
     usable CPU at most, each of `_RANGE_BYTES` or more; rows counts line ends
-    and a last line with none."""
+    and a last line with none. There is one range unless os.fork exists and
+    this process runs no other Python thread, which could hold a lock a
+    forked process would wait on for ever."""
     k = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         k = max(1, min(len(os.sched_getaffinity(0)), (size - start) // _RANGE_BYTES))
     bounds = [start]
     for i in range(1, k):
@@ -378,17 +382,18 @@ def _ranges(fh, start: int, size: int) -> list[tuple[int, int, int]]:
     for begin, end in zip(bounds, bounds[1:] + [size]):
         rows = 0
         while data := fh.read(min(_BLOCK_BYTES, end - fh.tell())):
-            rows, last = rows + int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n"))), data[-1:]
+            rows, last = rows + data.count(b"\n"), data[-1:]
         ranges.append((begin, end, rows + (end == size and last != b"\n")))
     return ranges
 
 
 def _fork_range(path, width: int, start: int, end: int, rows: int) -> tuple:
     """(pid, pipe file) of a process that parses the range start..end and then
-    writes to the pipe whether it is irregular and each column's unparsed
-    cells (int64), then each column. It parses before it writes, so it never
-    waits on the reader mid-parse, and it ends in os._exit, so it flushes no
-    output and runs no exit hook of the process it was forked from."""
+    writes to the pipe each column's unparsed cells (int64), then each column;
+    if the range is irregular it writes nothing and exits 2. It parses before
+    it writes, so it never waits on the reader mid-parse, and it ends in
+    os._exit, so it flushes no output and runs no exit hook of the process it
+    was forked from."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -397,20 +402,19 @@ def _fork_range(path, width: int, start: int, end: int, rows: int) -> tuple:
     except OSError:
         os.close(r)
         os.close(w)
-        raise _WorkerFailed from None
+        raise
     if pid == 0:
         code = 1
         try:
             os.close(r)
             columns = [np.empty(rows) for _ in range(width)]
-            try:
-                head = [0, *_parse_range(path, columns, start, end)]
-            except _Irregular:
-                head, columns = [1] * (width + 1), []
+            unparsed = _parse_range(path, columns, start, end)
             with open(w, "wb") as out:
-                for array in (np.array(head, np.int64), *columns):
+                for array in (np.array(unparsed, np.int64), *columns):
                     out.write(array)
             code = 0
+        except _Irregular:
+            code = 2
         finally:
             os._exit(code)
     os.close(w)
@@ -420,23 +424,21 @@ def _fork_range(path, width: int, start: int, end: int, rows: int) -> tuple:
 def _receive(pipe, values: np.ndarray) -> None:
     """Fill `values` with the next bytes of a worker's pipe."""
     if pipe.readinto(memoryview(values).cast("B")) != values.nbytes:
-        raise _WorkerFailed
+        raise EOFError
 
 
-def _reap(workers: list, kill: bool) -> bool:
+def _reap(workers: list, kill: bool) -> set[int]:
     """Wait for each worker, killed first if `kill`, and close its pipe;
-    whether all exited 0."""
-    ok = True
+    their exit codes, -9 for one killed before it exited."""
+    codes = set()
     while workers:
         pid, pipe = workers[-1]
         if kill:
-            import signal  # here, as importing it costs a process about 0.1 MB
-
-            os.kill(pid, signal.SIGKILL)
-        ok &= os.waitpid(pid, 0)[1] == 0
+            os.kill(pid, 9)  # SIGKILL; importing signal costs a process about 0.1 MB
+        codes.add(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         pipe.close()
         workers.pop()
-    return ok
+    return codes
 
 
 def _read_ranges(path, width: int, ranges: list) -> tuple[list[np.ndarray], list[int]]:
@@ -447,26 +449,28 @@ def _read_ranges(path, width: int, ranges: list) -> tuple[list[np.ndarray], list
     it sent all it had. If one fails, the body is read again here alone,
     which gives the same values and counts."""
     ends = list(itertools.accumulate(rows for *_, rows in ranges))
-    columns, workers = [np.empty(ends[-1]) for _ in range(width)], []
+    columns, workers, codes = [np.empty(ends[-1]) for _ in range(width)], [], {1}
     try:
         for start, end, rows in ranges[1:]:
             workers.append(_fork_range(path, width, start, end, rows))
-        heads = [_parse_range(path, [column[:ends[0]] for column in columns], *ranges[0][:2])]
+        unparsed = [_parse_range(path, [column[:ends[0]] for column in columns], *ranges[0][:2])]
         for _, pipe in workers:
-            heads.append(np.empty(width + 1, np.int64))
-            _receive(pipe, heads[-1])
-            if heads[-1][0]:
-                raise _Irregular
+            unparsed.append(np.empty(width, np.int64))
+            _receive(pipe, unparsed[-1])
         for column in columns:
             for (_, pipe), begin, end in zip(workers, ends, ends[1:]):
                 _receive(pipe, column[begin:end])
             column.flags.writeable = False  # owned and frozen, so Dataset keeps it
-        if _reap(workers, kill=False):
-            return columns, np.sum([heads[0], *(head[1:] for head in heads[1:])], axis=0).tolist()
-    except _WorkerFailed:
-        pass
+        codes = _reap(workers, kill=False)
+    except (OSError, EOFError):  # a worker not forked, or ended before it sent all
+        if len(ranges) == 1:
+            raise
     finally:
-        _reap(workers, kill=True)
+        codes |= _reap(workers, kill=True)
+    if codes <= {0}:
+        return columns, np.sum(unparsed, axis=0).tolist()
+    if 2 in codes:
+        raise _Irregular
     return _read_ranges(path, width, [(ranges[0][0], ranges[-1][1], ends[-1])])
 
 
@@ -503,45 +507,57 @@ def _header(names, path) -> list[str]:
     return header
 
 
+def _read_rows(fh, path) -> tuple[list[str], list[np.ndarray], list[int], int]:
+    """`_read_csv`'s header, columns, unparsed cells and short rows, with the
+    binary file `fh` tokenized by csv.reader from where it stands. Each
+    column's blocks are joined and dropped before the next column's, so the
+    file is held about once, plus one column."""
+    limit = csv.field_size_limit(2**31 - 1)  # a cell of any length, as str.split reads it
+    try:
+        with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
+            reader = csv.reader(text)
+            header = _header(next(reader, None), path)
+            parsed, unparsed, short = [[] for _ in header], [0] * len(header), 0
+            for cells, block_short in _csv_blocks(reader, len(header), path):
+                short += block_short
+                for j, column in enumerate(parsed):
+                    values, bad = _parse_cells(cells[j::len(header)])
+                    column.append(values)
+                    unparsed[j] += bad
+                del cells  # not held while the next block is cut
+    finally:
+        csv.field_size_limit(limit)
+    columns = []
+    for column in parsed:
+        columns.append(np.concatenate(column or [np.empty(0)]))
+        column.clear()
+        columns[-1].flags.writeable = False
+    return header, columns, unparsed, short
+
+
 def _read_csv(path) -> tuple[dict[str, np.ndarray], dict[str, int], int]:
     """The columns of a CSV by header name, how many cells of each are not
     numbers, and how many rows are shorter than the header.
 
-    The body is read in `_ranges`. If a quote, a lone CR, a blank line or a
-    row of another width shows in any, csv.reader tokenizes the whole file
-    instead, and each column's blocks are joined and dropped before the next
-    column's, so the reader holds the parsed file about once, plus one column.
+    The body of a regular file is read in `_ranges`. If a quote, a lone CR,
+    a blank line or a row of another width shows in any, and for a pipe,
+    which can be read only once and in order, csv.reader tokenizes the whole
+    file instead (`_read_rows`).
     """
     with open(path, "rb") as fh:
-        line = fh.readline().decode("utf-8-sig")
-        ranges = _ranges(fh, fh.tell(), os.fstat(fh.fileno()).st_size)
-    names = line[:-1].removesuffix("\r")
-    try:
-        if not line.endswith("\n") or '"' in names or "\r" in names or not names:
-            raise _Irregular
-        header = _header(names.split(","), path)
-        (columns, unparsed), short = _read_ranges(path, len(header), ranges), 0
-    except _Irregular:
-        limit = csv.field_size_limit(2**31 - 1)  # a cell of any length, as str.split reads it
+        info = os.fstat(fh.fileno())
+        line = fh.readline().decode("utf-8-sig") if stat.S_ISREG(info.st_mode) else ""
+        names = line[:-1].removesuffix("\r")
         try:
-            with open(path, newline="", encoding="utf-8-sig") as fh:
-                reader = csv.reader(fh)
-                header = _header(next(reader, None), path)
-                parsed, unparsed, short = [[] for _ in header], [0] * len(header), 0
-                for cells, block_short in _csv_blocks(reader, len(header), path):
-                    short += block_short
-                    for j, column in enumerate(parsed):
-                        values, bad = _parse_cells(cells[j::len(header)])
-                        column.append(values)
-                        unparsed[j] += bad
-                    del cells  # not held while the next block is cut
-        finally:
-            csv.field_size_limit(limit)
-        columns = []
-        for column in parsed:
-            columns.append(np.concatenate(column or [np.empty(0)]))
-            column.clear()
-            columns[-1].flags.writeable = False
+            if not line.endswith("\n") or '"' in names or "\r" in names or not names:
+                raise _Irregular
+            header = _header(names.split(","), path)
+            columns, unparsed = _read_ranges(path, len(header), _ranges(fh, fh.tell(), info.st_size))
+            short = 0
+        except _Irregular:
+            if line:
+                fh.seek(0)
+            header, columns, unparsed, short = _read_rows(fh, path)
     if not columns or not columns[0].size:
         raise EmptyFile(f"{path}: header but no data rows")
     return dict(zip(header, columns)), dict(zip(header, unparsed)), short

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -374,6 +375,18 @@ def test_a_failed_worker_sends_the_file_to_a_serial_read(tmp_path, when):
     assert parsed_here[-1] == (len("code,value,small\n"), path.stat().st_size)
 
 
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_a_read_error_is_raised_after_one_serial_retry(tmp_path, cpus):
+    path = tmp_path / "in.csv"
+    path.write_text("a,b\n" + "1,2\n" * 50, encoding="utf-8")
+    with read_in_ranges(cpus) as pids, \
+            mock.patch.object(data, "_parse_range", side_effect=OSError("disk")) as parse, \
+            pytest.raises(OSError, match="disk"):
+        load_csv(path)
+    # in ranges, the forked processes fail too, and the body is read here once more
+    assert len(pids) == cpus - 1 and parse.call_count == (1 if cpus == 1 else 2)
+
+
 def test_a_warning_about_forking_does_not_reach_the_caller(tmp_path):
     # Python 3.12 and later warn when a process with live threads (a BLAS
     # pool) forks
@@ -390,6 +403,49 @@ def test_a_warning_about_forking_does_not_reach_the_caller(tmp_path):
         warnings.simplefilter("error")
         assert load_csv(path).n_rows == 20
     assert len(pids) == 1
+
+
+def test_a_read_beside_another_python_thread_does_not_fork(tmp_path):
+    # a lock the other thread held at the fork would stay held in the child
+    path = tmp_path / "in.csv"
+    path.write_text("a,b\n" + "1,2\n" * 50, encoding="utf-8")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with read_in_ranges(4) as pids:
+            assert_same_reading(path)
+    finally:
+        stop.set()
+        thread.join()
+    assert pids == []
+
+
+@pytest.mark.parametrize("text", ["a,b\n1,2\n,x\n3,4", '"a",b\r\n1,2\r\n\r\n'])
+def test_a_named_pipe_reads_as_a_file_of_its_bytes_does(tmp_path, text):
+    # a pipe can be read only once and in order, so csv.reader reads it
+    path, fifo = tmp_path / "in.csv", tmp_path / "in.fifo"
+    path.write_text(text, encoding="utf-8")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"},
+                              daemon=True)
+    writer.start()
+    with read_in_ranges(4, range_bytes=1) as pids:
+        piped = outcome(new_load, fifo, None)
+    writer.join(timeout=60)
+    assert piped == outcome(oracle_load, path, None) and pids == []
+
+
+def test_a_range_tries_loadtxt_no_more_after_a_refused_block(tmp_path):
+    # junk in the first block: each later block is cut and parsed cell by
+    # cell at once, so a file with junk in most blocks costs no more than that
+    path = tmp_path / "junk.csv"
+    path.write_text("a,b\nN/A,1\n" + "".join(f"{i},{i / 7!r}\n" for i in range(3_000)),
+                    encoding="utf-8")
+    with mock.patch.object(data.np, "loadtxt", side_effect=np.loadtxt) as loadtxt, \
+            read_in_ranges(1, block_bytes=1024):
+        new = assert_same_reading(path)
+    assert loadtxt.call_count == 1 and new[1] == {"a": 1}
 
 
 def test_the_cli_reads_a_file_past_the_range_size_in_parallel(tmp_path):
