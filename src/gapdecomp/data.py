@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import io
 import itertools
-import math
 import os
 import stat
 import threading
@@ -262,11 +262,8 @@ _RANGE_BYTES = 1 << 20
 
 def _parse_cell(text: str) -> float | None:
     """A cell's value: NaN if it is blank, None if it is not a number."""
-    text = text.strip()
-    if not text:
-        return math.nan
     try:
-        return float(text)
+        return float(text.strip() or "nan")
     except ValueError:
         return None
 
@@ -284,29 +281,6 @@ class _Irregular(Exception):
     """Lines that only csv.reader cuts into cells as csv.reader would."""
 
 
-def _split_rows(text: str, width: int) -> tuple[list, int]:
-    r"""Cells of whole lines, cut with one str.split; raises _Irregular
-    unless csv.reader would cut them the same way.
-
-    Each line end becomes a "\n" cell of its own, so column j is
-    ``cells[j::width + 1]``. The cut is csv.reader's only if the lines hold
-    no quote and no line end of another kind (a lone CR, or LF among CRLF),
-    and every "\n" cell sits where a row of `width` cells ends. A blank line
-    in a one-column file passes that test, so it is refused on its own.
-    """
-    sep = "\r\n" if "\r" in text else "\n"
-    body = text[:-len(sep)] if text.endswith(sep) else text
-    joined = body.replace(sep, ",\n,")
-    rows = (len(joined) - len(body)) // (3 - len(sep)) + 1
-    cells = joined.split(",")
-    stride = width + 1
-    if ('"' in joined or "\r" in joined or joined.count("\n") != rows - 1
-            or len(cells) != rows * stride - 1 or cells[width::stride].count("\n") != rows - 1
-            or (width == 1 and "" in cells)):
-        raise _Irregular
-    return cells, stride
-
-
 def _nan_filled(raw: bytes) -> str:
     """Whole lines with "nan" in every blank cell, so np.loadtxt reads each
     cell as csv.reader and float() do; a blank line stays blank. Raises
@@ -322,40 +296,54 @@ def _nan_filled(raw: bytes) -> str:
     return b"nan".join([raw[i:j] for i, j in zip(cuts, cuts[1:])]).decode()
 
 
+def _loadtxt(lines: list[str], converters=None) -> np.ndarray | None:
+    """np.loadtxt of comma-separated lines, or None if it refuses them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # blank lines alone: "input contained no data"
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, converters=converters)
+    except ValueError:
+        return None
+
+
+def _counted_cell(unparsed: list[int], j: int, text: str) -> float | None:
+    """`_parse_cell`, counted in unparsed[j] if it is None (np.loadtxt reads it as NaN)."""
+    try:  # most cells are numbers, or blanks filled with "nan": one call each
+        return float(text)
+    except ValueError:
+        value = _parse_cell(text)
+        unparsed[j] += value is None
+        return value
+
+
 def _parse_range(path, columns: list[np.ndarray], start: int, end: int) -> list[int]:
     """Parse the whole lines of bytes start..end into `columns`, one row per
-    line and `_BLOCK_BYTES` at a time; each column's count of cells that are
-    not numbers. np.loadtxt parses a number as float() does. Once it refuses
-    a block (a junk or whitespace-only cell), or reads one at another shape
-    (it skips blank lines), that block and the rest of the range are cut by
-    `_split_rows` and parsed column by column, so a file with junk in most
-    blocks pays for no more refused attempts."""
-    unparsed, at, fast = [0] * len(columns), 0, True
+    line and `_BLOCK_BYTES` at a time through np.loadtxt; each column's count
+    of cells that are not numbers. np.loadtxt parses a number as float() does.
+    Once it refuses a block (a junk or whitespace-only cell, a ragged row) or
+    reads one at another shape (it skips blank lines), that block and the rest
+    of the range are read with `_counted_cell` as every column's converter, so
+    a file with junk in most blocks pays for no more refused attempts; a block
+    the converters read at another shape too raises _Irregular."""
+    width, at, fast, unparsed = len(columns), 0, True, [0] * len(columns)
+    converters = {j: functools.partial(_counted_cell, unparsed, j) for j in range(width)}
     with open(path, "rb") as fh:
         fh.seek(start)
         while data := fh.read(min(_BLOCK_BYTES, end - fh.tell())):
             if not data.endswith(b"\n"):
                 data += fh.readline(end - fh.tell())  # the rest of the block's last line
-            text = _nan_filled(data) if fast else data.decode()
+            text = _nan_filled(data)
             rows = text.count("\n") + (not text.endswith("\n"))
             if at + rows > columns[0].size:
                 raise _Irregular  # the file changed while it was read
-            if fast:
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")  # blank lines alone: "input contained no data"
-                        values = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2)
-                    fast = values.shape == (rows, len(columns))
-                except ValueError:
-                    fast = False
-            if fast:
-                for column, value in zip(columns, values.T):
-                    column[at:at + rows] = value
-            else:
-                cells, stride = _split_rows(text, len(columns))
-                for j, column in enumerate(columns):
-                    column[at:at + rows], bad = _parse_cells(cells[j::stride])
-                    unparsed[j] += bad
+            values = _loadtxt(text.split("\n")) if fast else None
+            fast = values is not None and values.shape == (rows, width)
+            if not fast:
+                values = _loadtxt(text.split("\n"), converters)
+                if values is None or values.shape != (rows, width):
+                    raise _Irregular
+            for column, value in zip(columns, values.T):
+                column[at:at + rows] = value
             at += rows
     if at != columns[0].size:
         raise _Irregular
@@ -512,7 +500,7 @@ def _read_rows(fh, path) -> tuple[list[str], list[np.ndarray], list[int], int]:
     binary file `fh` tokenized by csv.reader from where it stands. Each
     column's blocks are joined and dropped before the next column's, so the
     file is held about once, plus one column."""
-    limit = csv.field_size_limit(2**31 - 1)  # a cell of any length, as str.split reads it
+    limit = csv.field_size_limit(2**31 - 1)  # a cell of any length, as np.loadtxt reads it
     try:
         with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
             reader = csv.reader(text)

@@ -48,6 +48,8 @@ _MAX_ITER = 100
 _COEF_TOL = 1e-10
 _DEVIANCE_TOL = 1e-12
 _DIVERGENCE_NORM = 1e3
+#: Below this logistic deviance each row's own outcome has fitted p > 1/2: complete separation.
+_SEPARATED_DEVIANCE = 2 * math.log(2)
 
 
 @dataclass(frozen=True)
@@ -407,10 +409,11 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
     Separation
         No finite maximizer: either the coefficient sup-norm exceeded 1e3
         while step sizes stopped shrinking, or the norm grew monotonically
-        for 40 straight iterations. Newton iterates are scale-equivariant,
-        so a fit with a finite optimum reaches it (and stops growing) in
-        far fewer steps regardless of column scaling; only a likelihood
-        increasing along a ray keeps the norm growing indefinitely.
+        for 40 straight iterations, or the fit ended at a deviance below
+        2·ln 2, which only complete separation allows. Newton iterates are
+        scale-equivariant, so a fit with a finite optimum reaches it (and
+        stops growing) in far fewer steps regardless of column scaling; only
+        a likelihood increasing along a ray keeps the norm growing.
     UnknownColumn
         `y` does not have one cell per design row.
     NonFiniteCell, NotConverged, RankDeficient
@@ -459,9 +462,14 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
                 f"{norm:.3g}; the likelihood has no finite maximizer)"
             )
         previous_norm = norm
-        if step < _COEF_TOL or abs(deviance - new_deviance) < _DEVIANCE_TOL:
-            return CoefficientSet(labels, beta, deviance=new_deviance, n_iter=iteration)
+        converged = step < _COEF_TOL or abs(deviance - new_deviance) < _DEVIANCE_TOL
+        if converged:
+            break
         deviance = new_deviance
         previous_step = step
-
-    raise NotConverged(f"logistic fit did not converge in {_MAX_ITER} iterations")
+    if new_deviance < _SEPARATED_DEVIANCE:
+        raise Separation(f"logistic fit separates the outcome (deviance {new_deviance:.3g} "
+                         f"after {iteration} iterations; no finite maximizer)")
+    if not converged:
+        raise NotConverged(f"logistic fit did not converge in {_MAX_ITER} iterations")
+    return CoefficientSet(labels, beta, deviance=new_deviance, n_iter=iteration)

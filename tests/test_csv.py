@@ -213,9 +213,9 @@ def test_column_reader_matches_the_row_reader_bitwise(text, block_rows, cpus, ro
         assert_same_reading(path, roles)
 
 
-#: Files a str.split or np.loadtxt reading gets wrong unless it sends them
-#: to csv.reader or cuts them cell by cell, and files whose first or last
-#: range is unlike the others.
+#: Files np.loadtxt reads wrong unless it sends them to csv.reader or reads
+#: them with its counting converters, and files whose first or last range is
+#: unlike the others.
 NASTY = [
     "a\n1\r2",                   # lone CR between two one-cell rows
     "a\n1\r2\r",
@@ -237,7 +237,12 @@ NASTY = [
     "a,b\n1,2\r",                 # a lone CR ending the file
     "\n1,2\n",                    # a blank header line
     "a,b\n\n",
-    # cells longer than csv.reader's default limit, on the split and the csv.reader path
+    # junk in the first block, so later blocks are read by the converter
+    # call, which refuses a long row, a short row and a blank line
+    "a,b\nN/A,1\n" + "1,2\n" * 8 + "1,2,3\n7,8\n",
+    "a,b\nN/A,1\n" + "1,2\n" * 8 + "7\n8,9\n",
+    "a,b\nN/A,1\n" + "1,2\n" * 8 + "\n7,8\n",
+    # cells longer than csv.reader's default limit, on the np.loadtxt and the csv.reader path
     "a,b\n1," + "x" * 200_000 + "\n",
     'a,b\n"1",' + "x" * 200_000 + "\n",
     'a,b\n"1",0.' + "0" * 140_000 + "25\n",
@@ -437,15 +442,17 @@ def test_a_named_pipe_reads_as_a_file_of_its_bytes_does(tmp_path, text):
 
 
 def test_a_range_tries_loadtxt_no_more_after_a_refused_block(tmp_path):
-    # junk in the first block: each later block is cut and parsed cell by
-    # cell at once, so a file with junk in most blocks costs no more than that
+    # junk in the first block: that block and each later one are read by
+    # the converter call at once, so a file with junk in most blocks pays for
+    # one refused plain call per range
     path = tmp_path / "junk.csv"
     path.write_text("a,b\nN/A,1\n" + "".join(f"{i},{i / 7!r}\n" for i in range(3_000)),
                     encoding="utf-8")
     with mock.patch.object(data.np, "loadtxt", side_effect=np.loadtxt) as loadtxt, \
             read_in_ranges(1, block_bytes=1024):
         new = assert_same_reading(path)
-    assert loadtxt.call_count == 1 and new[1] == {"a": 1}
+    plain = [call.kwargs["converters"] is None for call in loadtxt.call_args_list]
+    assert plain == [True] + [False] * (len(plain) - 1) and len(plain) > 2 and new[1] == {"a": 1}
 
 
 def test_the_cli_reads_a_file_past_the_range_size_in_parallel(tmp_path):
@@ -517,6 +524,7 @@ def test_reading_leaves_the_csv_cell_limit_as_it_found_it(tmp_path, text):
 
 @pytest.mark.parametrize("body", ["1.0,0\n2.0,1\n", '"1.0",0\n2.0,1\n'], ids=["split", "csv.reader"])
 def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, body):
+    # the first body is read in ranges by np.loadtxt, the quoted one by csv.reader
     f = tmp_path / "bom.csv"
     f.write_bytes(b"\xef\xbb\xbf" + ("outcome,group\n" + body).encode("utf-8"))
     d = load_csv(f, {"outcome": "outcome", "group": "group"})

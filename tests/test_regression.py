@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import dataset_from
 from gapdecomp import DesignMatrix, fit_logistic, fit_ols
@@ -387,34 +387,48 @@ def qr_irls(design, y):
             divergence_run = 0
         previous_norm = norm
         if step < 1e-10 or abs(deviance - new_deviance) < 1e-12:
-            return CoefficientSet(
-                design.labels, beta, deviance=new_deviance,
-                n_iter=iteration, converged=True,
-            )
+            break
         deviance = new_deviance
         previous_step = step
+    else:
+        iteration = None
+    # below 2 ln 2, every row's fitted probability of its own outcome is above 1/2
+    if new_deviance < 2 * math.log(2):
+        raise Separation(f"logistic fit separates the outcome (deviance {new_deviance:.3g})")
+    if iteration is None:
+        raise NotConverged("logistic fit did not converge in 100 iterations")
+    return CoefficientSet(
+        design.labels, beta, deviance=new_deviance, n_iter=iteration, converged=True,
+    )
 
-    raise NotConverged("logistic fit did not converge in 100 iterations")
 
-
-@st.composite
-def logistic_problems(draw):
-    """(design, y, column scales): 0-5 regressors, normal or 0/1, each scaled
-    by 10**[-3, 3]; prevalence 2-50%, with about 40 events per column."""
-    k = draw(st.integers(0, 5))
-    prevalence = draw(st.floats(0.02, 0.5))
-    scales = 10.0 ** np.array([draw(st.floats(-3.0, 3.0)) for _ in range(k)])
-    kinds = [draw(st.booleans()) for _ in range(k)]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def logistic_problem(prevalence, log_scales, kinds, seed):
+    """(design, y, column scales): one regressor per kind, normal if True
+    and 0/1 if not, scaled by 10**log_scale; about 40 events per column."""
+    k = len(kinds)
+    scales = 10.0 ** np.array(log_scales, dtype=float)
+    rng = np.random.default_rng(seed)
     n = max(300, int(40 * (k + 1) / prevalence))
     raw = [rng.normal(size=n) if kind else (rng.random(n) < 0.3).astype(float) for kind in kinds]
     slopes = rng.uniform(-0.8, 0.8, size=k)
     eta = sum((b * col for b, col in zip(slopes, raw)), np.zeros(n))
     eta += np.log(prevalence / (1.0 - prevalence)) - eta.mean()
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    assume(10 <= y.sum() <= n - 10)
     mat = np.column_stack([np.ones(n), *(c * s for c, s in zip(raw, scales))])
     return DesignMatrix((INTERCEPT, *(f"x{j}" for j in range(k))), mat), y, scales
+
+
+@st.composite
+def logistic_problems(draw):
+    """`logistic_problem`s of 0-5 regressors, each scaled by 10**[-3, 3];
+    prevalence 2-50%."""
+    k = draw(st.integers(0, 5))
+    prevalence = draw(st.floats(0.02, 0.5))
+    log_scales = [draw(st.floats(-3.0, 3.0)) for _ in range(k)]
+    kinds = [draw(st.booleans()) for _ in range(k)]
+    problem = logistic_problem(prevalence, log_scales, kinds, draw(st.integers(0, 2**32 - 1)))
+    assume(10 <= problem[1].sum() <= problem[1].size - 10)
+    return problem
 
 
 @settings(max_examples=40, deadline=None)
@@ -434,6 +448,10 @@ def test_gram_newton_matches_the_qr_irls(problem):
 
 @settings(max_examples=25, deadline=None)
 @given(logistic_problems(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.5))
+# separated designs whose deviance stops changing, or whose fit runs out of
+# iterations, before either divergence rule fires
+@example(problem=logistic_problem(0.5, [1, -3, 0], [False] * 3, 4), seed=4, share=0.25)
+@example(problem=logistic_problem(0.5, [2, -1], [True, False], 1), seed=1, share=0.5)
 def test_both_steps_refuse_a_separated_design(problem, seed, share):
     dm, _, _ = problem
     assume(dm.matrix.shape[1] > 1)
