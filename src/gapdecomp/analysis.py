@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .data import Dataset, Role, normalize_roles
+from .data import Dataset, Role, is_integer, normalize_roles
 from .errors import DegenerateInitial, InvalidSpec
 
 
@@ -129,11 +129,6 @@ class AnalysisSpec:
         bound = d.with_roles({**d.roles, **normalize_roles(self.bindings)}) if self.bindings else d
         validate_spec(self, bound)
         return bound
-
-
-def is_integer(value) -> bool:
-    """An integer that is not a bool (JSON `true` loads as Python True)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_finite_number(value) -> bool:

@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import itertools
+import numbers
 import os
 import stat
 import threading
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import (
     EmptyFile,
     InfiniteCell,
+    InvalidSpec,
     LongRow,
     MissingColumn,
     NonBinaryGroup,
@@ -65,6 +67,11 @@ def _as_role(key) -> Role:
         raise UnknownColumn(f"unknown role: {key!r}") from None
 
 
+def is_integer(value) -> bool:
+    """An integer that is not a bool (JSON `true` loads as Python True)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def normalize_roles(roles: Mapping) -> dict[Role, tuple[str, ...]]:
     out: dict[Role, tuple[str, ...]] = {}
     for key, value in roles.items():
@@ -95,8 +102,8 @@ class Dataset:
     column tuple to the `TriangularFactor` of its analysis sample, (tuple, q)
     and (tuple, "prevalence") to that sample's logistic fits and 0/1 check
     (`parametric`), (max_levels, outcome, group, dimension tuples…) to a
-    plug-in sample's row mask and `StratumTable`. `with_roles` keeps the
-    columns, so it shares the memo; `take` and `with_columns` start an empty one.
+    plug-in sample's `StratumTable`. `with_roles` keeps the columns, so it
+    shares the memo; `take` and `with_columns` start an empty one.
     """
 
     columns: Mapping[str, np.ndarray]
@@ -633,7 +640,7 @@ def first_principal_component(d: Dataset, columns: Sequence[str]) -> np.ndarray:
             "missing cells in principal-component inputs; run add_missing_indicators first"
         )
     sd = mat.std(axis=0, ddof=1)
-    flat = [name for name, s in zip(columns, sd) if s == 0.0]
+    flat = [name for name, s in zip(columns, sd) if not s > 0.0]  # NaN: fewer than 2 rows
     if flat:
         raise ZeroVariance(f"constant column(s): {', '.join(flat)}")
     z = (mat - mat.mean(axis=0)) / sd
@@ -653,8 +660,8 @@ def quantile_bin(d: Dataset, columns: Sequence[str], bins: int = 5) -> Dataset:
     edges (heavily tied data) are collapsed, so fewer than `bins` codes can
     result. Missing cells stay missing.
     """
-    if bins < 2:
-        raise ZeroVariance("quantile binning needs at least 2 bins")
+    if not (is_integer(bins) and bins >= 2):
+        raise InvalidSpec(f"quantile binning needs an integer number of bins >= 2, got {bins!r}")
     new = {}
     for name in columns:
         values = d.column(name)

@@ -243,8 +243,8 @@ def bootstrap_runs(
     """Bootstrap several runs, drawing each replicate's row indices once for all of them.
 
     Each run is resolved once on the full sample and reads a replicate from
-    its indices (`engine.replicates`): a plug-in run bincounts the full
-    sample's cell codes there; a SUCCESSIVE or PRODUCT run factors the full
+    its indices (`engine.replicates`): a plug-in run bincounts its
+    estimate's cell codes there; a SUCCESSIVE or PRODUCT run factors the full
     sample's columns at the replicate's analysis rows, once per replicate and
     analysis sample, and fits a rare outcome's logistic models once per
     replicate too; an "interactions" run factors each group's rows. `full`
@@ -254,7 +254,7 @@ def bootstrap_runs(
     that run's replicate warnings as it does.
     """
     statistics, stacks = [lambda data, spec=spec: estimate(data, spec) for spec in specs], {}
-    return _bootstrap_each(d, statistics, lambda i, draw: replicates(d, specs[i], b, stacks, draw),
+    return _bootstrap_each(d, statistics, lambda i, draw: replicates(d, specs[i], stacks, draw),
                            b, seed, stratify_by_group, full)
 
 

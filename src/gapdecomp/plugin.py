@@ -5,16 +5,17 @@ with weights taken from whichever group's distribution the intervention
 equalizes. All of them are read from one table per analysis sample, which
 the dataset's memo shares among the runs over the same columns: each row
 gets one integer cell code over (group, early, target, confounder,
-covariate), and two ``np.bincount`` calls over it give every cell's count
-and outcome sum. A proposition is one contraction of that table (P2 and P5
-read their default anchor off its group-1 early margin): each probability
-is counts over their marginal along an axis, each cell mean is sums over
-counts. A dimension with no bound column is a size-1 pseudo-level
-axis, so the plain propositions (P1-P4) and their confounder-aware versions
-(P5-P7) run the same contraction over identically shaped tables; a constant
-confounder yields the same codes and sums as none, and collapses to the
-plain answer bit-for-bit. The contraction takes a leading replicate axis,
-and an estimate is its one-replicate case (bootstrap: `Replicates`).
+covariate), and two ``np.bincount`` calls over the codes of any rows give
+every cell's count and outcome sum (`StratumTable.cells`). A proposition is
+one contraction of that table (P2 and P5 read their default anchor off its
+group-1 early margin): each probability is counts over their marginal along
+an axis, each cell mean is sums over counts. A dimension with no bound
+column is a size-1 pseudo-level axis, so the plain propositions (P1-P4) and
+their confounder-aware versions (P5-P7) run the same contraction over
+identically shaped tables; a constant confounder yields the same codes and
+sums as none, and collapses to the plain answer bit-for-bit. The
+contraction takes a leading replicate axis, and an estimate is the
+replicate drawn at the sample's own rows (bootstrap: `Replicates`).
 
 Continuous early/target columns must be discretized first (see
 ``data.quantile_bin``); strata are never dropped silently — a needed cell
@@ -85,20 +86,19 @@ class StratumTable:
 
     Dimensions: "early" (joint tuple over the early columns), "target",
     "confounder", "covariate" (joint tuple). A row's cell code (`code`, one
-    per analysis row) combines its group and its level index in each
-    dimension; ``np.bincount`` of the code, unweighted and weighted by the
-    outcome, fills the public (2, X, M, L, C) arrays `counts` and `sums`,
-    indexed by group and then by position in `levels[dim]`. A dimension
-    with no columns is a single all-rows pseudo-level, a size-1 axis that is
-    always present. `rows` selects the analysis sample: normally the
-    boolean mask of its rows, or an index array; `columns` maps each
-    dimension to its column names.
+    per dataset row) combines its group and its level index in each
+    dimension, or is the dump cell just past the last outside the sample.
+    `cells(idx)` bincounts the codes at rows `idx` into (2, X, M, L, C)
+    counts and outcome sums, indexed by group and then by position in
+    `levels[dim]`; `counts` and `sums` are the cells of the sample's rows.
+    A dimension with no columns is a single all-rows pseudo-level, a size-1
+    axis that is always present. `rows` selects the analysis sample: the
+    boolean mask of its rows, or an index array (a repeated row counts each
+    time); `columns` maps each dimension to its column names.
 
     The code is built in place, one dimension at a time, in the smallest
-    unsigned type that holds the cells so far, and the outcome is gathered
-    only for the weighted bincount, so beside the dataset a build holds the
-    code and one dimension's level indices, then the code and the outcome.
-    The dataset's memo shares a table (`_sample`), so its arrays are read-only.
+    unsigned type that holds the cells so far. The dataset's memo shares a
+    table (`_sample`), so its arrays are read-only.
     """
 
     def __init__(self, d: Dataset, rows: np.ndarray, columns: Mapping[str, Sequence[str]],
@@ -112,13 +112,20 @@ class StratumTable:
             code = code.astype(np.min_scalar_type(size), copy=False)  # so the product cannot wrap
             code *= len(levels)
             code += inverse
-        shape = (2,) + tuple(len(self.levels[dim]) for dim in _DIMENSIONS)
-        self.code = code
-        self.counts = np.bincount(code, minlength=size).reshape(shape)
-        outcome = d.column(d.single_role_column(Role.OUTCOME))[rows]
-        self.sums = np.bincount(code, weights=outcome, minlength=size).reshape(shape)
+        self.shape = (2,) + tuple(len(self.levels[dim]) for dim in _DIMENSIONS)
+        self.code = np.full(d.n_rows, size, np.min_scalar_type(size))
+        self.code[rows] = code
+        self.outcome = d.column(d.single_role_column(Role.OUTCOME))
+        self.counts, self.sums = self.cells(rows)
         for arr in (self.code, self.counts, self.sums):
             arr.flags.writeable = False
+
+    def cells(self, idx: np.ndarray):
+        """The counts and outcome sums of dataset rows `idx`, summed in their
+        order, each repeat counted; rows outside the sample are dropped."""
+        code, size = self.code[idx], math.prod(self.shape)
+        return tuple(np.bincount(code, weights, size + 1)[:size].reshape(self.shape)
+                     for weights in (None, self.outcome[idx]))
 
     def _describe(self, group, pairs) -> str:
         parts = [f"group={int(group)}" if group is not None else "group=any"]
@@ -141,9 +148,8 @@ def _dimension_columns(d: Dataset, prop: Proposition) -> dict[str, tuple[str, ..
     }
 
 
-def _sample(d: Dataset, spec: AnalysisSpec):
-    """A plug-in run's bound dataset, and its analysis-row mask and table,
-    memoized in the dataset's memo by the columns they read and `max_levels`."""
+def _sample(d: Dataset, spec: AnalysisSpec) -> StratumTable:
+    """A plug-in run's table, memoized in `d`'s memo by the columns it reads and `max_levels`."""
     bound = spec.resolve(d, Estimator.PLUGIN)
     columns = _dimension_columns(bound, spec.proposition)
     outcome, group = bound.single_role_column(Role.OUTCOME), bound.single_role_column(Role.GROUP)
@@ -151,9 +157,8 @@ def _sample(d: Dataset, spec: AnalysisSpec):
     key = (max_levels, outcome, group, *columns.values())  # no int last: that is a logistic fit's
     if key not in bound._memo:
         mask = analysis_rows(bound, [outcome, group, *(n for names in columns.values() for n in names)])
-        mask.flags.writeable = False
-        bound._memo[key] = mask, StratumTable(bound, mask, columns, max_levels)
-    return bound, *bound._memo[key]
+        bound._memo[key] = StratumTable(bound, mask, columns, max_levels)
+    return bound._memo[key]
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -306,7 +311,7 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     the whole table. With outcome family RARE_BINARY the same three means
     are reported as ratios.
     """
-    table = _sample(d, spec)[2]
+    table = _sample(d, spec)
     (result,) = _estimates(table, spec, table.counts[None], table.sums[None])
     if isinstance(result, AnalysisError):
         raise result
@@ -314,30 +319,17 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
 
 
 class Replicates:
-    """A plug-in run over b bootstrap replicates, each given as its row indices into `d`.
+    """A plug-in run over bootstrap replicates, each given as its row indices into
+    `d`. A replicate is the cells of its estimate's table (`_sample`) at its
+    indices, as the estimate is at the sample's own rows; `finish` contracts all."""
 
-    Its full-sample mask and table are its estimate's (`_sample`). A
-    replicate's counts and sums are two bincounts of the cell codes at its
-    indices, rows outside the analysis sample in one dropped dump cell: each
-    cell adds the rows its own table would count, in the same order. They
-    fill its row of the (b, cells) tables; `finish` contracts all at once.
-    """
-
-    def __init__(self, d: Dataset, spec: AnalysisSpec, b: int):
-        self.spec, self.drawn, (bound, mask, self.table) = spec, 0, _sample(d, spec)
-        size = self.table.counts.size
-        self.code = np.full(d.n_rows, size, np.min_scalar_type(size))
-        self.code[mask] = self.table.code
-        self.outcome = bound.column(bound.single_role_column(Role.OUTCOME))
-        shape = (b, *self.table.counts.shape)
-        self.counts, self.sums = np.zeros(shape, np.intp), np.zeros(shape)
+    def __init__(self, d: Dataset, spec: AnalysisSpec):
+        self.spec, self.table, self.drawn = spec, _sample(d, spec), []
 
     def __call__(self, idx: np.ndarray, shared=None) -> None:
-        code, size = self.code[idx], self.table.counts.size
-        self.counts[self.drawn].flat = np.bincount(code, minlength=size + 1)[:size]
-        self.sums[self.drawn].flat = np.bincount(code, weights=self.outcome[idx], minlength=size + 1)[:size]
-        self.drawn += 1
+        self.drawn.append(self.table.cells(idx))
 
     def finish(self) -> list:
         """Each replicate's estimate, or the AnalysisError that ends it."""
-        return _estimates(self.table, self.spec, self.counts, self.sums)
+        counts, sums = (np.stack(arrays) for arrays in zip(*self.drawn))
+        return _estimates(self.table, self.spec, counts, sums)

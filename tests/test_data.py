@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gapdecomp import (
 from gapdecomp.errors import (
     EmptyFile,
     InfiniteCell,
+    InvalidSpec,
     LongRow,
     MissingColumn,
     NonBinaryGroup,
@@ -331,6 +334,14 @@ def test_pca_errors():
         first_principal_component(nan, ["a", "b"])
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_pca_of_fewer_than_two_rows_is_refused(n):
+    # the sample standard deviation is NaN there, not 0
+    d = dataset_from({"a": np.arange(n), "b": np.arange(n)}, {})
+    with pytest.warns(RuntimeWarning), pytest.raises(ZeroVariance, match="a, b"):
+        first_principal_component(d, ["a", "b"])
+
+
 # -- quantile binning ---------------------------------------------------------
 
 
@@ -347,6 +358,13 @@ def test_quantile_bin_levels_and_nan():
     # bins are quantile-balanced on continuous data
     counts = [int((finite == k).sum()) for k in range(4)]
     assert max(counts) - min(counts) <= 2
+
+
+@pytest.mark.parametrize("bins", [2.5, 2.0, "3", True, 1, 0])
+def test_quantile_bin_refuses_a_bin_count_it_cannot_honour_by_name(bins):
+    d = dataset_from({"y": np.zeros(6), "x": np.arange(6)}, {"outcome": "y"})
+    with pytest.raises(InvalidSpec, match=f"integer number of bins >= 2, got {re.escape(repr(bins))}$"):
+        quantile_bin(d, ["x"], bins=bins)
 
 
 def test_quantile_bin_few_distinct_values():

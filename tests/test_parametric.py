@@ -575,7 +575,7 @@ def read_replicates(d, spec, replicates):
     from gapdecomp.engine import replicates as route_of
     from gapdecomp.parametric import LinearReplicates
 
-    route = route_of(d, spec, len(replicates), {}, replicates.__getitem__)
+    route = route_of(d, spec, {}, replicates.__getitem__)
     assert isinstance(route, LinearReplicates)
     for idx in replicates:
         route(idx, {})

@@ -282,6 +282,19 @@ def test_boolean_rows_give_the_same_table_as_their_indices():
     assert by_mask.counts.sum() == int(keep.sum())
 
 
+def test_a_table_over_repeated_rows_counts_each_as_a_take_does():
+    d = covariate_dataset(seed=31)
+    idx = np.random.default_rng(32).integers(0, d.n_rows, d.n_rows)
+    columns = {"early": ("early",), "target": ("target",), "confounder": (),
+               "covariate": ("covariate",)}
+    drawn = StratumTable(d, idx, columns)
+    taken = StratumTable(d.take(idx), np.arange(idx.size), columns)
+    assert np.unique(idx).size < idx.size and drawn.counts.sum() == idx.size
+    assert drawn.levels == taken.levels
+    assert np.array_equal(drawn.counts, taken.counts)
+    assert np.array_equal(drawn.sums, taken.sums)
+
+
 def test_saturated_regression_mean_model_matches_cell_means():
     d = generate(random_discrete_params(np.random.default_rng(10)), 900, seed=11)
     fitted = d.with_columns({"outcome": saturated_fit(d)})
@@ -513,7 +526,7 @@ def test_a_replicate_anchors_at_the_nearest_level_it_observes():
     d = d.with_columns({"x": x})
     spec = AnalysisSpec("P2", "PLUGIN", conditioning_value_x=2.0)
     replicates = [np.flatnonzero(x != 2.0), np.arange(d.n_rows), np.flatnonzero(x != 2.0)[::-1]]
-    run = Replicates(d, spec, len(replicates))
+    run = Replicates(d, spec)
     for idx in replicates:
         run(idx, {})
     notes = []
@@ -598,9 +611,9 @@ def test_plugin_runs_over_the_same_columns_share_one_table(monkeypatch):
     assert [estimate_fields(e) for e in shared] == [estimate_fields(e) for e in fresh]
 
     # handed out by the memo: read-only, and the cell code in its smallest unsigned type
-    _, mask, table = _sample(d, AnalysisSpec("P6", "PLUGIN"))
+    table = _sample(d, AnalysisSpec("P6", "PLUGIN"))
     assert len(builds) == 2 + len(props)
-    for arr in (mask, table.code, table.counts, table.sums):
+    for arr in (table.code, table.counts, table.sums):
         assert not arr.flags.writeable
     assert table.code.dtype == np.min_scalar_type(table.counts.size) == np.uint8
 
@@ -614,6 +627,27 @@ def test_a_plugin_bootstrap_builds_no_table_beyond_its_estimates(monkeypatch):
     alone = [summary.as_dict() for summary in bootstrap_runs(
         Dataset(dict(d.columns), dict(d.roles)), specs, b=30, seed=4)]
     assert shared == alone
+
+
+@pytest.mark.parametrize("prop", ["P1", "P2", "P3", "P4", "P5", "P6", "P7"])
+def test_the_replicate_of_every_row_is_the_estimate(prop):
+    # blank outcome and covariate cells put some rows in the dump cell
+    d, spec = batch_cohort(3000), AnalysisSpec(prop, "PLUGIN")
+    run = Replicates(d, spec)
+    run(np.arange(d.n_rows))
+    assert run.table.counts.sum() < d.n_rows
+    (got,) = run.finish()
+    want = plugin_mu(d, spec)
+    assert (got.initial, got.residual, got.reduction, got.notes) == (
+        want.initial, want.residual, want.reduction, want.notes)
+
+
+def test_estimates_and_replicates_count_cells_through_one_call(monkeypatch):
+    calls, cells = [], StratumTable.cells
+    monkeypatch.setattr(StratumTable, "cells", lambda self, idx: calls.append(idx) or cells(self, idx))
+    specs = [AnalysisSpec("P3", "PLUGIN"), AnalysisSpec("P7", "PLUGIN")]
+    list(bootstrap_runs(batch_cohort(3000), specs, b=5, seed=4))
+    assert len(calls) == 2 + 2 * 5
 
 
 def test_bindings_share_the_table_and_new_columns_do_not(monkeypatch):
@@ -659,7 +693,7 @@ def test_the_anchor_read_off_the_table_picks_the_level_nearest_the_row_mean():
     assert plugin_mu(d, spec).notes[0] == (
         f"anchored at early-measure stratum {nearest_to_row_mean(np.arange(n))}")
     replicates = [rng.integers(0, n, n) for _ in range(8)]
-    run = Replicates(d, spec, len(replicates))
+    run = Replicates(d, spec)
     for idx in replicates:
         run(idx, {})
     assert [e.notes[0] for e in run.finish()] == [
