@@ -195,6 +195,11 @@ def validate_spec(spec: AnalysisSpec, d: Dataset) -> None:
     for role in (Role.OUTCOME, Role.GROUP):
         if not d.role_columns(role):
             raise InvalidSpec(f"spec requires a bound {role.value} column")
+    if spec.outcome_family == OutcomeFamily.RARE_BINARY:
+        outcome = d.single_role_column(Role.OUTCOME)
+        y = d.column(outcome)
+        if ((y != 0.0) & (y != 1.0) & (y == y)).any():  # y == y: not missing
+            raise InvalidSpec(f"RARE_BINARY outcome column {outcome!r} must be 0/1 in every non-missing cell")
     if not d.role_columns(Role.EARLY):
         raise InvalidSpec("spec requires at least one early-measure column")
     cvx = spec.conditioning_value_x

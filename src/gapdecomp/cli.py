@@ -44,7 +44,7 @@ from .data import (
 )
 from .data import write_csv as _write_csv
 from .engine import estimate
-from .errors import AnalysisError, ConfigError, UnreadCells
+from .errors import AnalysisError, ConfigError, NotUtf8, UnreadCells
 from .inference import DEFAULT_REPLICATES, bootstrap_runs, bootstrap_statistic
 from .oaxaca import interaction_model_estimates, proposition_via_oaxaca
 from .regression import DesignMatrix, fit_logistic, fit_ols
@@ -215,15 +215,8 @@ def _prepare_dataset(cfg: RunConfig) -> Dataset:
     late = {role: names for role, names in roles.items() if made.intersection(names)}
     try:
         d = load_csv(cfg.input, {role: names for role, names in roles.items() if role not in late})
-    except OSError as exc:
+    except (OSError, NotUtf8) as exc:
         raise ConfigError(f"cannot read input {cfg.input!r}: {exc}") from exc
-    except UnicodeDecodeError:
-        with open(cfg.input, "rb") as fh:  # decoded whole, so offsets count from the file's start
-            try:
-                fh.read().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"cannot read input {cfg.input!r}: byte {exc.start} is not UTF-8") from None
-        raise
     if pre.get("missing_indicators"):
         d = add_missing_indicators(d, pre["missing_indicators"])
     if pca is not None:

@@ -31,6 +31,7 @@ from .errors import (
     LongRow,
     MissingColumn,
     NonBinaryGroup,
+    NotUtf8,
     RepeatedColumn,
     TooFewColumns,
     UnknownColumn,
@@ -58,15 +59,6 @@ _SINGLE_COLUMN_ROLES = (Role.OUTCOME, Role.GROUP, Role.TARGET, Role.CONFOUNDER_L
 _SEARCH_ROWS = 10_000
 
 
-def _as_role(key) -> Role:
-    if isinstance(key, Role):
-        return key
-    try:
-        return Role(str(key).lower())
-    except ValueError:
-        raise UnknownColumn(f"unknown role: {key!r}") from None
-
-
 def is_integer(value) -> bool:
     """An integer that is not a bool (JSON `true` loads as Python True)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -75,7 +67,10 @@ def is_integer(value) -> bool:
 def normalize_roles(roles: Mapping) -> dict[Role, tuple[str, ...]]:
     out: dict[Role, tuple[str, ...]] = {}
     for key, value in roles.items():
-        role = _as_role(key)
+        try:
+            role = key if isinstance(key, Role) else Role(str(key).lower())
+        except ValueError:
+            raise UnknownColumn(f"unknown role: {key!r}") from None
         names = (value,) if isinstance(value, str) else tuple(value)
         if role in _SINGLE_COLUMN_ROLES and len(names) != 1:
             raise UnknownColumn(f"role {role.value} takes exactly one column, got {names}")
@@ -100,7 +95,7 @@ class Dataset:
     `_memo` holds what is computed from the columns, keyed by the columns
     read: a column name maps to its levels and row codes (`level_codes`), a
     column tuple to the `TriangularFactor` of its analysis sample, (tuple, q)
-    and (tuple, "prevalence") to that sample's logistic fits and 0/1 check
+    and (tuple, "prevalence") to that sample's logistic fits and outcome mean
     (`parametric`), (max_levels, outcome, group, dimension tuples…) to a
     plug-in sample's `StratumTable`. `with_roles` keeps the columns, so it
     shares the memo; `take` and `with_columns` start an empty one.
@@ -256,9 +251,7 @@ class Dataset:
 
 # -- CSV ------------------------------------------------------------------
 
-#: Rows csv.reader tokenizes, and write_csv writes, at a time. Larger blocks
-#: parse no faster, and the small objects a block churns stay resident: a
-#: 10k-row bootstrap run peaked 1.1 MB higher with 2048-row blocks than with these.
+#: Rows csv.reader tokenizes, and write_csv writes, at a time (larger blocks parse no faster).
 _BLOCK_ROWS = 1536
 #: Bytes of whole lines parsed at a time outside csv.reader.
 _BLOCK_BYTES = 1 << 16
@@ -267,21 +260,24 @@ _BLOCK_BYTES = 1 << 16
 _RANGE_BYTES = 1 << 20
 
 
-def _parse_cell(text: str) -> float | None:
-    """A cell's value: NaN if it is blank, None if it is not a number."""
-    try:
-        return float(text.strip() or "nan")
-    except ValueError:
-        return None
+def _counted_cell(unparsed: list[int], j: int, text: str) -> float:
+    """A cell's value: NaN if it is blank, and NaN counted in unparsed[j] if it is not a number."""
+    try:  # most cells are numbers, or blanks filled with "nan": one call each
+        return float(text)
+    except ValueError:  # float() does not strip the separators \x1c-\x1f, as str.strip() does
+        try:
+            return float(text.strip() or "nan")
+        except ValueError:
+            unparsed[j] += 1
+            return np.nan
 
 
-def _parse_cells(cells: list) -> tuple[np.ndarray, int]:
-    """One column's block of cells: its values, and how many are not numbers."""
+def _parse_cells(cells: list, unparsed: list[int], j: int) -> np.ndarray:
+    """One column's block of cells, those not numbers counted in unparsed[j]."""
     try:  # "nan" reads as a blank cell does, so blanks keep the block in C
-        return np.fromiter(map(float, [text or "nan" for text in cells]), float, len(cells)), 0
+        return np.fromiter(map(float, [text or "nan" for text in cells]), float, len(cells))
     except ValueError:  # padded or junk cells: parse this block cell by cell
-        values = list(map(_parse_cell, cells))
-        return np.array(values, dtype=float), values.count(None)  # None reads as NaN
+        return np.fromiter(map(functools.partial(_counted_cell, unparsed, j), cells), float, len(cells))
 
 
 class _Irregular(Exception):
@@ -311,16 +307,6 @@ def _loadtxt(lines: list[str], converters=None) -> np.ndarray | None:
             return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, converters=converters)
     except ValueError:
         return None
-
-
-def _counted_cell(unparsed: list[int], j: int, text: str) -> float | None:
-    """`_parse_cell`, counted in unparsed[j] if it is None (np.loadtxt reads it as NaN)."""
-    try:  # most cells are numbers, or blanks filled with "nan": one call each
-        return float(text)
-    except ValueError:
-        value = _parse_cell(text)
-        unparsed[j] += value is None
-        return value
 
 
 def _parse_range(path, columns: list[np.ndarray], start: int, end: int) -> list[int]:
@@ -408,7 +394,7 @@ def _fork_range(path, width: int, start: int, end: int, rows: int) -> tuple:
                 for array in (np.array(unparsed, np.int64), *columns):
                     out.write(array)
             code = 0
-        except _Irregular:
+        except (_Irregular, UnicodeDecodeError):
             code = 2
         finally:
             os._exit(code)
@@ -502,7 +488,17 @@ def _header(names, path) -> list[str]:
     return header
 
 
-def _read_rows(fh, path) -> tuple[list[str], list[np.ndarray], list[int], int]:
+class _Counted(io.BufferedReader):
+    """A binary file that counts the bytes `read1` hands out: TextIOWrapper reads by it."""
+    handed = 0
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self.handed += len(data)
+        return data
+
+
+def _read_rows(fh: _Counted, path) -> tuple[list[str], list[np.ndarray], list[int], int]:
     """`_read_csv`'s header, columns, unparsed cells and short rows, with the
     binary file `fh` tokenized by csv.reader from where it stands. Each
     column's blocks are joined and dropped before the next column's, so the
@@ -516,10 +512,10 @@ def _read_rows(fh, path) -> tuple[list[str], list[np.ndarray], list[int], int]:
             for cells, block_short in _csv_blocks(reader, len(header), path):
                 short += block_short
                 for j, column in enumerate(parsed):
-                    values, bad = _parse_cells(cells[j::len(header)])
-                    column.append(values)
-                    unparsed[j] += bad
+                    column.append(_parse_cells(cells[j::len(header)], unparsed, j))
                 del cells  # not held while the next block is cut
+    except UnicodeDecodeError as err:  # err.object ends at the last byte handed out
+        raise NotUtf8(f"byte {fh.handed - len(err.object) + err.start} is not UTF-8") from None
     finally:
         csv.field_size_limit(limit)
     columns = []
@@ -534,22 +530,28 @@ def _read_csv(path) -> tuple[dict[str, np.ndarray], dict[str, int], int]:
     """The columns of a CSV by header name, how many cells of each are not
     numbers, and how many rows are shorter than the header.
 
-    The body of a regular file is read in `_ranges`. If a quote, a lone CR,
-    a blank line or a row of another width shows in any, and for a pipe,
-    which can be read only once and in order, csv.reader tokenizes the whole
-    file instead (`_read_rows`).
+    The body of a regular file, less its blank last lines, is read in
+    `_ranges`. If the header leaves a quote open, if a quote, a lone CR, a
+    blank line, a row of another width or a byte that is not UTF-8 shows in
+    any, and for a pipe, which can be read only once and in order, csv.reader
+    tokenizes the whole file instead (`_read_rows`).
     """
-    with open(path, "rb") as fh:
+    with _Counted(io.FileIO(path)) as fh:
         info = os.fstat(fh.fileno())
-        line = fh.readline().decode("utf-8-sig") if stat.S_ISREG(info.st_mode) else ""
-        names = line[:-1].removesuffix("\r")
+        line = fh.readline() if stat.S_ISREG(info.st_mode) else b""
         try:
-            if not line.endswith("\n") or '"' in names or "\r" in names or not names:
+            names = next(csv.reader([line[:-1].removesuffix(b"\r").decode("utf-8-sig")], strict=True))
+            if not line.endswith(b"\n") or not names:
                 raise _Irregular
-            header = _header(names.split(","), path)
-            columns, unparsed = _read_ranges(path, len(header), _ranges(fh, fh.tell(), info.st_size))
+            header = _header(names, path)
+            body = fh.tell()
+            at = fh.seek(max(body, info.st_size - _BLOCK_BYTES))
+            tail = fh.read(_BLOCK_BYTES)  # blank last lines are cut, as csv.reader skips them
+            cut = tail.find(b"\n", len(tail.rstrip(b"\r\n")))
+            end = info.st_size if cut < 0 else at + cut + 1
+            columns, unparsed = _read_ranges(path, len(header), _ranges(fh, body, end))
             short = 0
-        except _Irregular:
+        except (_Irregular, csv.Error, UnicodeDecodeError):  # csv.Error: a header's open quote, lone CR
             if line:
                 fh.seek(0)
             header, columns, unparsed, short = _read_rows(fh, path)
@@ -569,7 +571,7 @@ def load_csv(path, role_declarations: Mapping | None = None) -> Dataset:
 
     Raises
     ------
-    EmptyFile, InfiniteCell, LongRow, MissingColumn, NonBinaryGroup, RepeatedColumn
+    EmptyFile, InfiniteCell, LongRow, MissingColumn, NonBinaryGroup, NotUtf8, RepeatedColumn
     """
     columns, unparsed, short_rows = _read_csv(path)
     d = Dataset(columns, normalize_roles(role_declarations or {}))

@@ -32,6 +32,10 @@ class EmptyFile(AnalysisError):
     """The CSV has no header or no data rows."""
 
 
+class NotUtf8(AnalysisError):
+    """A CSV byte that is not UTF-8, named by its offset from the file's first byte."""
+
+
 class LongRow(AnalysisError):
     """A CSV data row has more cells than its header names (a quoting or
     delimiter mismatch); no cell of it can be trusted to its column."""

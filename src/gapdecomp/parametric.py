@@ -18,16 +18,16 @@ outcome fits and exponentiated onto the ratio scale.
 `sample_factor` memoizes R keyed by the ordered column tuple (r, c…, x…, m,
 y), which also fixes the analysis rows (those complete in every listed
 column); beside it go the logistic outcome fits, keyed by (that tuple, q),
-and the 0/1 check and prevalence of their outcome, keyed by (that tuple,
-"prevalence"). The full sample's memo is the Dataset's `_memo`: each key
-names the columns its value is read from, so every run over the same
-columns shares one factor and its fits, whatever roles bind them. A
-bootstrap replicate is its row indices into the full sample. A linear run
-reads all replicates at once (`LinearReplicates`): the ladder and product
-splits run over a stack of their factors, which `regression.WhitenedGrams`
-builds, with a leading replicate axis, and an estimate is the case of one
-factor. Other runs read a replicate's analysis rows from its indices, and
-the runs of one replicate share its own memo.
+and the prevalence of their outcome, keyed by (that tuple, "prevalence").
+The full sample's memo is the Dataset's `_memo`: each key names the columns
+its value is read from, so every run over the same columns shares one
+factor and its fits, whatever roles bind them. A bootstrap replicate is its
+row indices into the full sample. A linear run reads all replicates at once
+(`LinearReplicates`): the ladder and product splits run over a stack of
+their factors, which `regression.WhitenedGrams` builds, with a leading
+replicate axis, and an estimate is the case of one factor. Other runs read
+a replicate's analysis rows from its indices, and the runs of one replicate
+share its own memo.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .analysis import (
     Scale,
 )
 from .data import Dataset, Role
-from .errors import AnalysisError, InvalidSpec, NearZeroDenominator, PrevalenceWarning
+from .errors import AnalysisError, NearZeroDenominator, PrevalenceWarning
 from .regression import (
     INTERCEPT,
     CoefficientSet,
@@ -237,16 +237,12 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
             rows = analysis_rows(d, columns, idx)
             return rows, d.column(run.y)[rows]
 
-        key = (columns, "prevalence")
-        if key not in memo:  # None: an outcome that is not 0/1
-            y = sample()[1]
-            memo[key] = None if np.any((y != 0.0) & (y != 1.0)) else float(y.mean())
-        prevalence = memo[key]
-        if prevalence is None:
-            raise InvalidSpec("rare-binary outcome column must be 0/1")
-        if prevalence > RARE_PREVALENCE_LIMIT:
+        key = (columns, "prevalence")  # validate_spec has checked that the outcome is 0/1
+        if key not in memo:
+            memo[key] = float(sample()[1].mean())
+        if memo[key] > RARE_PREVALENCE_LIMIT:
             notes.append(
-                f"outcome prevalence {prevalence:.3f} exceeds "
+                f"outcome prevalence {memo[key]:.3f} exceeds "
                 f"{RARE_PREVALENCE_LIMIT:.2f}; ratio-scale results rest on a "
                 "rare-outcome approximation and may be distorted"
             )
@@ -277,23 +273,24 @@ class LinearReplicates:
     """A linear SUCCESSIVE or PRODUCT run over bootstrap replicates, given as
     row indices into `d`, replicate k's by `draw(k)`. The runs of one
     bootstrap over the same columns share in `stacks` one `WhitenedGrams`,
-    which the first of them adds each replicate to, and the memos of the
-    replicates refitted at their own rows; `finish` reads every replicate
-    off the stack's factors at once, by the algebra an estimate runs."""
+    which the first of them (`owner`) adds each replicate to, and the memos
+    of the replicates refitted at their own rows; `finish` reads every
+    replicate off the stack's factors at once, by the algebra an estimate runs."""
 
     def __init__(self, d: Dataset, spec: AnalysisSpec, stacks: dict, draw):
         self.d, self.spec, self.draw, run = d, spec, draw, _Run(d)
-        if run.columns not in stacks:
+        self.owner = run.columns not in stacks
+        if self.owner:
             stacks[run.columns] = (WhitenedGrams(run.factor, [1.0, *map(d.column, run.columns)],
                                                  analysis_rows(d, run.columns)), {})
-        self.key, (self.grams, self.memos) = (run.columns, "whitened"), stacks[run.columns]
+        self.grams, self.memos = stacks[run.columns]
 
     def __call__(self, idx: np.ndarray, shared: dict) -> None:
-        if shared.setdefault(self.key, self) is self:  # no run over these columns added it yet
+        if self.owner:
             self.grams.add(idx)
 
     def finish(self) -> list:
-        """Each replicate's four reported quantities, or the AnalysisError
+        """Each replicate's estimate (`DecompositionEstimate.of`), or the AnalysisError
         that ends it. `_decompose` refits replicate k at its own rows (`exact`)
         where its condition number passes WHITEN_LIMIT, its P4 denominator is
         within 100 times of the refusal threshold, its initial disparity is
@@ -304,24 +301,23 @@ class LinearReplicates:
         spreads within 1e-13 relative, those of fits of each replicate's rows."""
         def read(k):
             try:
-                estimate = _decompose(self.d, self.spec, self.draw(k), self.memos.setdefault(k, {}))
+                return _decompose(self.d, self.spec, self.draw(k), self.memos.setdefault(k, {}))
             except AnalysisError as err:
                 return err
-            return {name: getattr(estimate, name) for name in QUANTITIES}
 
         factor, condition = self.grams.factors
-        run = _Run(self.d, factor)
+        run, spec = _Run(self.d, factor), self.spec
         with np.errstate(divide="ignore", invalid="ignore"):  # as a `near` replicate may
-            initial, residual, reduction = run.split(self.spec, lambda q: factor.fit(run.y, q))
+            initial, residual, reduction = run.split(spec, lambda q: factor.fit(run.y, q))
             error = np.finfo(float).eps * condition * _slope_scale(factor, run.y, run.r)
-            proportion = (initial - residual) / initial
         self.exact = (condition > WHITEN_LIMIT) | run.near | ~(abs(initial) > np.maximum(
             1e13 * error, 1e-10))
-        outcomes = [read(k) if self.exact[k] else dict(zip(QUANTITIES, values))
-                    for k, values in enumerate(zip(initial, residual, reduction, proportion))]
+        outcomes = [read(k) if self.exact[k] else DecompositionEstimate.of(
+            spec.proposition, Scale.ADDITIVE, *values, spec.estimator.value)
+            for k, values in enumerate(zip(initial, residual, reduction))]
         for name in QUANTITIES:
-            values = np.array([np.nan if isinstance(o, AnalysisError) or o[name] is None
-                               else o[name] for o in outcomes])
+            values = np.array([None if isinstance(o, AnalysisError) else getattr(o, name)
+                               for o in outcomes], float)  # None reads as NaN
             ordered = np.sort(values[~np.isnan(values)])
             if ordered.size < 2:
                 continue

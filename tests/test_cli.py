@@ -766,6 +766,22 @@ def test_an_input_that_is_not_utf8_is_refused_with_its_byte_offset(tmp_path, cap
     assert not (tmp_path / "report.json").exists() and not (tmp_path / "table.txt").exists()
 
 
+def test_a_rare_binary_plugin_run_on_a_continuous_outcome_is_refused_before_any_estimate(
+        tmp_path, capsys, monkeypatch):
+    import gapdecomp.plugin as plugin
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate was started for a refused request")
+
+    monkeypatch.setattr(plugin, "analysis_rows", no_estimate)
+    write_cohort(tmp_path, dataclasses.replace(DISCRETE, y_intercept=3.0), n=4000)
+    cfg = write_config(tmp_path, runs=[
+        {"proposition": "P1", "estimator": "PLUGIN", "outcome_family": "RARE_BINARY"}])
+    assert main(["run", str(cfg)]) == 2
+    assert "runs[0] (P1, PLUGIN): RARE_BINARY outcome column 'outcome' must be 0/1" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "table.txt").exists()
+
+
 def test_an_input_saved_with_a_byte_order_mark_runs(tmp_path, capsys):
     path = write_cohort(tmp_path, n=300)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())

@@ -30,8 +30,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import batch_cohort
 from gapdecomp import Dataset, data, load_csv, write_csv
 from gapdecomp.data import normalize_roles
-from gapdecomp.errors import (AnalysisError, EmptyFile, InfiniteCell, LongRow, RepeatedColumn,
-                             UnreadCells)
+from gapdecomp.errors import (AnalysisError, EmptyFile, InfiniteCell, LongRow, NotUtf8,
+                             RepeatedColumn, UnreadCells)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -134,6 +134,13 @@ def assert_same_reading(path, roles=None):
     new = outcome(new_load, path, roles)
     assert new == outcome(oracle_load, path, roles)
     return new
+
+
+def ranged_reading(path, roles=None):
+    """`outcome` of load_csv with `_read_rows` patched to fail, so that the
+    ranged route must have read the file: csv.reader tokenizes no line of it."""
+    with mock.patch.object(data, "_read_rows", side_effect=AssertionError("read by csv.reader")):
+        return outcome(new_load, path, roles)
 
 
 @contextlib.contextmanager
@@ -285,14 +292,83 @@ def test_a_regular_file_of_many_blocks_is_cut_without_csv_reader(tmp_path, cpus)
     # junk cells in every range are counted once each, by the range that holds them
     path = tmp_path / "plain.csv"
     regular_file(path, 3 * data._BLOCK_ROWS + 17, seed=1)
-    expected = outcome(oracle_load, path, None)
-    with mock.patch.object(data.csv, "reader", side_effect=AssertionError("csv.reader used")), \
-            read_in_ranges(cpus) as pids:
-        new = outcome(new_load, path, None)
-    assert new == expected and len(pids) == cpus - 1
+    with read_in_ranges(cpus) as pids:
+        new = ranged_reading(path)
+    assert new == outcome(oracle_load, path, None) and len(pids) == cpus - 1
     _, unparsed, short = new
     assert unparsed["code"] > 0 and unparsed["value"] > 0 and "small" not in unparsed
     assert short == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("crlf", [False, True])
+@pytest.mark.parametrize("blank", ["\n", "\r\n", "\n\n\n", "\r\n\r\n", "\n\r\n"])
+def test_blank_last_lines_keep_the_ranged_read(tmp_path, blank, crlf, cpus):
+    # csv.reader skips them, so they are cut before the body is split in ranges
+    path = tmp_path / "blank.csv"
+    regular_file(path, 2 * data._BLOCK_ROWS + 5, seed=4)
+    text = path.read_bytes()
+    path.write_bytes((text.replace(b"\n", b"\r\n") if crlf else text) + blank.encode())
+    with read_in_ranges(cpus) as pids:
+        new = ranged_reading(path)
+    assert new == outcome(oracle_load, path, None) and len(pids) == cpus - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("header", ['"code","value","small"',  # as R's write.csv writes it
+                                    ' "code" ,value,"small"',
+                                    '"co""de",value,small'])
+def test_a_quoted_header_keeps_the_ranged_read(tmp_path, header, cpus):
+    path = tmp_path / "quoted.csv"
+    regular_file(path, 2 * data._BLOCK_ROWS + 5, seed=5)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(header + text[text.index("\n"):], encoding="utf-8")
+    with read_in_ranges(cpus) as pids:
+        new = ranged_reading(path)
+    assert new == outcome(oracle_load, path, None) and len(pids) == cpus - 1
+
+
+@pytest.mark.parametrize("text", ['a,"b\n1,2\n3,4"\n5,6\n',  # a quote left open to line 3
+                                  'x","a\n1,2\n',                 # ... and to the end
+                                  '"a"b,c\n1,2\n'])               # text after a closing quote
+def test_a_header_that_leaves_a_quote_open_is_read_by_csv_reader(tmp_path, text):
+    path = tmp_path / "open.csv"
+    path.write_text(text, encoding="utf-8")
+    with read_in_ranges(3):
+        assert_same_reading(path)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("where", ["header", "header after a byte order mark", "first range",
+                                   "last range", "csv.reader"])
+def test_a_byte_that_is_not_utf8_is_refused_with_its_offset_in_the_file(tmp_path, where, cpus):
+    # with 3 CPUs the last range is read by a forked process; a quoted cell
+    # sends the file to csv.reader, which decodes it 8 KiB at a time
+    lines = [b"code,value,small"] + [b"%d,%d.5,%d" % (i % 2, i, i % 7) for i in range(3000)]
+    at = 0 if "header" in where else 10 if where == "first range" else 2990
+    lines[at] = lines[at].replace(b",", b",caf\xe9", 1)
+    if where == "csv.reader":
+        lines[1] = b'"0",0.5,0'
+    raw = (b"\xef\xbb\xbf" if "mark" in where else b"") + b"\n".join(lines) + b"\n"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(raw)
+    offset = raw.index(b"\xe9")
+    with read_in_ranges(cpus) as pids, pytest.raises(NotUtf8, match=f"^byte {offset} is not UTF-8$"):
+        load_csv(path)
+    assert len(pids) == (0 if "header" in where else cpus - 1)
+
+
+def test_a_piped_byte_that_is_not_utf8_is_refused_with_its_offset(tmp_path):
+    raw = b"a,b\n" + b"1,2\n" * 3000 + b"3,caf\xe9\n"  # within a pipe's buffer
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+    writer.start()
+    offset = raw.index(b"\xe9")
+    with pytest.raises(NotUtf8, match=f"^byte {offset} is not UTF-8$"):
+        load_csv(fifo)
+    writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

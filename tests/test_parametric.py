@@ -14,7 +14,7 @@ from gapdecomp import (
     estimate,
     generate,
 )
-from gapdecomp.analysis import validate_spec
+from gapdecomp.analysis import QUANTITIES, validate_spec
 from gapdecomp.errors import InvalidSpec, NearZeroDenominator, PrevalenceWarning
 
 
@@ -502,7 +502,7 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
     shared = [estimate(d, spec) for spec in specs]
     assert len(calls) == 3  # PRODUCT's outcome model is SUCCESSIVE's full model
     fits = {key: fit for key, fit in d._memo.items() if isinstance(key[-1], int)}
-    # and one factor, and one outcome check
+    # and one factor, and one outcome prevalence
     assert len(set(calls)) == 3 and len(fits) == 3 and len(d._memo) == 5
     for fit in fits.values():
         assert not fit.values.flags.writeable
@@ -540,7 +540,7 @@ def test_a_rare_binary_sample_is_read_once_and_warned_of_per_estimate(monkeypatc
         warnings.simplefilter("always")
         ests = [estimate(d, AnalysisSpec("P4", family, outcome_family="RARE_BINARY"))
                 for family in ("SUCCESSIVE", "PRODUCT")]
-    # the factor and the outcome check each read the rows once; the second run reads neither
+    # the factor and the prevalence each read the rows once; the second run reads neither
     assert len(calls) == 2
     assert [issubclass(w.category, PrevalenceWarning) for w in caught] == [True, True]
     for est in ests:
@@ -594,8 +594,8 @@ def assert_read_as_taken(d, spec, replicates):
             assert type(got) is type(err) and str(got) == str(err)
             kinds.append(type(err).__name__)
             continue
-        for key, value in got.items():
-            assert value == pytest.approx(getattr(want, key), rel=1e-12)
+        for key in QUANTITIES:
+            assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12)
         kinds.append("estimate")
     return kinds
 

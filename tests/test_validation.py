@@ -1,6 +1,7 @@
 """validate_spec is the one gate: every entry point refuses, by name, a request
 it cannot answer as written, before any estimate is computed."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -30,9 +31,14 @@ RARE = StructuralParams(
 )
 
 
-def rare_cohort(early_columns=1):
+def rare_cohort(kind=1):
+    """The rare-outcome cohort with `kind` early columns (1 or 2), or with a
+    continuous outcome in its place ("continuous")."""
+    if kind == "continuous":
+        return generate(dataclasses.replace(RARE, binary_outcome=False, outcome_prevalence=None),
+                        2000, seed=61)
     d = generate(RARE, 2000, seed=61)
-    if early_columns == 1:
+    if kind == 1:
         return d
     return d.with_columns({"early2": d.column("early") ** 2},
                           roles={"early": ["early", "early2"]})
@@ -56,12 +62,17 @@ def plugin_only(prop, family):
         f"{prop} is implemented by the PLUGIN estimator only; SUCCESSIVE and PRODUCT answer P1-P4"
 
 
+def not_binary(family):
+    return estimate, AnalysisSpec("P1", family, "RARE_BINARY"), "continuous", \
+        "RARE_BINARY outcome column 'outcome' must be 0/1 in every non-missing cell"
+
+
 def bound_twice(family, **options):
     return estimate, AnalysisSpec("P3", family, bindings={"target": "early"}, options=options), \
         1, "column 'early' is bound more than once, as early and target"
 
 
-@pytest.mark.parametrize("entry,spec,early_columns,named", [
+@pytest.mark.parametrize("entry,spec,kind,named", [
     bad_option("SUCCESSIVE", "interactions", "no"),
     bad_option("PRODUCT", "interactions", 1),
     bad_option("PLUGIN", "max_levels", 2.7),
@@ -93,11 +104,14 @@ def bound_twice(family, **options):
     bound_twice("SUCCESSIVE"),
     bound_twice("PRODUCT"),
     bound_twice("SUCCESSIVE", interactions=True),
+    not_binary("SUCCESSIVE"),
+    not_binary("PRODUCT"),
+    not_binary("PLUGIN"),
 ])
 def test_an_unanswerable_request_is_refused_by_name_before_any_estimate(
-    monkeypatch, entry, spec, early_columns, named
+    monkeypatch, entry, spec, kind, named
 ):
-    d = rare_cohort(early_columns)
+    d = rare_cohort(kind)
 
     def no_estimate(*args, **kwargs):
         raise AssertionError("an estimate was started for a refused request")
