@@ -26,6 +26,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import sys
 import typing
 import warnings
@@ -45,7 +46,7 @@ from .data import (
 from .data import write_csv as _write_csv
 from .engine import estimate
 from .errors import AnalysisError, ConfigError, NotUtf8, UnreadCells
-from .inference import DEFAULT_REPLICATES, bootstrap_runs, bootstrap_statistic
+from .inference import bootstrap_runs, bootstrap_statistic
 from .oaxaca import interaction_model_estimates, proposition_via_oaxaca
 from .regression import DesignMatrix, fit_logistic, fit_ols
 from .simulate import StructuralParams, generate
@@ -63,7 +64,7 @@ class RunConfig:
     bindings: dict
     runs: tuple[AnalysisSpec, ...]
     preprocess: dict = dataclasses.field(default_factory=dict)  # as in _SCHEMA
-    bootstrap: dict | None = None  # {"replicates": int, "seed": int, "stratify_by_group": bool}
+    bootstrap: dict | None = None  # {"replicates": int, "seed": int, "stratify_by_group": bool}, as written
     report_path: str = "report.json"
     table_path: str = "table.txt"
 
@@ -139,6 +140,17 @@ def _check(value, keys: dict, path, location: str = "", required=()) -> None:
             raise ConfigError(f"{where}: {key!r} must be {rule[1]}, got {item!r}")
 
 
+def _read_json(path, what: str):
+    """The JSON value in file `path`; ConfigError naming `what` if it cannot be read or parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a run config into one AnalysisSpec per run.
 
@@ -146,15 +158,10 @@ def load_config(path) -> RunConfig:
     a value only the CLI reads, or for a run naming no known proposition,
     estimator or outcome family. Never touches the dataset: ``execute``
     checks each run against it with `validate_spec`. The input, the report
-    and the table must be three different files.
+    and the table must be three different files, and neither output a
+    directory or in a directory that does not exist.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    raw = _read_json(path, "config")
     _check(raw, _SCHEMA, path, required=("input", "bindings", "runs"))
 
     runs = []
@@ -188,6 +195,8 @@ def load_config(path) -> RunConfig:
         other = seen.setdefault(os.path.realpath(name), key)
         if other != key:
             raise ConfigError(f"{path}: {key!r} names the same file as {other!r}: {name!r}")
+        if key != "input" and (os.path.isdir(name or ".") or not os.path.isdir(os.path.dirname(name) or ".")):
+            raise ConfigError(f"{path}: {key!r} must name a file in a directory that exists: {name!r}")
     return RunConfig(
         input=paths["input"],
         bindings=raw["bindings"],
@@ -325,16 +334,11 @@ def execute(cfg: RunConfig) -> dict:
         run_reports.append(entry)
         ests.append(est)
 
+    # any bootstrap object asks for one, a missing key at `bootstrap_runs`' default;
     # each replicate is drawn once, and every run with an estimate is read from it
-    boot_cfg = cfg.bootstrap or {}
-    live = [i for i, est in enumerate(ests) if boot_cfg and est is not None]
-    results = bootstrap_runs(
-        d, [cfg.runs[i] for i in live],
-        b=boot_cfg.get("replicates", DEFAULT_REPLICATES),
-        seed=boot_cfg.get("seed", 0),
-        stratify_by_group=boot_cfg.get("stratify_by_group", False),
-        full=[ests[i] for i in live],
-    )
+    boot = {"b" if key == "replicates" else key: value for key, value in (cfg.bootstrap or {}).items()}
+    live = [i for i, est in enumerate(ests) if cfg.bootstrap is not None and est is not None]
+    results = bootstrap_runs(d, [cfg.runs[i] for i in live], full=[ests[i] for i in live], **boot)
     for entry in (run_reports[i] for i in live):
         summary = _recorded(entry, lambda: next(results))
         if summary is not None:
@@ -389,15 +393,22 @@ def render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(where: str, name: str, write) -> None:
+    """write(name), an OSError raised as a ConfigError naming `where` and the path."""
+    try:
+        write(name)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {where} {name!r}: {exc}") from exc
+
+
 def run(config_path) -> int:
     cfg = load_config(config_path)
     report = execute(cfg)
     text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-    with open(cfg.report_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
     table = render_table(report)
-    with open(cfg.table_path, "w", encoding="utf-8") as fh:
-        fh.write(table)
+    for where, name, content in (("output.report", cfg.report_path, text),
+                                 ("output.table", cfg.table_path, table)):
+        _write(where, name, lambda path: pathlib.Path(path).write_text(content, encoding="utf-8"))
     sys.stdout.write(table)
     failed = [r for r in report["runs"] if r["error"] is not None]
     for r in failed:
@@ -584,17 +595,11 @@ def selfcheck() -> int:
 
 
 def generate_csv(params_path, out_path) -> int:
-    try:
-        with open(params_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read params {params_path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{params_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    raw = _read_json(params_path, "params")
     _check(raw, _GENERATE, params_path)
     n, seed = raw.pop("n", 1000), raw.pop("seed", 0)
     d = generate(StructuralParams(**raw), n, seed=seed)
-    _write_csv(d, out_path)
+    _write("output CSV", out_path, lambda path: _write_csv(d, path))
     sys.stdout.write(f"wrote {d.n_rows} rows x {len(d.columns)} columns to {out_path}\n")
     return 0
 

@@ -78,6 +78,11 @@ def normalize_roles(roles: Mapping) -> dict[Role, tuple[str, ...]]:
     return out
 
 
+def memoized(memo: dict, key: tuple, build):
+    """memo[key], built by `build()` and stored there on first use."""
+    return memo[key] if key in memo else memo.setdefault(key, build())
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable table of float columns plus a role map.
@@ -92,13 +97,15 @@ class Dataset:
     frozen by `take`) is kept as is; any other input is copied once.
     Infinite cells are refused.
 
-    `_memo` holds what is computed from the columns, keyed by the columns
-    read: a column name maps to its levels and row codes (`level_codes`), a
-    column tuple to the `TriangularFactor` of its analysis sample, (tuple, q)
-    and (tuple, "prevalence") to that sample's logistic fits and outcome mean
-    (`parametric`), (max_levels, outcome, group, dimension tuples…) to a
-    plug-in sample's `StratumTable`. `with_roles` keeps the columns, so it
-    shares the memo; `take` and `with_columns` start an empty one.
+    `_memo` holds what is computed from the columns, each entry built once by
+    `memoized` under a key naming its kind, then the columns it reads:
+    ("levels", column) a column's levels and row codes (`level_codes`);
+    ("factor", columns) the `TriangularFactor` of [1, columns…] over their
+    analysis rows, ("group factors", group, columns) one per group, and
+    ("logistic fit", columns, q) and ("prevalence", columns) (`parametric`);
+    ("table", max_levels, outcome, group, dimensions…) a `StratumTable`. A
+    bootstrap replicate's go into its own memo. `with_roles` keeps the
+    columns, so it shares the memo; `take` and `with_columns` start anew.
     """
 
     columns: Mapping[str, np.ndarray]
@@ -189,7 +196,7 @@ class Dataset:
         in bits (0.0 and -0.0, NaN payloads) is sorted per call instead, since
         which of them ``np.unique`` keeps depends on the rows.
         """
-        if name not in self._memo:
+        def build():
             values = self.column(name)
             levels = np.sort(values)
             distinct = np.ones(levels.size, bool)
@@ -209,8 +216,8 @@ class Dataset:
             for arr in (levels, codes):
                 if arr is not None:
                     arr.flags.writeable = False  # handed out as they are
-            self._memo[name] = (levels, codes)
-        levels, codes = self._memo[name]
+            return levels, codes
+        levels, codes = memoized(self._memo, ("levels", name), build)
         if codes is None:
             subset, inverse = np.unique(self.column(name)[rows], return_inverse=True)
             return subset, inverse.astype(np.min_scalar_type(levels.size))

@@ -36,8 +36,7 @@ def replicates(d: Dataset, spec: AnalysisSpec, stacks: dict, draw):
     if spec.estimator == Estimator.PLUGIN:
         return Replicates(d, spec)
     bound = spec.resolve(d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
-    if spec.option("interactions"):
-        return lambda idx, memo: _stratified(bound, spec, idx)
-    if spec.outcome_family == OutcomeFamily.RARE_BINARY:
-        return lambda idx, memo: _decompose(bound, spec, idx, memo)
+    if spec.option("interactions") or spec.outcome_family == OutcomeFamily.RARE_BINARY:
+        route = _stratified if spec.option("interactions") else _decompose
+        return lambda idx, memo: route(bound, spec, idx, memo)
     return LinearReplicates(bound, spec, stacks, draw)

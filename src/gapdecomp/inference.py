@@ -245,9 +245,9 @@ def bootstrap_runs(
     Each run is resolved once on the full sample and reads a replicate from
     its indices (`engine.replicates`): a plug-in run bincounts its
     estimate's cell codes there; a SUCCESSIVE or PRODUCT run factors the full
-    sample's columns at the replicate's analysis rows, once per replicate and
-    analysis sample, and fits a rare outcome's logistic models once per
-    replicate too; an "interactions" run factors each group's rows. `full`
+    sample's columns at the replicate's analysis rows, or each group's rows
+    of them with "interactions", once per replicate and analysis sample, and
+    fits a rare outcome's logistic models once per replicate too. `full`
     may hold the runs' full-sample estimates, which are then not computed
     again. A generator: per spec it yields what ``bootstrap(d, spec, ...)``
     alone returns, bitwise, or the AnalysisError that ended it, and issues

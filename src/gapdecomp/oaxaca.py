@@ -8,7 +8,9 @@ conditioning variables the split is marginal: the same algebra, with each
 auxiliary fit intercept-only.
 
 Each group's analysis rows are factored once: one triangular factor R of
-[1, conditioning…, explanatory…, y] (see regression.py). Every stratified
+[1, conditioning…, explanatory…, y] (see regression.py), which
+`parametric.sample_factor` builds and memoizes as it does the pooled
+families' factors, so runs over the same columns share it. Every stratified
 quantity regresses a column on a prefix of the columns before it, so each is
 a prefix solve on that R: the outcome model takes every column before y, the
 model-based group mean of an explanatory variable at the profile takes
@@ -40,8 +42,8 @@ from .analysis import (
 )
 from .data import Dataset, Role
 from .errors import EmptyGroup, InvalidSpec
-from .parametric import analysis_rows, _model_name, _run_roles
-from .regression import INTERCEPT, DesignMatrix, TriangularFactor, fit_ols
+from .parametric import analysis_rows, sample_factor, _model_name, _run_roles
+from .regression import INTERCEPT, DesignMatrix, fit_ols
 
 
 @dataclass(frozen=True)
@@ -66,29 +68,17 @@ class OBResult:
 
 
 class _GroupFactors:
-    """One triangular factor per group of [1, conditioning…, explanatory…, y].
-
-    Both factors cover the rows complete in the outcome, the group and every
-    listed column, split by group; for the bootstrap replicate of rows `idx`
-    into `d`, each group's rows of `idx` in its order (those a `take` keeps).
-    """
+    """One triangular factor per group of [1, conditioning…, explanatory…, y]
+    (`sample_factor`), over the group's analysis rows of `d` or of the
+    bootstrap replicate of rows `idx` into `d`, memoized in `memo`."""
 
     def __init__(self, d: Dataset, explanatory: Sequence[str], conditioning: Sequence[str],
-                 idx: np.ndarray | None = None):
+                 idx: np.ndarray | None = None, memo: dict | None = None):
         self.y = d.single_role_column(Role.OUTCOME)
-        r = d.single_role_column(Role.GROUP)
-        self.explanatory = list(explanatory)
-        self.conditioning = list(conditioning)
-        columns = [*self.conditioning, *self.explanatory, self.y]
-        rows = analysis_rows(d, [self.y, r, *self.explanatory, *self.conditioning])
-        group = d.column(r)
-        self.factors = {}
+        self.explanatory, self.conditioning = list(explanatory), list(conditioning)
+        self.factors = sample_factor(d, [*self.conditioning, *self.explanatory, self.y], idx, memo,
+                                     group=d.single_role_column(Role.GROUP))
         for g in (1, 0):
-            in_group = rows & (group == g)
-            self.factors[g] = TriangularFactor.of(
-                (INTERCEPT, *columns), [1.0, *map(d.column, columns)],
-                in_group if idx is None else idx[in_group[idx]],
-            )
             if not self.factors[g].n_rows:
                 raise EmptyGroup(f"no usable rows in group {g}")
 
@@ -205,20 +195,25 @@ def proposition_via_oaxaca(d: Dataset, spec: AnalysisSpec) -> DecompositionEstim
     return _stratified(_bind(d, spec)[1], spec)
 
 
-def _stratified(bound: Dataset, spec: AnalysisSpec,
-                idx: np.ndarray | None = None) -> DecompositionEstimate:
-    """`proposition_via_oaxaca` on the dataset `spec` binds, validated; with
-    `idx`, of the bootstrap replicate of those rows into `bound`."""
+def _groups(bound: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None, memo: dict | None = None):
+    """The `_GroupFactors` of a stratified run (validate_spec leaves P1-P4) and its profile."""
     prop, (_, _, xs, c, m) = spec.proposition, _run_roles(bound)
-    notes = []
-    if prop == Proposition.P2:
-        # early measures at the anchor, covariates at their group-0 means
-        groups = _GroupFactors(bound, [m], xs + c, idx)
-        ob = _split(groups, "group1", groups.profile(xs, spec.conditioning_value_x))
-        notes.append(f"anchored at early-measure profile {ob.profile}")
-    else:  # validate_spec leaves only P1-P4 to the parametric families
-        groups = _GroupFactors(bound, xs if prop == Proposition.P1 else xs + [m], c, idx)
-        ob = _split(groups, "group1", groups.profile())
+    if prop == Proposition.P2:  # the target within the early measures, at their anchor
+        groups = _GroupFactors(bound, [m], xs + c, idx, memo)
+        return groups, groups.profile(xs, spec.conditioning_value_x)
+    groups = _GroupFactors(bound, xs if prop == Proposition.P1 else xs + [m], c, idx, memo)
+    return groups, groups.profile()
+
+
+def _stratified(bound: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
+                memo: dict | None = None) -> DecompositionEstimate:
+    """`proposition_via_oaxaca` on the dataset `spec` binds, validated; with
+    `idx`, of the bootstrap replicate of those rows into `bound`, whose runs
+    share `memo`."""
+    prop, (_, _, xs, c, m) = spec.proposition, _run_roles(bound)
+    groups, profile = _groups(bound, spec, idx, memo)
+    ob = _split(groups, "group1", profile)
+    notes = [f"anchored at early-measure profile {ob.profile}"] if prop == Proposition.P2 else []
     residual, reduction = ob.unexplained, ob.explained
     if prop == Proposition.P4:
         reduction = ob.explained_terms[m]
@@ -255,32 +250,25 @@ def interaction_model_estimates(d: Dataset, spec: AnalysisSpec) -> Decomposition
     def slope(v):
         return fit[v] + fit[f"{r}:{v}"]
 
+    groups, profile = _groups(bound, spec)  # the explanatory variables' group means at the profile
+    values = np.array(list(profile.values()))
+    mean1 = groups.conditional_means(1, groups.explanatory, values)
+    mean0 = groups.conditional_means(0, groups.explanatory, values)
     notes = []
-    if prop == Proposition.P2:
-        # target means conditional on the early anchor (and covariate profile)
-        groups = _GroupFactors(bound, [m], xs + c)
-        profile = groups.profile(xs, spec.conditioning_value_x)
+    if prop == Proposition.P2:  # the target's, at the early anchor (and covariate profile)
         anchor = {x: profile[x] for x in xs}
-        values = np.array(list(profile.values()))
-        m1 = groups.conditional_means(1, [m], values)[m]
-        m0 = groups.conditional_means(0, [m], values)[m]
         residual = fit[r] + sum(fit[f"{r}:{x}"] * anchor[x] for x in xs) \
-            + fit[f"{r}:{m}"] * m0
-        reduction = slope(m) * (m1 - m0)
+            + fit[f"{r}:{m}"] * mean0[m]
+        reduction = slope(m) * (mean1[m] - mean0[m])
         notes.append(f"anchored at early-measure profile {anchor}")
-    else:
-        groups = _GroupFactors(bound, explanatory, c)
-        values = np.array(list(groups.profile().values()))
-        mean1 = groups.conditional_means(1, explanatory, values)
-        mean0 = groups.conditional_means(0, explanatory, values)
-        if prop == Proposition.P4:
-            residual = fit[r] \
-                + sum(fit[x] * (mean1[x] - mean0[x]) for x in xs) \
-                + sum(fit[f"{r}:{x}"] * mean1[x] for x in xs) \
-                + fit[f"{r}:{m}"] * mean0[m]
-            reduction = slope(m) * (mean1[m] - mean0[m])
-        else:  # P1 and P3: the explanatory variables are the early measures (and the target)
-            residual = fit[r] + sum(fit[f"{r}:{v}"] * mean0[v] for v in explanatory)
-            reduction = sum(slope(v) * (mean1[v] - mean0[v]) for v in explanatory)
+    elif prop == Proposition.P4:
+        residual = fit[r] \
+            + sum(fit[x] * (mean1[x] - mean0[x]) for x in xs) \
+            + sum(fit[f"{r}:{x}"] * mean1[x] for x in xs) \
+            + fit[f"{r}:{m}"] * mean0[m]
+        reduction = slope(m) * (mean1[m] - mean0[m])
+    else:  # P1 and P3: the explanatory variables are the early measures (and the target)
+        residual = fit[r] + sum(fit[f"{r}:{v}"] * mean0[v] for v in explanatory)
+        reduction = sum(slope(v) * (mean1[v] - mean0[v]) for v in explanatory)
     return DecompositionEstimate.of(prop, Scale.ADDITIVE, residual + reduction, residual, reduction,
                                     "POOLED_INTERACTION", models, notes)

@@ -15,14 +15,13 @@ agree to floating-point precision on the common analysis sample. For a rare
 binary outcome the same two splits are applied on the log scale to logistic
 outcome fits and exponentiated onto the ratio scale.
 
-`sample_factor` memoizes R keyed by the ordered column tuple (r, c…, x…, m,
-y), which also fixes the analysis rows (those complete in every listed
-column); beside it go the logistic outcome fits, keyed by (that tuple, q),
-and the prevalence of their outcome, keyed by (that tuple, "prevalence").
-The full sample's memo is the Dataset's `_memo`: each key names the columns
-its value is read from, so every run over the same columns shares one
-factor and its fits, whatever roles bind them. A bootstrap replicate is its
-row indices into the full sample. A linear run reads all replicates at once
+`sample_factor` builds and memoizes R of the ordered columns (r, c…, x…, m,
+y), which also fix the analysis rows (those complete in every listed
+column), and each group's R for the group-stratified route (`oaxaca`).
+Beside them in the Dataset's `_memo`, whose keys `Dataset` lists, go the
+logistic outcome fits: every run over the same columns shares one factor
+and its fits, whatever roles bind them. A bootstrap replicate is its row
+indices into the full sample. A linear run reads all replicates at once
 (`LinearReplicates`): the ladder and product splits run over a stack of
 their factors, which `regression.WhitenedGrams` builds, with a leading
 replicate axis, and an estimate is the case of one factor. Other runs read
@@ -48,7 +47,7 @@ from .analysis import (
     Proposition,
     Scale,
 )
-from .data import Dataset, Role
+from .data import Dataset, Role, memoized
 from .errors import AnalysisError, NearZeroDenominator, PrevalenceWarning
 from .regression import (
     INTERCEPT,
@@ -79,16 +78,24 @@ def analysis_rows(d: Dataset, columns, idx: np.ndarray | None = None) -> np.ndar
     return mask if idx is None else idx[mask[idx]]
 
 
-def sample_factor(d: Dataset, columns, idx: np.ndarray | None = None,
-                  memo: dict | None = None) -> TriangularFactor:
+def sample_factor(d: Dataset, columns, idx: np.ndarray | None = None, memo: dict | None = None,
+                  group: str | None = None):
     """R of [1, columns…] over the analysis rows of `d`, or of its replicate
-    `idx`, memoized by column tuple in `memo` (by default `d._memo`)."""
-    key = tuple(columns)
-    memo = d._memo if memo is None else memo
-    if key not in memo:
-        memo[key] = TriangularFactor.of((INTERCEPT, *key), [1.0, *map(d.column, key)],
-                                        analysis_rows(d, key, idx))
-    return memo[key]
+    `idx`; with `group`, a 0/1 column, {g: R over group g's rows}, the rows
+    found once for both. Memoized in `memo`, by default `d._memo`, which a
+    replicate's factors must never enter: they go into the replicate's own."""
+    columns = tuple(columns)
+
+    def factor(rows):
+        return TriangularFactor.of((INTERCEPT, *columns), [1.0, *map(d.column, columns)],
+                                   rows if idx is None else idx[rows[idx]])
+
+    def build():
+        rows = analysis_rows(d, columns)
+        return factor(rows) if group is None else {g: factor(rows & (d.column(group) == g)) for g in (1, 0)}
+
+    key = ("factor", columns) if group is None else ("group factors", group, columns)
+    return memoized(d._memo if memo is None else memo, key, build)
 
 
 def _model_name(outcome: str, regressors) -> str:
@@ -233,29 +240,27 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
     factor, columns = run.factor, run.columns
     if logistic:
         @functools.cache
-        def sample():  # the analysis rows and their outcomes, read once per call at most
+        def sample():  # the widest outcome design and the outcomes, read once per call at most
             rows = analysis_rows(d, columns, idx)
-            return rows, d.column(run.y)[rows]
+            return stacked_columns([1.0, *map(d.column, columns[:-1])], rows), d.column(run.y)[rows]
 
-        key = (columns, "prevalence")  # validate_spec has checked that the outcome is 0/1
-        if key not in memo:
-            memo[key] = float(sample()[1].mean())
-        if memo[key] > RARE_PREVALENCE_LIMIT:
+        # validate_spec has checked that the outcome is 0/1
+        prevalence = memoized(memo, ("prevalence", columns), lambda: float(sample()[1].mean()))
+        if prevalence > RARE_PREVALENCE_LIMIT:
             notes.append(
-                f"outcome prevalence {memo[key]:.3f} exceeds "
+                f"outcome prevalence {prevalence:.3f} exceeds "
                 f"{RARE_PREVALENCE_LIMIT:.2f}; ratio-scale results rest on a "
                 "rare-outcome approximation and may be distorted"
             )
             warnings.warn(notes[-1], PrevalenceWarning, stacklevel=3)
 
         def outcome_fit(q):
-            key = (columns, q)
-            if key not in memo:  # read-only, as SUCCESSIVE and PRODUCT share it
-                rows, y = sample()
-                design = stacked_columns([1.0, *map(d.column, columns[: q - 1])], rows)
-                memo[key] = fit_logistic(DesignMatrix(factor.labels[:q], design), y, factor)
-                memo[key].values.flags.writeable = False
-            return memo[key]
+            def fit():  # on an F-ordered column prefix, bitwise a fit of its own copy
+                design, y = sample()
+                coefficients = fit_logistic(DesignMatrix(factor.labels[:q], design[:, :q]), y, factor)
+                coefficients.values.flags.writeable = False  # SUCCESSIVE and PRODUCT share it
+                return coefficients
+            return memoized(memo, ("logistic fit", columns, q), fit)
     else:
         def outcome_fit(q):
             return factor.fit(run.y, q)
@@ -280,10 +285,8 @@ class LinearReplicates:
     def __init__(self, d: Dataset, spec: AnalysisSpec, stacks: dict, draw):
         self.d, self.spec, self.draw, run = d, spec, draw, _Run(d)
         self.owner = run.columns not in stacks
-        if self.owner:
-            stacks[run.columns] = (WhitenedGrams(run.factor, [1.0, *map(d.column, run.columns)],
-                                                 analysis_rows(d, run.columns)), {})
-        self.grams, self.memos = stacks[run.columns]
+        self.grams, self.memos = memoized(stacks, run.columns, lambda: (WhitenedGrams(
+            run.factor, [1.0, *map(d.column, run.columns)], analysis_rows(d, run.columns)), {}))
 
     def __call__(self, idx: np.ndarray, shared: dict) -> None:
         if self.owner:

@@ -39,7 +39,7 @@ from .analysis import (
     TIMEDEP_BASE,
     TIMEDEP_PROPOSITIONS,
 )
-from .data import Dataset, Role
+from .data import Dataset, Role, memoized
 from .errors import AnalysisError, EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
 from .parametric import analysis_rows
 
@@ -154,11 +154,9 @@ def _sample(d: Dataset, spec: AnalysisSpec) -> StratumTable:
     columns = _dimension_columns(bound, spec.proposition)
     outcome, group = bound.single_role_column(Role.OUTCOME), bound.single_role_column(Role.GROUP)
     max_levels = spec.option("max_levels", DEFAULT_MAX_LEVELS)
-    key = (max_levels, outcome, group, *columns.values())  # no int last: that is a logistic fit's
-    if key not in bound._memo:
-        mask = analysis_rows(bound, [outcome, group, *(n for names in columns.values() for n in names)])
-        bound._memo[key] = StratumTable(bound, mask, columns, max_levels)
-    return bound._memo[key]
+    read = [outcome, group, *(name for names in columns.values() for name in names)]
+    return memoized(bound._memo, ("table", max_levels, outcome, group, *columns.values()),
+                    lambda: StratumTable(bound, analysis_rows(bound, read), columns, max_levels))
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:

@@ -372,10 +372,11 @@ def test_selfcheck_catches_a_replicate_read_from_the_wrong_rows(monkeypatch, rou
         draw = route_class.__call__
         monkeypatch.setattr(route_class, "__call__",
                             lambda self, idx, shared: draw(self, short(idx), shared))
-    else:
-        init = oaxaca._GroupFactors.__init__
-        monkeypatch.setattr(oaxaca._GroupFactors, "__init__",
-                            lambda self, d, e, c, idx=None: init(self, d, e, c, short(idx)))
+    else:  # each group's factor of the replicate, from its memo or built
+        factor = oaxaca.sample_factor
+        monkeypatch.setattr(oaxaca, "sample_factor",
+                            lambda d, columns, idx=None, *args, **kwargs:
+                            factor(d, columns, short(idx), *args, **kwargs))
     assert _check_replicate_indices(discrete) > 1e-12
 
 
@@ -732,6 +733,64 @@ def test_outputs_that_name_the_input_or_each_other_are_refused(tmp_path, capsys,
     assert "names the same file as" in capsys.readouterr().err
     assert (tmp_path / "cohort.csv").read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "config.json", "sub"]
+
+
+@pytest.mark.parametrize("key,name", [
+    ("report", "nodir/report.json"), ("report", "sub"), ("report", ""), ("table", "nodir/table.txt"),
+    ("table", "sub/"),
+])
+def test_an_output_that_cannot_be_written_is_refused_before_the_input_is_read(
+        tmp_path, capsys, monkeypatch, key, name):
+    import gapdecomp.cli as cli
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the input was read for a refused config")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_csv", unread)
+    (tmp_path / "sub").mkdir()
+    write_cohort(tmp_path)
+    cfg = write_config(tmp_path, output={"report": "report.json", "table": "table.txt", key: name})
+    message = f"'output.{key}' must name a file in a directory that exists: {name!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "config.json", "sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+def test_an_output_lost_before_it_is_written_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    import gapdecomp.cli as cli
+
+    execute = cli.execute
+    write_cohort(tmp_path, n=200)
+    (tmp_path / "sub").mkdir()
+    table = str(tmp_path / "sub" / "table.txt")
+    cfg = write_config(tmp_path, output={"report": str(tmp_path / "report.json"), "table": table})
+    monkeypatch.setattr(cli, "execute", lambda config: ((tmp_path / "sub").rmdir(), execute(config))[1])
+    assert main(["run", str(cfg)]) == 2
+    assert f"config error: cannot write output.table {table!r}: " in capsys.readouterr().err
+
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n": 20}), encoding="utf-8")
+    for out in (tmp_path / "nodir" / "out.csv", tmp_path):
+        assert main(["generate", str(params), str(out)]) == 2
+        assert f"config error: cannot write output CSV {str(out)!r}: " in capsys.readouterr().err
+
+
+def test_an_empty_bootstrap_object_runs_the_default_bootstrap(tmp_path, capsys):
+    write_cohort(tmp_path, n=300)
+    reports = []
+    for bootstrap in ({}, {"replicates": 1000, "seed": 0, "stratify_by_group": False}):
+        assert main(["run", str(write_config(tmp_path, bootstrap=bootstrap))]) == 0
+        reports.append(read_report(tmp_path))
+    capsys.readouterr()
+    assert [report["bootstrap"] for report in reports] == [
+        {}, {"replicates": 1000, "seed": 0, "stratify_by_group": False}]  # as written
+    boot = reports[0]["runs"][0]["bootstrap"]
+    assert (boot["replicates"], boot["seed"], boot["stratified"]) == (1000, 0, False)
+    assert reports[0]["runs"] == reports[1]["runs"]
 
 
 def test_fewer_than_two_replicates_are_refused_at_config_load(tmp_path, capsys):

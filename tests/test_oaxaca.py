@@ -265,12 +265,76 @@ def test_each_group_is_factored_once_per_call(monkeypatch):
     monkeypatch.setattr(regression, "fit_ols", refused)
     monkeypatch.setattr(oaxaca, "fit_ols", refused)
     monkeypatch.setattr(regression.DesignMatrix, "from_dataset", refused)
+    folds = {}
     for prop in ("P1", "P2", "P3", "P4"):
         factored.clear()
         proposition_via_oaxaca(d, AnalysisSpec(prop, "SUCCESSIVE"))
-        assert len(factored) == 2, prop
+        folds[prop] = len(factored)
+    # P4 reads P3's factors of [1, c, x, m, y], memoized on the dataset
+    assert folds == {"P1": 2, "P2": 2, "P3": 2, "P4": 0}
     factored.clear()
     oaxaca_decompose(d, explanatory=["m"], conditioning=["x", "c"])
+    assert factored == []  # P2's factors of [1, x, c, m, y]
+    oaxaca_decompose(d.take(np.arange(d.n_rows)), explanatory=["m"], conditioning=["x", "c"])
     # [1, x, c, m, y] over each group's rows
     assert [p for _, p in factored] == [5, 5]
     assert sum(n for n, _ in factored) == d.n_rows
+
+
+INTERACTIONS_CONFIG = [AnalysisSpec(prop, family, options={"interactions": True})
+                       for prop in ("P1", "P2", "P3", "P4") for family in ("SUCCESSIVE", "PRODUCT")]
+
+
+def counted_factors(monkeypatch):
+    """The labels of each `TriangularFactor.of` call, appended as it is made."""
+    built, of = [], regression.TriangularFactor.of
+    monkeypatch.setattr(regression.TriangularFactor, "of",
+                        staticmethod(lambda labels, *args: built.append(labels) or of(labels, *args)))
+    return built
+
+
+def covariate_dataset(seed):
+    d = two_group_dataset(seed=seed)
+    return d.with_columns({"c": np.random.default_rng(seed + 1).normal(size=d.n_rows)},
+                          roles={"covariate": ["c"]})
+
+
+def test_an_interactions_config_builds_one_factor_per_group_and_column_tuple(monkeypatch):
+    from gapdecomp.engine import estimate
+
+    d, built = covariate_dataset(14), counted_factors(monkeypatch)
+    first, factors = [], []
+    for spec in INTERACTIONS_CONFIG:
+        first.append(estimate(d, spec))
+        factors.append(len(built))
+    # P1 [c, x, y], P2 [x, c, m, y], P3 and P4 [c, x, m, y], each in both groups:
+    # PRODUCT reads SUCCESSIVE's factors, and P4 reads P3's
+    assert factors == [2, 2, 4, 4, 6, 6, 6, 6]
+    assert sorted(built) == sorted(2 * [("intercept", "c", "x", "y"), ("intercept", "x", "c", "m", "y"),
+                                        ("intercept", "c", "x", "m", "y")])
+    assert sorted(key[0] for key in d._memo) == 3 * ["group factors"]
+    fresh = [estimate(d.take(np.arange(d.n_rows)), spec) for spec in INTERACTIONS_CONFIG]
+    assert [(e.initial, e.residual, e.reduction) for e in first] == [
+        (e.initial, e.residual, e.reduction) for e in fresh]
+
+
+def test_a_replicates_interactions_runs_share_its_memo_and_leave_the_datasets(monkeypatch):
+    from gapdecomp.engine import estimate, replicates
+    from gapdecomp.inference import resample_indices
+
+    d = covariate_dataset(16)
+    for spec in INTERACTIONS_CONFIG:
+        estimate(d, spec)
+    full = dict(d._memo)
+    routes = [replicates(d, spec, {}, None) for spec in INTERACTIONS_CONFIG]
+    built = counted_factors(monkeypatch)
+    for k in range(2):
+        idx, memo = resample_indices(d, 3, k), {}
+        got = [route(idx, memo) for route in routes]
+        assert len(built) == 6 * (k + 1)  # as on the full sample: 3 column tuples, 2 groups
+        assert sorted(key[0] for key in memo) == 3 * ["group factors"]
+        taken = d.take(idx)
+        assert [(e.initial, e.residual, e.reduction) for e in got] == [
+            (e.initial, e.residual, e.reduction) for e in (estimate(taken, s) for s in INTERACTIONS_CONFIG)]
+        del built[6 * (k + 1):]  # the take's own factors
+    assert d._memo.keys() == full.keys() and all(d._memo[key] is full[key] for key in full)

@@ -384,6 +384,9 @@ def test_factor_memo_is_keyed_by_the_ordered_column_tuple():
     assert swapped.labels[1:] == ("early", "group", "outcome") and swapped is not a
     with_target = sample_factor(d, ["group", "early", "target"])
     assert with_target.n_rows < a.n_rows == 200  # the key also fixes the analysis rows
+    assert list(d._memo) == [("factor", ("group", "early", "outcome")),
+                             ("factor", ("early", "group", "outcome")),
+                             ("factor", ("group", "early", "target"))]
 
 
 def test_new_rows_or_columns_never_reuse_the_parent_factor():
@@ -501,9 +504,10 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
              for family in ("SUCCESSIVE", "PRODUCT")]
     shared = [estimate(d, spec) for spec in specs]
     assert len(calls) == 3  # PRODUCT's outcome model is SUCCESSIVE's full model
-    fits = {key: fit for key, fit in d._memo.items() if isinstance(key[-1], int)}
+    fits = {key: fit for key, fit in d._memo.items() if key[0] == "logistic fit"}
     # and one factor, and one outcome prevalence
-    assert len(set(calls)) == 3 and len(fits) == 3 and len(d._memo) == 5
+    assert len(set(calls)) == 3 and len(fits) == 3
+    assert sorted(key[0] for key in d._memo) == ["factor", *3 * ["logistic fit"], "prevalence"]
     for fit in fits.values():
         assert not fit.values.flags.writeable
     full_model = "outcome ~ group + early + target"
