@@ -22,6 +22,7 @@ alongside it; warnings are part of the report, not log chatter.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -45,7 +46,7 @@ from .data import (
 )
 from .data import write_csv as _write_csv
 from .engine import estimate
-from .errors import AnalysisError, ConfigError, NotUtf8, UnreadCells
+from .errors import AnalysisError, ConfigError, NotUtf8, UnreadCells, outcome_of
 from .inference import bootstrap_runs, bootstrap_statistic
 from .oaxaca import interaction_model_estimates, proposition_via_oaxaca
 from .regression import DesignMatrix, fit_logistic, fit_ols
@@ -286,10 +287,7 @@ def _recorded(entry: dict, step):
     AnalysisError it raises or returns becomes the entry's error (None)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            result = step()
-        except AnalysisError as exc:
-            result = exc
+        result = outcome_of(step)
     entry["warnings"] = list(dict.fromkeys(entry["warnings"] + [str(w.message) for w in caught]))
     if isinstance(result, AnalysisError):
         entry["error"] = {"type": type(result).__name__, "message": str(result)}
@@ -401,14 +399,30 @@ def _write(where: str, name: str, write) -> None:
         raise ConfigError(f"cannot write {where} {name!r}: {exc}") from exc
 
 
+def _write_all(outputs) -> None:
+    """Write each (where, path, text) of `outputs`, all or none: each to a
+    temporary file beside its path, all moved into place once every one is
+    written. The ConfigError of a failed write (`_write`) is raised once the
+    temporaries are removed."""
+    temps = [f"{name}.{os.getpid()}.tmp" for _, name, _ in outputs]
+    try:
+        for (where, name, text), temp in zip(outputs, temps):
+            _write(where, name, lambda _: pathlib.Path(temp).write_text(text, encoding="utf-8"))
+        for (where, name, _), temp in zip(outputs, temps):
+            _write(where, name, lambda path: os.replace(temp, path))
+    except ConfigError:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+
+
 def run(config_path) -> int:
     cfg = load_config(config_path)
     report = execute(cfg)
     text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
     table = render_table(report)
-    for where, name, content in (("output.report", cfg.report_path, text),
-                                 ("output.table", cfg.table_path, table)):
-        _write(where, name, lambda path: pathlib.Path(path).write_text(content, encoding="utf-8"))
+    _write_all((("output.report", cfg.report_path, text), ("output.table", cfg.table_path, table)))
     sys.stdout.write(table)
     failed = [r for r in report["runs"] if r["error"] is not None]
     for r in failed:

@@ -28,9 +28,9 @@ def estimate(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
 
 
 def replicates(d: Dataset, spec: AnalysisSpec, stacks: dict, draw):
-    """The run of a spec over bootstrap replicates given as row indices into
-    `d`, a callable of (indices, the memo a replicate's runs share). The spec
-    is resolved once; each replicate is read at its analysis rows of `d`.
+    """The run of a spec over bootstrap replicates of `d`, a callable of a
+    replicate's `Sample`, whose memo the runs reading it share. The spec is
+    resolved once; each replicate is read at its analysis rows of `d`.
     Linear runs of one bootstrap share `stacks`, and draw replicate k's
     indices again by `draw(k)` to refit it (`LinearReplicates`)."""
     if spec.estimator == Estimator.PLUGIN:
@@ -38,5 +38,5 @@ def replicates(d: Dataset, spec: AnalysisSpec, stacks: dict, draw):
     bound = spec.resolve(d, Estimator.SUCCESSIVE, Estimator.PRODUCT)
     if spec.option("interactions") or spec.outcome_family == OutcomeFamily.RARE_BINARY:
         route = _stratified if spec.option("interactions") else _decompose
-        return lambda idx, memo: route(bound, spec, idx, memo)
+        return lambda s: route(s.over(bound), spec)
     return LinearReplicates(bound, spec, stacks, draw)

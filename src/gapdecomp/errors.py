@@ -5,6 +5,14 @@ class AnalysisError(Exception):
     """Base class for all errors raised by gapdecomp."""
 
 
+def outcome_of(fn, *args):
+    """fn(*args), or the AnalysisError it raises."""
+    try:
+        return fn(*args)
+    except AnalysisError as err:
+        return err
+
+
 # --- data / ingestion ---------------------------------------------------
 
 

@@ -3,8 +3,8 @@
 Replicate b is its row indices into the full sample, drawn from a stream
 keyed by (seed, b) (Efron & Tibshirani, *An Introduction to the Bootstrap*,
 1993). Every run is resolved once on the full sample and reads each
-replicate from those indices (`engine.replicates`); only an arbitrary
-statistic (`bootstrap_statistic`) gets a `Dataset.take` of them.
+replicate from a `parametric.Sample` of those indices (`engine.replicates`);
+only an arbitrary statistic (`bootstrap_statistic`) gets a `Dataset.take`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from .analysis import QUANTITIES, AnalysisSpec, DecompositionEstimate, is_integer
 from .data import Dataset, Role
 from .engine import estimate, replicates
-from .errors import AnalysisError, InvalidB, InvalidSpec, TooManyFailures
+from .errors import AnalysisError, InvalidB, InvalidSpec, TooManyFailures, outcome_of
+from .parametric import Sample
 
 DEFAULT_REPLICATES = 1000
 _FAILURE_LIMIT = 0.10
@@ -148,18 +149,13 @@ def _summary(full, outcomes, warned, b, seed, stratify_by_group) -> BootstrapSum
     )
 
 
-def _taken(d: Dataset, statistic):
-    """`statistic` of each replicate's Dataset, a `take` of its rows."""
-    return lambda idx, shared: statistic(d.take(idx))
-
-
 def _bootstrap_each(d: Dataset, statistics, routes, b, seed, stratify_by_group, full=None):
-    """The replicate loop: each replicate's indices are drawn once, and every
-    statistic reads them.
+    """The replicate loop: each replicate's indices are drawn once, and
+    every statistic reads the one `Sample` of them, sharing its memo.
 
-    `routes(i, draw)` reads replicates for statistic i, given their indices
-    and a memo its replicate shares (see `engine.replicates`), and may draw
-    replicate k's indices again by `draw(k)`; one with a `finish` method
+    `routes(i, draw)` reads replicates for statistic i from their Samples
+    (see `engine.replicates`), and may draw replicate k's indices again by
+    `draw(k)`; one with a `finish` method
     returns every outcome from it. Yields per statistic its summary,
     or the AnalysisError that ended it (on the full sample, or
     TooManyFailures), re-issuing its replicate warnings (category ->
@@ -172,23 +168,15 @@ def _bootstrap_each(d: Dataset, statistics, routes, b, seed, stratify_by_group, 
         raise InvalidSpec(f"bootstrap seed must be an integer, got {seed!r}")
     b, seed = int(b), int(seed)
     if full is None:
-        full = []
-        for statistic in statistics:
-            try:
-                full.append(statistic(d))
-            except AnalysisError as err:
-                full.append(err)
+        full = [outcome_of(statistic, d) for statistic in statistics]
     draw = lambda index: resample_indices(d, seed, index, stratify_by_group)
     live = [(routes(i, draw), [], {}) for i, f in enumerate(full) if not isinstance(f, AnalysisError)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for index in range(b if live else 0):  # no draw when every run failed on the full sample
-            idx, shared = draw(index), {}
+            s = Sample(d, draw(index))
             for route, outcomes, warned in live:
-                try:  # only the named quantities outlive the replicate
-                    outcomes.append(_named(route(idx, shared)))
-                except AnalysisError as err:
-                    outcomes.append(err)
+                outcomes.append(_named(outcome_of(route, s)))  # only the named quantities outlive it
                 for w in {w.category: w for w in reversed(caught)}.values():
                     warned.setdefault(w.category, [0, str(w.message)])[0] += 1
                 caught.clear()
@@ -228,8 +216,8 @@ def bootstrap_statistic(
     raised by replicates is re-issued once, with the number of replicates
     that raised it and the first message.
     """
-    return _only(_bootstrap_each(d, [statistic], lambda i, draw: _taken(d, statistic), b, seed,
-                                 stratify_by_group))
+    taken = lambda s: statistic(d.take(s.idx))  # of each replicate's own Dataset
+    return _only(_bootstrap_each(d, [statistic], lambda i, draw: taken, b, seed, stratify_by_group))
 
 
 def bootstrap_runs(

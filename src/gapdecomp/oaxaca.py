@@ -9,8 +9,8 @@ auxiliary fit intercept-only.
 
 Each group's analysis rows are factored once: one triangular factor R of
 [1, conditioning…, explanatory…, y] (see regression.py), which
-`parametric.sample_factor` builds and memoizes as it does the pooled
-families' factors, so runs over the same columns share it. Every stratified
+`parametric.sample_factor` builds and memoizes in the memo of the run's
+`parametric.Sample`, as it does the pooled factors: runs share it. Every stratified
 quantity regresses a column on a prefix of the columns before it, so each is
 a prefix solve on that R: the outcome model takes every column before y, the
 model-based group mean of an explanatory variable at the profile takes
@@ -42,7 +42,7 @@ from .analysis import (
 )
 from .data import Dataset, Role
 from .errors import EmptyGroup, InvalidSpec
-from .parametric import analysis_rows, sample_factor, _model_name, _run_roles
+from .parametric import Sample, analysis_rows, sample_factor, _model_name, _run_roles
 from .regression import INTERCEPT, DesignMatrix, fit_ols
 
 
@@ -69,15 +69,13 @@ class OBResult:
 
 class _GroupFactors:
     """One triangular factor per group of [1, conditioning…, explanatory…, y]
-    (`sample_factor`), over the group's analysis rows of `d` or of the
-    bootstrap replicate of rows `idx` into `d`, memoized in `memo`."""
+    (`sample_factor`), over the group's analysis rows of the sample `s`."""
 
-    def __init__(self, d: Dataset, explanatory: Sequence[str], conditioning: Sequence[str],
-                 idx: np.ndarray | None = None, memo: dict | None = None):
-        self.y = d.single_role_column(Role.OUTCOME)
+    def __init__(self, s: Sample, explanatory: Sequence[str], conditioning: Sequence[str]):
+        self.y = s.d.single_role_column(Role.OUTCOME)
         self.explanatory, self.conditioning = list(explanatory), list(conditioning)
-        self.factors = sample_factor(d, [*self.conditioning, *self.explanatory, self.y], idx, memo,
-                                     group=d.single_role_column(Role.GROUP))
+        self.factors = sample_factor(s, [*self.conditioning, *self.explanatory, self.y],
+                                     s.d.single_role_column(Role.GROUP))
         for g in (1, 0):
             if not self.factors[g].n_rows:
                 raise EmptyGroup(f"no usable rows in group {g}")
@@ -170,7 +168,7 @@ def oaxaca_decompose(
     """
     if reference not in ("group1", "group0"):
         raise InvalidSpec("reference must be 'group1' or 'group0'")
-    groups = _GroupFactors(d, explanatory, conditioning)
+    groups = _GroupFactors(Sample(d), explanatory, conditioning)
     return _split(groups, reference, groups.profile() if profile is None else profile)
 
 
@@ -192,26 +190,23 @@ def proposition_via_oaxaca(d: Dataset, spec: AnalysisSpec) -> DecompositionEstim
     target's detailed explained term counts as reduction; the early
     measures' explained share stays in the residual.
     """
-    return _stratified(_bind(d, spec)[1], spec)
+    return _stratified(Sample(_bind(d, spec)[1]), spec)
 
 
-def _groups(bound: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None, memo: dict | None = None):
-    """The `_GroupFactors` of a stratified run (validate_spec leaves P1-P4) and its profile."""
-    prop, (_, _, xs, c, m) = spec.proposition, _run_roles(bound)
+def _groups(s: Sample, spec: AnalysisSpec):
+    """The `_GroupFactors` of a stratified run on `s` (validate_spec leaves P1-P4) and its profile."""
+    prop, (_, _, xs, c, m) = spec.proposition, _run_roles(s.d)
     if prop == Proposition.P2:  # the target within the early measures, at their anchor
-        groups = _GroupFactors(bound, [m], xs + c, idx, memo)
+        groups = _GroupFactors(s, [m], xs + c)
         return groups, groups.profile(xs, spec.conditioning_value_x)
-    groups = _GroupFactors(bound, xs if prop == Proposition.P1 else xs + [m], c, idx, memo)
+    groups = _GroupFactors(s, xs if prop == Proposition.P1 else xs + [m], c)
     return groups, groups.profile()
 
 
-def _stratified(bound: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
-                memo: dict | None = None) -> DecompositionEstimate:
-    """`proposition_via_oaxaca` on the dataset `spec` binds, validated; with
-    `idx`, of the bootstrap replicate of those rows into `bound`, whose runs
-    share `memo`."""
-    prop, (_, _, xs, c, m) = spec.proposition, _run_roles(bound)
-    groups, profile = _groups(bound, spec, idx, memo)
+def _stratified(s: Sample, spec: AnalysisSpec) -> DecompositionEstimate:
+    """`proposition_via_oaxaca` on the sample `s` of the dataset `spec` binds, validated."""
+    prop, (_, _, xs, c, m) = spec.proposition, _run_roles(s.d)
+    groups, profile = _groups(s, spec)
     ob = _split(groups, "group1", profile)
     notes = [f"anchored at early-measure profile {ob.profile}"] if prop == Proposition.P2 else []
     residual, reduction = ob.unexplained, ob.explained
@@ -250,7 +245,7 @@ def interaction_model_estimates(d: Dataset, spec: AnalysisSpec) -> Decomposition
     def slope(v):
         return fit[v] + fit[f"{r}:{v}"]
 
-    groups, profile = _groups(bound, spec)  # the explanatory variables' group means at the profile
+    groups, profile = _groups(Sample(bound), spec)  # the explanatory variables' group means at the profile
     values = np.array(list(profile.values()))
     mean1 = groups.conditional_means(1, groups.explanatory, values)
     mean0 = groups.conditional_means(0, groups.explanatory, values)

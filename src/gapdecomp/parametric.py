@@ -18,15 +18,13 @@ outcome fits and exponentiated onto the ratio scale.
 `sample_factor` builds and memoizes R of the ordered columns (r, c…, x…, m,
 y), which also fix the analysis rows (those complete in every listed
 column), and each group's R for the group-stratified route (`oaxaca`).
-Beside them in the Dataset's `_memo`, whose keys `Dataset` lists, go the
-logistic outcome fits: every run over the same columns shares one factor
-and its fits, whatever roles bind them. A bootstrap replicate is its row
-indices into the full sample. A linear run reads all replicates at once
-(`LinearReplicates`): the ladder and product splits run over a stack of
-their factors, which `regression.WhitenedGrams` builds, with a leading
-replicate axis, and an estimate is the case of one factor. Other runs read
-a replicate's analysis rows from its indices, and the runs of one replicate
-share its own memo.
+Every run reads a `Sample`, whose memo holds them beside the logistic
+outcome fits: a Dataset's own `_memo` (its keys are listed there), or a
+bootstrap replicate's own. Every run over the same columns of a sample
+shares one factor and its fits, whatever roles bind them. A linear run
+reads all replicates at once (`LinearReplicates`): the ladder and product
+splits run over a stack of their factors, which `regression.WhitenedGrams`
+builds, with a leading replicate axis; an estimate is the case of one.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .analysis import (
     Scale,
 )
 from .data import Dataset, Role, memoized
-from .errors import AnalysisError, NearZeroDenominator, PrevalenceWarning
+from .errors import AnalysisError, NearZeroDenominator, PrevalenceWarning, outcome_of
 from .regression import (
     INTERCEPT,
     CoefficientSet,
@@ -64,10 +62,8 @@ from .regression import (
 RARE_PREVALENCE_LIMIT = 0.10
 
 
-def analysis_rows(d: Dataset, columns, idx: np.ndarray | None = None) -> np.ndarray:
-    """Boolean mask of rows with no missing cell in any listed column; for
-    the bootstrap replicate of rows `idx` into `d`, the indices
-    ``idx[mask[idx]]``, the rows a `take` of `idx` keeps, in its order.
+def analysis_rows(d: Dataset, columns) -> np.ndarray:
+    """Boolean mask of rows with no missing cell in any listed column.
 
     Every model inside one run is fit on these rows (rows complete for the
     largest model), which is what makes the cross-family identities exact.
@@ -75,27 +71,47 @@ def analysis_rows(d: Dataset, columns, idx: np.ndarray | None = None) -> np.ndar
     mask = np.ones(d.n_rows, dtype=bool)
     for name in columns:
         mask &= ~np.isnan(d.column(name))
-    return mask if idx is None else idx[mask[idx]]
+    return mask
 
 
-def sample_factor(d: Dataset, columns, idx: np.ndarray | None = None, memo: dict | None = None,
-                  group: str | None = None):
-    """R of [1, columns…] over the analysis rows of `d`, or of its replicate
-    `idx`; with `group`, a 0/1 column, {g: R over group g's rows}, the rows
-    found once for both. Memoized in `memo`, by default `d._memo`, which a
-    replicate's factors must never enter: they go into the replicate's own."""
-    columns = tuple(columns)
+@dataclasses.dataclass(frozen=True)
+class Sample:
+    """The rows of `d` a run reads, and the memo of their factors and fits:
+    every row and `d._memo`, or the bootstrap replicate of rows `idx` into
+    `d` and a memo of its own, which the runs reading it share (`over`)."""
+
+    d: Dataset
+    idx: np.ndarray | None = None
+    memo: dict = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "memo", self.d._memo if self.idx is None else {})
+
+    def rows(self, mask: np.ndarray) -> np.ndarray:
+        """The rows of a mask over `d`: for a replicate, ``idx[mask[idx]]``, as a `take` keeps them."""
+        return mask if self.idx is None else self.idx[mask[self.idx]]
+
+    def over(self, d: Dataset) -> "Sample":
+        """These rows and this memo over `d`, a rebinding of roles (`Dataset.with_roles`)."""
+        s = Sample(d, self.idx)
+        object.__setattr__(s, "memo", self.memo)
+        return s
+
+
+def sample_factor(s: Sample, columns, group: str | None = None):
+    """R of [1, columns…] over the sample's analysis rows, memoized in its
+    memo; with `group`, a 0/1 column, {g: R over group g's rows}."""
+    columns, d = tuple(columns), s.d
 
     def factor(rows):
-        return TriangularFactor.of((INTERCEPT, *columns), [1.0, *map(d.column, columns)],
-                                   rows if idx is None else idx[rows[idx]])
+        return TriangularFactor.of((INTERCEPT, *columns), [1.0, *map(d.column, columns)], s.rows(rows))
 
     def build():
         rows = analysis_rows(d, columns)
         return factor(rows) if group is None else {g: factor(rows & (d.column(group) == g)) for g in (1, 0)}
 
     key = ("factor", columns) if group is None else ("group factors", group, columns)
-    return memoized(d._memo if memo is None else memo, key, build)
+    return memoized(s.memo, key, build)
 
 
 def _model_name(outcome: str, regressors) -> str:
@@ -120,11 +136,11 @@ def _run_roles(d: Dataset):
 
 class _Run:
     """The bound columns of one run and the models it reads off `factor`:
-    its `sample_factor` over the analysis rows of `d` or of its replicate
-    `idx`, or a stack of its bootstrap replicates' factors. On a stack every
-    coefficient, denominator and split carries a leading replicate axis, no
-    model is recorded, and `near` flags each replicate whose P4 denominator
-    is within 100 times of the refusal threshold instead of refusing it.
+    the `sample_factor` of its sample `s`, or a stack of its bootstrap
+    replicates' factors. On a stack every coefficient, denominator and split
+    carries a leading replicate axis, no model is recorded, and `near` flags
+    each replicate whose P4 denominator is within 100 times of the refusal
+    threshold instead of refusing it.
 
     Fits use the factor's column order (intercept, group, covariates, early
     measures, target); `models` records each in report order (group, early
@@ -132,10 +148,10 @@ class _Run:
     factor's first q columns.
     """
 
-    def __init__(self, d: Dataset, factor=None, idx=None, memo: dict | None = None):
-        self.y, self.r, self.xs, self.c, self.m = _run_roles(d)
+    def __init__(self, s: Sample, factor=None):
+        self.y, self.r, self.xs, self.c, self.m = _run_roles(s.d)
         self.columns = (self.r, *self.c, *self.xs, *(() if self.m is None else (self.m,)), self.y)
-        self.factor = sample_factor(d, self.columns, idx, memo) if factor is None else factor
+        self.factor = sample_factor(s, self.columns) if factor is None else factor
         self.near = np.zeros(len(self.factor.r), bool) if self.factor.r.ndim == 3 else None
         self.models: dict[str, dict[str, float]] = {}
         self.fits: dict[str, dict] = {}  # logistic models' diagnostics
@@ -229,19 +245,17 @@ class _Run:
         return residual + reduction, residual, reduction
 
 
-def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
-               memo: dict | None = None):
-    """The estimate of a spec resolved on `d`, or on its bootstrap replicate
-    of rows `idx` when given, whose runs share `memo`. PRODUCT combines
-    coefficient products, SUCCESSIVE the nested ladder; a RARE_BINARY
-    outcome is fit by logistic regression and reported as ratios."""
-    logistic, memo = spec.outcome_family == OutcomeFamily.RARE_BINARY, d._memo if memo is None else memo
-    run, prop, notes = _Run(d, idx=idx, memo=memo), spec.proposition, []
+def _decompose(s: Sample, spec: AnalysisSpec):
+    """The estimate of a spec on the sample `s` of the dataset it binds.
+    PRODUCT combines coefficient products, SUCCESSIVE the nested ladder; a
+    RARE_BINARY outcome is fit by logistic regression and reported as ratios."""
+    logistic, d, memo = spec.outcome_family == OutcomeFamily.RARE_BINARY, s.d, s.memo
+    run, prop, notes = _Run(s), spec.proposition, []
     factor, columns = run.factor, run.columns
     if logistic:
         @functools.cache
         def sample():  # the widest outcome design and the outcomes, read once per call at most
-            rows = analysis_rows(d, columns, idx)
+            rows = s.rows(analysis_rows(d, columns))
             return stacked_columns([1.0, *map(d.column, columns[:-1])], rows), d.column(run.y)[rows]
 
         # validate_spec has checked that the outcome is 0/1
@@ -275,22 +289,22 @@ def _decompose(d: Dataset, spec: AnalysisSpec, idx: np.ndarray | None = None,
 
 
 class LinearReplicates:
-    """A linear SUCCESSIVE or PRODUCT run over bootstrap replicates, given as
-    row indices into `d`, replicate k's by `draw(k)`. The runs of one
-    bootstrap over the same columns share in `stacks` one `WhitenedGrams`,
-    which the first of them (`owner`) adds each replicate to, and the memos
-    of the replicates refitted at their own rows; `finish` reads every
-    replicate off the stack's factors at once, by the algebra an estimate runs."""
+    """A linear SUCCESSIVE or PRODUCT run over bootstrap replicates of `d`
+    (`Sample`s), replicate k's indices drawn again by `draw(k)` to refit it.
+    The runs of one bootstrap over the same columns share in `stacks` one
+    `WhitenedGrams`, which the first of them (`owner`) adds each replicate
+    to, and the memos, not the indices, of the replicates refitted; `finish`
+    reads every replicate off the stack's factors at once, as an estimate."""
 
     def __init__(self, d: Dataset, spec: AnalysisSpec, stacks: dict, draw):
-        self.d, self.spec, self.draw, run = d, spec, draw, _Run(d)
+        self.d, self.spec, self.draw, run = d, spec, draw, _Run(Sample(d))
         self.owner = run.columns not in stacks
         self.grams, self.memos = memoized(stacks, run.columns, lambda: (WhitenedGrams(
             run.factor, [1.0, *map(d.column, run.columns)], analysis_rows(d, run.columns)), {}))
 
-    def __call__(self, idx: np.ndarray, shared: dict) -> None:
+    def __call__(self, s: Sample) -> None:
         if self.owner:
-            self.grams.add(idx)
+            self.grams.add(s.idx)
 
     def finish(self) -> list:
         """Each replicate's estimate (`DecompositionEstimate.of`), or the AnalysisError
@@ -303,13 +317,11 @@ class LinearReplicates:
         interpolates between. So failures and percentiles are bitwise, and
         spreads within 1e-13 relative, those of fits of each replicate's rows."""
         def read(k):
-            try:
-                return _decompose(self.d, self.spec, self.draw(k), self.memos.setdefault(k, {}))
-            except AnalysisError as err:
-                return err
-
+            s = Sample(self.d, self.draw(k))
+            s.memo.update(self.memos.setdefault(k, s.memo))  # what another run built of replicate k
+            return outcome_of(_decompose, s, self.spec)
         factor, condition = self.grams.factors
-        run, spec = _Run(self.d, factor), self.spec
+        run, spec = _Run(Sample(self.d), factor), self.spec
         with np.errstate(divide="ignore", invalid="ignore"):  # as a `near` replicate may
             initial, residual, reduction = run.split(spec, lambda q: factor.fit(run.y, q))
             error = np.finfo(float).eps * condition * _slope_scale(factor, run.y, run.r)
@@ -340,7 +352,7 @@ def decompose_successive_multiX(d: Dataset, spec: AnalysisSpec) -> Decomposition
     sample; each proposition's residual and reduction come from differences
     of the group coefficient. Rare binary outcomes take the ratio scale.
     """
-    return _decompose(spec.resolve(d, Estimator.SUCCESSIVE), spec)
+    return _decompose(Sample(spec.resolve(d, Estimator.SUCCESSIVE)), spec)
 
 
 #: The single-early ladder is the one-step case of the general ladder.
@@ -354,7 +366,7 @@ def decompose_product_coefficients(d: Dataset, spec: AnalysisSpec) -> Decomposit
     nested-regressions family identically in-sample. Rare binary outcomes
     take the ratio scale.
     """
-    return _decompose(spec.resolve(d, Estimator.PRODUCT), spec)
+    return _decompose(Sample(spec.resolve(d, Estimator.PRODUCT)), spec)
 
 
 def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
@@ -368,4 +380,4 @@ def decompose_logistic_rare(d: Dataset, spec: AnalysisSpec) -> DecompositionEsti
     answers, whatever outcome family it names.
     """
     rare = dataclasses.replace(spec, outcome_family=OutcomeFamily.RARE_BINARY)
-    return _decompose(rare.resolve(d, Estimator.SUCCESSIVE, Estimator.PRODUCT), rare)
+    return _decompose(Sample(rare.resolve(d, Estimator.SUCCESSIVE, Estimator.PRODUCT)), rare)

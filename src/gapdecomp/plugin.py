@@ -317,15 +317,15 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
 
 
 class Replicates:
-    """A plug-in run over bootstrap replicates, each given as its row indices into
-    `d`. A replicate is the cells of its estimate's table (`_sample`) at its
+    """A plug-in run over bootstrap replicates of `d` (`parametric.Sample`s). A
+    replicate is the cells of its estimate's table (`_sample`) at its row
     indices, as the estimate is at the sample's own rows; `finish` contracts all."""
 
     def __init__(self, d: Dataset, spec: AnalysisSpec):
         self.spec, self.table, self.drawn = spec, _sample(d, spec), []
 
-    def __call__(self, idx: np.ndarray, shared=None) -> None:
-        self.drawn.append(self.table.cells(idx))
+    def __call__(self, s) -> None:
+        self.drawn.append(self.table.cells(s.idx))
 
     def finish(self) -> list:
         """Each replicate's estimate, or the AnalysisError that ends it."""

@@ -224,12 +224,15 @@ class TriangularFactor:
     @classmethod
     def of(cls, labels: Sequence[str], columns: Sequence, rows=None) -> "TriangularFactor":
         """R of ``columns[j][rows]`` from R = 0 (`fold_rows`); a scalar
-        fills its column. `rows` is an optional boolean mask or index array.
+        fills its column. `rows` is an optional boolean mask or index array;
+        a mask that keeps every row is read by slices, as no `rows`.
 
         Raises UnknownColumn for columns of unequal lengths, and NonFiniteCell
         naming the first column whose R column overflowed (R[:, j] depends
         on columns 0..j only).
         """
+        if rows is not None and rows.dtype == bool and rows.all():
+            rows = None
         if rows is None:
             lengths = [(label, len(c)) for label, c in zip(labels, columns) if np.ndim(c)]
             n = lengths[0][1]
@@ -368,11 +371,13 @@ def _binomial_deviance(eta: np.ndarray, sign: np.ndarray, tail: np.ndarray) -> f
     return float(2.0 * np.sum(terms))
 
 
-def _newton_terms(mat: np.ndarray, y: np.ndarray, sign: np.ndarray, beta: np.ndarray):
+def _newton_terms(mat: np.ndarray, y: np.ndarray, sign: np.ndarray, beta: np.ndarray,
+                  gradient: bool = True):
     """The binomial deviance at beta, and the score Aᵀ(y - p) and Gram
-    matrix Aᵀ(w·A) a Newton step from beta solves with, read in one pass over
-    BLOCK_ROWS-row slices of the design A = `mat`. Weights w = p(1 - p) are
-    clipped to >= 1e-12. No sum runs over more than one slice's rows."""
+    matrix Aᵀ(w·A) a Newton step from beta solves with (zero unless `gradient`),
+    read in one pass over BLOCK_ROWS-row slices of the design A = `mat`.
+    Weights w = p(1 - p) are clipped to >= 1e-12. No sum runs over more than
+    one slice's rows."""
     k = mat.shape[1]
     deviance, score, gram = 0.0, np.zeros(k), np.zeros((k, k))
     for start in range(0, mat.shape[0], BLOCK_ROWS):
@@ -381,6 +386,8 @@ def _newton_terms(mat: np.ndarray, y: np.ndarray, sign: np.ndarray, beta: np.nda
         eta = a @ beta
         tail = exp_neg_abs(eta)  # read by the deviance, then overwritten by expit
         deviance += _binomial_deviance(eta, sign[at], tail)
+        if not gradient:
+            continue
         p = expit(eta, tail)
         score += a.T @ (y[at] - p)
         gram += a.T @ (a * np.clip(p * (1.0 - p), 1e-12, None)[:, None])
@@ -397,7 +404,8 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
     is checked once, on the unweighted design (weights are clipped to >=
     1e-12, so every weighted design has its rank). The deviance, the score
     and the Gram matrix at each iterate come from one pass over the design,
-    BLOCK_ROWS rows at a time (`_newton_terms`). Converges when the max
+    BLOCK_ROWS rows at a time (`_newton_terms`), and only the deviance after
+    a step that ends the loop by its size. Converges when the max
     absolute coefficient change is < 1e-10 or the deviance stopped changing
     (moved by < 1e-12); at most 100 iterations. A caller that already holds
     a `TriangularFactor` whose first k columns are the design's passes it as
@@ -447,7 +455,8 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray,
             delta = TriangularFactor.of((*labels, "response"), columns).fit("response", k).values
         beta = beta + delta
         step = float(np.max(np.abs(delta)))
-        new_deviance, g, gram = _newton_terms(mat, y, sign, beta)  # g, gram: the next step's
+        # g, gram: the next step's, which a step below _COEF_TOL ends the loop before
+        new_deviance, g, gram = _newton_terms(mat, y, sign, beta, step >= _COEF_TOL)
         norm = float(np.max(np.abs(beta)))
         if norm > _DIVERGENCE_NORM and step >= previous_step:
             raise Separation(

@@ -359,24 +359,21 @@ def test_selfcheck_fails_an_estimator_that_returns_nan(monkeypatch, capsys):
 def test_selfcheck_catches_a_replicate_read_from_the_wrong_rows(monkeypatch, route):
     import gapdecomp.oaxaca as oaxaca
     from gapdecomp.cli import _check_replicate_indices, _selfcheck_data
-    from gapdecomp.parametric import LinearReplicates
+    from gapdecomp.parametric import LinearReplicates, Sample
     from gapdecomp.plugin import Replicates
 
-    def short(idx):  # a replicate that lost its last row
-        return None if idx is None else idx[:-1]
+    def short(s):  # a replicate that lost its last row
+        return s if s.idx is None else Sample(s.d, s.idx[:-1])
 
     discrete = _selfcheck_data()[1]
     if route in ("plugin", "parametric"):
         assert _check_replicate_indices(discrete) <= 1e-12
         route_class = Replicates if route == "plugin" else LinearReplicates
         draw = route_class.__call__
-        monkeypatch.setattr(route_class, "__call__",
-                            lambda self, idx, shared: draw(self, short(idx), shared))
+        monkeypatch.setattr(route_class, "__call__", lambda self, s: draw(self, short(s)))
     else:  # each group's factor of the replicate, from its memo or built
         factor = oaxaca.sample_factor
-        monkeypatch.setattr(oaxaca, "sample_factor",
-                            lambda d, columns, idx=None, *args, **kwargs:
-                            factor(d, columns, short(idx), *args, **kwargs))
+        monkeypatch.setattr(oaxaca, "sample_factor", lambda s, *args: factor(short(s), *args))
     assert _check_replicate_indices(discrete) > 1e-12
 
 
@@ -771,6 +768,8 @@ def test_an_output_lost_before_it_is_written_exits_2_naming_it(tmp_path, capsys,
     monkeypatch.setattr(cli, "execute", lambda config: ((tmp_path / "sub").rmdir(), execute(config))[1])
     assert main(["run", str(cfg)]) == 2
     assert f"config error: cannot write output.table {table!r}: " in capsys.readouterr().err
+    # all or nothing: the report written before the table is not left behind, nor a temporary
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "config.json"]
 
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"n": 20}), encoding="utf-8")

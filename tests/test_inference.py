@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dataset_from, random_continuous_params
+from conftest import dataset_from, random_continuous_params, random_rare_binary_params
 from gapdecomp import (
     AnalysisSpec,
     Scale,
@@ -335,18 +335,26 @@ def test_bootstrap_runs_yields_what_bootstrap_returns_for_each_spec():
         AnalysisSpec("P4", "SUCCESSIVE"),
         AnalysisSpec("P3", "PRODUCT", bindings={"early": "early2"}),
         AnalysisSpec("P1", "SUCCESSIVE", bindings={"early": ["early", "early2"]}),
+        AnalysisSpec("P3", "SUCCESSIVE", options={"interactions": True}),
+        AnalysisSpec("P2", "PRODUCT", bindings={"early": "early2"}, options={"interactions": True}),
         AnalysisSpec("P2", "PLUGIN"),  # continuous early: TooManyLevels on the full sample
     ]
-    for stratify in (False, True):
-        results = list(bootstrap_runs(d, specs, b=16, seed=3, stratify_by_group=stratify))
-        for spec, result in zip(specs, results):
-            try:
-                alone = bootstrap(d, spec, b=16, seed=3, stratify_by_group=stratify)
-            except AnalysisError as err:
-                assert type(result) is type(err) and str(result) == str(err)
-                continue
-            assert repr(result) == repr(alone)  # floats by repr: bitwise
-        assert [type(r).__name__ for r in results][-1] == "TooManyLevels"
+    rare = generate(random_rare_binary_params(np.random.default_rng(13), prevalence=0.08), 2000, seed=4)
+    rare_specs = [AnalysisSpec("P4", family, outcome_family="RARE_BINARY")
+                  for family in ("SUCCESSIVE", "PRODUCT")]
+    for data, runs in ((d, specs), (rare, rare_specs)):
+        for stratify in (False, True):
+            results = list(bootstrap_runs(data, runs, b=16, seed=3, stratify_by_group=stratify))
+            for spec, result in zip(runs, results):
+                try:
+                    alone = bootstrap(data, spec, b=16, seed=3, stratify_by_group=stratify)
+                except AnalysisError as err:
+                    assert type(result) is type(err) and str(result) == str(err)
+                    continue
+                assert repr(result) == repr(alone)  # floats by repr: bitwise
+            names = [type(r).__name__ for r in results]
+            assert names == (["BootstrapSummary"] * 5 + ["TooManyLevels"] if runs is specs
+                             else ["BootstrapSummary"] * 2)
 
 
 def test_an_interactions_bootstrap_binds_its_run_once_whatever_b(monkeypatch):

@@ -321,6 +321,7 @@ def test_an_interactions_config_builds_one_factor_per_group_and_column_tuple(mon
 def test_a_replicates_interactions_runs_share_its_memo_and_leave_the_datasets(monkeypatch):
     from gapdecomp.engine import estimate, replicates
     from gapdecomp.inference import resample_indices
+    from gapdecomp.parametric import Sample
 
     d = covariate_dataset(16)
     for spec in INTERACTIONS_CONFIG:
@@ -329,12 +330,37 @@ def test_a_replicates_interactions_runs_share_its_memo_and_leave_the_datasets(mo
     routes = [replicates(d, spec, {}, None) for spec in INTERACTIONS_CONFIG]
     built = counted_factors(monkeypatch)
     for k in range(2):
-        idx, memo = resample_indices(d, 3, k), {}
-        got = [route(idx, memo) for route in routes]
+        s = Sample(d, resample_indices(d, 3, k))
+        got = [route(s) for route in routes]
         assert len(built) == 6 * (k + 1)  # as on the full sample: 3 column tuples, 2 groups
-        assert sorted(key[0] for key in memo) == 3 * ["group factors"]
-        taken = d.take(idx)
+        assert sorted(key[0] for key in s.memo) == 3 * ["group factors"]
+        taken = d.take(s.idx)
         assert [(e.initial, e.residual, e.reduction) for e in got] == [
-            (e.initial, e.residual, e.reduction) for e in (estimate(taken, s) for s in INTERACTIONS_CONFIG)]
+            (e.initial, e.residual, e.reduction) for e in (estimate(taken, c) for c in INTERACTIONS_CONFIG)]
         del built[6 * (k + 1):]  # the take's own factors
     assert d._memo.keys() == full.keys() and all(d._memo[key] is full[key] for key in full)
+
+
+@pytest.mark.parametrize("estimated_first", [False, True])
+def test_a_replicate_sample_never_writes_into_the_full_samples_memo(estimated_first):
+    # a replicate's factors once went into the dataset's memo under the full
+    # sample's keys, and a later estimate read them
+    from gapdecomp.engine import estimate
+    from gapdecomp.inference import resample_indices
+    from gapdecomp.parametric import Sample, _decompose
+
+    d = generate(random_continuous_params(np.random.default_rng(1)), 2000, seed=1)
+    specs = [AnalysisSpec("P3", "SUCCESSIVE", options={"interactions": True}),
+             AnalysisSpec("P3", "SUCCESSIVE")]
+    for spec in specs if estimated_first else ():
+        estimate(d, spec)
+    full = dict(d._memo)
+    s = Sample(d, resample_indices(d, 7, 0))
+    replicate = [oaxaca._stratified(s, specs[0]), _decompose(s, specs[1])]
+    assert sorted(key[0] for key in s.memo) == ["factor", "group factors"]
+    assert d._memo.keys() == full.keys() and all(d._memo[key] is full[key] for key in full)
+    taken, fresh = d.take(s.idx), d.take(np.arange(d.n_rows))
+    for spec, read in zip(specs, replicate):
+        for got, want in ((read, estimate(taken, spec)), (estimate(d, spec), estimate(fresh, spec))):
+            assert (got.initial, got.residual, got.reduction) == (
+                want.initial, want.residual, want.reduction)

@@ -374,15 +374,15 @@ def test_parametric_runs_on_one_dataset_share_one_factor_and_repeat_bitwise():
 
 
 def test_factor_memo_is_keyed_by_the_ordered_column_tuple():
-    from gapdecomp.parametric import sample_factor
+    from gapdecomp.parametric import Sample, sample_factor
 
     d = generate(random_continuous_params(np.random.default_rng(39)), 200, seed=38)
     d = d.with_columns({"target": np.where(np.arange(200) % 7 == 0, np.nan, d.column("target"))})
-    a = sample_factor(d, ["group", "early", "outcome"])
-    assert sample_factor(d, ["group", "early", "outcome"]) is a
-    swapped = sample_factor(d, ["early", "group", "outcome"])
+    a = sample_factor(Sample(d), ["group", "early", "outcome"])
+    assert sample_factor(Sample(d), ["group", "early", "outcome"]) is a
+    swapped = sample_factor(Sample(d), ["early", "group", "outcome"])
     assert swapped.labels[1:] == ("early", "group", "outcome") and swapped is not a
-    with_target = sample_factor(d, ["group", "early", "target"])
+    with_target = sample_factor(Sample(d), ["group", "early", "target"])
     assert with_target.n_rows < a.n_rows == 200  # the key also fixes the analysis rows
     assert list(d._memo) == [("factor", ("group", "early", "outcome")),
                              ("factor", ("early", "group", "outcome")),
@@ -577,12 +577,12 @@ def test_logistic_outcome_models_carry_iterations_convergence_and_deviance():
 def read_replicates(d, spec, replicates):
     """The linear route's outcome for each replicate given as row indices."""
     from gapdecomp.engine import replicates as route_of
-    from gapdecomp.parametric import LinearReplicates
+    from gapdecomp.parametric import LinearReplicates, Sample
 
     route = route_of(d, spec, {}, replicates.__getitem__)
     assert isinstance(route, LinearReplicates)
     for idx in replicates:
-        route(idx, {})
+        route(Sample(d, idx))
     return route.finish()
 
 

@@ -17,6 +17,7 @@ from gapdecomp import (
     plugin_mu_timedep,
 )
 from gapdecomp.errors import EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
+from gapdecomp.parametric import Sample
 from gapdecomp.plugin import Replicates, _sample
 
 
@@ -528,7 +529,7 @@ def test_a_replicate_anchors_at_the_nearest_level_it_observes():
     replicates = [np.flatnonzero(x != 2.0), np.arange(d.n_rows), np.flatnonzero(x != 2.0)[::-1]]
     run = Replicates(d, spec)
     for idx in replicates:
-        run(idx, {})
+        run(Sample(d, idx))
     notes = []
     for idx, got in zip(replicates, run.finish()):
         want = plugin_mu(d.take(idx), spec)
@@ -634,7 +635,7 @@ def test_the_replicate_of_every_row_is_the_estimate(prop):
     # blank outcome and covariate cells put some rows in the dump cell
     d, spec = batch_cohort(3000), AnalysisSpec(prop, "PLUGIN")
     run = Replicates(d, spec)
-    run(np.arange(d.n_rows))
+    run(Sample(d, np.arange(d.n_rows)))
     assert run.table.counts.sum() < d.n_rows
     (got,) = run.finish()
     want = plugin_mu(d, spec)
@@ -695,6 +696,6 @@ def test_the_anchor_read_off_the_table_picks_the_level_nearest_the_row_mean():
     replicates = [rng.integers(0, n, n) for _ in range(8)]
     run = Replicates(d, spec)
     for idx in replicates:
-        run(idx, {})
+        run(Sample(d, idx))
     assert [e.notes[0] for e in run.finish()] == [
         f"anchored at early-measure stratum {nearest_to_row_mean(idx)}" for idx in replicates]

@@ -256,6 +256,25 @@ def test_a_factor_holds_one_block_of_its_sample():
     assert peak < 3e6
 
 
+def test_a_mask_of_every_row_folds_by_slices():
+    import tracemalloc
+
+    from gapdecomp.regression import TriangularFactor
+
+    rng = np.random.default_rng(42)
+    n = 200_000
+    columns = [1.0, *(rng.normal(size=n) for _ in range(5))]
+    tracemalloc.start()
+    try:
+        factor = TriangularFactor.of(tuple("abcdef"), columns, np.ones(n, bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 10,000×6 block (480 kB) and no row indices (1.6 MB)
+    assert factor.n_rows == n and peak < 1e6
+    assert np.array_equal(factor.r, TriangularFactor.of(tuple("abcdef"), columns, np.arange(n)).r)
+
+
 def test_a_logistic_fit_checks_rank_on_the_factor_its_caller_holds():
     from gapdecomp.regression import TriangularFactor
 
