@@ -49,6 +49,7 @@ from .engine import estimate
 from .errors import AnalysisError, ConfigError, NotUtf8, UnreadCells, outcome_of
 from .inference import bootstrap_runs, bootstrap_statistic
 from .oaxaca import interaction_model_estimates, proposition_via_oaxaca
+from .parametric import Sample
 from .regression import DesignMatrix, fit_logistic, fit_ols
 from .simulate import StructuralParams, generate
 
@@ -306,19 +307,21 @@ def execute(cfg: RunConfig) -> dict:
         warnings.simplefilter("always")
         d = _prepare_dataset(cfg)
     unread = next((w.message for w in caught if isinstance(w.message, UnreadCells)), None)
+    bound = []
     for i, spec in enumerate(cfg.runs):
         try:
-            spec.resolve(d)
+            bound.append(spec.resolve(d))
         except AnalysisError as exc:
             raise ConfigError(f"runs[{i}] ({spec.proposition.value}, {spec.estimator.value}): {exc}") from exc
 
     run_reports, ests = [], []
-    for spec in cfg.runs:
+    for spec, binding in zip(cfg.runs, bound):
         entry: dict = {
             "proposition": spec.proposition.value,
             "estimator": spec.estimator.value,
             "outcome_family": spec.outcome_family.value,
             **({"bindings": dict(spec.bindings)} if spec.bindings else {}),
+            "n_analysis": int(np.count_nonzero(Sample(binding).mask)),
             "estimate": None,
             "notes": [],
             "warnings": [],

@@ -100,12 +100,13 @@ class Dataset:
     `_memo` holds what is computed from the columns, each entry built once by
     `memoized` under a key naming its kind, then the columns it reads:
     ("levels", column) a column's levels and row codes (`level_codes`);
-    ("factor", columns) the `TriangularFactor` of [1, columns…] over their
-    analysis rows, ("group factors", group, columns) one per group, and
-    ("logistic fit", columns, q) and ("prevalence", columns) (`parametric`);
-    ("table", max_levels, outcome, group, dimensions…) a `StratumTable`. A
-    bootstrap replicate's go into its own memo. `with_roles` keeps the
-    columns, so it shares the memo; `take` and `with_columns` start anew.
+    ("rows", bound columns) their analysis sample's mask and ("sample", bound
+    columns) its memo (`parametric.Sample`): ("factor", columns) R of [1,
+    columns…], ("group factors", group, columns), ("logistic fit", columns,
+    q), ("prevalence", columns), ("table", max_levels, roles…) a
+    `StratumTable`; a bootstrap replicate's, kept apart, add
+    ("cells", table key…). `with_roles` keeps the columns, so it shares the
+    memo; `take` and `with_columns` start anew.
     """
 
     columns: Mapping[str, np.ndarray]

@@ -231,15 +231,13 @@ def bootstrap_runs(
     """Bootstrap several runs, drawing each replicate's row indices once for all of them.
 
     Each run is resolved once on the full sample and reads a replicate from
-    its indices (`engine.replicates`): a plug-in run bincounts its
-    estimate's cell codes there; a SUCCESSIVE or PRODUCT run factors the full
-    sample's columns at the replicate's analysis rows, or each group's rows
-    of them with "interactions", once per replicate and analysis sample, and
-    fits a rare outcome's logistic models once per replicate too. `full`
-    may hold the runs' full-sample estimates, which are then not computed
-    again. A generator: per spec it yields what ``bootstrap(d, spec, ...)``
-    alone returns, bitwise, or the AnalysisError that ended it, and issues
-    that run's replicate warnings as it does.
+    its indices (`engine.replicates`), at its analysis sample's rows; the
+    runs over one sample share what they compute of a replicate (its cell
+    counts, factors and logistic fits) through its memo. `full` may hold the
+    runs' full-sample estimates, which are then not computed again. A
+    generator: per spec it yields what ``bootstrap(d, spec, ...)`` alone
+    returns, bitwise, or the AnalysisError that ended it, and issues that
+    run's replicate warnings as it does.
     """
     statistics, stacks = [lambda data, spec=spec: estimate(data, spec) for spec in specs], {}
     return _bootstrap_each(d, statistics, lambda i, draw: replicates(d, specs[i], stacks, draw),

@@ -7,10 +7,10 @@ values), within strata of conditioning variables at a fixed profile. With no
 conditioning variables the split is marginal: the same algebra, with each
 auxiliary fit intercept-only.
 
-Each group's analysis rows are factored once: one triangular factor R of
-[1, conditioning…, explanatory…, y] (see regression.py), which
-`parametric.sample_factor` builds and memoizes in the memo of the run's
-`parametric.Sample`, as it does the pooled factors: runs share it. Every stratified
+Each group's rows of a run's `parametric.Sample` are factored once: one
+triangular factor R of [1, conditioning…, explanatory…, y] (see
+regression.py), which `parametric.sample_factor` builds and memoizes in the
+sample's memo, as it does the pooled factors: runs share it. Every stratified
 quantity regresses a column on a prefix of the columns before it, so each is
 a prefix solve on that R: the outcome model takes every column before y, the
 model-based group mean of an explanatory variable at the profile takes
@@ -42,7 +42,7 @@ from .analysis import (
 )
 from .data import Dataset, Role
 from .errors import EmptyGroup, InvalidSpec
-from .parametric import Sample, analysis_rows, sample_factor, _model_name, _run_roles
+from .parametric import Sample, sample_factor, _model_name, _run_roles
 from .regression import INTERCEPT, DesignMatrix, fit_ols
 
 
@@ -164,11 +164,14 @@ def oaxaca_decompose(
     Conditional mode decomposes the model-implied gap at a fixed
     conditioning profile (default: group-0 means), with the conditioning
     coefficients' gaps entering the unexplained portion evaluated at that
-    profile. Reference coefficients default to the group-1 fit.
+    profile. Reference coefficients default to the group-1 fit. The rows are
+    those complete in the outcome, the group and every listed column.
     """
     if reference not in ("group1", "group0"):
         raise InvalidSpec("reference must be 'group1' or 'group0'")
-    groups = _GroupFactors(Sample(d), explanatory, conditioning)
+    y, r = d.single_role_column(Role.OUTCOME), d.single_role_column(Role.GROUP)
+    bound = d.with_roles({Role.OUTCOME: y, Role.GROUP: r, Role.COVARIATE: (*conditioning, *explanatory)})
+    groups = _GroupFactors(Sample(bound), explanatory, conditioning)
     return _split(groups, reference, groups.profile() if profile is None else profile)
 
 
@@ -234,18 +237,17 @@ def interaction_model_estimates(d: Dataset, spec: AnalysisSpec) -> Decomposition
     prop, bound, y, r, xs, c, m = _bind(d, spec)
 
     explanatory = xs if prop == Proposition.P1 else xs + [m]
-    rows = analysis_rows(bound, [y, r, *explanatory, *c])
-    interactions = [(r, v) for v in explanatory]
-    design = DesignMatrix.from_dataset(bound, [r, *explanatory, *c], rows=rows,
+    s, interactions = Sample(bound), [(r, v) for v in explanatory]
+    design = DesignMatrix.from_dataset(bound, [r, *explanatory, *c], rows=s.mask,
                                        interactions=interactions)
-    fit = fit_ols(design, bound.column(y)[rows])
+    fit = fit_ols(design, bound.column(y)[s.mask])
     models = {_model_name(y, [r, *explanatory, *c]
                           + [f"{r}:{v}" for v in explanatory]): fit.as_dict()}
 
     def slope(v):
         return fit[v] + fit[f"{r}:{v}"]
 
-    groups, profile = _groups(Sample(bound), spec)  # the explanatory variables' group means at the profile
+    groups, profile = _groups(s, spec)  # the explanatory variables' group means at the profile
     values = np.array(list(profile.values()))
     mean1 = groups.conditional_means(1, groups.explanatory, values)
     mean0 = groups.conditional_means(0, groups.explanatory, values)

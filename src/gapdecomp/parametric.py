@@ -15,13 +15,13 @@ agree to floating-point precision on the common analysis sample. For a rare
 binary outcome the same two splits are applied on the log scale to logistic
 outcome fits and exponentiated onto the ratio scale.
 
-`sample_factor` builds and memoizes R of the ordered columns (r, c…, x…, m,
-y), which also fix the analysis rows (those complete in every listed
-column), and each group's R for the group-stratified route (`oaxaca`).
-Every run reads a `Sample`, whose memo holds them beside the logistic
-outcome fits: a Dataset's own `_memo` (its keys are listed there), or a
-bootstrap replicate's own. Every run over the same columns of a sample
-shares one factor and its fits, whatever roles bind them. A linear run
+Every run reads a `Sample`: the rows complete in every column its dataset
+binds, whatever the family and proposition, and a memo (its keys are listed
+at `Dataset._memo`) where `sample_factor` builds R of the ordered columns
+(r, c…, x…, m, y), and each group's R for the group-stratified route
+(`oaxaca`), beside the logistic outcome fits. Every run over the same
+columns of a sample shares one factor and its fits, whatever roles bind
+them. A linear run
 reads all replicates at once (`LinearReplicates`): the ladder and product
 splits run over a stack of their factors, which `regression.WhitenedGrams`
 builds, with a leading replicate axis; an estimate is the case of one.
@@ -62,53 +62,47 @@ from .regression import (
 RARE_PREVALENCE_LIMIT = 0.10
 
 
-def analysis_rows(d: Dataset, columns) -> np.ndarray:
-    """Boolean mask of rows with no missing cell in any listed column.
-
-    Every model inside one run is fit on these rows (rows complete for the
-    largest model), which is what makes the cross-family identities exact.
-    """
+def analysis_rows(d: Dataset) -> np.ndarray:
+    """Boolean mask of the rows with no missing cell in any column `d` binds
+    to a role: the one sample of every run over this binding."""
     mask = np.ones(d.n_rows, dtype=bool)
-    for name in columns:
+    for name in sum(d.roles.values(), ()):
         mask &= ~np.isnan(d.column(name))
     return mask
 
 
-@dataclasses.dataclass(frozen=True)
 class Sample:
-    """The rows of `d` a run reads, and the memo of their factors and fits:
-    every row and `d._memo`, or the bootstrap replicate of rows `idx` into
-    `d` and a memo of its own, which the runs reading it share (`over`)."""
+    """The analysis sample of the roles `d` binds (its `mask`), or its
+    bootstrap replicate of rows `idx` into `d`. Its `memo`, of what is
+    computed from its rows, is kept by the bound columns (`key`) in `shared`:
+    `d._memo`, or a replicate's own dict, which its rebindings share (`over`)."""
 
-    d: Dataset
-    idx: np.ndarray | None = None
-    memo: dict = dataclasses.field(init=False, repr=False, compare=False)
+    def __init__(self, d: Dataset, idx: np.ndarray | None = None, shared: dict | None = None):
+        self.d, self.idx, self.shared = d, idx, (d._memo if idx is None else {}) if shared is None else shared
+        self.key = tuple(sorted(sum(d.roles.values(), ())))
+        self.mask = memoized(d._memo, ("rows", self.key), lambda: analysis_rows(d))
+        self.memo = memoized(self.shared, ("sample", self.key), dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "memo", self.d._memo if self.idx is None else {})
-
-    def rows(self, mask: np.ndarray) -> np.ndarray:
-        """The rows of a mask over `d`: for a replicate, ``idx[mask[idx]]``, as a `take` keeps them."""
+    def rows(self, where: np.ndarray | None = None) -> np.ndarray:
+        """The sample's rows where the mask `where` holds too: a mask over `d`, or ``idx[mask[idx]]``."""
+        mask = self.mask if where is None else self.mask & where
         return mask if self.idx is None else self.idx[mask[self.idx]]
 
     def over(self, d: Dataset) -> "Sample":
-        """These rows and this memo over `d`, a rebinding of roles (`Dataset.with_roles`)."""
-        s = Sample(d, self.idx)
-        object.__setattr__(s, "memo", self.memo)
-        return s
+        """These rows over `d`, a rebinding of roles (`Dataset.with_roles`), sharing this replicate's memos."""
+        return Sample(d, self.idx, self.shared)
 
 
 def sample_factor(s: Sample, columns, group: str | None = None):
-    """R of [1, columns…] over the sample's analysis rows, memoized in its
+    """R of [1, columns…] over the rows of the sample `s`, memoized in its
     memo; with `group`, a 0/1 column, {g: R over group g's rows}."""
     columns, d = tuple(columns), s.d
 
-    def factor(rows):
-        return TriangularFactor.of((INTERCEPT, *columns), [1.0, *map(d.column, columns)], s.rows(rows))
+    def factor(where=None):
+        return TriangularFactor.of((INTERCEPT, *columns), [1.0, *map(d.column, columns)], s.rows(where))
 
     def build():
-        rows = analysis_rows(d, columns)
-        return factor(rows) if group is None else {g: factor(rows & (d.column(group) == g)) for g in (1, 0)}
+        return factor() if group is None else {g: factor(d.column(group) == g) for g in (1, 0)}
 
     key = ("factor", columns) if group is None else ("group factors", group, columns)
     return memoized(s.memo, key, build)
@@ -255,7 +249,7 @@ def _decompose(s: Sample, spec: AnalysisSpec):
     if logistic:
         @functools.cache
         def sample():  # the widest outcome design and the outcomes, read once per call at most
-            rows = s.rows(analysis_rows(d, columns))
+            rows = s.rows()
             return stacked_columns([1.0, *map(d.column, columns[:-1])], rows), d.column(run.y)[rows]
 
         # validate_spec has checked that the outcome is 0/1
@@ -291,16 +285,17 @@ def _decompose(s: Sample, spec: AnalysisSpec):
 class LinearReplicates:
     """A linear SUCCESSIVE or PRODUCT run over bootstrap replicates of `d`
     (`Sample`s), replicate k's indices drawn again by `draw(k)` to refit it.
-    The runs of one bootstrap over the same columns share in `stacks` one
-    `WhitenedGrams`, which the first of them (`owner`) adds each replicate
-    to, and the memos, not the indices, of the replicates refitted; `finish`
-    reads every replicate off the stack's factors at once, as an estimate."""
+    The runs of one bootstrap over one sample's columns share in `stacks`
+    one `WhitenedGrams`, which the first of them (`owner`) adds each
+    replicate to, and the memos, not the indices, of the replicates refitted;
+    `finish` reads every replicate off the stack's factors at once, as an estimate."""
 
     def __init__(self, d: Dataset, spec: AnalysisSpec, stacks: dict, draw):
-        self.d, self.spec, self.draw, run = d, spec, draw, _Run(Sample(d))
-        self.owner = run.columns not in stacks
-        self.grams, self.memos = memoized(stacks, run.columns, lambda: (WhitenedGrams(
-            run.factor, [1.0, *map(d.column, run.columns)], analysis_rows(d, run.columns)), {}))
+        s = Sample(d)
+        self.d, self.spec, self.draw, run = d, spec, draw, _Run(s)
+        self.owner = (s.key, run.columns) not in stacks
+        self.grams, self.refits = memoized(stacks, (s.key, run.columns), lambda: (WhitenedGrams(
+            run.factor, [1.0, *map(d.column, run.columns)], s.mask), {}))
 
     def __call__(self, s: Sample) -> None:
         if self.owner:
@@ -316,9 +311,8 @@ class LinearReplicates:
         within 1e-8 (of the largest) of a draw that a 2.5% or 97.5% percentile
         interpolates between. So failures and percentiles are bitwise, and
         spreads within 1e-13 relative, those of fits of each replicate's rows."""
-        def read(k):
-            s = Sample(self.d, self.draw(k))
-            s.memo.update(self.memos.setdefault(k, s.memo))  # what another run built of replicate k
+        def read(k):  # replicate k drawn again, with what another run of the stack built of it
+            s = Sample(self.d, self.draw(k), self.refits.setdefault(k, {}))
             return outcome_of(_decompose, s, self.spec)
         factor, condition = self.grams.factors
         run, spec = _Run(Sample(self.d), factor), self.spec

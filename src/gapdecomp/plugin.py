@@ -2,20 +2,20 @@
 
 Every proposition is a weighted sum of group-1 conditional outcome means,
 with weights taken from whichever group's distribution the intervention
-equalizes. All of them are read from one table per analysis sample, which
-the dataset's memo shares among the runs over the same columns: each row
-gets one integer cell code over (group, early, target, confounder,
-covariate), and two ``np.bincount`` calls over the codes of any rows give
-every cell's count and outcome sum (`StratumTable.cells`). A proposition is
-one contraction of that table (P2 and P5 read their default anchor off its
-group-1 early margin): each probability is counts over their marginal along
-an axis, each cell mean is sums over counts. A dimension with no bound
-column is a size-1 pseudo-level axis, so the plain propositions (P1-P4) and
-their confounder-aware versions (P5-P7) run the same contraction over
-identically shaped tables; a constant confounder yields the same codes and
-sums as none, and collapses to the plain answer bit-for-bit. The
-contraction takes a leading replicate axis, and an estimate is the
-replicate drawn at the sample's own rows (bootstrap: `Replicates`).
+equalizes. All of them are read from one table per analysis sample
+(`parametric.Sample`): each row gets one integer cell code over (group,
+early, target, confounder, covariate), and two ``np.bincount`` calls over
+the codes of any rows give every cell's count and outcome sum
+(`StratumTable.cells`). A proposition is one contraction of its marginal
+(P1-P4 sum the confounder away, P1 the target too; P2 and P5 read their
+default anchor off its group-1 early margin): each probability is counts
+over their marginal along an axis, each cell mean is sums over counts. A
+dimension with no bound column is a size-1 pseudo-level axis, so the plain
+propositions (P1-P4) and their confounder-aware versions (P5-P7) run the
+same contraction over identically shaped tables; a constant confounder
+yields the same codes and sums as none, and collapses to the plain answer
+bit-for-bit. The contraction takes a leading replicate axis, and an
+estimate is the replicate drawn at the sample's own rows (`Replicates`).
 
 Continuous early/target columns must be discretized first (see
 ``data.quantile_bin``); strata are never dropped silently — a needed cell
@@ -24,6 +24,7 @@ with no observations raises EmptyStratum naming the cell.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Mapping, Sequence
 
@@ -41,7 +42,7 @@ from .analysis import (
 )
 from .data import Dataset, Role, memoized
 from .errors import AnalysisError, EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
-from .parametric import analysis_rows
+from .parametric import Sample
 
 DEFAULT_MAX_LEVELS = 20
 
@@ -94,20 +95,24 @@ class StratumTable:
     A dimension with no columns is a single all-rows pseudo-level, a size-1
     axis that is always present. `rows` selects the analysis sample: the
     boolean mask of its rows, or an index array (a repeated row counts each
-    time); `columns` maps each dimension to its column names.
+    time); `columns` maps each dimension to its column names. A dimension
+    with a column of more than `max_levels` levels is left out (`refused`).
 
     The code is built in place, one dimension at a time, in the smallest
-    unsigned type that holds the cells so far. The dataset's memo shares a
-    table (`_sample`), so its arrays are read-only.
+    unsigned type that holds the cells so far. The sample's memo shares a
+    table (`Replicates`), so its arrays are read-only.
     """
 
     def __init__(self, d: Dataset, rows: np.ndarray, columns: Mapping[str, Sequence[str]],
                  max_levels: int = DEFAULT_MAX_LEVELS):
         self.columns: dict[str, tuple[str, ...]] = {dim: tuple(columns[dim]) for dim in _DIMENSIONS}
         code, size = d.column(d.single_role_column(Role.GROUP))[rows].astype(np.uint8), 2
-        self.levels: dict[str, list] = {}
-        for dim, names in self.columns.items():
-            levels, inverse = _dimension_codes(d, rows, names, max_levels)
+        self.levels, self.refused = {}, {}
+        for dim in _DIMENSIONS:
+            try:
+                levels, inverse = _dimension_codes(d, rows, self.columns[dim], max_levels)
+            except TooManyLevels as err:  # a pseudo-level, for the runs that sum it away
+                self.refused[dim], self.columns[dim], levels, inverse = err, (), [()], 0
             self.levels[dim], size = levels, size * len(levels)
             code = code.astype(np.min_scalar_type(size), copy=False)  # so the product cannot wrap
             code *= len(levels)
@@ -127,36 +132,26 @@ class StratumTable:
         return tuple(np.bincount(code, weights, size + 1)[:size].reshape(self.shape)
                      for weights in (None, self.outcome[idx]))
 
+    def marginal(self, dims) -> "StratumTable":
+        """This table summed over the axes of `dims` (`summed`), each then a
+        pseudo-level; it shares the code, so its `cells` are this table's.
+        Raises the TooManyLevels of a dimension left out that it does not sum."""
+        for dim, err in self.refused.items():
+            if dim not in dims:
+                raise err
+        view = copy.copy(self)
+        view.summed = tuple(_DIMENSIONS.index(dim) - len(_DIMENSIONS) for dim in dims if self.columns[dim])
+        view.columns = {dim: () if dim in dims else names for dim, names in self.columns.items()}
+        view.levels = {dim: [()] if dim in dims else levels for dim, levels in self.levels.items()}
+        view.counts, view.sums = (cells.sum(view.summed, keepdims=True) for cells in (self.counts, self.sums))
+        return view
+
     def _describe(self, group, pairs) -> str:
         parts = [f"group={int(group)}" if group is not None else "group=any"]
         for dim, level in pairs:
             if self.columns[dim]:
                 parts.append(f"{dim} {self.columns[dim]}={level}")
         return ", ".join(parts)
-
-
-def _dimension_columns(d: Dataset, prop: Proposition) -> dict[str, tuple[str, ...]]:
-    # Hide the confounder from the plain propositions so their stratum table
-    # runs the pseudo-level path, and drop the target for P1 (not needed, and
-    # a continuous target must not trip the level limit there).
-    return {
-        "early": d.role_columns(Role.EARLY),
-        "target": () if prop == Proposition.P1 else d.role_columns(Role.TARGET),
-        "confounder": (d.role_columns(Role.CONFOUNDER_L)
-                       if prop in TIMEDEP_PROPOSITIONS else ()),
-        "covariate": d.covariate_names(),
-    }
-
-
-def _sample(d: Dataset, spec: AnalysisSpec) -> StratumTable:
-    """A plug-in run's table, memoized in `d`'s memo by the columns it reads and `max_levels`."""
-    bound = spec.resolve(d, Estimator.PLUGIN)
-    columns = _dimension_columns(bound, spec.proposition)
-    outcome, group = bound.single_role_column(Role.OUTCOME), bound.single_role_column(Role.GROUP)
-    max_levels = spec.option("max_levels", DEFAULT_MAX_LEVELS)
-    read = [outcome, group, *(name for names in columns.values() for name in names)]
-    return memoized(bound._memo, ("table", max_levels, outcome, group, *columns.values()),
-                    lambda: StratumTable(bound, analysis_rows(bound, read), columns, max_levels))
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -309,7 +304,7 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
     the whole table. With outcome family RARE_BINARY the same three means
     are reported as ratios.
     """
-    table = _sample(d, spec)
+    table = Replicates(d, spec).table
     (result,) = _estimates(table, spec, table.counts[None], table.sums[None])
     if isinstance(result, AnalysisError):
         raise result
@@ -317,17 +312,27 @@ def plugin_mu(d: Dataset, spec: AnalysisSpec) -> DecompositionEstimate:
 
 
 class Replicates:
-    """A plug-in run over bootstrap replicates of `d` (`parametric.Sample`s). A
-    replicate is the cells of its estimate's table (`_sample`) at its row
-    indices, as the estimate is at the sample's own rows; `finish` contracts all."""
+    """A plug-in run over bootstrap replicates of `d` (`parametric.Sample`s):
+    `table` is the marginal of its sample's, `whole`, that its proposition
+    reads. A replicate is the cells of `whole` at its row indices, counted
+    once for all runs over it, as the estimate is at the sample's own rows."""
 
     def __init__(self, d: Dataset, spec: AnalysisSpec):
-        self.spec, self.table, self.drawn = spec, _sample(d, spec), []
+        self.bound, self.spec, self.drawn = spec.resolve(d, Estimator.PLUGIN), spec, []
+        b, s, max_levels = self.bound, Sample(self.bound), spec.option("max_levels", DEFAULT_MAX_LEVELS)
+        columns = {"early": b.role_columns(Role.EARLY), "target": b.role_columns(Role.TARGET),
+                   "confounder": b.role_columns(Role.CONFOUNDER_L), "covariate": b.covariate_names()}
+        self.key = ("table", max_levels, *sorted(b.roles.items()))
+        self.whole = memoized(s.memo, self.key, lambda: StratumTable(b, s.mask, columns, max_levels))
+        prop = spec.proposition  # P1-P4 read no confounder, and P1 no target
+        self.table = self.whole.marginal(("target",) * (prop == Proposition.P1)
+                                         + ("confounder",) * (prop not in TIMEDEP_PROPOSITIONS))
 
     def __call__(self, s) -> None:
-        self.drawn.append(self.table.cells(s.idx))
+        s = s.over(self.bound)
+        self.drawn.append(memoized(s.memo, ("cells", *self.key), lambda: self.whole.cells(s.idx)))
 
     def finish(self) -> list:
         """Each replicate's estimate, or the AnalysisError that ends it."""
-        counts, sums = (np.stack(arrays) for arrays in zip(*self.drawn))
+        counts, sums = (np.stack(cells).sum(self.table.summed, keepdims=True) for cells in zip(*self.drawn))
         return _estimates(self.table, self.spec, counts, sums)

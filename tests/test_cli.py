@@ -14,7 +14,7 @@ from gapdecomp import Dataset, StructuralParams, generate, load_csv, validate_sp
 from gapdecomp.cli import _prepare_dataset, generate_csv, load_config, main, selfcheck
 from gapdecomp.errors import ConfigError
 
-from conftest import TWO_BY_TWO_DEVIANCE, two_by_two_crossed
+from conftest import BATCH_PARAMS, TWO_BY_TWO_DEVIANCE, two_by_two_crossed
 
 CONTINUOUS = StructuralParams(
     group_share=0.4,
@@ -826,12 +826,12 @@ def test_an_input_that_is_not_utf8_is_refused_with_its_byte_offset(tmp_path, cap
 
 def test_a_rare_binary_plugin_run_on_a_continuous_outcome_is_refused_before_any_estimate(
         tmp_path, capsys, monkeypatch):
-    import gapdecomp.plugin as plugin
+    import gapdecomp.parametric as parametric
 
     def no_estimate(*args, **kwargs):
         raise AssertionError("an estimate was started for a refused request")
 
-    monkeypatch.setattr(plugin, "analysis_rows", no_estimate)
+    monkeypatch.setattr(parametric, "analysis_rows", no_estimate)
     write_cohort(tmp_path, dataclasses.replace(DISCRETE, y_intercept=3.0), n=4000)
     cfg = write_config(tmp_path, runs=[
         {"proposition": "P1", "estimator": "PLUGIN", "outcome_family": "RARE_BINARY"}])
@@ -992,6 +992,51 @@ def test_a_run_can_bind_the_confounder_beside_an_interactions_run(tmp_path, caps
     err = capsys.readouterr().err
     assert "config error" in err and "confounder" in err
     assert not (tmp_path / "report.json").exists() and not (tmp_path / "table.txt").exists()
+
+
+def test_every_family_reads_p1_on_the_one_analysis_sample_of_its_binding(tmp_path, capsys):
+    # the README's cohort: the `batch` cohort without the confounder, with 30%
+    # of the group-1 targets blank, rows every family drops
+    d = generate(dataclasses.replace(BATCH_PARAMS, confounder=False), 20_000, seed=1)
+    columns = dict(d.columns)
+    blank = (columns["group"] == 1) & (np.random.default_rng(1).random(d.n_rows) < 0.3)
+    columns["target"] = np.where(blank, np.nan, columns["target"])
+    write_csv(Dataset(columns, dict(d.roles)), tmp_path / "cohort.csv")
+    runs = [{"proposition": "P1", "estimator": family} for family in ("SUCCESSIVE", "PRODUCT", "PLUGIN")]
+    runs.append({"proposition": "P1", "estimator": "SUCCESSIVE", "options": {"interactions": True}})
+    cfg = write_config(tmp_path, bindings={**BINDINGS, "covariate": ["covariate"]}, runs=runs,
+                       bootstrap={"replicates": 50, "seed": 1})
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    report = read_report(tmp_path)
+    assert [run["n_analysis"] for run in report["runs"]] == 4 * [d.n_rows - int(blank.sum())]
+    successive, _, plugin, _ = (run["estimate"] for run in report["runs"])
+    spread = report["runs"][2]["bootstrap"]["quantities"]
+    for key in ("initial", "residual", "reduction"):
+        assert abs(plugin[key] - successive[key]) <= 3 * spread[key]["se"], key
+
+
+def test_runs_whose_bindings_differ_in_a_column_with_blanks_share_nothing(tmp_path, capsys):
+    # the same runs with and without a confounder binding, 10% of its cells
+    # blank: two samples, each run read as in a config of its own
+    d = generate(BOOTSTRAP_COHORT, 1500, seed=5)
+    columns = dict(d.columns)
+    columns["confounder"] = np.where(np.arange(d.n_rows) % 10 == 3, np.nan, columns["confounder"])
+    write_csv(Dataset(columns, dict(d.roles)), tmp_path / "cohort.csv")
+    bound = {"bindings": {"confounder": "confounder"}}
+    runs = [{"proposition": "P3", "estimator": family, **binding}
+            for family in ("SUCCESSIVE", "PRODUCT", "PLUGIN") for binding in (bound, {})]
+    runs += [{"proposition": "P3", "estimator": "SUCCESSIVE", "outcome_family": "RARE_BINARY", **binding}
+             for binding in (bound, {})]
+    boot = {"replicates": 20, "seed": 2}
+    assert main(["run", str(write_config(tmp_path, runs=runs, bootstrap=boot))]) == 0
+    together = read_report(tmp_path)["runs"]
+    assert [run["n_analysis"] for run in together] == 4 * [1350, 1500]
+    for run, got in zip(runs, together):
+        assert main(["run", str(write_config(tmp_path, runs=[run], bootstrap=boot))]) == 0
+        assert read_report(tmp_path)["runs"] == [got]
+        assert got["error"] is None and got["bootstrap"]["failed_replicates"] == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("bindings,named", [

@@ -13,6 +13,7 @@ from gapdecomp import (
 )
 from gapdecomp import oaxaca, regression
 from gapdecomp.errors import EmptyGroup, InvalidSpec
+from gapdecomp.parametric import Sample
 
 
 def two_group_dataset(seed=0, n=400):
@@ -312,7 +313,7 @@ def test_an_interactions_config_builds_one_factor_per_group_and_column_tuple(mon
     assert factors == [2, 2, 4, 4, 6, 6, 6, 6]
     assert sorted(built) == sorted(2 * [("intercept", "c", "x", "y"), ("intercept", "x", "c", "m", "y"),
                                         ("intercept", "c", "x", "m", "y")])
-    assert sorted(key[0] for key in d._memo) == 3 * ["group factors"]
+    assert sorted(key[0] for key in Sample(d).memo) == 3 * ["group factors"]
     fresh = [estimate(d.take(np.arange(d.n_rows)), spec) for spec in INTERACTIONS_CONFIG]
     assert [(e.initial, e.residual, e.reduction) for e in first] == [
         (e.initial, e.residual, e.reduction) for e in fresh]
@@ -354,11 +355,13 @@ def test_a_replicate_sample_never_writes_into_the_full_samples_memo(estimated_fi
              AnalysisSpec("P3", "SUCCESSIVE")]
     for spec in specs if estimated_first else ():
         estimate(d, spec)
-    full = dict(d._memo)
+    memo = Sample(d).memo  # the full sample's, kept in the dataset's
+    full, entries = dict(d._memo), dict(memo)
     s = Sample(d, resample_indices(d, 7, 0))
     replicate = [oaxaca._stratified(s, specs[0]), _decompose(s, specs[1])]
     assert sorted(key[0] for key in s.memo) == ["factor", "group factors"]
     assert d._memo.keys() == full.keys() and all(d._memo[key] is full[key] for key in full)
+    assert memo.keys() == entries.keys() and all(memo[key] is entries[key] for key in entries)
     taken, fresh = d.take(s.idx), d.take(np.arange(d.n_rows))
     for spec, read in zip(specs, replicate):
         for got, want in ((read, estimate(taken, spec)), (estimate(d, spec), estimate(fresh, spec))):

@@ -16,6 +16,7 @@ from gapdecomp import (
 )
 from gapdecomp.analysis import QUANTITIES, validate_spec
 from gapdecomp.errors import InvalidSpec, NearZeroDenominator, PrevalenceWarning
+from gapdecomp.parametric import Sample
 
 
 def exact_gap_dataset():
@@ -368,13 +369,14 @@ def test_parametric_runs_on_one_dataset_share_one_factor_and_repeat_bitwise():
         (prop, family): estimate_fields(estimate(d, AnalysisSpec(prop, family)))
         for prop in ("P1", "P2", "P3", "P4") for family in ("SUCCESSIVE", "PRODUCT")
     }
-    assert len(d._memo) == 1
+    assert sorted(key[0] for key in d._memo) == ["rows", "sample"]  # one sample: its mask and memo
+    assert len(Sample(d).memo) == 1
     for (prop, family), fields in first.items():
         assert estimate_fields(estimate(d, AnalysisSpec(prop, family))) == fields
 
 
 def test_factor_memo_is_keyed_by_the_ordered_column_tuple():
-    from gapdecomp.parametric import Sample, sample_factor
+    from gapdecomp.parametric import sample_factor
 
     d = generate(random_continuous_params(np.random.default_rng(39)), 200, seed=38)
     d = d.with_columns({"target": np.where(np.arange(200) % 7 == 0, np.nan, d.column("target"))})
@@ -383,10 +385,15 @@ def test_factor_memo_is_keyed_by_the_ordered_column_tuple():
     swapped = sample_factor(Sample(d), ["early", "group", "outcome"])
     assert swapped.labels[1:] == ("early", "group", "outcome") and swapped is not a
     with_target = sample_factor(Sample(d), ["group", "early", "target"])
-    assert with_target.n_rows < a.n_rows == 200  # the key also fixes the analysis rows
-    assert list(d._memo) == [("factor", ("group", "early", "outcome")),
-                             ("factor", ("early", "group", "outcome")),
-                             ("factor", ("group", "early", "target"))]
+    assert with_target.n_rows == a.n_rows == 171  # the binding, not the columns, fixes the rows
+    assert list(Sample(d).memo) == [("factor", ("group", "early", "outcome")),
+                                    ("factor", ("early", "group", "outcome")),
+                                    ("factor", ("group", "early", "target"))]
+    # a binding without the target is another sample, with a memo of its own
+    untargeted = d.with_roles({role: names for role, names in d.roles.items() if role != "target"})
+    wide = sample_factor(Sample(untargeted), ["group", "early", "outcome"])
+    assert wide is not a and wide.n_rows == 200
+    assert sorted(key[0] for key in d._memo) == ["rows", "rows", "sample", "sample"]
 
 
 def test_new_rows_or_columns_never_reuse_the_parent_factor():
@@ -504,10 +511,10 @@ def test_successive_and_product_share_their_common_logistic_fit(monkeypatch):
              for family in ("SUCCESSIVE", "PRODUCT")]
     shared = [estimate(d, spec) for spec in specs]
     assert len(calls) == 3  # PRODUCT's outcome model is SUCCESSIVE's full model
-    fits = {key: fit for key, fit in d._memo.items() if key[0] == "logistic fit"}
+    fits = {key: fit for key, fit in Sample(d).memo.items() if key[0] == "logistic fit"}
     # and one factor, and one outcome prevalence
     assert len(set(calls)) == 3 and len(fits) == 3
-    assert sorted(key[0] for key in d._memo) == ["factor", *3 * ["logistic fit"], "prevalence"]
+    assert sorted(key[0] for key in Sample(d).memo) == ["factor", *3 * ["logistic fit"], "prevalence"]
     for fit in fits.values():
         assert not fit.values.flags.writeable
     full_model = "outcome ~ group + early + target"
@@ -534,7 +541,7 @@ def test_a_rare_binary_sample_is_read_once_and_warned_of_per_estimate(monkeypatc
     real = parametric.analysis_rows
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(parametric, "analysis_rows", counted)
@@ -544,8 +551,8 @@ def test_a_rare_binary_sample_is_read_once_and_warned_of_per_estimate(monkeypatc
         warnings.simplefilter("always")
         ests = [estimate(d, AnalysisSpec("P4", family, outcome_family="RARE_BINARY"))
                 for family in ("SUCCESSIVE", "PRODUCT")]
-    # the factor and the prevalence each read the rows once; the second run reads neither
-    assert len(calls) == 2
+    # the sample's rows are found once, for the factor and the prevalence of both runs
+    assert len(calls) == 1
     assert [issubclass(w.category, PrevalenceWarning) for w in caught] == [True, True]
     for est in ests:
         assert any(note.startswith("outcome prevalence 0.2") for note in est.notes)

@@ -18,7 +18,7 @@ from gapdecomp import (
 )
 from gapdecomp.errors import EmptyStratum, InvalidSpec, NearZeroDenominator, TooManyLevels
 from gapdecomp.parametric import Sample
-from gapdecomp.plugin import Replicates, _sample
+from gapdecomp.plugin import Replicates
 
 
 def crossed_binary_dataset(seed=0, n_per_cell=2):
@@ -268,6 +268,23 @@ def test_too_many_levels_names_the_first_column_in_dimension_order():
     roles["early"] = ["x"]
     with pytest.raises(TooManyLevels, match="column 'm' has 40 levels"):
         plugin_mu(dataset_from(columns, roles), AnalysisSpec("P4", "PLUGIN"))
+
+
+def test_a_column_with_too_many_levels_is_refused_only_to_the_runs_that_read_it():
+    # the sample's one table leaves the column out: P1 sums the target away,
+    # and P1-P4 the confounder, so each answers as if the column were unbound
+    d = batch_cohort(3000)
+    continuous = np.random.default_rng(33).normal(size=d.n_rows)
+    for role, props, refused in (("target", ("P1",), ("P2",)),
+                                 ("confounder", ("P1", "P2", "P3", "P4"), ("P5", "P7"))):
+        wide = d.with_columns({role: continuous})
+        unbound = wide.with_roles({r: names for r, names in wide.roles.items() if r != role})
+        for prop in props:
+            assert estimate_fields(plugin_mu(wide, AnalysisSpec(prop, "PLUGIN"))) == estimate_fields(
+                plugin_mu(unbound, AnalysisSpec(prop, "PLUGIN"))), (role, prop)
+        for prop in refused:
+            with pytest.raises(TooManyLevels, match=f"column '{role}' has [0-9]+ levels"):
+                plugin_mu(wide, AnalysisSpec(prop, "PLUGIN"))
 
 
 def test_boolean_rows_give_the_same_table_as_their_indices():
@@ -598,22 +615,20 @@ def estimate_fields(e):
     return e.initial, e.residual, e.reduction, e.proportion_reduced, e.notes
 
 
-def test_plugin_runs_over_the_same_columns_share_one_table(monkeypatch):
+def test_plugin_runs_over_one_sample_share_one_table(monkeypatch):
     builds = counted_tables(monkeypatch)
     d = batch_cohort(4000)
-    props = ("P2", "P3", "P4", "P5", "P6", "P7")
-    shared = [plugin_mu(d, AnalysisSpec(prop, "PLUGIN")) for prop in props[:3]]
-    assert builds == [(("early",), ("target",), (), ("covariate",))]
-    shared += [plugin_mu(d, AnalysisSpec(prop, "PLUGIN")) for prop in props[3:]]
-    assert len(builds) == 2 and builds[1][2] == ("confounder",)
+    props = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
+    shared = [plugin_mu(d, AnalysisSpec(prop, "PLUGIN")) for prop in props]
+    assert builds == [(("early",), ("target",), ("confounder",), ("covariate",))]
     fresh = [plugin_mu(Dataset(dict(d.columns), dict(d.roles)), AnalysisSpec(prop, "PLUGIN"))
              for prop in props]
-    assert len(builds) == 2 + len(props)
+    assert len(builds) == 1 + len(props)
     assert [estimate_fields(e) for e in shared] == [estimate_fields(e) for e in fresh]
 
     # handed out by the memo: read-only, and the cell code in its smallest unsigned type
-    table = _sample(d, AnalysisSpec("P6", "PLUGIN"))
-    assert len(builds) == 2 + len(props)
+    table = Replicates(d, AnalysisSpec("P6", "PLUGIN")).whole
+    assert len(builds) == 1 + len(props)
     for arr in (table.code, table.counts, table.sums):
         assert not arr.flags.writeable
     assert table.code.dtype == np.min_scalar_type(table.counts.size) == np.uint8
@@ -624,7 +639,7 @@ def test_a_plugin_bootstrap_builds_no_table_beyond_its_estimates(monkeypatch):
     d = batch_cohort(3000)
     specs = [AnalysisSpec("P3", "PLUGIN"), AnalysisSpec("P7", "PLUGIN")]
     shared = [summary.as_dict() for summary in bootstrap_runs(d, specs, b=30, seed=4)]
-    assert len(builds) == len(specs)
+    assert len(builds) == 1
     alone = [summary.as_dict() for summary in bootstrap_runs(
         Dataset(dict(d.columns), dict(d.roles)), specs, b=30, seed=4)]
     assert shared == alone
@@ -648,7 +663,7 @@ def test_estimates_and_replicates_count_cells_through_one_call(monkeypatch):
     monkeypatch.setattr(StratumTable, "cells", lambda self, idx: calls.append(idx) or cells(self, idx))
     specs = [AnalysisSpec("P3", "PLUGIN"), AnalysisSpec("P7", "PLUGIN")]
     list(bootstrap_runs(batch_cohort(3000), specs, b=5, seed=4))
-    assert len(calls) == 2 + 2 * 5
+    assert len(calls) == 1 + 5  # the table's own rows, then each replicate once for both runs
 
 
 def test_bindings_share_the_table_and_new_columns_do_not(monkeypatch):

@@ -570,15 +570,16 @@ def standardized_mean(table, prop, c_level, x_star):
 
 def loop_estimate(d, spec):
     """(initial, residual, reduction) of a continuous-outcome PLUGIN spec:
-    the proposition's formula as nested loops over `MaskTable` lookups."""
+    the proposition's formula as nested loops over `MaskTable` lookups, on
+    the rows complete in every bound column, with the dimensions the
+    proposition reads."""
     prop = spec.proposition
     early = d.role_columns(Role.EARLY)
     dims = {"early": early,
             "target": () if prop == Proposition.P1 else d.role_columns(Role.TARGET),
             "confounder": d.role_columns(Role.CONFOUNDER_L) if prop in TIMEDEP_BASE else (),
             "covariate": d.covariate_names()}
-    used = [d.single_role_column(Role.OUTCOME), d.single_role_column(Role.GROUP)]
-    used += [name for names in dims.values() for name in names]
+    used = [name for names in d.roles.values() for name in names]
     rows = np.flatnonzero(~np.isnan(np.column_stack([d.column(c) for c in used])).any(axis=1))
     table = MaskTable(d, rows, columns=dims)
 
@@ -675,15 +676,17 @@ def test_count_table_matches_a_mask_per_level(seed, n, k, n_covariates, with_con
 # -- group-stratified (interactions) route against per-group fits -------------
 
 
-def group_split(d, explanatory, conditioning, reference="group1", profile=None, anchored=()):
+def group_split(d, explanatory, conditioning, reference="group1", profile=None, anchored=(),
+                complete=()):
     """(total gap, unexplained terms, explained terms), every model fitted on
-    its own by `fit_ols` and every plain mean taken by `np.mean`.
+    its own by `fit_ols` and every plain mean taken by `np.mean`, on the rows
+    complete in the columns it reads and in `complete`.
 
     The conditioning profile takes the values in `profile`, the `anchored`
     columns' group-1 means, and every other column's group-0 mean.
     """
     y, r = d.single_role_column(Role.OUTCOME), d.single_role_column(Role.GROUP)
-    used = [y, r, *explanatory, *conditioning]
+    used = [y, r, *explanatory, *conditioning, *complete]
     rows = ~np.isnan(np.column_stack([d.column(k) for k in used])).any(axis=1)
     in_group = {g: rows & (d.column(r) == g) for g in (1.0, 0.0)}
 
@@ -724,14 +727,16 @@ def group_split(d, explanatory, conditioning, reference="group1", profile=None, 
 
 
 def stratified_oracle(d, prop, xs, covariates, anchor):
-    """(residual, reduction) of one proposition from `group_split`."""
+    """(residual, reduction) of one proposition from `group_split`, on the
+    rows complete in every bound column, which a run reads whatever its
+    proposition."""
     if prop == "P2":
         given = {} if anchor is None else {xs[0]: anchor}
         _, unexplained, explained = group_split(d, ["m"], xs + covariates,
                                                 profile=given, anchored=xs)
         return sum(unexplained.values()), explained["m"]
     explanatory = xs if prop == "P1" else xs + ["m"]
-    _, unexplained, explained = group_split(d, explanatory, covariates)
+    _, unexplained, explained = group_split(d, explanatory, covariates, complete=["m"])
     if prop == "P4":
         return sum(unexplained.values()) + sum(explained[x] for x in xs), explained["m"]
     return sum(unexplained.values()), sum(explained.values())
