@@ -54,10 +54,6 @@ class Role(str, Enum):
 
 _SINGLE_COLUMN_ROLES = (Role.OUTCOME, Role.GROUP, Role.TARGET, Role.CONFOUNDER_L)
 
-#: Rows `Dataset.level_codes` looks up at a time, so its search holds one
-#: block of int64 positions, not one per row.
-_SEARCH_ROWS = 10_000
-
 
 def is_integer(value) -> bool:
     """An integer that is not a bool (JSON `true` loads as Python True)."""
@@ -99,7 +95,6 @@ class Dataset:
 
     `_memo` holds what is computed from the columns, each entry built once by
     `memoized` under a key naming its kind, then the columns it reads:
-    ("levels", column) a column's levels and row codes (`level_codes`);
     ("rows", bound columns) their analysis sample's mask and ("sample", bound
     columns) its memo (`parametric.Sample`): ("factor", columns) R of [1,
     columns…], ("group factors", group, columns), ("logistic fit", columns,
@@ -182,51 +177,6 @@ class Dataset:
     def covariate_names(self) -> tuple[str, ...]:
         """Covariates plus missing indicators, in declaration order."""
         return self.role_columns(Role.COVARIATE) + self.role_columns(Role.MISSING_INDICATOR)
-
-    def level_codes(self, name: str, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted levels of a column over `rows` (a boolean mask, an index
-        array or a slice), and each row's index into them.
-
-        The levels and the indices' values are bitwise what
-        ``np.unique(self.column(name)[rows], return_inverse=True)`` returns;
-        the indices come in the smallest unsigned type that holds the number
-        of levels of the whole column. The column's levels are found once (a
-        sort, as ``np.unique`` does) and each row's code by binary search,
-        `_SEARCH_ROWS` rows at a time; both are memoized, read-only, and a
-        subset keeps the levels it observes. A column whose equal cells differ
-        in bits (0.0 and -0.0, NaN payloads) is sorted per call instead, since
-        which of them ``np.unique`` keeps depends on the rows.
-        """
-        def build():
-            values = self.column(name)
-            levels = np.sort(values)
-            distinct = np.ones(levels.size, bool)
-            np.not_equal(levels[1:], levels[:-1], out=distinct[1:])
-            levels = levels[distinct]
-            if levels.size and np.isnan(levels[-1]):  # NaNs sort last; keep one, the first
-                levels = levels[: np.argmax(np.isnan(levels)) + 1]
-                levels[-1] = values[np.isnan(values)][0]
-            codes = np.empty(values.size, np.min_scalar_type(levels.size))
-            for start in range(0, values.size, _SEARCH_ROWS):
-                part = values[start:start + _SEARCH_ROWS]
-                at = np.searchsorted(levels, part)
-                if not np.array_equal(levels.view(np.int64)[at], part.view(np.int64)):
-                    codes = None
-                    break
-                codes[start:start + _SEARCH_ROWS] = at
-            for arr in (levels, codes):
-                if arr is not None:
-                    arr.flags.writeable = False  # handed out as they are
-            return levels, codes
-        levels, codes = memoized(self._memo, ("levels", name), build)
-        if codes is None:
-            subset, inverse = np.unique(self.column(name)[rows], return_inverse=True)
-            return subset, inverse.astype(np.min_scalar_type(levels.size))
-        codes = codes[rows]
-        seen = np.bincount(codes, minlength=levels.size) > 0
-        if seen.all():
-            return levels, codes
-        return levels[seen], (np.cumsum(seen) - 1).astype(codes.dtype)[codes]
 
     # -- derivation ------------------------------------------------------
 

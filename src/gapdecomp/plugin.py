@@ -50,11 +50,36 @@ DEFAULT_MAX_LEVELS = 20
 _DIMENSIONS = ("early", "target", "confounder", "covariate")
 
 
+def _column_codes(values: np.ndarray, name: str, max_levels: int):
+    """Bitwise ``np.unique(values, return_inverse=True)``, the inverse in the
+    smallest unsigned type that holds the level count, or TooManyLevels
+    before any row is coded. Non-negative integers below max(rows, 256),
+    with no -0.0, are counted with no sort; other values are sorted to count
+    their levels and again for the inverse, as which of the equal cells that
+    differ in bits (0.0 and -0.0, NaN payloads) is kept depends on the sort."""
+    top, ints = values.max(initial=0.0), None
+    if values.min(initial=0.0) >= 0 and top < max(values.size, 256):  # False if a NaN
+        ints = values.astype(np.min_scalar_type(int(top)))
+        if not np.array_equal(ints, values) or np.signbit(values).any():
+            ints = None
+    if ints is not None:
+        present = np.zeros(int(top) + 1, bool)
+        present[ints] = True
+    count = np.unique(values).size if ints is None else int(np.count_nonzero(present))
+    if count > max_levels:
+        raise TooManyLevels(f"column {name!r} has {count} levels, more than the "
+                            f"allowed {max_levels}; discretize it first")
+    dtype = np.min_scalar_type(count)
+    if ints is None:
+        levels, inverse = np.unique(values, return_inverse=True)
+        return levels, inverse.astype(dtype)
+    return np.flatnonzero(present).astype(float), (np.cumsum(present) - 1).astype(dtype)[ints]
+
+
 def _dimension_codes(d: Dataset, rows: np.ndarray, names: Sequence[str], max_levels: int):
     """Sorted observed level tuples of one dimension and each row's level index.
 
-    Each column's levels and codes over `rows` are read from the dataset's
-    memo (`Dataset.level_codes`), so a column is sorted once per memo;
+    Each column's levels and codes over `rows` come from `_column_codes`;
     each further column combines mixed-radix with the tuples before it
     (first column most significant, so code order is tuple order), and a
     presence count re-codes them to the jointly observed tuples, with no
@@ -63,12 +88,7 @@ def _dimension_codes(d: Dataset, rows: np.ndarray, names: Sequence[str], max_lev
     """
     code, levels = 0, [()]  # no columns: the single pseudo-level, broadcast over the rows
     for name in names:
-        distinct, inverse = d.level_codes(name, rows)
-        if distinct.size > max_levels:
-            raise TooManyLevels(
-                f"column {name!r} has {distinct.size} levels, more than the "
-                f"allowed {max_levels}; discretize it first"
-            )
+        distinct, inverse = _column_codes(d.column(name)[rows], name, max_levels)
         size, values = distinct.size, distinct.tolist()
         if len(levels) == 1:  # one tuple so far: the combined codes are dense already
             code, levels = inverse, [levels[0] + (value,) for value in values]

@@ -309,8 +309,8 @@ class WhitenedGrams:
         self.qt, self.grams = np.zeros((r.shape[0], mask.size)), []  # Qᵀ, each replicate's G
         for start in range(0, rows.size, BLOCK_ROWS):
             block = stacked_columns(columns, rows[start : start + BLOCK_ROWS])
-            for j in range(r.shape[0]):  # Q R = A, column j from columns 0..j-1
-                block[:, j] = (block[:, j] - block[:, :j] @ r[:j, j]) / r[j, j]
+            for j in range(r.shape[0]):  # Q R = A, column j from 0..j-1; 0, G singular, at a zero r[j, j]
+                block[:, j] = (block[:, j] - block[:, :j] @ r[:j, j]) / r[j, j] if r[j, j] else 0.0
             self.qt[:, rows[start : start + BLOCK_ROWS]] = block.T
 
     def add(self, idx: np.ndarray) -> None:

@@ -684,12 +684,25 @@ def test_a_config_draws_each_replicate_once_and_again_only_to_refit_it(tmp_path,
     # refit at its own rows, once per run
     assert drawn[:b] == list(range(b)) and sorted(drawn[b:]) == sorted(refitted)
     # every run reads its replicates from row indices, none through `estimate`;
-    # np.sort sorts each stratum column (early, target, covariate) once, each
-    # reported quantity's draws once, and a linear run's draws of each
-    # quantity once more; np.unique is not called (a logistic fit checks its
-    # 0/1 outcome by comparison)
+    # np.sort sorts each reported quantity's draws once, and a linear run's
+    # draws of each quantity once more; no stratum column (early, target,
+    # covariate: small integers) is sorted, and np.unique is not called (a
+    # logistic fit checks its 0/1 outcome by comparison)
     assert calls == {"take": 0, "estimate": len(runs), "unique": 0,
-                     "sort": 3 + 4 * len(runs) + 2 * 4}
+                     "sort": 4 * len(runs) + 2 * 4}
+
+
+def test_a_bootstrap_of_an_all_zero_outcome_is_reported(tmp_path, capsys):
+    d = generate(CONTINUOUS, 300, seed=1)
+    write_csv(Dataset({**d.columns, "outcome": np.zeros(300)}), tmp_path / "cohort.csv")
+    runs = [{"proposition": "P3", "estimator": family} for family in ("SUCCESSIVE", "PRODUCT")]
+    assert main(["run", str(write_config(tmp_path, runs=runs, bootstrap={"replicates": 20}))]) == 0
+    capsys.readouterr()
+    for run in read_report(tmp_path)["runs"]:
+        assert run["error"] is None and run["bootstrap"]["failed_replicates"] == 0
+        spreads = run["bootstrap"]["quantities"]
+        assert [spreads[name]["se"] for name in ("initial", "residual", "reduction")] == [0.0] * 3
+        assert spreads["proportion_reduced"]["se"] is None  # no replicate has a disparity to reduce
 
 
 def test_a_bootstrap_report_is_the_same_at_one_and_two_blas_threads_without_numpy_ma(tmp_path):
@@ -1057,30 +1070,33 @@ def test_a_run_binding_that_cannot_be_read_fails_before_any_estimate(tmp_path, c
     assert not (tmp_path / "report.json").exists()
 
 
-def test_runs_binding_their_own_confounder_sort_no_column_more_than_one_top_level_binding(
+def test_runs_binding_their_own_confounder_code_no_column_more_than_one_top_level_binding(
         tmp_path, capsys, monkeypatch):
     """The README's pattern: P5-P7 PLUGIN runs each binding the confounder.
-    Their bound datasets share the loaded dataset's memo, so each column's
-    levels are sorted as often as when the confounder is bound for all runs."""
+    Their bound datasets share one analysis sample and its table, so each
+    column is coded as often as when the confounder is bound for all runs."""
+    import gapdecomp.plugin as plugin
+
     write_csv(generate(BOOTSTRAP_COHORT, 1500, seed=5), tmp_path / "cohort.csv")
     runs = [{"proposition": p, "estimator": "PLUGIN"} for p in ("P5", "P6", "P7")]
-    sorts, estimates = [], []
-    real = np.sort
+    coded, estimates = [], []
+    real = plugin._column_codes
 
-    def counted(values, *args, **kwargs):
-        sorts[-1] += 1
-        return real(values, *args, **kwargs)
+    def counted(values, name, *args):
+        coded[-1].append(name)
+        return real(values, name, *args)
 
-    monkeypatch.setattr(np, "sort", counted)
+    monkeypatch.setattr(plugin, "_column_codes", counted)
     for bindings, own in (({**BINDINGS, "confounder": "confounder"}, {}),
                           (BINDINGS, {"bindings": {"confounder": "confounder"}})):
         cfg = write_config(tmp_path, bindings=bindings, runs=[{**run, **own} for run in runs])
-        sorts.append(0)
+        coded.append([])
         assert main(["run", str(cfg)]) == 0
         estimates.append([run["estimate"] for run in read_report(tmp_path)["runs"]])
     capsys.readouterr()
-    top_level, per_run = sorts
-    assert 0 < per_run <= top_level
+    top_level, per_run = coded
+    assert sorted(top_level) == ["confounder", "early", "target"]  # each once
+    assert sorted(per_run) == sorted(top_level)
     assert estimates[0] == estimates[1]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -743,3 +744,26 @@ def test_replicates_past_the_whitening_limit_are_read_as_their_takes_are():
     replicates = [rng.integers(0, n, n) for _ in range(40)]
     for family in ("SUCCESSIVE", "PRODUCT"):
         assert assert_read_as_taken(d, AnalysisSpec("P4", family), replicates) == ["estimate"] * 40
+
+
+@pytest.mark.parametrize("constant", [0.0, 1.0])
+def test_a_linear_bootstrap_of_a_constant_outcome_is_its_takes(constant):
+    # an all-zero outcome leaves its column of R zero, and with it the
+    # whitened Gram singular: every replicate is refitted at its own rows
+    from gapdecomp import bootstrap, bootstrap_statistic
+
+    rng = np.random.default_rng(0)
+    n = 300
+    d = dataset_from({"y": np.full(n, constant), "r": np.arange(n) % 2, "x": rng.normal(size=n),
+                      "m": rng.normal(size=n)},
+                     {"outcome": "y", "group": "r", "early": ["x"], "target": "m"})
+    for family in ("SUCCESSIVE", "PRODUCT"):
+        spec = AnalysisSpec("P3", family)
+        got = bootstrap(d, spec, b=20)
+        want = bootstrap_statistic(d, lambda t: {k: getattr(estimate(t, spec), k) for k in QUANTITIES},
+                                   b=20)
+        assert got.n_failed == want.n_failed == 0
+        for name, summary in want.quantities.items():
+            fields = [np.array(list(dataclasses.astuple(s)), float)
+                      for s in (got.quantities[name], summary)]
+            assert np.array_equal(*fields, equal_nan=True), name

@@ -287,6 +287,29 @@ def test_a_column_with_too_many_levels_is_refused_only_to_the_runs_that_read_it(
                 plugin_mu(wide, AnalysisSpec(prop, "PLUGIN"))
 
 
+def test_a_column_with_too_many_levels_is_refused_before_its_rows_are_coded(monkeypatch):
+    d = batch_cohort(200_000)
+    wide = d.with_columns({"target": np.random.default_rng(34).normal(size=d.n_rows)})
+    coded = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            if name == "searchsorted" or kwargs.get("return_inverse"):
+                coded.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("searchsorted", "unique"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    p1 = plugin_mu(wide, AnalysisSpec("P1", "PLUGIN"))
+    # the target's levels are counted and refused, and the other columns are
+    # small integers: no row is coded by a search or an inverse
+    assert coded == []
+    monkeypatch.undo()
+    unbound = wide.with_roles({r: names for r, names in wide.roles.items() if r != "target"})
+    assert estimate_fields(p1) == estimate_fields(plugin_mu(unbound, AnalysisSpec("P1", "PLUGIN")))
+
+
 def test_boolean_rows_give_the_same_table_as_their_indices():
     d = covariate_dataset(seed=29)
     keep = np.random.default_rng(30).random(d.n_rows) < 0.7

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from conftest import dataset_from
 from gapdecomp import (
     AnalysisSpec,
-    Dataset,
     DesignMatrix,
     Role,
     StratumTable,
@@ -42,9 +42,10 @@ from gapdecomp.errors import (
     NearZeroDenominator,
     NotConverged,
     Separation,
+    TooManyLevels,
 )
 from gapdecomp import regression
-from gapdecomp.data import _SEARCH_ROWS
+from gapdecomp.plugin import _column_codes
 from gapdecomp.analysis import TIMEDEP_BASE, Proposition
 
 PROPS = ("P1", "P2", "P3", "P4")
@@ -234,45 +235,40 @@ OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
 #: bits) and two NaN payloads included.
 cells = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.nan, OTHER_NAN]),
                   st.floats(allow_infinity=False))
+#: Small non-negative integers, which are counted; -0.0 among them, or a
+#: value at or past the bound of 256 (the rows are fewer), is sorted.
+small = st.integers(0, 12).map(float)
 
 
-@settings(max_examples=60, deadline=None)
-@given(values=st.lists(cells, min_size=1, max_size=60), memo_first=st.booleans(),
-       long=st.booleans(), data=st.data())
-def test_memoized_level_codes_equal_sorting_each_subset(values, memo_first, long, data):
-    column = np.array(values)
-    if long:  # past the first block of the memo's search, with a tail only the last block reads
-        tail = data.draw(st.lists(cells, max_size=3))
-        column = np.concatenate([np.tile(column, _SEARCH_ROWS // column.size + 1), tail])
+@settings(max_examples=100, deadline=None)
+@given(values=st.one_of(st.lists(cells, min_size=1, max_size=60),
+                        st.lists(small, min_size=1, max_size=60)),
+       odd=st.sampled_from([[], [-0.0], [256.0], [300.0]]),
+       max_levels=st.integers(1, 20), data=st.data())
+def test_column_codes_equal_sorting_each_subset(values, odd, max_levels, data):
+    column = np.array(values + odd)
     n = column.size
-    d = Dataset({"v": column})
-
-    def check(dataset, rows, expected):
-        levels, codes = dataset.level_codes("v", rows)
+    index = st.lists(st.integers(0, n - 1), max_size=2 * n).map(lambda r: np.array(r, dtype=np.intp))
+    mask = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    for rows in (slice(None), data.draw(index), data.draw(mask)):
+        expected = column[rows]
         want_levels, want_codes = np.unique(expected, return_inverse=True)
+        counted = (expected.size == 0 or expected.min() >= 0 and expected.max() < 256
+                   and np.array_equal(expected, np.round(expected))
+                   and not np.signbit(expected).any())
+        sorts, unique = [], np.unique
+        with mock.patch.object(np, "unique", lambda *a, **k: sorts.append(k) or unique(*a, **k)):
+            if want_levels.size > max_levels:
+                with pytest.raises(TooManyLevels) as refused:
+                    _column_codes(expected, "v", max_levels)
+                assert str(refused.value).startswith(f"column 'v' has {want_levels.size} levels")
+                assert sorts == ([] if counted else [{}])  # no row was coded
+                continue
+            levels, codes = _column_codes(expected, "v", max_levels)
+        assert sorts == ([] if counted else [{}, {"return_inverse": True}])
         assert levels.dtype == want_levels.dtype and levels.tobytes() == want_levels.tobytes()
-        # the codes' type counts the levels of the whole column, whichever rows are read
-        assert codes.dtype == np.min_scalar_type(np.unique(dataset.column("v")).size)
+        assert codes.dtype == np.min_scalar_type(want_levels.size)
         assert np.array_equal(codes, want_codes)
-
-    if memo_first:
-        check(d, slice(None), column)
-        # equal cells with identical bits are served from the memo, not re-sorted
-        exact = np.unique(column.view(np.int64)).size == np.unique(column).size
-        assert (d._memo[("levels", "v")][1] is not None) == exact
-    rows = st.lists(st.integers(0, n - 1), max_size=2 * len(values)).map(
-        lambda r: np.array(r, dtype=np.intp))
-    subset = np.unique(data.draw(rows))
-    mask = np.resize(data.draw(st.lists(st.booleans(), min_size=len(values),
-                                        max_size=len(values))), n)
-    check(d, subset, column[subset])
-    check(d, mask, column[mask])
-    first = data.draw(rows)
-    child = d.take(first)  # sorts its own columns
-    check(child, slice(None), column[first])
-    within = np.unique(data.draw(st.lists(st.integers(0, max(first.size - 1, 0)),
-                                          max_size=first.size).map(lambda r: np.array(r, dtype=np.intp))))
-    check(child, within, column[first][within])
 
 
 def replicate_sample(seed, n):
